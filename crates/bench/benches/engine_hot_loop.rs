@@ -25,15 +25,14 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dab::{DabConfig, DabModel};
-use dab_bench::{geomean, Runner, SweepJob};
+use dab_bench::geomean;
 use dab_workloads::bc::bc_trace;
 use dab_workloads::graph::Graph;
 use dab_workloads::microbench::{atomic_sum_grid, OUTPUT_ADDR};
 use dab_workloads::scale::Scale;
 use gpu_sim::config::{EngineKind, GpuConfig};
 use gpu_sim::engine::{GpuSim, RunReport};
-use gpu_sim::isa::{Instr, MemAccess, WarpProgram};
-use gpu_sim::kernel::{CtaSpec, KernelGrid};
+use gpu_sim::kernel::KernelGrid;
 use gpu_sim::ndet::NdetSource;
 
 /// One engine × workload measurement: the last run's report and the best
@@ -91,96 +90,6 @@ fn workloads() -> Vec<(&'static str, Vec<KernelGrid>)> {
     let graph = Graph::uniform(96, 256, 7);
     let (bc, _) = bc_trace(&graph, "u96", 20.0);
     vec![("atomic_sum_64k", atomic), ("bc_uniform_96", bc)]
-}
-
-/// Measured replication-sweep datapoint: one seed sweep run job-by-job and
-/// once more lowered onto replication lanes, plus the resulting amortized
-/// per-seed speedup (sequential wall over batched wall).
-struct ReplicationSweep {
-    seeds: usize,
-    sequential_secs: f64,
-    batched_secs: f64,
-    amortized_speedup: f64,
-}
-
-/// A statics-heavy grid for the replication-sweep datapoint: every warp
-/// carries its own freshly-allocated program (no `Arc` sharing, so
-/// per-kernel metadata is built for each one) of wide loads whose lanes
-/// collapse to a single sector. Simulating it is cheap — one sector
-/// request per load, mostly L1 hits — while the per-kernel shared state
-/// ([`gpu_sim::engine::KernelStatics`]) is a large fraction of a solo run,
-/// which is exactly the profile replication batching amortizes.
-fn replication_sweep_grid() -> KernelGrid {
-    let (ctas, warps, loads) = (128, 8, 48);
-    let specs = (0..ctas)
-        .map(|c| {
-            let programs = (0..warps)
-                .map(|w| {
-                    let instrs = (0..loads)
-                        .map(|i| Instr::Load {
-                            accesses: (0..32)
-                                .map(|_| {
-                                    let cell = (c * warps + w + i) as u64 % 64;
-                                    MemAccess::per_lane_f32(0x1_0000 + cell * 0x20, 1)
-                                })
-                                .collect(),
-                        })
-                        .collect();
-                    WarpProgram::new(instrs, 32)
-                })
-                .collect();
-            CtaSpec::new(c, programs)
-        })
-        .collect();
-    KernelGrid::new("replication_sweep", specs)
-}
-
-/// Runs the same eight-seed DAB sweep twice — sequentially (one solo pass
-/// per seed) and lowered onto an eight-lane replication batch — keeping
-/// the best wall-clock of the timed iterations for each, and cross-checks
-/// that every seed's cycles and digest are identical between the two
-/// paths (the batched sweep is only a throughput optimization).
-fn bench_replication_sweep(c: &mut Criterion) -> ReplicationSweep {
-    const SEEDS: u64 = 8;
-    let runner = Runner::at_scale(Scale::Ci);
-    let kernels = vec![replication_sweep_grid()];
-    let jobs = || -> Vec<SweepJob<'_>> {
-        (0..SEEDS)
-            .map(|s| {
-                let model = DabModel::new(&runner.gpu, DabConfig::paper_default());
-                SweepJob::new(format!("seed{s}"), Box::new(model), &kernels).with_seed(s + 1)
-            })
-            .collect()
-    };
-    let mut g = c.benchmark_group("replication_sweep");
-    let mut measure = |replications: usize, label: &str| {
-        let mut best = f64::INFINITY;
-        let mut fingerprints = Vec::new();
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let started = Instant::now();
-                let runs = runner.run_many_batched(jobs(), 1, replications);
-                best = best.min(started.elapsed().as_secs_f64());
-                fingerprints = runs
-                    .iter()
-                    .map(|r| (r.seed, r.report.cycles(), r.report.digest()))
-                    .collect();
-            });
-        });
-        (best, fingerprints)
-    };
-    let (sequential_secs, solo) = measure(1, "sequential");
-    let (batched_secs, batched) = measure(SEEDS as usize, "batched");
-    assert_eq!(
-        solo, batched,
-        "replication-batched sweep diverged from the sequential path"
-    );
-    ReplicationSweep {
-        seeds: SEEDS as usize,
-        sequential_secs,
-        batched_secs,
-        amortized_speedup: sequential_secs / batched_secs.max(1e-12),
-    }
 }
 
 fn bench_engines(c: &mut Criterion) {
@@ -289,11 +198,10 @@ fn bench_engines(c: &mut Criterion) {
             profiled,
         });
     }
-    let replication = bench_replication_sweep(c);
-    write_json(&rows, &replication);
+    write_json(&rows);
 }
 
-fn write_json(rows: &[Row], replication: &ReplicationSweep) {
+fn write_json(rows: &[Row]) {
     let speedups: Vec<f64> = rows
         .iter()
         .map(|r| r.dense.best_secs / r.event.best_secs.max(1e-12))
@@ -371,16 +279,10 @@ fn write_json(rows: &[Row], replication: &ReplicationSweep) {
     let _ = write!(
         out,
         "\n  ],\n  \"geomean_speedup\": {:.4},\n  \"max_trace_off_overhead\": {:.4},\n  \
-         \"max_profile_overhead\": {:.4},\n  \
-         \"replication_sweep\": {{ \"seeds\": {}, \"sequential_secs\": {:.6}, \
-         \"batched_secs\": {:.6}, \"amortized_speedup\": {:.4} }}\n}}\n",
+         \"max_profile_overhead\": {:.4}\n}}\n",
         geomean(&speedups),
         max_off_overhead,
         max_profile_overhead,
-        replication.seeds,
-        replication.sequential_secs,
-        replication.batched_secs,
-        replication.amortized_speedup,
     );
     let path = json_path();
     match std::fs::write(&path, &out) {
@@ -391,10 +293,6 @@ fn write_json(rows: &[Row], replication: &ReplicationSweep) {
     println!(
         "engine hot loop: geomean event-engine speedup {:.2}x over dense",
         geomean(&speedups)
-    );
-    println!(
-        "replication sweep: {:.2}x amortized per-seed speedup over {} seeds",
-        replication.amortized_speedup, replication.seeds
     );
 }
 

@@ -51,13 +51,14 @@ pub struct Runner {
 
 impl Runner {
     /// Builds a runner from the environment (`DAB_SCALE`,
-    /// `DAB_SIM_THREADS`, `DAB_ENGINE`, `DAB_TRACE`,
+    /// `DAB_SIM_THREADS`, `DAB_COMMIT_SHARD`, `DAB_ENGINE`, `DAB_TRACE`,
     /// `DAB_TRACE_SAMPLE`, `DAB_PROFILE`).
     ///
     /// # Panics
     ///
     /// Panics when `DAB_SIM_THREADS` is set to an invalid value (anything
-    /// but a positive integer), `DAB_ENGINE` to anything but
+    /// but a positive integer), `DAB_COMMIT_SHARD` to anything but
+    /// `0`/`1`, `DAB_ENGINE` to anything but
     /// `dense`/`event`, `DAB_TRACE` to anything but
     /// `off`/`summary`/`full`, `DAB_TRACE_SAMPLE` to anything but a
     /// positive integer, or `DAB_PROFILE` to anything but `0`/`1`.

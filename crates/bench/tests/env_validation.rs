@@ -3,15 +3,18 @@
 //! `DAB_JOBS` and `DAB_SIM_THREADS` used to (or would otherwise) fall back
 //! to a default when unparseable, silently turning a typo'd parallel run
 //! into a serial one. These tests pin the strict behavior: garbage or zero
-//! panics with a message naming the variable and the offending value.
+//! panics with a message naming the variable and the offending value. The
+//! retired `DAB_REPLICATIONS` accepts only `1` and panics on anything else.
 //!
-//! All cases live in one `#[test]` because they mutate process-global
-//! environment variables; a single test body keeps them sequential.
+//! The tests mutate process-global environment variables, so each one
+//! holds `ENV_LOCK` to keep them sequential.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dab_bench::{jobs_from_env, JOBS_VAR};
-use gpu_sim::par::{sim_threads_from_env, SIM_THREADS_VAR};
+use gpu_sim::par::{
+    replications_from_env, sim_threads_from_env, REPLICATIONS_VAR, SIM_THREADS_VAR,
+};
 
 /// Serializes the tests in this file: they all mutate process-global
 /// environment variables. `lock()` instead of a poisoning-prone `unwrap`
@@ -92,5 +95,33 @@ fn runner_from_env_rejects_invalid_sim_threads() {
     match saved {
         Some(v) => std::env::set_var(SIM_THREADS_VAR, v),
         None => std::env::remove_var(SIM_THREADS_VAR),
+    }
+}
+
+#[test]
+fn retired_replications_var_rejects_everything_but_one() {
+    // Replication lanes are gone: unset or `1` is the only accepted value,
+    // and a stale lane count must stop the run instead of being ignored.
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let saved = std::env::var(REPLICATIONS_VAR).ok();
+
+    std::env::remove_var(REPLICATIONS_VAR);
+    assert_eq!(replications_from_env(), 1, "absent means one lane");
+    std::env::set_var(REPLICATIONS_VAR, "1");
+    assert_eq!(replications_from_env(), 1);
+
+    for bad in ["4", "0", "abc"] {
+        std::env::set_var(REPLICATIONS_VAR, bad);
+        let msg = panic_message(replications_from_env)
+            .unwrap_or_else(|| panic!("DAB_REPLICATIONS={bad:?} must panic, not be ignored"));
+        assert!(
+            msg.contains(REPLICATIONS_VAR) && msg.contains("retired"),
+            "unhelpful DAB_REPLICATIONS error for {bad:?}: {msg}"
+        );
+    }
+
+    match saved {
+        Some(v) => std::env::set_var(REPLICATIONS_VAR, v),
+        None => std::env::remove_var(REPLICATIONS_VAR),
     }
 }

@@ -96,11 +96,10 @@ impl RunReport {
     }
 }
 
-/// Seed-invariant, per-kernel shared state: everything a batched run
-/// computes once and shares read-only across replication lanes, because it
-/// is a pure function of the trace IR and the machine geometry — never of
-/// the timing seed. The solo path uses the identical tables (built once per
-/// kernel), so both paths execute the same issue code on the same data.
+/// Seed-invariant, per-kernel tables: everything that is a pure function
+/// of the trace IR and the machine geometry — never of the timing seed —
+/// built once per kernel at kernel start and shared read-only by every
+/// CTA placement of that kernel.
 #[derive(Debug)]
 pub struct KernelStatics {
     /// Deterministic unique-id base per CTA.
@@ -113,8 +112,8 @@ pub struct KernelStatics {
 }
 
 impl KernelStatics {
-    /// Builds the shared tables for `grid` under `cfg`'s geometry.
-    pub fn build(cfg: &GpuConfig, grid: &KernelGrid) -> Arc<Self> {
+    /// Builds the per-kernel tables for `grid` under `cfg`'s geometry.
+    pub fn build(cfg: &GpuConfig, grid: &KernelGrid) -> Self {
         let mut unique_bases = Vec::with_capacity(grid.ctas.len());
         let mut base = 0u64;
         for cta in &grid.ctas {
@@ -136,11 +135,11 @@ impl KernelStatics {
             metas.push(cta_metas);
         }
         lock_prescan.finish();
-        Arc::new(Self {
+        Self {
             unique_bases,
             lock_prescan,
             metas,
-        })
+        }
     }
 }
 
@@ -150,8 +149,8 @@ struct Dispatcher {
     dynamic_queue: VecDeque<usize>,
     /// Static mode: per-SM queues of CTA indices.
     static_queues: Vec<VecDeque<usize>>,
-    /// Shared per-kernel tables (unique-id bases, instruction metadata).
-    statics: Arc<KernelStatics>,
+    /// Per-kernel tables (unique-id bases, instruction metadata).
+    statics: KernelStatics,
     is_static: bool,
     rr: usize,
 }
@@ -161,7 +160,7 @@ impl Dispatcher {
         grid: &KernelGrid,
         dist: CtaDistribution,
         num_sms: usize,
-        statics: Arc<KernelStatics>,
+        statics: KernelStatics,
     ) -> Self {
         match dist {
             CtaDistribution::Dynamic => Self {
@@ -327,9 +326,10 @@ pub struct GpuSim {
     prof_steps: u64,
     /// The run's metric schema: every `det.*` name this run is allowed to
     /// emit, registered at construction by the engine, the interconnect,
-    /// the memory partitions, and the execution model. [`finish_report`]
-    /// checks the final stats maps against it, so typo'd or unregistered
-    /// bump sites fail the run instead of silently minting a new key.
+    /// the memory partitions, and the execution model. The end of
+    /// [`run`](Self::run) checks the final stats maps against it, so
+    /// typo'd or unregistered bump sites fail the run instead of silently
+    /// minting a new key.
     registry: obs::MetricsRegistry,
 }
 
@@ -350,11 +350,6 @@ fn pkt_kind(payload: &Payload) -> obs::PacketKind {
 
 /// Cycles of engine inactivity after which the engine declares deadlock.
 const DEADLOCK_HORIZON: u64 = 5_000_000;
-
-/// Cycles a replication lane runs per pick before the laggard re-selects.
-/// Large enough to amortize swapping lane working sets through the host
-/// caches, small enough that lanes still advance in rough lockstep.
-const REPLICATION_BURST: u64 = 4096;
 
 /// The span profiler times one engine step out of this many and scales
 /// the sampled durations back up (see [`GpuSim::prof_start`]): with ~15
@@ -556,137 +551,20 @@ impl GpuSim {
         }
     }
 
-    /// Runs `kernels` on a bank of replication lanes in one batched pass,
-    /// returning one report per lane, in lane order.
-    ///
-    /// Every lane must share lane 0's configuration; per-lane state is only
-    /// what the timing seed can touch (ndet streams, DRAM/latency state,
-    /// interconnect arbitration, statistics). Unique-id bases, lock-ticket
-    /// prescans, and per-instruction metadata ([`KernelStatics`]) are
-    /// computed once per kernel and shared read-only. Lanes tick
-    /// independently inside one interleaved loop — each step advances the
-    /// laggard lane (lowest cycle, then lowest index), and each lane's
-    /// event wheel keeps folding its own next-event hints exactly as in a
-    /// solo run — so every lane's report is bit-identical to what a solo
-    /// [`run`](Self::run) with the same seed would produce (`wall` and
-    /// derived throughput excepted, as always).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes` is empty or a lane's configuration differs from
-    /// lane 0's. With more than one lane, also panics when tracing
-    /// (`DAB_TRACE`) is enabled — a batched run would interleave the lanes'
-    /// traces — or when a lane carries a schedule oracle (record/replay
-    /// needs a single lane's decision log); run such jobs solo.
-    pub fn run_replicated(lanes: Vec<GpuSim>, kernels: &[KernelGrid]) -> Vec<RunReport> {
-        assert!(!lanes.is_empty(), "run_replicated needs at least one lane");
-        for (i, lane) in lanes.iter().enumerate().skip(1) {
-            assert!(
-                lane.cfg == lanes[0].cfg,
-                "replication lane {i} was built with a different GpuConfig than lane 0"
-            );
-        }
-        if lanes.len() > 1 {
-            assert!(
-                lanes.iter().all(|l| l.tracer.is_none()),
-                "DAB_TRACE is unsupported with more than one replication lane \
-                 ({} lanes would interleave one trace stream); set \
-                 DAB_REPLICATIONS=1 for traced runs",
-                lanes.len()
-            );
-            assert!(
-                lanes.iter().all(|l| !l.ndet.has_oracle()),
-                "schedule record/replay is unsupported with more than one \
-                 replication lane (the decision log must reflect a single \
-                 lane's schedule); set DAB_REPLICATIONS=1"
-            );
-        }
-        let threads = lanes[0].cfg.sim_threads.min(lanes[0].clusters.len()).max(1);
-        if threads > 1 {
-            std::thread::scope(|scope| {
-                let pool = WorkerPool::start(scope, threads);
-                Self::run_replicated_inner(lanes, kernels, Some(&pool))
-            })
-        } else {
-            Self::run_replicated_inner(lanes, kernels, None)
-        }
-    }
-
-    fn run_replicated_inner(
-        mut lanes: Vec<GpuSim>,
-        kernels: &[KernelGrid],
-        pool: Option<&WorkerPool>,
-    ) -> Vec<RunReport> {
-        let started = std::time::Instant::now();
-        let n = lanes.len();
-        let event = lanes[0].cfg.engine == EngineKind::Event;
-        let mut kernel_cycles: Vec<Vec<(String, u64)>> =
-            (0..n).map(|_| Vec::with_capacity(kernels.len())).collect();
-        for grid in kernels {
-            // Shared once across every lane of this kernel.
-            let statics = KernelStatics::build(&lanes[0].cfg, grid);
-            let starts: Vec<u64> = lanes.iter().map(|l| l.cycle).collect();
-            let mut dispatchers: Vec<Dispatcher> = lanes
-                .iter_mut()
-                .map(|l| l.begin_kernel(grid, &statics))
-                .collect();
-            let mut live: Vec<usize> = (0..n).collect();
-            while !live.is_empty() {
-                // Step the laggard lane; ties break toward the lowest
-                // index. The interleaving is deterministic, though lanes
-                // share no mutable state, so any order gives the same
-                // per-lane results. Each pick runs a bounded burst of
-                // cycles rather than a single one: a lane's working set
-                // (caches, queues, warp contexts) is far larger than the
-                // few bytes the laggard choice reads, so per-cycle
-                // rotation would evict every lane's state on every step.
-                let i = *live
-                    .iter()
-                    .min_by_key(|&&i| (lanes[i].cycle, i))
-                    .expect("live lanes");
-                for _ in 0..REPLICATION_BURST {
-                    if lanes[i].kernel_step(grid, &mut dispatchers[i], pool, event) {
-                        live.retain(|&l| l != i);
-                        break;
-                    }
-                }
-            }
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                lane.end_kernel();
-                kernel_cycles[i].push((grid.name.clone(), lane.cycle - starts[i]));
-            }
-        }
-        lanes
-            .into_iter()
-            .zip(kernel_cycles)
-            .map(|(lane, kc)| lane.finish_report(kc, started))
-            .collect()
-    }
-
     fn run_inner(mut self, kernels: &[KernelGrid], pool: Option<&WorkerPool>) -> RunReport {
         let started = std::time::Instant::now();
         let mut kernel_cycles = Vec::with_capacity(kernels.len());
         for grid in kernels {
             let statics = KernelStatics::build(&self.cfg, grid);
             let start = self.cycle;
-            self.run_kernel(grid, &statics, pool);
+            self.run_kernel(grid, statics, pool);
             kernel_cycles.push((grid.name.clone(), self.cycle - start));
         }
-        self.finish_report(kernel_cycles, started)
-    }
-
-    /// Folds shard, partition, and activity counters into the final stats
-    /// and consumes the simulator into its [`RunReport`]. Shared verbatim
-    /// by the solo and replicated paths.
-    fn finish_report(
-        mut self,
-        kernel_cycles: Vec<(String, u64)>,
-        started: std::time::Instant,
-    ) -> RunReport {
-        // Issue-path counters accumulate per shard while a kernel runs (so
-        // pool workers never touch shared stats); fold them in here in
-        // cluster-index order, which keeps merged counters identical at any
-        // thread count.
+        // Fold shard, partition, and activity counters into the final
+        // stats. Issue-path counters accumulate per shard while a kernel
+        // runs (so pool workers never touch shared stats); fold them in
+        // here in cluster-index order, which keeps merged counters
+        // identical at any thread count.
         for cluster in &mut self.clusters {
             let shard_stats = std::mem::take(&mut cluster.stats);
             self.stats.merge_shard(&shard_stats);
@@ -756,34 +634,27 @@ impl GpuSim {
         }
     }
 
-    fn run_kernel(
-        &mut self,
-        grid: &KernelGrid,
-        statics: &Arc<KernelStatics>,
-        pool: Option<&WorkerPool>,
-    ) {
+    fn run_kernel(&mut self, grid: &KernelGrid, statics: KernelStatics, pool: Option<&WorkerPool>) {
         let mut dispatcher = self.begin_kernel(grid, statics);
         let event = self.cfg.engine == EngineKind::Event;
         while !self.kernel_step(grid, &mut dispatcher, pool, event) {}
         self.end_kernel();
     }
 
-    /// Installs per-kernel state — the dispatcher over the shared statics,
-    /// the pre-registered lock tickets, the model's kernel hook — and
-    /// returns the dispatcher driving CTA placement.
-    fn begin_kernel(&mut self, grid: &KernelGrid, statics: &Arc<KernelStatics>) -> Dispatcher {
-        let dist = self.model.cta_distribution(self.cfg.num_sms());
-        let dispatcher = Dispatcher::new(grid, dist, self.cfg.num_sms(), Arc::clone(statics));
+    /// Installs per-kernel state — the dispatcher over the kernel's
+    /// statics, the pre-registered lock tickets, the model's kernel hook —
+    /// and returns the dispatcher driving CTA placement.
+    fn begin_kernel(&mut self, grid: &KernelGrid, statics: KernelStatics) -> Dispatcher {
         self.locks.install_prescan(&statics.lock_prescan);
+        let dist = self.model.cta_distribution(self.cfg.num_sms());
+        let dispatcher = Dispatcher::new(grid, dist, self.cfg.num_sms(), statics);
         self.model.on_kernel_start(&grid.name, grid.ctas.len());
         self.last_progress_cycle = self.cycle;
         dispatcher
     }
 
     /// Runs one iteration of the per-cycle loop; returns `true` when the
-    /// kernel is complete, *without* advancing past the completion cycle
-    /// (exactly the solo loop's `break`). Replication lanes step through
-    /// here independently.
+    /// kernel is complete, *without* advancing past the completion cycle.
     fn kernel_step(
         &mut self,
         grid: &KernelGrid,
@@ -2345,92 +2216,6 @@ mod tests {
                 assert_eq!(serial, run(threads, seed), "threads={threads} seed={seed}");
             }
         }
-    }
-
-    #[test]
-    fn replicated_lanes_match_solo_runs_per_seed() {
-        // Order-sensitive f32 reductions so seeds genuinely diverge, two
-        // kernels so the inter-kernel boundary is exercised.
-        let kernels = || vec![sum_grid(16, 32, 0x200), sum_grid(8, 32, 0x300)];
-        let mk = |seed: u64| {
-            GpuSim::new(
-                GpuConfig::tiny(),
-                Box::new(BaselineModel::new()),
-                NdetSource::seeded(seed),
-            )
-        };
-        let fingerprint = |r: &RunReport| {
-            (
-                r.cycles(),
-                r.digest(),
-                format!("{:?}", r.stats),
-                r.kernel_cycles.clone(),
-            )
-        };
-        let seeds = [1u64, 2, 3, 4];
-        let solo: Vec<_> = seeds
-            .iter()
-            .map(|&seed| fingerprint(&mk(seed).run(&kernels())))
-            .collect();
-        let lanes: Vec<GpuSim> = seeds.iter().map(|&seed| mk(seed)).collect();
-        let batched = GpuSim::run_replicated(lanes, &kernels());
-        assert_eq!(batched.len(), seeds.len());
-        for (i, (r, want)) in batched.iter().zip(&solo).enumerate() {
-            assert_eq!(&fingerprint(r), want, "lane {i} (seed {})", seeds[i]);
-        }
-    }
-
-    #[test]
-    fn replicated_single_lane_matches_run() {
-        let mk = || {
-            GpuSim::new(
-                GpuConfig::tiny(),
-                Box::new(BaselineModel::new()),
-                NdetSource::seeded(9),
-            )
-        };
-        let solo = mk().run(&[sum_grid(8, 32, 0x100)]);
-        let batched = GpuSim::run_replicated(vec![mk()], &[sum_grid(8, 32, 0x100)]);
-        assert_eq!(batched.len(), 1);
-        assert_eq!(batched[0].cycles(), solo.cycles());
-        assert_eq!(batched[0].digest(), solo.digest());
-        assert_eq!(
-            format!("{:?}", batched[0].stats),
-            format!("{:?}", solo.stats)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "different GpuConfig")]
-    fn replicated_lanes_reject_mixed_configs() {
-        let lanes = vec![
-            GpuSim::new(
-                GpuConfig::tiny(),
-                Box::new(BaselineModel::new()),
-                NdetSource::seeded(0),
-            ),
-            GpuSim::new(
-                GpuConfig::small(),
-                Box::new(BaselineModel::new()),
-                NdetSource::seeded(1),
-            ),
-        ];
-        let _ = GpuSim::run_replicated(lanes, &[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "DAB_TRACE is unsupported")]
-    fn replicated_lanes_reject_tracing() {
-        let mk = |seed| {
-            let mut cfg = GpuConfig::tiny();
-            cfg.trace = obs::TraceMode::Summary;
-            GpuSim::new(
-                cfg,
-                Box::new(BaselineModel::new()),
-                NdetSource::seeded(seed),
-            )
-        };
-        let _ = GpuSim::run_replicated(vec![mk(0), mk(1)], &[]);
     }
 
     #[test]

@@ -317,21 +317,6 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
         HookMask::ALL
     }
 
-    /// Replication-batching identity key, or `None` to opt out of batching.
-    ///
-    /// Contract: two model instances returning the same `Some(key)` must
-    /// behave identically in every engine hook — the only thing allowed to
-    /// differ between batched lanes is the timing seed. A key must therefore
-    /// encode *every* behavior-affecting configuration field (quantum sizes,
-    /// buffer geometry, flush policy, ...), not just the display name.
-    /// Models with run-local mutable state that survives construction
-    /// differently per instance, or models not worth auditing, should keep
-    /// the default `None`: the sweep then runs their jobs solo, which is
-    /// always correct.
-    fn replication_key(&self) -> Option<String> {
-        None
-    }
-
     /// Registers every metric name this model may bump, called once at
     /// simulator construction. A key bumped during the run that no
     /// component registered makes `GpuSim::run` panic at the end of the
@@ -503,12 +488,6 @@ impl ExecutionModel for BaselineModel {
         // Pure trait defaults everywhere: every cluster is eligible for the
         // parallel commit path.
         HookMask::EMPTY
-    }
-
-    fn replication_key(&self) -> Option<String> {
-        // The baseline has no configuration beyond `GpuConfig` (which the
-        // engine already requires to be lane-identical).
-        Some("baseline".to_string())
     }
 }
 

@@ -37,9 +37,9 @@ pub const SIM_THREADS_VAR: &str = "DAB_SIM_THREADS";
 /// (`dense` or `event`; see [`EngineKind`]).
 pub const ENGINE_VAR: &str = "DAB_ENGINE";
 
-/// Environment variable selecting the replication-lane count for batched
-/// seed sweeps (see
-/// [`GpuSim::run_replicated`](crate::engine::GpuSim::run_replicated)).
+/// Retired environment variable that used to select a replication-lane
+/// count for batched seed sweeps; every sweep job now runs its own solo
+/// pass (see [`replications_from_env`]).
 pub const REPLICATIONS_VAR: &str = "DAB_REPLICATIONS";
 
 /// Environment variable selecting whether independence-sharded commits are
@@ -120,21 +120,20 @@ pub fn sim_threads_from_env() -> usize {
     }
 }
 
-/// Reads `DAB_REPLICATIONS`; absent means `1` (no replication batching:
-/// every sweep job runs its own solo pass).
-///
-/// The same strict-parsing policy as [`sim_threads_from_env`] applies: a
-/// value that is not a positive integer stops the run.
+/// Reads the retired `DAB_REPLICATIONS` knob: absent or `1` means `1`,
+/// the only lane count left (every sweep job runs its own solo pass).
 ///
 /// # Panics
 ///
-/// Panics with the [`CountError`] message on an invalid value.
+/// Panics naming the variable as retired on any other value, so a stale
+/// `DAB_REPLICATIONS=4` stops the run instead of being silently ignored.
 pub fn replications_from_env() -> usize {
     match std::env::var(REPLICATIONS_VAR) {
-        Ok(raw) => match parse_count(REPLICATIONS_VAR, &raw) {
-            Ok(n) => n,
-            Err(e) => panic!("{e}"),
-        },
+        Ok(raw) if raw.trim() == "1" => 1,
+        Ok(raw) => panic!(
+            "{REPLICATIONS_VAR} is retired (replication lanes were removed; every \
+             sweep job runs solo), got {raw:?}; unset it"
+        ),
         Err(std::env::VarError::NotPresent) => 1,
         Err(e) => panic!("{REPLICATIONS_VAR} is not valid unicode: {e}"),
     }
@@ -617,23 +616,6 @@ mod tests {
     fn count_error_reports_the_offending_value() {
         let err = parse_count("DAB_JOBS", "many").expect_err("must reject");
         assert!(err.to_string().contains("\"many\""));
-    }
-
-    #[test]
-    fn replications_parse_under_the_same_strict_policy() {
-        // `replications_from_env` goes through `parse_count` with the
-        // `DAB_REPLICATIONS` name; exercise the named path without touching
-        // process-global env state.
-        assert_eq!(parse_count(REPLICATIONS_VAR, " 8 "), Ok(8));
-        for bad in ["0", "", "four", "-1", "1.5"] {
-            let err = parse_count(REPLICATIONS_VAR, bad)
-                .expect_err("must reject")
-                .to_string();
-            assert!(
-                err.contains("DAB_REPLICATIONS") && err.contains("positive integer"),
-                "unhelpful error for {bad:?}: {err}"
-            );
-        }
     }
 
     fn load_pkt(flit_size: usize) -> Packet {

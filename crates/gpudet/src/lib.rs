@@ -232,13 +232,6 @@ impl ExecutionModel for GpuDetModel {
         format!("gpudet-q{}", self.cfg.quantum)
     }
 
-    fn replication_key(&self) -> Option<String> {
-        // The Debug form of `GpuDetConfig` covers every knob (the display
-        // name alone would collapse configs differing only in non-quantum
-        // fields), satisfying the equal-key ⇒ identical-behavior contract.
-        Some(format!("gpudet/{:?}", self.cfg))
-    }
-
     fn scheduler_kind(&self) -> SchedKind {
         SchedKind::Gto
     }

@@ -13,8 +13,8 @@
 //!   object, and by default otherwise (cycles, digests, counters, and
 //!   derived ratios of deterministic quantities all live here).
 //! * **wall** — host timing: compared with a relative tolerance. A path
-//!   is wall-class when it passes under a `wall`, `phase_secs`, or
-//!   `replication_sweep` object, or when its leaf names a timing
+//!   is wall-class when it passes under a `wall` or `phase_secs`
+//!   object, or when its leaf names a timing
 //!   (`*secs*`, `*overhead*`, `*speedup*`, `*_per_sec`).
 //! * **info** — host identity (`host.*`, `workers`): reported, never
 //!   compared — two valid runs of the same commit may come from
@@ -94,10 +94,7 @@ pub fn classify(path: &str) -> Class {
     if segments.contains(&"det") {
         return Class::Det;
     }
-    if segments.contains(&"wall")
-        || segments.contains(&"phase_secs")
-        || segments.contains(&"replication_sweep")
-    {
+    if segments.contains(&"wall") || segments.contains(&"phase_secs") {
         return Class::Wall;
     }
     if leaf.contains("secs")
@@ -175,7 +172,6 @@ mod tests {
         assert_eq!(classify("workloads.w.det.digest"), Class::Det);
         assert_eq!(classify("workloads.w.wall.event_secs"), Class::Wall);
         assert_eq!(classify("runs.BC_1k/dab.phase_secs.commit"), Class::Wall);
-        assert_eq!(classify("replication_sweep.seeds"), Class::Wall);
         assert_eq!(classify("geomean_speedup"), Class::Wall);
         assert_eq!(classify("max_profile_overhead"), Class::Wall);
         assert_eq!(classify("runs.BC_1k/dab.wall_secs"), Class::Wall);
