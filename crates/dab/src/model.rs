@@ -435,19 +435,17 @@ impl DabModel {
         all_empty
     }
 
-    fn live_total(&self, ctx: &ModelCtx<'_>) -> u32 {
-        ctx.census.iter().map(|c| c.live).sum()
-    }
-
     fn want_flush(&self, ctx: &ModelCtx<'_>) -> bool {
         self.flush_requested.iter().any(|&f| f)
-            || (ctx.kernel_fully_dispatched && self.live_total(ctx) == 0 && self.total_entries > 0)
+            || (ctx.kernel_fully_dispatched && ctx.live_warps() == 0 && self.total_entries > 0)
     }
 
     fn tick_global(&mut self, ctx: &mut ModelCtx<'_>) {
         match self.phase {
             Phase::Idle => {
-                if self.want_flush(ctx) && ctx.census.iter().all(|c| c.sealed()) {
+                // The seal reads the costly census column, so only once a
+                // flush is wanted.
+                if self.want_flush(ctx) && sealed(ctx, 0..self.gpu.num_sms()) {
                     self.start_global_epoch(ctx);
                     self.push_packets(ctx);
                 }
@@ -474,7 +472,6 @@ impl DabModel {
 
     fn tick_cif(&mut self, ctx: &mut ModelCtx<'_>) {
         let spc = self.gpu.sms_per_cluster;
-        let scheds = self.gpu.num_schedulers_per_sm;
         for c in 0..self.gpu.num_clusters {
             let sms = c * spc..(c + 1) * spc;
             if self.cluster_active[c] {
@@ -503,12 +500,9 @@ impl DabModel {
             }
             let want = sms.clone().any(|sm| self.flush_requested[sm])
                 || (ctx.kernel_fully_dispatched
-                    && self.live_total(ctx) == 0
+                    && ctx.live_warps() == 0
                     && self.any_entries_in_sm_range(sms.clone()));
-            let sealed = sms
-                .clone()
-                .all(|sm| (0..scheds).all(|s| ctx.census[sm * scheds + s].sealed()));
-            if want && sealed {
+            if want && sealed(ctx, sms.clone()) {
                 self.cluster_active[c] = true;
                 self.flush_busy_since.get_or_insert(ctx.cycle);
                 self.enqueue_cluster_flush(c, false);
@@ -523,6 +517,15 @@ impl DabModel {
             }
         }
     }
+}
+
+/// Whether every scheduler of SMs `sms` is sealed. Reads the census's
+/// costly column, so callers ask only once a flush is wanted.
+fn sealed(ctx: &mut ModelCtx<'_>, sms: std::ops::Range<usize>) -> bool {
+    let scheds = ctx.cfg.num_schedulers_per_sm;
+    let census = ctx.census();
+    sms.flat_map(|sm| &census[sm * scheds..(sm + 1) * scheds])
+        .all(|c| c.sealed())
 }
 
 impl ExecutionModel for DabModel {

@@ -145,6 +145,7 @@ proptest! {
 mod end_to_end_determinism {
     use super::*;
     use dab::{DabConfig, DabModel};
+    use gpu_sim::config::EngineKind;
     use gpu_sim::engine::GpuSim;
     use gpu_sim::isa::{Instr, MemAccess, WarpProgram};
     use gpu_sim::kernel::{CtaSpec, KernelGrid};
@@ -209,6 +210,13 @@ mod end_to_end_determinism {
         /// THE paper's claim, fuzzed: for random kernels and random DAB
         /// design points, two runs under different hardware-timing seeds
         /// produce bitwise identical memory.
+        ///
+        /// Each design point also runs on the dense engine, the oracle for
+        /// the event engine under every determinism-aware policy: cycles,
+        /// digest and statistics (minus the `det.engine.*` activity
+        /// counters, which differ by design) must match. This covers the
+        /// event engine's parking of token-refused warps and DAB's
+        /// on-demand seal census, which `BaselineModel` (GTO) never reaches.
         #[test]
         fn random_kernels_are_bitwise_deterministic_under_dab(
             warp_codes in proptest::collection::vec(
@@ -242,14 +250,27 @@ mod end_to_end_determinism {
                 })
                 .collect();
             let grid = KernelGrid::new("fuzz", ctas);
-            let gpu = GpuConfig::tiny();
-            let digest = |seed: u64| {
+            let run = |seed: u64, engine: EngineKind| {
+                let mut gpu = GpuConfig::tiny();
+                gpu.engine = engine;
                 let model = DabModel::new(&gpu, cfg.clone());
-                GpuSim::new(gpu.clone(), Box::new(model), NdetSource::seeded(seed))
-                    .run(std::slice::from_ref(&grid))
-                    .digest()
+                let r = GpuSim::new(gpu, Box::new(model), NdetSource::seeded(seed))
+                    .run(std::slice::from_ref(&grid));
+                let mut stats = r.stats.clone();
+                stats.counters.retain(|k, _| !k.starts_with("det.engine."));
+                (r.cycles(), r.digest(), format!("{stats:?}"))
             };
-            prop_assert_eq!(digest(seeds.0), digest(seeds.1), "config {}", cfg.label());
+            let event = run(seeds.0, EngineKind::Event);
+            prop_assert_eq!(
+                &event,
+                &run(seeds.0, EngineKind::Dense),
+                "dense vs event, config {}", cfg.label()
+            );
+            prop_assert_eq!(
+                event.1,
+                run(seeds.1, EngineKind::Event).1,
+                "config {}", cfg.label()
+            );
         }
     }
 }

@@ -65,10 +65,13 @@ pub(crate) fn instr_kind(instr: &Instr) -> obs::InstrKind {
 /// view (any of which the policy pick or model gating could select), and a
 /// candidate's whole downstream hook surface (an issued barrier may release
 /// warps that retire immediately, so `Bar` implies `RETIRE` as well as
-/// `BARRIER`). Mid-commit warp mutations never grow the candidate set —
-/// barrier releases and flush parks make warps *non*-ready for the current
-/// cycle — so a footprint computed at prepare time soundly covers every
-/// hook the commit can invoke.
+/// `BARRIER`). Mid-commit warp mutations grow the candidate set only one
+/// way: a barrier release that retires a warp holding an atomic token
+/// hands it to a warp parked as refused, whose atomic may then issue this
+/// cycle. So every candidate that can release a barrier also carries
+/// `ATOMIC`. Otherwise barrier releases and flush parks only make warps
+/// *non*-ready for the current cycle, so a footprint computed at prepare
+/// time soundly covers every hook the commit can invoke.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CommitFootprint {
     /// Union of commit-phase model hooks the cluster could invoke.
@@ -85,6 +88,13 @@ pub struct CommitFootprint {
 }
 
 impl CommitFootprint {
+    /// Hooks a candidate that may release a CTA barrier can reach: the
+    /// barrier hooks, the retire hooks of released warps that finish, and
+    /// the atomic hook of a refused warp the retirement hands a token to.
+    const RELEASE: HookMask = HookMask::BARRIER
+        .union(HookMask::RETIRE)
+        .union(HookMask::ATOMIC);
+
     /// Folds the warp in `slot` (a ready pick candidate) into the
     /// footprint. `num_mem_partitions` interleaves sector addresses the
     /// same way the issue path will.
@@ -103,7 +113,7 @@ impl CommitFootprint {
             // Issuing the last instruction can retire the warp, which runs
             // the retire hooks and may complete the CTA barrier for warps
             // already waiting at it.
-            self.hooks = self.hooks.union(HookMask::RETIRE).union(HookMask::BARRIER);
+            self.hooks = self.hooks.union(Self::RELEASE);
         }
         match &w.program.instrs[pc] {
             Instr::Alu { .. } => {}
@@ -123,7 +133,7 @@ impl CommitFootprint {
             Instr::Bar => {
                 // Releasing the barrier wakes warps that can retire in the
                 // same cycle.
-                self.hooks = self.hooks.union(HookMask::BARRIER).union(HookMask::RETIRE);
+                self.hooks = self.hooks.union(Self::RELEASE);
             }
             Instr::Fence => self.hooks = self.hooks.union(HookMask::FENCE),
             Instr::LockedSection { .. } => self.uses_locks = true,
@@ -688,9 +698,13 @@ impl Cx<'_, '_> {
             shard_stats.thread_instrs += thread_instrs;
             shard_stats.atomics += instr.atomic_count();
             let was_atomic = instr.is_atomic();
-            self.shard.sms[local].schedulers[sched]
-                .policy
-                .on_issue(unique, was_atomic, cycle);
+            let sctx = &mut self.shard.sms[local].schedulers[sched];
+            if was_atomic {
+                // The token may pass to a warp parked as refused.
+                sctx.token_event(cycle + 1, |p| p.on_issue(unique, true, cycle));
+            } else {
+                sctx.policy.on_issue(unique, false, cycle);
+            }
             self.sh.on_issue(warp_id, was_atomic, cycle);
             self.try_retire(local, slot);
         }
@@ -950,10 +964,10 @@ impl Cx<'_, '_> {
         {
             let sm = &mut self.shard.sms[local];
             // The policy consumes the warp's token/turn so atomic grants
-            // never deadlock behind the barrier.
+            // never deadlock behind the barrier; the next holder may be a
+            // warp parked as refused.
             sm.schedulers[warp_id.sched.sched]
-                .policy
-                .on_barrier_arrival(warp_id.unique);
+                .token_event(cycle + 1, |p| p.on_barrier_arrival(warp_id.unique));
             let barrier = sm.barriers.get_mut(&cta_key).expect("barrier state");
             barrier.waiting_slots.push(slot);
         }
@@ -1181,7 +1195,7 @@ impl Cx<'_, '_> {
         // conservative value here only delays partial-batch completion by a
         // cycle at worst.
         let gate_before = self.shard.sms[local].schedulers[sched].completed_batches;
-        let warp = self.shard.sms[local].retire_warp(slot, false);
+        let warp = self.shard.sms[local].retire_warp(slot, false, cycle);
         debug_assert_eq!(warp.unique, unique);
         if self.p.event && self.shard.sms[local].schedulers[sched].completed_batches != gate_before
         {

@@ -240,7 +240,7 @@ struct ActivityCounters {
 /// the coordinator or the sharded path, outbox merge).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PhaseWall {
-    /// View/census construction (`prepare_views`, serial or pooled).
+    /// Warp-view construction (`prepare_views`, serial or pooled).
     pub prepare: std::time::Duration,
     /// Commit walk (serial engine-backed plus sharded inert commits).
     pub commit: std::time::Duration,
@@ -282,8 +282,8 @@ pub struct GpuSim {
     icnt_cl_ndet: Vec<NdetSource>,
     values: ValueMem,
     /// Per-cluster shards: the SMs plus the worker-local scratch (warp
-    /// views, census rows, outbound packet staging) that migrates to pool
-    /// threads when `cfg.sim_threads > 1`.
+    /// views, outbound packet staging) that migrates to pool threads when
+    /// `cfg.sim_threads > 1`.
     clusters: Vec<ClusterShard>,
     icnt: Interconnect,
     partitions: Vec<MemPartition>,
@@ -704,7 +704,7 @@ impl GpuSim {
             self.dispatch(grid, dispatcher);
             self.prof_record(obs::Phase::Dispatch, span);
             let span = self.prof_start();
-            self.model_tick(dispatcher.all_dispatched(), pool);
+            self.model_tick(dispatcher.all_dispatched());
             self.prof_record(obs::Phase::ModelTick, span);
             let span = self.prof_start();
             self.apply_wakes();
@@ -1668,32 +1668,51 @@ impl GpuSim {
         }
     }
 
-    fn model_tick(&mut self, all_dispatched: bool, pool: Option<&WorkerPool>) {
+    /// Ticks the execution model. The census counts are copied from the
+    /// schedulers every tick; the O(warps) `atomic_stuck` walk runs on the
+    /// coordinator only if the model reads [`ModelCtx::census`] (DAB, on
+    /// ticks that evaluate its flush seal).
+    fn model_tick(&mut self, all_dispatched: bool) {
         let det_aware = self.sched_kind.is_determinism_aware();
-        // Census rows are SM-local (counts plus per-scheduler policy
-        // bookkeeping), so each cluster's rows build independently — on pool
-        // workers when parallel, in cluster order when serial.
-        match pool {
-            None => {
-                for shard in &mut self.clusters {
-                    shard.prepare_census(det_aware);
-                }
+        if det_aware {
+            // Per-cycle, not on demand: GTRR times its switch to round
+            // robin by these reports (`WarpScheduler::notes_pending_atomics`).
+            for sm in self.clusters.iter_mut().flat_map(|c| &mut c.sms) {
+                sm.note_pending_atomics();
             }
-            Some(pool) => pool.run_phase(&mut self.clusters, Phase::Census { det_aware }),
         }
-        let rows = self.cfg.sms_per_cluster * self.cfg.num_schedulers_per_sm;
-        for shard in &self.clusters {
-            self.census[shard.id * rows..(shard.id + 1) * rows].copy_from_slice(&shard.census);
+        let schedulers = self
+            .clusters
+            .iter()
+            .flat_map(|c| &c.sms)
+            .flat_map(|sm| &sm.schedulers);
+        for (row, sched) in self.census.iter_mut().zip(schedulers) {
+            *row = sched.census();
         }
-        let mut ctx = ModelCtx::new(
+        let num_sched = self.cfg.num_schedulers_per_sm;
+        let clusters = &self.clusters;
+        let mut fill_stuck = |rows: &mut [SchedCensus]| {
+            let sms = clusters.iter().flat_map(|c| &c.sms);
+            for (sm, rows) in sms.zip(rows.chunks_mut(num_sched)) {
+                sm.atomic_stuck_into(rows);
+            }
+        };
+        let ctx = ModelCtx::new(
             self.cycle,
             &self.cfg,
             &mut self.icnt,
             &mut self.stats,
-            &self.census,
+            &mut self.census,
             all_dispatched,
             &mut self.wakes,
         );
+        // Non-determinism-aware policies never refuse an atomic steadily,
+        // so their `atomic_stuck` column stays 0.
+        let mut ctx = if det_aware {
+            ctx.with_lazy_atomic_stuck(&mut fill_stuck)
+        } else {
+            ctx
+        };
         self.model.tick(&mut ctx);
         // Drain events the model queued while its hooks ran this cycle.
         // Models only queue when tracing is on (they copy `cfg.trace`), so

@@ -107,12 +107,14 @@ pub enum BarrierRelease {
     WaitFlush,
 }
 
-/// Per-scheduler warp census handed to [`ExecutionModel::tick`].
+/// Per-scheduler warp census handed to [`ExecutionModel::tick`] through
+/// [`ModelCtx::census`].
 ///
-/// Maintained incrementally by the engine, so reading it each cycle is
-/// cheap. The DAB flush controller derives its deterministic flush trigger
-/// from this: a scheduler's buffer is *sealed* once it is full or every live
-/// warp is flush-blocked.
+/// The counts are kept incrementally by the engine; `atomic_stuck` needs a
+/// walk over every resident warp, so it is computed only on ticks that
+/// read the census. The DAB flush controller derives its deterministic
+/// flush trigger from this: a scheduler's buffer is *sealed* once it is
+/// full or every live warp is flush-blocked.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCensus {
     /// Live (spawned, not yet exited) warps.
@@ -139,8 +141,10 @@ impl SchedCensus {
     }
 }
 
+/// Fills the census's `atomic_stuck` column (see [`ModelCtx::census`]).
+type FillStuck<'a> = &'a mut dyn FnMut(&mut [SchedCensus]);
+
 /// Mutable per-cycle context the engine lends to the model.
-#[derive(Debug)]
 pub struct ModelCtx<'a> {
     /// Current cycle.
     pub cycle: u64,
@@ -150,8 +154,12 @@ pub struct ModelCtx<'a> {
     pub icnt: &'a mut Interconnect,
     /// Run statistics (models add their own named counters).
     pub stats: &'a mut SimStats,
-    /// Census rows indexed by `sm * num_schedulers_per_sm + sched`.
-    pub census: &'a [SchedCensus],
+    /// Census rows indexed by `sm * num_schedulers_per_sm + sched`; the
+    /// `atomic_stuck` column is valid once `fill_stuck` has run.
+    census: &'a mut [SchedCensus],
+    /// Computes the `atomic_stuck` column on the first [`census`](Self::census)
+    /// read; `None` once the rows are complete.
+    fill_stuck: Option<FillStuck<'a>>,
     /// Every CTA of the current kernel has been dispatched to an SM.
     pub kernel_fully_dispatched: bool,
     /// Wake commands collected this cycle, applied by the engine after the
@@ -159,14 +167,26 @@ pub struct ModelCtx<'a> {
     wakes: &'a mut Vec<WakeCmd>,
 }
 
+impl std::fmt::Debug for ModelCtx<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ModelCtx")
+            .field("cycle", &self.cycle)
+            .field("kernel_fully_dispatched", &self.kernel_fully_dispatched)
+            .field("census_complete", &self.fill_stuck.is_none())
+            .field("wakes", &self.wakes)
+            .finish_non_exhaustive()
+    }
+}
+
 impl<'a> ModelCtx<'a> {
-    /// Builds a context (used by the engine; exposed for model unit tests).
+    /// Builds a context over complete census rows (used by the engine;
+    /// exposed for model unit tests).
     pub fn new(
         cycle: u64,
         cfg: &'a GpuConfig,
         icnt: &'a mut Interconnect,
         stats: &'a mut SimStats,
-        census: &'a [SchedCensus],
+        census: &'a mut [SchedCensus],
         kernel_fully_dispatched: bool,
         wakes: &'a mut Vec<WakeCmd>,
     ) -> Self {
@@ -176,14 +196,33 @@ impl<'a> ModelCtx<'a> {
             icnt,
             stats,
             census,
+            fill_stuck: None,
             kernel_fully_dispatched,
             wakes,
         }
     }
 
-    /// Census row for one scheduler.
-    pub fn census_of(&self, sched: SchedId) -> SchedCensus {
-        self.census[sched.sm * self.cfg.num_schedulers_per_sm + sched.sched]
+    /// Defers the census's `atomic_stuck` column to `fill`, which runs on
+    /// the first [`census`](Self::census) read of this tick, if any.
+    pub(crate) fn with_lazy_atomic_stuck(mut self, fill: FillStuck<'a>) -> Self {
+        self.fill_stuck = Some(fill);
+        self
+    }
+
+    /// Census rows indexed by `sm * num_schedulers_per_sm + sched`. The
+    /// first read of a tick walks every resident warp to count steadily
+    /// refused atomics, so read it only when the answer matters.
+    pub fn census(&mut self) -> &[SchedCensus] {
+        if let Some(fill) = self.fill_stuck.take() {
+            fill(self.census);
+        }
+        self.census
+    }
+
+    /// Live warps on the whole machine, from the census counts (cheap: no
+    /// warp walk).
+    pub fn live_warps(&self) -> u32 {
+        self.census.iter().map(|c| c.live).sum()
     }
 
     /// Cluster housing a given SM.
@@ -539,15 +578,36 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let mut icnt = Interconnect::new(&cfg);
         let mut stats = SimStats::default();
-        let census = vec![SchedCensus::default(); cfg.num_sms() * cfg.num_schedulers_per_sm];
+        let rows = cfg.num_sms() * cfg.num_schedulers_per_sm;
+        let mut census = vec![
+            SchedCensus {
+                live: 1,
+                ..SchedCensus::default()
+            };
+            rows
+        ];
         let mut wakes = Vec::new();
+        let mut fills = 0;
+        let mut fill = |rows: &mut [SchedCensus]| {
+            fills += 1;
+            rows[6].atomic_stuck = 1;
+        };
         {
-            let mut ctx = ModelCtx::new(5, &cfg, &mut icnt, &mut stats, &census, false, &mut wakes);
+            let mut ctx = ModelCtx::new(
+                5,
+                &cfg,
+                &mut icnt,
+                &mut stats,
+                &mut census,
+                false,
+                &mut wakes,
+            )
+            .with_lazy_atomic_stuck(&mut fill);
             assert_eq!(ctx.cluster_of_sm(1), 1); // tiny: 1 SM per cluster
-            assert_eq!(
-                ctx.census_of(SchedId { sm: 1, sched: 2 }),
-                SchedCensus::default()
-            );
+            assert_eq!(ctx.live_warps(), rows as u32);
+            // The warp walk runs on the first read only.
+            assert_eq!(ctx.census()[6].atomic_stuck, 1);
+            assert!(ctx.census()[6].sealed() && !ctx.census()[5].sealed());
             ctx.wake_flush_waiters(1);
             ctx.wake_warp(WarpRef { sm: 0, slot: 3 });
         }
@@ -560,5 +620,6 @@ mod tests {
                 }
             ]
         );
+        assert_eq!(fills, 1);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! One simulation is sharded by *compute cluster*: each [`ClusterShard`]
 //! owns a cluster's SMs plus everything those SMs produce ahead of the
-//! globally-ordered part of a cycle — prebuilt warp views, scheduler census
-//! rows, locally-staged outbound packets ([`PacketOutbox`]), and an issue
-//! statistics accumulator. A [`WorkerPool`] farms whole shards out to worker
+//! globally-ordered part of a cycle — prebuilt warp views, locally-staged
+//! outbound packets ([`PacketOutbox`]), and an issue statistics
+//! accumulator. A [`WorkerPool`] farms whole shards out to worker
 //! threads for the cluster-local phases of a cycle and collects them back;
 //! the engine then *commits* — issues instructions, consults the execution
 //! model, and drains every outbox into the interconnect — serially, in
@@ -24,7 +24,7 @@ use std::sync::mpsc;
 
 use crate::commit::{self, CommitFootprint, CommitOut, CommitParams};
 use crate::config::EngineKind;
-use crate::exec::{HookMask, SchedCensus};
+use crate::exec::HookMask;
 use crate::mem::packet::Packet;
 use crate::sched::WarpView;
 use crate::sm::Sm;
@@ -282,8 +282,6 @@ pub struct ClusterShard {
     /// valid for rows whose views were built this cycle: the exact
     /// post-visit `ready_bound` to install if the visit issues nothing.
     pub view_bounds: Vec<u64>,
-    /// Census rows, indexed `local_sm * num_schedulers + sched`.
-    pub census: Vec<SchedCensus>,
     /// Outbound packets staged until the cycle's merge point.
     pub outbox: PacketOutbox,
     /// Issue-path statistics, accumulated per shard and merged into the
@@ -323,7 +321,6 @@ impl ClusterShard {
             id,
             views: vec![Vec::new(); rows],
             view_bounds: vec![u64::MAX; rows],
-            census: vec![SchedCensus::default(); rows],
             outbox: PacketOutbox::default(),
             stats: SimStats::default(),
             footprint: CommitFootprint::default(),
@@ -403,22 +400,6 @@ impl ClusterShard {
         }
     }
 
-    /// Rebuilds every scheduler's census row. Cluster-local work (policy
-    /// `note_atomic_pending` updates stay within the shard's SMs), safe on
-    /// any worker thread.
-    pub fn prepare_census(&mut self, det_aware: bool) {
-        let Self {
-            sms,
-            census,
-            num_schedulers,
-            ..
-        } = self;
-        for (local, sm) in sms.iter_mut().enumerate() {
-            let base = local * *num_schedulers;
-            sm.census_into(det_aware, &mut census[base..base + *num_schedulers]);
-        }
-    }
-
     /// Marks local SM `local`'s remaining prebuilt views stale.
     pub fn mark_dirty(&mut self, local: usize) {
         self.dirty[local] = true;
@@ -453,11 +434,6 @@ pub enum Phase {
         /// skips footprint accumulation entirely.
         admit: bool,
     },
-    /// Rebuild census rows ([`ClusterShard::prepare_census`]).
-    Census {
-        /// Scheduler kind is determinism-aware (`atomic_stuck` counting).
-        det_aware: bool,
-    },
     /// Run the commit walk inert for shards whose `commit_job` is set
     /// (admitted independent clusters); a no-op for the rest.
     Commit,
@@ -488,7 +464,6 @@ impl PhaseJob {
                 hook_mask,
                 admit,
             ),
-            Phase::Census { det_aware } => self.shard.prepare_census(det_aware),
             Phase::Commit => {
                 if let Some(p) = self.shard.commit_job.take() {
                     let mut sh = commit::Shared::Inert;
@@ -678,13 +653,12 @@ mod tests {
                         admit: true,
                     },
                 );
-                pool.run_phase(&mut clusters, Phase::Census { det_aware: false });
             }
         });
         assert_eq!(clusters.len(), cfg.num_clusters);
         for (i, shard) in clusters.iter().enumerate() {
             assert_eq!(shard.id, i, "shards must come back in cluster order");
-            assert!(shard.census.iter().all(|r| r.live == 0));
+            assert!(shard.views.iter().all(Vec::is_empty));
         }
     }
 
@@ -692,12 +666,23 @@ mod tests {
     fn pool_forwards_worker_panics() {
         let cfg = GpuConfig::tiny();
         let mut clusters = shards(&cfg);
-        // An undersized census slice makes `census_into` panic on a worker.
-        clusters[1].census.clear();
+        // Missing view rows make `prepare_views` panic on a worker.
+        clusters[1].views.clear();
         let result = catch_unwind(AssertUnwindSafe(|| {
             std::thread::scope(|scope| {
                 let pool = WorkerPool::start(scope, 2);
-                pool.run_phase(&mut clusters, Phase::Census { det_aware: false });
+                pool.run_phase(
+                    &mut clusters,
+                    Phase::Views {
+                        cycle: 0,
+                        det_aware: false,
+                        srr_like: false,
+                        use_ready_bound: false,
+                        num_mem_partitions: 1,
+                        hook_mask: HookMask::EMPTY,
+                        admit: true,
+                    },
+                );
             });
         }));
         assert!(result.is_err(), "worker panic must reach the coordinator");

@@ -136,9 +136,10 @@ impl WarpView {
 /// and their arguments depend only on shard-local state, so policies
 /// never observe concurrent calls and decide identically at any
 /// `DAB_SIM_THREADS` and either knob setting. `pick` is invoked every
-/// cycle a scheduler has live warps — even when gating cleared all ready
-/// flags — so stateful policies (token rotation, round-robin cursors)
-/// advance identically under the serial and pooled engines.
+/// cycle a scheduler has a warp that is ready after the batch gate and
+/// token refusal — even when model gating then cleared all ready flags —
+/// so stateful policies (token rotation, round-robin cursors) advance
+/// identically under the serial and pooled engines.
 pub trait WarpScheduler: std::fmt::Debug + Send {
     /// The policy's kind tag.
     fn kind(&self) -> SchedKind;
@@ -184,27 +185,68 @@ pub trait WarpScheduler: std::fmt::Debug + Send {
         let _ = unique;
     }
 
+    /// Whether the engine should report every Ready atomic-next warp to
+    /// [`note_atomic_pending`](Self::note_atomic_pending) at the end of
+    /// each cycle it visits. Only GTRR's greedy phase asks: those reports
+    /// time its switch to round robin, and a later report could move the
+    /// switch past a warp's arrival, which would change the schedule.
+    fn notes_pending_atomics(&self) -> bool {
+        false
+    }
+
     /// Informs the policy that warp `unique` is ready with an atomic as its
-    /// next instruction (called before [`blocks_atomic_of`] queries so
-    /// phase-based policies can account for it — GTRR marks such warps as
-    /// having reached their first atomic and may switch phases).
-    ///
-    /// [`blocks_atomic_of`]: Self::blocks_atomic_of
+    /// next instruction, so phase-based policies can account for it — GTRR
+    /// marks such warps as having reached their first atomic and may switch
+    /// phases (see [`notes_pending_atomics`](Self::notes_pending_atomics)).
     fn note_atomic_pending(&mut self, unique: u64) {
         let _ = unique;
     }
 
-    /// Whether this policy *steadily* refuses warp `unique`'s next atomic —
-    /// i.e. the refusal cannot resolve until some other, currently blocked
-    /// warp issues an atomic or exits. Used by DAB's flush-seal logic: such
-    /// warps cannot add buffer entries before a flush, so their buffered
-    /// contributions are already final.
+    /// Which warps this policy would let issue their pending atomic.
+    ///
+    /// A refusal is *steady*: it cannot resolve until some other warp
+    /// issues an atomic, exits, or arrives at a barrier. Two consumers rely
+    /// on that:
+    ///
+    /// - DAB's flush seal counts refused atomic-next warps as blocked:
+    ///   they cannot add buffer entries before a flush, so their buffered
+    ///   contributions are already final.
+    /// - The event engine parks a warp refused under [`AtomicGrant::Only`]
+    ///   (no timer bound) and re-arms the scheduler at the three sites that
+    ///   can move a token without waking a warp: an atomic
+    ///   [`on_issue`](Self::on_issue), a warp exit, and a barrier arrival.
+    ///   So a policy returning `Only(h)` must never pick any other warp's
+    ///   atomic, and its holder may change only at those sites or at
+    ///   callbacks that also wake a warp (arrival, barrier release).
     ///
     /// Policies that eventually grant every attempted atomic on their own
-    /// (GTO, LRR, SRR) return `false`.
-    fn blocks_atomic_of(&self, unique: u64) -> bool {
-        let _ = unique;
-        false
+    /// (GTO, LRR, SRR) return [`AtomicGrant::Any`].
+    fn atomic_grant(&self) -> AtomicGrant {
+        AtomicGrant::Any
+    }
+}
+
+/// A policy's answer to "whose pending atomic may issue?"
+/// ([`WarpScheduler::atomic_grant`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AtomicGrant {
+    /// No policy restriction (the CTA batch gate still applies).
+    Any,
+    /// Only this warp, the token or turn holder, may issue an atomic.
+    Only(u64),
+    /// No warp may issue an atomic (GTRR's greedy phase, or a token policy
+    /// whose every live warp is parked at a barrier).
+    Nobody,
+}
+
+impl AtomicGrant {
+    /// Whether warp `unique`'s pending atomic is steadily refused.
+    pub fn refuses(self, unique: u64) -> bool {
+        match self {
+            AtomicGrant::Any => false,
+            AtomicGrant::Only(holder) => holder != unique,
+            AtomicGrant::Nobody => true,
+        }
     }
 }
 
@@ -501,6 +543,10 @@ impl WarpScheduler for Gtrr {
         }
     }
 
+    fn notes_pending_atomics(&self) -> bool {
+        self.phase == GtrrPhase::Greedy
+    }
+
     fn note_atomic_pending(&mut self, unique: u64) {
         if self.phase == GtrrPhase::Greedy {
             self.reached.insert(unique);
@@ -510,11 +556,14 @@ impl WarpScheduler for Gtrr {
         }
     }
 
-    fn blocks_atomic_of(&self, _unique: u64) -> bool {
+    fn atomic_grant(&self) -> AtomicGrant {
         // No atomic may issue until the switch to round robin, and the
         // switch itself requires no blocked warp to act first only when all
         // warps are parked at atomics — exactly the sealed situation.
-        self.phase == GtrrPhase::Greedy
+        match self.phase {
+            GtrrPhase::Greedy => AtomicGrant::Nobody,
+            GtrrPhase::RoundRobin => AtomicGrant::Any,
+        }
     }
 
     fn on_barrier_arrival(&mut self, unique: u64) {
@@ -638,10 +687,11 @@ impl WarpScheduler for Gtar {
         self.parked.remove(&unique);
     }
 
-    fn blocks_atomic_of(&self, unique: u64) -> bool {
+    fn atomic_grant(&self) -> AtomicGrant {
         // Only the effective turn-holder may issue; its own pending atomic
         // resolves by itself (after the serialization interval).
-        self.effective_holder() != Some(unique)
+        self.effective_holder()
+            .map_or(AtomicGrant::Nobody, AtomicGrant::Only)
     }
 }
 
@@ -749,10 +799,11 @@ impl WarpScheduler for Gwat {
         self.parked.remove(&unique);
     }
 
-    fn blocks_atomic_of(&self, unique: u64) -> bool {
+    fn atomic_grant(&self) -> AtomicGrant {
         // Warps without the token stall on atomics; the holder's pending
         // atomic issues by itself.
-        self.token_holder() != Some(unique)
+        self.token_holder()
+            .map_or(AtomicGrant::Nobody, AtomicGrant::Only)
     }
 }
 
@@ -1071,11 +1122,83 @@ mod tests {
         let mut s = Gtrr::new();
         s.on_warp_arrive(10);
         assert!(!s.in_round_robin());
-        // The engine's census pass notifies pending atomics before asking
-        // about steady refusal; the switch must happen there too.
+        // The engine's end-of-cycle pass notifies pending atomics while the
+        // policy asks for them; the switch must happen there too.
+        assert!(s.notes_pending_atomics());
         s.note_atomic_pending(10);
         assert!(s.in_round_robin());
-        assert!(!s.blocks_atomic_of(10));
+        assert!(!s.notes_pending_atomics());
+        assert_eq!(s.atomic_grant(), AtomicGrant::Any);
+    }
+
+    #[test]
+    fn atomic_grant_per_policy() {
+        // Greedy and round-robin policies never refuse an atomic on their
+        // own, whatever the warp set.
+        let mut free: Vec<Box<dyn WarpScheduler>> = vec![
+            Box::new(Gto::new()),
+            Box::new(Lrr::new()),
+            Box::new(Srr::new()),
+        ];
+        for s in &mut free {
+            assert_eq!(s.atomic_grant(), AtomicGrant::Any, "{:?}", s.kind());
+            s.on_warp_arrive(10);
+            s.on_warp_arrive(11);
+            s.on_barrier_arrival(10);
+            assert_eq!(s.atomic_grant(), AtomicGrant::Any, "{:?}", s.kind());
+        }
+
+        // Token policies grant only the holder, and nobody once every live
+        // warp is parked at a barrier.
+        let token: Vec<Box<dyn WarpScheduler>> =
+            vec![Box::new(Gwat::new()), Box::new(Gtar::new(1))];
+        for mut s in token {
+            let kind = s.kind();
+            assert_eq!(
+                s.atomic_grant(),
+                AtomicGrant::Nobody,
+                "{kind:?} with no warps"
+            );
+            s.on_warp_arrive(10);
+            s.on_warp_arrive(11);
+            assert_eq!(s.atomic_grant(), AtomicGrant::Only(10), "{kind:?}");
+            assert!(s.atomic_grant().refuses(11) && !s.atomic_grant().refuses(10));
+            s.on_issue(10, true, 0);
+            assert_eq!(
+                s.atomic_grant(),
+                AtomicGrant::Only(11),
+                "{kind:?} after issue"
+            );
+            s.on_barrier_arrival(11);
+            assert_eq!(
+                s.atomic_grant(),
+                AtomicGrant::Only(10),
+                "{kind:?} holder parked"
+            );
+            s.on_barrier_arrival(10);
+            assert_eq!(s.atomic_grant(), AtomicGrant::Nobody, "{kind:?} all parked");
+            assert!(s.atomic_grant().refuses(10) && s.atomic_grant().refuses(11));
+            s.on_barrier_released(11);
+            assert_eq!(s.atomic_grant(), AtomicGrant::Only(11), "{kind:?} released");
+            s.on_warp_exit(11);
+            assert_eq!(
+                s.atomic_grant(),
+                AtomicGrant::Nobody,
+                "{kind:?} only parked left"
+            );
+        }
+
+        // GTRR refuses every atomic in its greedy phase and none after the
+        // switch to round robin.
+        let mut s = Gtrr::new();
+        s.on_warp_arrive(10);
+        s.on_warp_arrive(11);
+        assert_eq!(s.atomic_grant(), AtomicGrant::Nobody);
+        s.note_atomic_pending(10);
+        assert_eq!(s.atomic_grant(), AtomicGrant::Nobody, "11 has not reached");
+        s.note_atomic_pending(11);
+        assert!(s.in_round_robin());
+        assert_eq!(s.atomic_grant(), AtomicGrant::Any);
     }
 
     #[test]
