@@ -58,7 +58,6 @@ struct Row {
 fn config(engine: EngineKind) -> GpuConfig {
     let mut cfg = Scale::Ci.gpu();
     cfg.engine = engine;
-    cfg.commit_shard = gpu_sim::par::commit_shard_from_env();
     cfg
 }
 
@@ -214,11 +213,8 @@ fn write_json(rows: &[Row]) {
     let mut out = String::from("{\n  \"target\": \"engine_hot_loop\",\n");
     let _ = writeln!(
         out,
-        "  \"host\": {{ \"nproc\": {}, \"sim_threads\": {}, \"commit_shard\": {}, \
-         \"min_reps\": {} }},",
+        "  \"host\": {{ \"nproc\": {}, \"min_reps\": {} }},",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
-        gpu_sim::par::sim_threads_from_env(),
-        gpu_sim::par::commit_shard_from_env(),
         std::env::var("CRITERION_ITERS").map_or(MIN_REPS, |v| v.parse().unwrap_or(MIN_REPS)),
     );
     out.push_str("  \"workloads\": [");
@@ -236,9 +232,7 @@ fn write_json(rows: &[Row]) {
             "\n    {{ \"name\": \"{}\",\n      \
              \"det\": {{ \"cycles\": {}, \"digest\": \"0x{:016x}\",\n        \
              \"cycles_skipped\": {}, \"wakeup_events\": {}, \"sms_ticked\": {}, \
-             \"scheduler_scans\": {},\n        \
-             \"commit_parallel_cycles\": {}, \"commit_groups\": {}, \
-             \"partitions_ticked\": {},\n        \
+             \"scheduler_scans\": {}, \"partitions_ticked\": {},\n        \
              \"trace_events_full\": {}, \"trace_samples_full\": {} }},\n      \
              \"wall\": {{ \"dense_secs\": {:.6}, \"event_secs\": {:.6}, \"speedup\": {:.4},\n        \
              \"phase_secs\": {{ \"prepare\": {:.6}, \"commit\": {:.6}, \"merge\": {:.6} }},\n        \
@@ -251,8 +245,6 @@ fn write_json(rows: &[Row]) {
             stats.counter("det.engine.wakeup_events"),
             stats.counter("det.engine.sms_ticked"),
             stats.counter("det.engine.scheduler_scans"),
-            stats.counter("det.engine.commit_parallel_cycles"),
-            stats.counter("det.engine.commit_groups"),
             stats.counter("det.engine.partitions_ticked"),
             full_stats.counter("det.obs.trace_events"),
             full_stats.counter("det.obs.samples"),

@@ -94,8 +94,6 @@ fn main() {
         "wakeups",
         "sms_ticked",
         "sched_scans",
-        "commit_par_cycles",
-        "commit_groups",
         "parts_ticked",
     ]);
     for (b, &(_, dab_id, _)) in suite.iter().zip(&ids) {
@@ -107,8 +105,6 @@ fn main() {
             s.counter("det.engine.wakeup_events").to_string(),
             s.counter("det.engine.sms_ticked").to_string(),
             s.counter("det.engine.scheduler_scans").to_string(),
-            s.counter("det.engine.commit_parallel_cycles").to_string(),
-            s.counter("det.engine.commit_groups").to_string(),
             s.counter("det.engine.partitions_ticked").to_string(),
         ]);
     }

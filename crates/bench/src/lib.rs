@@ -8,11 +8,9 @@
 //!
 //! Scale is controlled by `DAB_SCALE=ci|paper` (default `ci`); see
 //! [`dab_workloads::scale::Scale`]. Independent design points run in
-//! parallel via [`Sweep`]/[`Runner::run_many`] (`DAB_JOBS` workers), each
-//! simulation can additionally shard its clusters across worker threads
-//! (`DAB_SIM_THREADS`, default 1 — see [`gpu_sim::par`]), and every target
-//! also writes machine-readable `results/<target>.json` through
-//! [`ResultsSink`]. Neither parallelism knob changes any result bit, and
+//! parallel via [`Sweep`]/[`Runner::run_many`] (`DAB_JOBS` workers), and
+//! every target also writes machine-readable `results/<target>.json`
+//! through [`ResultsSink`]. The worker count changes no result bit, and
 //! neither does the engine-core selection (`DAB_ENGINE=dense|event`,
 //! default `event`) — the dense sweep is kept as the equivalence oracle
 //! for the activity-driven engine.
@@ -50,15 +48,14 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Builds a runner from the environment (`DAB_SCALE`,
-    /// `DAB_SIM_THREADS`, `DAB_COMMIT_SHARD`, `DAB_ENGINE`, `DAB_TRACE`,
-    /// `DAB_TRACE_SAMPLE`, `DAB_PROFILE`).
+    /// Builds a runner from the environment (`DAB_SCALE`, `DAB_ENGINE`,
+    /// `DAB_TRACE`, `DAB_TRACE_SAMPLE`, `DAB_PROFILE`, and the retired
+    /// `DAB_SIM_THREADS` / `DAB_COMMIT_SHARD`).
     ///
     /// # Panics
     ///
-    /// Panics when `DAB_SIM_THREADS` is set to an invalid value (anything
-    /// but a positive integer), `DAB_COMMIT_SHARD` to anything but
-    /// `0`/`1`, `DAB_ENGINE` to anything but
+    /// Panics when a retired knob (`DAB_SIM_THREADS`, `DAB_COMMIT_SHARD`)
+    /// is set to anything but `1`, `DAB_ENGINE` to anything but
     /// `dense`/`event`, `DAB_TRACE` to anything but
     /// `off`/`summary`/`full`, `DAB_TRACE_SAMPLE` to anything but a
     /// positive integer, or `DAB_PROFILE` to anything but `0`/`1`.

@@ -12,7 +12,7 @@
 //!   "scale": "ci",
 //!   "machine": { "sms": 16, "mem_partitions": 8 },
 //!   "seed": 1,
-//!   "host": { "nproc": 8, "sim_threads": 4, "commit_shard": true },
+//!   "host": { "nproc": 8 },
 //!   "workers": 8,
 //!   "wall_secs": 1.234,
 //!   "speedup": 3.21,
@@ -37,8 +37,8 @@
 //! survive JSON readers that parse numbers as doubles. `wall_secs`,
 //! `speedup` (summed per-run wall over sweep wall: the parallel-sweep win),
 //! `cycles_per_sec` (per-run simulator throughput), `phase_secs` (per-run
-//! prepare/commit/merge wall breakdown) and the `host` block (CPU count,
-//! `DAB_SIM_THREADS`, `DAB_COMMIT_SHARD`) are host measurements and are
+//! prepare/commit/merge wall breakdown) and the `host` block (CPU count)
+//! are host measurements and are
 //! **not** deterministic; everything else is bit-stable for a given
 //! scale/seed regardless of `DAB_JOBS`. The CI equivalence diffs strip
 //! exactly those fields.
@@ -58,8 +58,6 @@ pub struct ResultsSink {
     mem_partitions: usize,
     seed: u64,
     nproc: usize,
-    sim_threads: usize,
-    commit_shard: bool,
     workers: Option<usize>,
     wall_secs: Option<f64>,
     /// Summed per-run wall-clock, for the sweep-level `speedup` field.
@@ -96,8 +94,6 @@ impl ResultsSink {
             mem_partitions: runner.gpu.num_mem_partitions,
             seed: runner.seed,
             nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            sim_threads: runner.gpu.sim_threads,
-            commit_shard: runner.gpu.commit_shard,
             workers: None,
             wall_secs: None,
             run_secs: 0.0,
@@ -156,11 +152,7 @@ impl ResultsSink {
             self.sms, self.mem_partitions
         );
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(
-            out,
-            "  \"host\": {{ \"nproc\": {}, \"sim_threads\": {}, \"commit_shard\": {} }},",
-            self.nproc, self.sim_threads, self.commit_shard
-        );
+        let _ = writeln!(out, "  \"host\": {{ \"nproc\": {} }},", self.nproc);
         if let Some(w) = self.workers {
             let _ = writeln!(out, "  \"workers\": {w},");
         }

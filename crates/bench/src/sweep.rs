@@ -13,9 +13,8 @@
 //! tests that must not race on the environment use
 //! [`Runner::run_many_with_workers`] / [`Sweep::run_with_workers`].
 //! `DAB_PROGRESS=1` adds a per-job heartbeat line (completion count and a
-//! linear ETA) so long sweeps are observable from CI logs. This
-//! knob is orthogonal to `DAB_SIM_THREADS`, which parallelizes *inside* one
-//! simulation (see [`gpu_sim::par`]); both compose and neither changes any
+//! linear ETA) so long sweeps are observable from CI logs. Each
+//! simulation itself runs on one thread; the worker count changes no
 //! result bit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

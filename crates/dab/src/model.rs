@@ -28,8 +28,7 @@ use std::collections::{HashMap, VecDeque};
 
 use gpu_sim::config::GpuConfig;
 use gpu_sim::exec::{
-    AtomicIssue, AtomicRoute, BarrierRelease, ExecutionModel, FenceAction, HookMask, ModelCtx,
-    WarpId,
+    AtomicIssue, AtomicRoute, BarrierRelease, ExecutionModel, FenceAction, ModelCtx, WarpId,
 };
 use gpu_sim::kernel::CtaDistribution;
 use gpu_sim::mem::packet::{AtomKind, Packet, Payload, RopOp, WarpRef};
@@ -134,8 +133,8 @@ pub struct DabModel {
     flush_entries_peak: u64,
     /// Deferred trace events (buffer fills, flush phases, flush-traffic
     /// injections), drained by the engine after each tick. Only populated
-    /// when `gpu.trace` is enabled — all hooks that push run on the
-    /// coordinating thread, so the queue order is deterministic.
+    /// when `gpu.trace` is enabled — all hooks that push run in the
+    /// engine's fixed hook order, so the queue order is deterministic.
     trace_events: Vec<obs::Event>,
     /// DAB is toggled off for the currently running kernel (Section IV-G).
     bypassed: bool,
@@ -567,18 +566,6 @@ impl ExecutionModel for DabModel {
             "det.dab.flush_entries_max",
             "largest single per-SM flush stream of the run",
         );
-    }
-
-    fn commit_hook_mask(&self) -> HookMask {
-        // DAB intercepts atomics (buffering), fences and barriers (flush
-        // epochs), and retirement (warp-level buffers hold finished warps).
-        // Issue gating (`can_issue`/`on_issue`) and stores keep the trait
-        // defaults, so clusters whose ready warps are all on ALU/load/store
-        // work commit in parallel.
-        HookMask::ATOMIC
-            .union(HookMask::FENCE)
-            .union(HookMask::BARRIER)
-            .union(HookMask::RETIRE)
     }
 
     fn cta_distribution(&self, num_sms: usize) -> CtaDistribution {

@@ -22,9 +22,10 @@
 //!   at least two outcome classes
 //! - `--quiet` — print gate failures only
 //!
-//! Environment: `DAB_SCALE`, `DAB_SIM_THREADS`, `DAB_ENGINE`,
-//! `DAB_RESULTS_DIR`, `DAB_EXPLORE_BUDGET`, `DAB_EXPLORE_VERIFY`. All
-//! output is byte-identical across runs and `DAB_SIM_THREADS` settings.
+//! Environment: `DAB_SCALE`, `DAB_ENGINE`, `DAB_RESULTS_DIR`,
+//! `DAB_EXPLORE_BUDGET`, `DAB_EXPLORE_VERIFY`; the retired
+//! `DAB_SIM_THREADS` and `DAB_COMMIT_SHARD` accept only `1`. All output
+//! is byte-identical across runs.
 //!
 //! Exit codes: `0` all gates hold; `1` a gate failed (a statically
 //! single-class benchmark explored to more than one class, a walk failed

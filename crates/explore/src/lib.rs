@@ -35,8 +35,8 @@
 //!
 //! Everything is deterministic: the DFS order, the class map (keyed by
 //! digest), the JSON rendering, and — because all draws happen in the
-//! engine's serial commit phase — the results are byte-identical for any
-//! `DAB_SIM_THREADS`.
+//! engine's serial commit phase — the results are byte-identical across
+//! repeated runs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -142,7 +142,7 @@ impl ExploreConfig {
     /// # Panics
     ///
     /// Panics when either variable is set to anything but a positive
-    /// integer (same contract as `DAB_SIM_THREADS`; see
+    /// integer (same contract as `DAB_JOBS`; see
     /// [`gpu_sim::par::parse_count`]).
     pub fn with_env_knobs(mut self) -> Self {
         if let Ok(raw) = std::env::var(BUDGET_VAR) {
@@ -409,7 +409,7 @@ impl SuiteExploration {
 
     /// Byte-stable JSON document (hand-rolled like
     /// `analysis::report::SuiteReport::render_json`; `wall`-free, so
-    /// repeated runs and any `DAB_SIM_THREADS` produce identical bytes).
+    /// repeated runs produce identical bytes).
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"scale\": \"{}\",", self.scale);

@@ -1,48 +1,40 @@
-//! The commit half of the issue phase, packaged to run per cluster.
+//! The commit half of the issue phase, packaged per cluster.
 //!
 //! Each cycle, [`commit_cluster`] walks one cluster's SMs and schedulers in
 //! fixed order, consuming the warp views the prepare phase built, picking
 //! and issuing one instruction per scheduler. The walk is written against
-//! three explicit capability sets instead of the whole [`GpuSim`] so it can
-//! run *off* the coordinating thread for clusters whose commits provably
-//! cannot interact:
+//! three explicit capability sets instead of the whole [`GpuSim`]:
 //!
 //! - [`CommitParams`]: an immutable per-cluster snapshot of everything the
 //!   walk reads from global state (cycle, geometry, latencies, and the
 //!   cluster's interconnect injection budget — exact because the issue
 //!   phase never mutates the interconnect; all packets stage in the
-//!   cluster's outbox until the serial merge point);
-//! - [`Shared`]: the engine-global mutable resources (execution model,
-//!   lock manager, tracer). The [`Shared::Inert`] variant substitutes the
-//!   [`ExecutionModel`] trait's default hook behavior and panics on lock
-//!   use; it is only ever given to clusters whose commit footprint proves
-//!   those hooks would not have been observed (see
-//!   [`HookMask`]);
+//!   cluster's outbox until the merge point);
+//! - [`EngineShared`]: the engine-global mutable resources (execution
+//!   model, lock manager, tracer);
 //! - [`CommitOut`]: activity counters accumulated by the walk, folded into
-//!   the engine's coordinator-side totals in cluster-index order so every
-//!   reported count is identical at any `DAB_SIM_THREADS`.
+//!   the engine's totals in cluster-index order.
 //!
 //! Everything else the walk touches lives inside the [`ClusterShard`]
-//! itself (SMs, warp state, L1s, per-shard stats, the packet outbox), which
-//! travels to a worker by ownership exactly like the prepare phase.
+//! itself (SMs, warp state, L1s, per-shard stats, the packet outbox).
 //!
 //! [`GpuSim`]: crate::engine::GpuSim
 
 use std::sync::Arc;
 
 use crate::exec::{
-    AtomicIssue, AtomicRoute, BarrierRelease, ExecutionModel, FenceAction, HookMask, SchedId,
-    StoreRoute, WarpId,
+    AtomicIssue, AtomicRoute, BarrierRelease, ExecutionModel, FenceAction, SchedId, StoreRoute,
+    WarpId,
 };
 use crate::imeta::InstrMeta;
-use crate::isa::{AtomicAccess, AtomicOp, Instr, LockKind};
+use crate::isa::{AtomicAccess, AtomicOp, Instr};
 use crate::lock::LockManager;
 use crate::mem::cache::Probe;
 use crate::mem::packet::{AtomKind, Packet, Payload, WarpRef};
 use crate::mem::partition_of;
 use crate::par::ClusterShard;
 use crate::sched::WarpView;
-use crate::sm::{Sm, WarpState};
+use crate::sm::WarpState;
 
 /// Flattens an instruction to its trace event class.
 pub(crate) fn instr_kind(instr: &Instr) -> obs::InstrKind {
@@ -58,120 +50,8 @@ pub(crate) fn instr_kind(instr: &Instr) -> obs::InstrKind {
     }
 }
 
-/// Per-cluster commit-interaction footprint, rebuilt by the prepare phase
-/// each cycle from the same warp views the commit phase will consume.
-///
-/// The footprint deliberately *over*-approximates: it folds in every ready
-/// view (any of which the policy pick or model gating could select), and a
-/// candidate's whole downstream hook surface (an issued barrier may release
-/// warps that retire immediately, so `Bar` implies `RETIRE` as well as
-/// `BARRIER`). Mid-commit warp mutations grow the candidate set only one
-/// way: a barrier release that retires a warp holding an atomic token
-/// hands it to a warp parked as refused, whose atomic may then issue this
-/// cycle. So every candidate that can release a barrier also carries
-/// `ATOMIC`. Otherwise barrier releases and flush parks only make warps
-/// *non*-ready for the current cycle, so a footprint computed at prepare
-/// time soundly covers every hook the commit can invoke.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CommitFootprint {
-    /// Union of commit-phase model hooks the cluster could invoke.
-    pub hooks: HookMask,
-    /// Whether any candidate enters the lock manager (shared, ticketed
-    /// state — such clusters always commit on the serial path).
-    pub uses_locks: bool,
-    /// Destination memory-partition mask (bit `p % 64`) of candidate
-    /// memory traffic. Defense-in-depth: commits never touch partitions
-    /// directly (all packets stage in the cluster outbox until the serial
-    /// merge point), but keeping admitted clusters partition-disjoint
-    /// bounds the blast radius of any future commit-path change.
-    pub partitions: u64,
-}
-
-impl CommitFootprint {
-    /// Hooks a candidate that may release a CTA barrier can reach: the
-    /// barrier hooks, the retire hooks of released warps that finish, and
-    /// the atomic hook of a refused warp the retirement hands a token to.
-    const RELEASE: HookMask = HookMask::BARRIER
-        .union(HookMask::RETIRE)
-        .union(HookMask::ATOMIC);
-
-    /// Folds the warp in `slot` (a ready pick candidate) into the
-    /// footprint. `num_mem_partitions` interleaves sector addresses the
-    /// same way the issue path will.
-    pub fn add_candidate(&mut self, sm: &Sm, slot: usize, num_mem_partitions: usize) {
-        let Some(w) = sm.warps[slot].as_ref() else {
-            return;
-        };
-        // Every ready view passes through model gating and, if picked,
-        // the post-issue hook.
-        self.hooks = self
-            .hooks
-            .union(HookMask::CAN_ISSUE)
-            .union(HookMask::ON_ISSUE);
-        let pc = w.pc;
-        if pc + 1 >= w.program.instrs.len() {
-            // Issuing the last instruction can retire the warp, which runs
-            // the retire hooks and may complete the CTA barrier for warps
-            // already waiting at it.
-            self.hooks = self.hooks.union(Self::RELEASE);
-        }
-        match &w.program.instrs[pc] {
-            Instr::Alu { .. } => {}
-            Instr::Load { .. } => self.add_sectors(w.meta.at(pc), num_mem_partitions),
-            Instr::Store { .. } => {
-                self.hooks = self.hooks.union(HookMask::STORE);
-                self.add_sectors(w.meta.at(pc), num_mem_partitions);
-            }
-            Instr::Red { .. } | Instr::Atom { .. } => {
-                self.hooks = self.hooks.union(HookMask::ATOMIC);
-                if let InstrMeta::Atomic { groups, .. } = w.meta.at(pc) {
-                    for g in groups.iter() {
-                        self.partitions |= 1u64 << (g.dest % 64);
-                    }
-                }
-            }
-            Instr::Bar => {
-                // Releasing the barrier wakes warps that can retire in the
-                // same cycle.
-                self.hooks = self.hooks.union(Self::RELEASE);
-            }
-            Instr::Fence => self.hooks = self.hooks.union(HookMask::FENCE),
-            Instr::LockedSection { .. } => self.uses_locks = true,
-        }
-    }
-
-    /// Whether the footprint already rules the cluster out of the
-    /// independent commit path under `mask` — further accumulation cannot
-    /// change the classification, so prepare stops paying for it. A
-    /// blocked cluster's partial `partitions` mask is never read:
-    /// classification consults partition bits only after `independent`
-    /// holds.
-    pub fn blocked(&self, mask: HookMask) -> bool {
-        !self.independent(mask)
-    }
-
-    /// Adds the destination partitions of a load/store sector list.
-    fn add_sectors(&mut self, meta: &InstrMeta, num_mem_partitions: usize) {
-        if let InstrMeta::Sectors(sectors) = meta {
-            for &s in sectors.iter() {
-                self.partitions |= 1u64 << (partition_of(s, num_mem_partitions) % 64);
-            }
-        }
-    }
-
-    /// Whether this cluster's commit provably cannot observe or mutate any
-    /// state shared with other clusters' commits, given the model's
-    /// declared hook surface: no lock use, and no candidate hook the model
-    /// actually overrides. Partition disjointness is checked separately
-    /// (it is a relation between clusters, not a property of one).
-    #[must_use]
-    pub fn independent(&self, model_mask: HookMask) -> bool {
-        !self.uses_locks && !self.hooks.intersects(model_mask)
-    }
-}
-
 /// Immutable per-cluster inputs to a commit walk: a snapshot of the global
-/// state the walk reads, taken on the coordinating thread.
+/// state the walk reads, taken just before it.
 #[derive(Debug, Clone, Copy)]
 pub struct CommitParams {
     /// Current simulation cycle.
@@ -206,7 +86,7 @@ pub struct CommitParams {
 }
 
 /// Activity accumulated by one commit walk, merged into the engine's
-/// coordinator-side [`ActivityCounters`] in cluster-index order.
+/// [`ActivityCounters`] in cluster-index order.
 ///
 /// [`ActivityCounters`]: crate::engine::GpuSim
 #[derive(Debug, Default, Clone, Copy)]
@@ -238,145 +118,28 @@ pub struct EngineShared<'a> {
     pub tracer: Option<&'a mut obs::Tracer>,
 }
 
-/// Capability handle for one commit walk.
-///
-/// [`Shared::Engine`] carries the live model/locks/tracer and is the only
-/// variant the coordinating thread uses. [`Shared::Inert`] carries nothing
-/// and answers every model hook with the [`ExecutionModel`] trait's default
-/// — the documented contract is that hooks absent from a model's
-/// [`commit_hook_mask`](ExecutionModel::commit_hook_mask) behave exactly
-/// like the defaults and touch no model state, so for clusters whose
-/// footprint avoids every masked hook the two variants are
-/// indistinguishable. Lock use and tracing are never footprint-eligible,
-/// so the inert arms for those are unreachable by construction.
-#[derive(Debug)]
-pub enum Shared<'a> {
-    /// Live engine resources (coordinating thread).
-    Engine(EngineShared<'a>),
-    /// Hook-free stand-in for independent clusters on worker threads.
-    Inert,
-}
-
-impl Shared<'_> {
-    /// Whether full-detail tracing is on. Inert walks are only dispatched
-    /// when full tracing is off, so `false` there is exact, not a stub.
+impl EngineShared<'_> {
+    /// Whether full-detail tracing is on.
     #[inline]
     fn trace_full(&self) -> bool {
-        match self {
-            Shared::Engine(e) => e.tracer.as_deref().is_some_and(obs::Tracer::is_full),
-            Shared::Inert => false,
-        }
+        self.tracer.as_deref().is_some_and(obs::Tracer::is_full)
     }
 
-    /// Records a trace event (no-op when tracing is off or inert).
+    /// Records a trace event (no-op when tracing is off).
     #[inline]
     fn trace_event(&mut self, ev: obs::Event) {
-        if let Shared::Engine(e) = self {
-            if let Some(t) = e.tracer.as_deref_mut() {
-                t.record(ev);
-            }
-        }
-    }
-
-    fn can_issue(&mut self, warp: WarpId, is_atomic: bool, cycle: u64) -> bool {
-        match self {
-            Shared::Engine(e) => e.model.can_issue(warp, is_atomic, cycle),
-            Shared::Inert => true,
-        }
-    }
-
-    fn on_issue(&mut self, warp: WarpId, is_atomic: bool, cycle: u64) {
-        if let Shared::Engine(e) = self {
-            e.model.on_issue(warp, is_atomic, cycle);
-        }
-    }
-
-    fn on_store(&mut self, warp: WarpId, sectors: usize, cycle: u64) -> StoreRoute {
-        match self {
-            Shared::Engine(e) => e.model.on_store(warp, sectors, cycle),
-            Shared::Inert => StoreRoute::Direct,
-        }
-    }
-
-    fn on_atomic(&mut self, issue: AtomicIssue<'_>, cycle: u64) -> AtomicRoute {
-        match self {
-            Shared::Engine(e) => e.model.on_atomic(issue, cycle),
-            Shared::Inert => AtomicRoute::ToMemory,
-        }
-    }
-
-    fn on_fence(&mut self, warp: WarpId, cycle: u64) -> FenceAction {
-        match self {
-            Shared::Engine(e) => e.model.on_fence(warp, cycle),
-            Shared::Inert => FenceAction::DrainWarp,
-        }
-    }
-
-    fn on_barrier_wait(&mut self, warp: WarpId, cycle: u64) {
-        if let Shared::Engine(e) = self {
-            e.model.on_barrier_wait(warp, cycle);
-        }
-    }
-
-    fn on_barrier_release(&mut self, sm: usize, warps: &[WarpId], cycle: u64) -> BarrierRelease {
-        match self {
-            Shared::Engine(e) => e.model.on_barrier_release(sm, warps, cycle),
-            Shared::Inert => BarrierRelease::Immediate,
-        }
-    }
-
-    fn can_retire(&mut self, warp: WarpId) -> bool {
-        match self {
-            Shared::Engine(e) => e.model.can_retire(warp),
-            Shared::Inert => true,
-        }
-    }
-
-    fn on_warp_exit(&mut self, warp: WarpId) {
-        if let Shared::Engine(e) = self {
-            e.model.on_warp_exit(warp);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn lock_acquire(
-        &mut self,
-        warp: WarpRef,
-        unique: u64,
-        occurrence: u32,
-        kind: LockKind,
-        lock_addr: u64,
-        accesses: &[AtomicAccess],
-        critical_cycles: u32,
-        op: AtomicOp,
-    ) {
-        match self {
-            Shared::Engine(e) => {
-                e.locks.acquire(
-                    warp,
-                    unique,
-                    occurrence,
-                    kind,
-                    lock_addr,
-                    accesses,
-                    critical_cycles,
-                    op,
-                );
-            }
-            Shared::Inert => unreachable!("lock use is excluded by the commit footprint"),
+        if let Some(t) = self.tracer.as_deref_mut() {
+            t.record(ev);
         }
     }
 }
 
 /// Commits one cluster for this cycle: the fixed `(SM, scheduler)` walk
 /// that consumes prebuilt views, applies model gating, picks, and issues.
-/// Identical whether it runs on the coordinating thread (with
-/// [`Shared::Engine`]) or a pool worker (with [`Shared::Inert`]); the
-/// caller guarantees the variant matches the cluster's footprint.
 pub fn commit_cluster(
     shard: &mut ClusterShard,
     p: &CommitParams,
-    sh: &mut Shared<'_>,
+    sh: &mut EngineShared<'_>,
     out: &mut CommitOut,
 ) {
     let mut cx = Cx { shard, p, sh, out };
@@ -388,7 +151,7 @@ pub fn commit_cluster(
 pub fn try_retire(
     shard: &mut ClusterShard,
     p: &CommitParams,
-    sh: &mut Shared<'_>,
+    sh: &mut EngineShared<'_>,
     out: &mut CommitOut,
     local: usize,
     slot: usize,
@@ -401,7 +164,7 @@ pub fn try_retire(
 pub fn wake_flush_wait(
     shard: &mut ClusterShard,
     p: &CommitParams,
-    sh: &mut Shared<'_>,
+    sh: &mut EngineShared<'_>,
     out: &mut CommitOut,
     local: usize,
     slot: usize,
@@ -415,7 +178,7 @@ pub fn wake_flush_wait(
 struct Cx<'a, 'b> {
     shard: &'a mut ClusterShard,
     p: &'a CommitParams,
-    sh: &'a mut Shared<'b>,
+    sh: &'a mut EngineShared<'b>,
     out: &'a mut CommitOut,
 }
 
@@ -536,9 +299,6 @@ impl Cx<'_, '_> {
     }
 
     /// Model gating (GPUDet quanta / serial mode) applied to ready views.
-    /// Clusters whose footprint includes the `CAN_ISSUE` hook are never
-    /// committed inert, so the `Shared::Inert` answer (always `true`) is
-    /// exactly the trait default such clusters would observe.
     fn apply_model_gating(&mut self, local: usize, sched: usize, views: &mut [WarpView]) {
         let cycle = self.p.cycle;
         let sm_idx = self.global_sm(local);
@@ -548,7 +308,7 @@ impl Cx<'_, '_> {
                 slot: v.slot,
                 unique: v.unique,
             };
-            v.ready = self.sh.can_issue(warp_id, v.next_is_atomic, cycle);
+            v.ready = self.sh.model.can_issue(warp_id, v.next_is_atomic, cycle);
         }
     }
 
@@ -651,7 +411,7 @@ impl Cx<'_, '_> {
                         .expect("picked warp");
                     w.next_lock_occurrence(*lock_addr)
                 };
-                self.sh.lock_acquire(
+                self.sh.locks.acquire(
                     warp_ref,
                     unique,
                     occurrence,
@@ -691,8 +451,7 @@ impl Cx<'_, '_> {
                 });
             }
             // Issue-path counters accumulate per cluster shard and merge in
-            // cluster-index order at end of run, keeping totals identical at
-            // any thread count.
+            // cluster-index order at end of run.
             let shard_stats = &mut self.shard.stats;
             shard_stats.warp_instrs += 1;
             shard_stats.thread_instrs += thread_instrs;
@@ -705,7 +464,7 @@ impl Cx<'_, '_> {
             } else {
                 sctx.policy.on_issue(unique, false, cycle);
             }
-            self.sh.on_issue(warp_id, was_atomic, cycle);
+            self.sh.model.on_issue(warp_id, was_atomic, cycle);
             self.try_retire(local, slot);
         }
     }
@@ -797,7 +556,7 @@ impl Cx<'_, '_> {
         let sm_idx = warp_id.sched.sm;
         let local = sm_idx % self.p.spc;
         let slot = warp_id.slot;
-        if self.sh.on_store(warp_id, sectors.len(), cycle) == StoreRoute::Buffered {
+        if self.sh.model.on_store(warp_id, sectors.len(), cycle) == StoreRoute::Buffered {
             // Absorbed by a model-side store buffer: no traffic now.
             let w = self.shard.sms[local].warps[slot]
                 .as_mut()
@@ -848,7 +607,7 @@ impl Cx<'_, '_> {
         let sm_idx = warp_id.sched.sm;
         let local = sm_idx % self.p.spc;
         let slot = warp_id.slot;
-        let route = self.sh.on_atomic(
+        let route = self.sh.model.on_atomic(
             AtomicIssue {
                 warp: warp_id,
                 op,
@@ -960,7 +719,7 @@ impl Cx<'_, '_> {
                 reason: obs::SleepReason::Barrier,
             });
         }
-        self.sh.on_barrier_wait(warp_id, cycle);
+        self.sh.model.on_barrier_wait(warp_id, cycle);
         {
             let sm = &mut self.shard.sms[local];
             // The policy consumes the warp's token/turn so atomic grants
@@ -1010,7 +769,10 @@ impl Cx<'_, '_> {
                 }
             })
             .collect();
-        let release = self.sh.on_barrier_release(sm_idx, &waiting_ids, cycle);
+        let release = self
+            .sh
+            .model
+            .on_barrier_release(sm_idx, &waiting_ids, cycle);
         for id in &waiting_ids {
             self.shard.sms[local].schedulers[id.sched.sched].barrier_wait -= 1;
         }
@@ -1055,7 +817,7 @@ impl Cx<'_, '_> {
         let sm_idx = warp_id.sched.sm;
         let local = sm_idx % self.p.spc;
         let slot = warp_id.slot;
-        match self.sh.on_fence(warp_id, cycle) {
+        match self.sh.model.on_fence(warp_id, cycle) {
             FenceAction::DrainWarp => {
                 let w = self.shard.sms[local].warps[slot]
                     .as_mut()
@@ -1182,7 +944,7 @@ impl Cx<'_, '_> {
             (w.unique, w.sched)
         };
         // Warp-level DAB holds finished warps until their buffer flushes.
-        if !self.sh.can_retire(WarpId {
+        if !self.sh.model.can_retire(WarpId {
             sched: SchedId { sm: sm_idx, sched },
             slot,
             unique,
@@ -1205,7 +967,7 @@ impl Cx<'_, '_> {
             self.out.scheduler_scans += 1;
             self.shard.sms[local].recompute_ready_bound(sched, self.p.det_aware, self.p.srr_like);
         }
-        self.sh.on_warp_exit(WarpId {
+        self.sh.model.on_warp_exit(WarpId {
             sched: SchedId { sm: sm_idx, sched },
             slot,
             unique,

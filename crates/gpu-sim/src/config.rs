@@ -99,12 +99,10 @@ pub struct GpuConfig {
     /// Extra pipeline latency of one ROP atomic operation.
     pub rop_latency: u32,
 
-    /// Host worker threads used *inside* one simulation (not a Table I row:
-    /// this is a simulator-host knob, set from `DAB_SIM_THREADS`). Per-SM
-    /// front-end work is sharded by compute cluster across this many workers
-    /// and re-merged at a deterministic per-cycle boundary, so results are
-    /// bit-identical at any value. `1` (the default) is the serial engine;
-    /// values above the cluster count are clamped to it.
+    /// Host worker threads used *inside* one simulation (not a Table I row).
+    /// Retired: the engine always runs one serial issue path, so
+    /// [`validate`](Self::validate) accepts only `1`. The field stays so
+    /// callers that print the retired `DAB_SIM_THREADS` knob keep reading it.
     pub sim_threads: usize,
 
     /// Cycle-loop implementation (not a Table I row: a simulator-host knob,
@@ -116,13 +114,10 @@ pub struct GpuConfig {
     pub engine: EngineKind,
 
     /// Whether the commit phase runs independence-sharded (not a Table I
-    /// row: a simulator-host knob, set from `DAB_COMMIT_SHARD`). When on
-    /// (the default), clusters whose per-cycle commit footprint provably
-    /// cannot interact — no lock use, no model hook the execution model
-    /// overrides, pairwise-disjoint destination partitions — commit on
-    /// worker threads with inert hook stand-ins; the rest commit serially
-    /// in cluster order. Either setting produces bit-identical results;
-    /// `false` forces every cluster onto the serial path.
+    /// row). Retired: every cluster commits with the live engine resources
+    /// in cluster order, so [`validate`](Self::validate) accepts only
+    /// `true`. The field stays so callers that print the retired
+    /// `DAB_COMMIT_SHARD` knob keep reading it.
     pub commit_shard: bool,
 
     /// Structured event tracing mode (not a Table I row: a simulator-host
@@ -130,10 +125,8 @@ pub struct GpuConfig {
     /// constructs no tracer at all; `summary` records rare high-signal
     /// events (lock grants, flush phases, GPUDet mode transitions) plus
     /// the sample grid; `full` records everything down to per-instruction
-    /// issue. The trace is recorded in commit order on the coordinating
-    /// thread, so its deterministic sections are byte-identical at any
-    /// [`sim_threads`](Self::sim_threads) and for either
-    /// [`engine`](Self::engine).
+    /// issue. The trace is recorded in commit order, so its deterministic
+    /// sections are byte-identical for either [`engine`](Self::engine).
     pub trace: obs::TraceMode,
 
     /// Sampling grid interval in cycles for the trace's time-series rows
@@ -310,9 +303,14 @@ impl GpuConfig {
         if self.icnt_flit_size == 0 || self.icnt_flits_per_cycle == 0 {
             return Err(ConfigError::new("interconnect bandwidth must be non-zero"));
         }
-        if self.sim_threads == 0 {
+        if self.sim_threads != 1 {
             return Err(ConfigError::new(
-                "sim_threads must be at least 1 (1 = serial engine)",
+                "sim_threads must be 1: intra-simulation threads were retired",
+            ));
+        }
+        if !self.commit_shard {
+            return Err(ConfigError::new(
+                "commit_shard must be true: the serial-commit switch was retired",
             ));
         }
         if self.trace_sample_interval == 0 {
@@ -428,11 +426,21 @@ mod tests {
     }
 
     #[test]
-    fn zero_sim_threads_rejected() {
+    fn retired_sim_threads_rejected() {
+        for threads in [0, 2, 4] {
+            let mut cfg = GpuConfig::small();
+            cfg.sim_threads = threads;
+            let err = cfg.validate().unwrap_err();
+            assert!(err.to_string().contains("sim_threads"), "{threads}: {err}");
+        }
+    }
+
+    #[test]
+    fn retired_commit_shard_off_rejected() {
         let mut cfg = GpuConfig::small();
-        cfg.sim_threads = 0;
+        cfg.commit_shard = false;
         let err = cfg.validate().unwrap_err();
-        assert!(err.to_string().contains("sim_threads"));
+        assert!(err.to_string().contains("commit_shard"));
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! 3. arrived responses wake warps and fill L1s;
 //! 4. the deterministic lock manager serves ticket holders;
 //! 5. every warp scheduler picks and issues one instruction, consulting the
-//!    execution model for gating and atomic routing (warp-view construction
-//!    optionally runs on a [`par::WorkerPool`](crate::par::WorkerPool), one
-//!    cluster per job, when `sim_threads > 1`);
+//!    execution model for gating and atomic routing;
 //! 6. packets staged in per-cluster outboxes merge into the interconnect in
 //!    cluster-index order (the deterministic merge point);
 //! 7. CTAs are dispatched per the model's distribution policy;
@@ -27,7 +25,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::commit::{self, CommitOut, CommitParams, EngineShared, Shared};
+use crate::commit::{self, CommitOut, CommitParams, EngineShared};
 use crate::config::{EngineKind, GpuConfig};
 use crate::exec::{ExecutionModel, ModelCtx, SchedCensus, SchedId, WakeCmd, WarpId};
 use crate::imeta::{warp_meta, WarpMeta};
@@ -37,7 +35,7 @@ use crate::mem::icnt::Interconnect;
 use crate::mem::packet::{AtomKind, Payload, WarpRef};
 use crate::mem::partition::MemPartition;
 use crate::ndet::NdetSource;
-use crate::par::{ClusterShard, Phase, WorkerPool};
+use crate::par::ClusterShard;
 use crate::sched::SchedKind;
 use crate::sm::{Sm, WarpState};
 use crate::stats::SimStats;
@@ -59,9 +57,8 @@ pub struct RunReport {
     pub wall: std::time::Duration,
     /// Structured event trace, present when the run was configured with
     /// `cfg.trace` enabled (`DAB_TRACE=summary|full`). Its `[arch]` and
-    /// `[samples]` sections are byte-identical at any `DAB_SIM_THREADS`
-    /// and for either engine; the `[engine]` section (cycle-skip spans)
-    /// is engine-variant by design.
+    /// `[samples]` sections are byte-identical for either engine; the
+    /// `[engine]` section (cycle-skip spans) is engine-variant by design.
     pub trace: Option<obs::Trace>,
     /// Per-phase host wall-clock breakdown (prepare/commit/merge). Like
     /// [`wall`](Self::wall), a throughput measurement only.
@@ -199,11 +196,9 @@ impl Dispatcher {
 
 /// Engine-activity accounting: how much work the cycle loop actually did.
 ///
-/// Maintained on the coordinating thread only (never on pool workers), so
-/// every value is identical at any `DAB_SIM_THREADS`. The dense and event
-/// engines report different values *by design* — the event engine exists to
-/// visit less — so determinism comparisons between the two engines must
-/// ignore the `det.engine.*` stat keys these fold into.
+/// The dense and event engines report different values *by design* — the
+/// event engine exists to visit less — so determinism comparisons between
+/// the two engines must ignore the `det.engine.*` stat keys these fold into.
 #[derive(Debug, Default)]
 struct ActivityCounters {
     /// Cycles the engine never visited (event-wheel jumps plus the dense
@@ -219,15 +214,6 @@ struct ActivityCounters {
     /// wake lists avoid. Before wake lists every scheduler visit ended in
     /// one, so comparing this against older measurements shows the saving.
     scheduler_scans: u64,
-    /// Cycles in which at least one cluster was admitted to the
-    /// independent (sharded) commit path. Classification runs whether or
-    /// not sharding executes, so the value is identical at any
-    /// `DAB_SIM_THREADS` and either `DAB_COMMIT_SHARD` setting.
-    commit_parallel_cycles: u64,
-    /// Total cluster-commits admitted to the independent path (the sum of
-    /// per-cycle commit-group sizes). Same invariance as
-    /// `commit_parallel_cycles`.
-    commit_groups: u64,
     /// Partitions entered by `tick_partitions` (not skipped by the
     /// sleeping-partition check).
     partitions_ticked: u64,
@@ -236,13 +222,13 @@ struct ActivityCounters {
 /// Host wall-clock spent inside each engine phase, accumulated across the
 /// whole run. A host measurement like [`RunReport::wall`] — excluded from
 /// every determinism comparison — recorded so perf trajectories can show
-/// *where* a configuration spends its time (prepare on workers, commit on
-/// the coordinator or the sharded path, outbox merge).
+/// *where* a configuration spends its time (view prepare, commit walk,
+/// outbox merge).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PhaseWall {
-    /// Warp-view construction (`prepare_views`, serial or pooled).
+    /// Warp-view construction (`prepare_views`).
     pub prepare: std::time::Duration,
-    /// Commit walk (serial engine-backed plus sharded inert commits).
+    /// Commit walk.
     pub commit: std::time::Duration,
     /// Outbox merge into the interconnect.
     pub merge: std::time::Duration,
@@ -269,8 +255,8 @@ pub struct GpuSim {
     cfg: GpuConfig,
     model: Box<dyn ExecutionModel>,
     /// Root non-determinism stream (CTA-dispatch tiebreaks). Per-endpoint
-    /// child streams below are split off this root at construction so that
-    /// draws stay independent of how many worker threads participate.
+    /// child streams below are split off this root at construction, so
+    /// each endpoint's draws depend only on the seed and its own tag.
     ndet: NdetSource,
     /// One child stream per memory partition (DRAM timing jitter).
     part_ndet: Vec<NdetSource>,
@@ -281,9 +267,8 @@ pub struct GpuSim {
     /// memory→cluster direction).
     icnt_cl_ndet: Vec<NdetSource>,
     values: ValueMem,
-    /// Per-cluster shards: the SMs plus the worker-local scratch (warp
-    /// views, outbound packet staging) that migrates to pool threads when
-    /// `cfg.sim_threads > 1`.
+    /// Per-cluster shards: the SMs plus their per-cycle scratch (warp
+    /// views, outbound packet staging).
     clusters: Vec<ClusterShard>,
     icnt: Interconnect,
     partitions: Vec<MemPartition>,
@@ -295,21 +280,16 @@ pub struct GpuSim {
     sched_kind: SchedKind,
     last_progress_cycle: u64,
     activity: ActivityCounters,
-    /// Per-cluster admission scratch for the commit classifier (reused
-    /// every cycle to avoid allocation).
-    commit_admit: Vec<bool>,
     /// Per-phase host wall-clock accumulator (prepare/commit/merge).
     phase_wall: PhaseWall,
     /// Structured event tracer, `None` when `cfg.trace` is off — the
     /// off-mode fast path is a single pointer null-check per trace site.
-    /// All recording happens on the coordinating thread in commit order,
-    /// so the trace's deterministic sections are byte-identical at any
-    /// `DAB_SIM_THREADS` and for either engine.
+    /// All recording happens in commit order, so the trace's deterministic
+    /// sections are byte-identical for either engine.
     tracer: Option<Box<obs::Tracer>>,
     /// Fine-grained engine span profiler, `None` when `cfg.profile` is off
-    /// (the off-mode cost is one null-check per phase boundary). All
-    /// accumulation happens on the coordinating thread; the data is pure
-    /// `wall.*` host timing and never touches [`SimStats`].
+    /// (the off-mode cost is one null-check per phase boundary). The data
+    /// is pure `wall.*` host timing and never touches [`SimStats`].
     ///
     /// The profiler *samples*: per-cycle spans are timed on one engine
     /// step in [`PROFILE_SAMPLE_INTERVAL`] and scaled back up, keeping the
@@ -374,7 +354,7 @@ impl GpuSim {
                 let sms = (0..cfg.sms_per_cluster)
                     .map(|i| Sm::new(c * cfg.sms_per_cluster + i, &cfg, sched_kind))
                     .collect();
-                ClusterShard::new(c, sms, cfg.num_schedulers_per_sm)
+                ClusterShard::new(sms, cfg.num_schedulers_per_sm)
             })
             .collect();
         let dram_jitter = if ndet.is_enabled() { 16 } else { 0 };
@@ -383,7 +363,7 @@ impl GpuSim {
             .collect();
         let census = vec![SchedCensus::default(); cfg.num_sms() * cfg.num_schedulers_per_sm];
         // Fixed stream tags keep every endpoint's draw sequence a pure
-        // function of the seed, independent of worker-thread interleaving.
+        // function of the seed.
         let part_ndet = (0..cfg.num_mem_partitions)
             .map(|p| ndet.split(0x1000_0000 + p as u64))
             .collect();
@@ -425,12 +405,11 @@ impl GpuSim {
             cfg,
             last_progress_cycle: 0,
             activity: ActivityCounters::default(),
-            commit_admit: Vec::new(),
             phase_wall: PhaseWall::default(),
         }
     }
 
-    /// Registers the engine-owned metric families: the coordinator-only
+    /// Registers the engine-owned metric families: the engine-level
     /// `det.engine.*` activity counters and `det.obs.*` trace counts, plus
     /// the shard-side `det.stall.*` issue-stall counters charged by the
     /// commit machinery.
@@ -450,14 +429,6 @@ impl GpuSim {
         registry.counter(
             "det.engine.scheduler_scans",
             "full warp-array ready-bound rescans",
-        );
-        registry.counter(
-            "det.engine.commit_parallel_cycles",
-            "cycles with at least one cluster admitted to the sharded commit path",
-        );
-        registry.counter(
-            "det.engine.commit_groups",
-            "total cluster-commits admitted to the sharded path",
         );
         registry.counter(
             "det.engine.partitions_ticked",
@@ -537,34 +508,18 @@ impl GpuSim {
     ///
     /// Panics if the machine makes no progress for an implausibly long time
     /// (a model/scheduler deadlock — always a bug, never expected load).
-    pub fn run(self, kernels: &[KernelGrid]) -> RunReport {
-        // Effective worker count: clamped to the cluster count (a worker per
-        // cluster is the maximum useful parallelism) and floored at 1.
-        let threads = self.cfg.sim_threads.min(self.clusters.len()).max(1);
-        if threads > 1 {
-            std::thread::scope(|scope| {
-                let pool = WorkerPool::start(scope, threads);
-                self.run_inner(kernels, Some(&pool))
-            })
-        } else {
-            self.run_inner(kernels, None)
-        }
-    }
-
-    fn run_inner(mut self, kernels: &[KernelGrid], pool: Option<&WorkerPool>) -> RunReport {
+    pub fn run(mut self, kernels: &[KernelGrid]) -> RunReport {
         let started = std::time::Instant::now();
         let mut kernel_cycles = Vec::with_capacity(kernels.len());
         for grid in kernels {
             let statics = KernelStatics::build(&self.cfg, grid);
             let start = self.cycle;
-            self.run_kernel(grid, statics, pool);
+            self.run_kernel(grid, statics);
             kernel_cycles.push((grid.name.clone(), self.cycle - start));
         }
         // Fold shard, partition, and activity counters into the final
         // stats. Issue-path counters accumulate per shard while a kernel
-        // runs (so pool workers never touch shared stats); fold them in
-        // here in cluster-index order, which keeps merged counters
-        // identical at any thread count.
+        // runs; fold them in here in cluster-index order.
         for cluster in &mut self.clusters {
             let shard_stats = std::mem::take(&mut cluster.stats);
             self.stats.merge_shard(&shard_stats);
@@ -590,18 +545,12 @@ impl GpuSim {
         self.stats
             .bump("det.engine.scheduler_scans", self.activity.scheduler_scans);
         self.stats.bump(
-            "det.engine.commit_parallel_cycles",
-            self.activity.commit_parallel_cycles,
-        );
-        self.stats
-            .bump("det.engine.commit_groups", self.activity.commit_groups);
-        self.stats.bump(
             "det.engine.partitions_ticked",
             self.activity.partitions_ticked,
         );
         self.stats
             .bump("det.icnt.packets_routed", self.icnt.packets_moved());
-        // The `det.obs.*` family is coordinator-only and thread/engine-invariant
+        // The `det.obs.*` family is engine-invariant
         // (deterministic trace sections only), but exists only when tracing
         // is enabled, so equivalence comparisons must fix the trace mode.
         // One-shot span: timed directly (not through the sampled
@@ -634,10 +583,10 @@ impl GpuSim {
         }
     }
 
-    fn run_kernel(&mut self, grid: &KernelGrid, statics: KernelStatics, pool: Option<&WorkerPool>) {
+    fn run_kernel(&mut self, grid: &KernelGrid, statics: KernelStatics) {
         let mut dispatcher = self.begin_kernel(grid, statics);
         let event = self.cfg.engine == EngineKind::Event;
-        while !self.kernel_step(grid, &mut dispatcher, pool, event) {}
+        while !self.kernel_step(grid, &mut dispatcher, event) {}
         self.end_kernel();
     }
 
@@ -655,13 +604,7 @@ impl GpuSim {
 
     /// Runs one iteration of the per-cycle loop; returns `true` when the
     /// kernel is complete, *without* advancing past the completion cycle.
-    fn kernel_step(
-        &mut self,
-        grid: &KernelGrid,
-        dispatcher: &mut Dispatcher,
-        pool: Option<&WorkerPool>,
-        event: bool,
-    ) -> bool {
+    fn kernel_step(&mut self, grid: &KernelGrid, dispatcher: &mut Dispatcher, event: bool) -> bool {
         if self.profile.is_some() {
             self.prof_sample = self
                 .prof_steps
@@ -673,8 +616,7 @@ impl GpuSim {
             // mutates state: a catch-up row for grid point `g` reads the
             // machine exactly as it stood at the top of cycle `g`, because
             // every cycle either engine elides is a provable no-op of the
-            // dense loop — so the sample rows are engine- and
-            // thread-invariant.
+            // dense loop — so the sample rows are engine-invariant.
             if self.tracer.is_some() {
                 let span = self.prof_start();
                 self.emit_due_samples();
@@ -693,10 +635,10 @@ impl GpuSim {
             let span = self.prof_start();
             self.tick_locks();
             self.prof_record(obs::Phase::Locks, span);
-            self.issue_all(pool, event);
+            self.issue_all(event);
             // Deterministic merge point: packets the issue phase staged in
             // per-cluster outboxes enter the interconnect in cluster-index
-            // order, regardless of which worker produced them.
+            // order.
             let span = self.prof_start();
             self.merge_outboxes();
             self.prof_record(obs::Phase::Merge, span);
@@ -950,7 +892,7 @@ impl GpuSim {
     }
 
     /// Records an architectural trace event, if tracing is enabled at the
-    /// event's level. Call only from the coordinating thread.
+    /// event's level.
     #[inline]
     fn trace_event(&mut self, ev: obs::Event) {
         if let Some(t) = self.tracer.as_deref_mut() {
@@ -1258,51 +1200,17 @@ impl GpuSim {
     // Issue
     // ------------------------------------------------------------------
 
-    /// Issues at most one instruction per warp scheduler.
-    ///
-    /// With a worker pool, warp-view construction (the read-only scan over
-    /// each SM's warp contexts) runs on pool threads, one [`ClusterShard`]
-    /// per job; the pick-and-issue *commit* then walks schedulers in global
-    /// `(cluster, sm, sched)` order on this thread. Without a pool the whole
-    /// loop runs interleaved exactly as the serial engine always has. Both
-    /// paths perform the identical computation in the identical order, so
-    /// results are bit-equal at any `DAB_SIM_THREADS`.
-    fn issue_all(&mut self, pool: Option<&WorkerPool>, event: bool) {
+    /// Issues at most one instruction per warp scheduler: every cluster
+    /// prepares its warp views (the read-only scan over each SM's warp
+    /// contexts), then [`issue_commit`](Self::issue_commit) walks the
+    /// schedulers in global `(cluster, sm, sched)` order.
+    fn issue_all(&mut self, event: bool) {
         let det_aware = self.sched_kind.is_determinism_aware();
         let srr_like = self.sched_kind == SchedKind::Srr;
-        let num_mem_partitions = self.cfg.num_mem_partitions;
-        let hook_mask = self.model.commit_hook_mask();
-        let admit = !self.trace_full();
         let prepare_started = std::time::Instant::now();
-        match pool {
-            None => {
-                let cycle = self.cycle;
-                for shard in &mut self.clusters {
-                    shard.prepare_views(
-                        cycle,
-                        det_aware,
-                        srr_like,
-                        event,
-                        num_mem_partitions,
-                        hook_mask,
-                        admit,
-                    );
-                }
-            }
-            Some(pool) => {
-                pool.run_phase(
-                    &mut self.clusters,
-                    Phase::Views {
-                        cycle: self.cycle,
-                        det_aware,
-                        srr_like,
-                        use_ready_bound: event,
-                        num_mem_partitions,
-                        hook_mask,
-                        admit,
-                    },
-                );
-            }
+        let cycle = self.cycle;
+        for shard in &mut self.clusters {
+            shard.prepare_views(cycle, det_aware, srr_like, event);
         }
         let commit_started = std::time::Instant::now();
         self.phase_wall.prepare += commit_started - prepare_started;
@@ -1312,17 +1220,15 @@ impl GpuSim {
         if let Some(p) = self.profile.as_deref_mut() {
             p.record(obs::Phase::Prepare, commit_started - prepare_started);
         }
-        self.issue_commit(pool, event);
+        self.issue_commit(event);
         self.phase_wall.commit += commit_started.elapsed();
     }
 
     /// The commit half of the issue phase: walk clusters in index order and
-    /// commit each via [`commit::commit_cluster`] — consuming the prebuilt
-    /// views in global `(cluster, sm, scheduler)` order, rebuilding any an
-    /// earlier barrier release made stale this cycle. Both the serial and
-    /// the pooled engine run this exact walk — only view *construction*
-    /// moves to worker threads — so results are bit-equal at any
-    /// `DAB_SIM_THREADS`.
+    /// commit each via [`commit::commit_cluster`] with the live engine
+    /// resources — consuming the prebuilt views in global
+    /// `(cluster, sm, scheduler)` order, rebuilding any an earlier barrier
+    /// release made stale this cycle.
     ///
     /// With `event` set, the walk is an active-set traversal: clusters, SMs
     /// and schedulers whose cached [`ready_bound`](Sm::ready_bound) lies in
@@ -1332,126 +1238,19 @@ impl GpuSim {
     /// is exactly the dense `continue`: no gating, no pick, no issue.
     ///
     /// The skip conditions match the parked check in
-    /// [`ClusterShard::prepare_views`](crate::par::ClusterShard): mid-commit
-    /// wakes only ever lower a bound to `cycle + 1` (still parked), so
-    /// prepare and commit always agree on which schedulers are active.
-    ///
-    /// **Sharding.** Before the walk, clusters are classified in index
-    /// order: a cluster is *admitted* to the independent path when it has
-    /// commit work this cycle, its [`CommitFootprint`](crate::commit::CommitFootprint) avoids locks and
-    /// every hook the model overrides
-    /// ([`commit_hook_mask`](ExecutionModel::commit_hook_mask)), full
-    /// tracing is off (per-issue trace events must record in global
-    /// order), and its destination partitions are disjoint from every
-    /// earlier admitted cluster's. Admitted clusters commit with
-    /// [`Shared::Inert`] — on pool workers when one is available,
-    /// otherwise inline — and the rest commit serially with
-    /// [`Shared::Engine`] in cluster order. The two sets touch provably
-    /// disjoint state (admitted commits read and write only their own
-    /// shard; packets stage in per-cluster outboxes; no commit draws
-    /// non-determinism — the commit module has no access to an
-    /// [`NdetSource`] at all), so any interleaving is bit-identical to
-    /// the all-serial walk. Classification runs identically at every
-    /// thread count and either `DAB_COMMIT_SHARD` setting, so the
-    /// `commit_parallel_cycles`/`commit_groups` counters are thread- and
-    /// knob-invariant.
-    fn issue_commit(&mut self, pool: Option<&WorkerPool>, event: bool) {
+    /// [`ClusterShard::prepare_views`]: mid-commit wakes only ever lower a
+    /// bound to `cycle + 1` (still parked), so prepare and commit always
+    /// agree on which schedulers are active.
+    fn issue_commit(&mut self, event: bool) {
         debug_assert_eq!(event, self.cfg.engine == EngineKind::Event);
-        let cycle = self.cycle;
-        let n = self.clusters.len();
-        self.commit_admit.resize(n, false);
-        let mask = self.model.commit_hook_mask();
-        let full_trace = self.trace_full();
-        let mut taken_parts = 0u64;
-        let mut admitted = 0u64;
         let span = self.prof_start();
-        for cl in 0..n {
-            self.commit_admit[cl] = false;
-            let shard = &self.clusters[cl];
-            // Computed during prepare from the same per-scheduler parked
-            // condition the commit walk applies; nothing between prepare
-            // and here changes it. Reading the cached flag keeps this
-            // classification loop O(clusters), not O(warps).
-            debug_assert_eq!(
-                shard.active,
-                shard.sms.iter().any(|sm| sm
-                    .schedulers
-                    .iter()
-                    .any(|s| { s.live > 0 && !(event && s.ready_bound > cycle) }))
-            );
-            if !shard.active {
-                continue;
-            }
-            let fp = shard.footprint;
-            if full_trace || !fp.independent(mask) || fp.partitions & taken_parts != 0 {
-                continue;
-            }
-            taken_parts |= fp.partitions;
-            self.commit_admit[cl] = true;
-            admitted += 1;
+        for cl in 0..self.clusters.len() {
+            self.with_engine_commit(cl, commit::commit_cluster);
         }
-        if admitted > 0 {
-            self.activity.commit_parallel_cycles += 1;
-            self.activity.commit_groups += admitted;
-        }
-        self.prof_record(obs::Phase::CommitClassify, span);
-
-        if self.cfg.commit_shard {
-            let span = self.prof_start();
-            match pool {
-                Some(pool) if admitted > 0 => {
-                    for cl in 0..n {
-                        if self.commit_admit[cl] {
-                            let p = self.commit_params(cl);
-                            self.clusters[cl].commit_job = Some(p);
-                        }
-                    }
-                    pool.run_phase(&mut self.clusters, Phase::Commit);
-                    for cl in 0..n {
-                        if self.commit_admit[cl] {
-                            let out = self.clusters[cl].commit_out;
-                            self.fold_commit_out(out);
-                        }
-                    }
-                }
-                _ => {
-                    // No pool (or nothing admitted): run admitted clusters
-                    // inert on the coordinator — the same code path the
-                    // workers would take, so one thread exercises exactly
-                    // what many threads do.
-                    for cl in 0..n {
-                        if self.commit_admit[cl] {
-                            let p = self.commit_params(cl);
-                            let mut out = CommitOut::default();
-                            commit::commit_cluster(
-                                &mut self.clusters[cl],
-                                &p,
-                                &mut Shared::Inert,
-                                &mut out,
-                            );
-                            self.fold_commit_out(out);
-                        }
-                    }
-                }
-            }
-            self.prof_record(obs::Phase::CommitParallel, span);
-            let span = self.prof_start();
-            for cl in 0..n {
-                if !self.commit_admit[cl] {
-                    self.with_engine_commit(cl, commit::commit_cluster);
-                }
-            }
-            self.prof_record(obs::Phase::CommitSerial, span);
-        } else {
-            let span = self.prof_start();
-            for cl in 0..n {
-                self.with_engine_commit(cl, commit::commit_cluster);
-            }
-            self.prof_record(obs::Phase::CommitSerial, span);
-        }
+        self.prof_record(obs::Phase::CommitSerial, span);
     }
 
-    /// Folds one commit walk's activity into the coordinator totals.
+    /// Folds one commit walk's activity into the engine totals.
     fn fold_commit_out(&mut self, out: CommitOut) {
         self.activity.sms_ticked += out.sms_ticked;
         self.activity.scheduler_scans += out.scheduler_scans;
@@ -1479,14 +1278,13 @@ impl GpuSim {
     }
 
     /// Runs `f` against cluster `cl`'s shard with the live engine
-    /// resources ([`Shared::Engine`]), then folds the walk's activity
-    /// counters into the coordinator-side totals. Every commit-machinery
-    /// entry point on the coordinating thread goes through here, so serial
-    /// and sharded commits observe byte-identical parameters.
+    /// resources ([`EngineShared`]), then folds the walk's activity
+    /// counters into the engine totals. Every commit-machinery entry point
+    /// goes through here, so all of them observe the same parameters.
     fn with_engine_commit(
         &mut self,
         cl: usize,
-        f: impl FnOnce(&mut ClusterShard, &CommitParams, &mut Shared<'_>, &mut CommitOut),
+        f: impl FnOnce(&mut ClusterShard, &CommitParams, &mut EngineShared<'_>, &mut CommitOut),
     ) {
         let p = self.commit_params(cl);
         let mut out = CommitOut::default();
@@ -1498,11 +1296,11 @@ impl GpuSim {
                 tracer,
                 ..
             } = self;
-            let mut sh = Shared::Engine(EngineShared {
+            let mut sh = EngineShared {
                 model: model.as_mut(),
                 locks,
                 tracer: tracer.as_deref_mut(),
-            });
+            };
             f(&mut clusters[cl], &p, &mut sh, &mut out);
         }
         self.fold_commit_out(out);
@@ -1530,8 +1328,7 @@ impl GpuSim {
     }
 
     /// Wakes a flush-parked warp at the epoch boundary (see
-    /// [`commit::wake_flush_wait`]); the model-wake entry point, called on
-    /// the coordinating thread only.
+    /// [`commit::wake_flush_wait`]); the model-wake entry point.
     fn wake_flush_wait(&mut self, sm_idx: usize, slot: usize) {
         let spc = self.cfg.sms_per_cluster;
         self.with_engine_commit(sm_idx / spc, |shard, p, sh, out| {
@@ -1541,7 +1338,7 @@ impl GpuSim {
 
     /// Retires the warp if it has finished and drained (see
     /// [`commit::try_retire`]); entry point for the response, lock-grant,
-    /// and spawn paths, called on the coordinating thread only.
+    /// and spawn paths.
     fn try_retire(&mut self, sm_idx: usize, slot: usize) {
         let spc = self.cfg.sms_per_cluster;
         self.with_engine_commit(sm_idx / spc, |shard, p, sh, out| {
@@ -1669,8 +1466,8 @@ impl GpuSim {
     }
 
     /// Ticks the execution model. The census counts are copied from the
-    /// schedulers every tick; the O(warps) `atomic_stuck` walk runs on the
-    /// coordinator only if the model reads [`ModelCtx::census`] (DAB, on
+    /// schedulers every tick; the O(warps) `atomic_stuck` walk runs only if
+    /// the model reads [`ModelCtx::census`] (DAB, on
     /// ticks that evaluate its flush seal).
     fn model_tick(&mut self, all_dispatched: bool) {
         let det_aware = self.sched_kind.is_determinism_aware();
@@ -2213,37 +2010,5 @@ mod tests {
         sim.merge_outboxes();
         assert!(sim.clusters[0].outbox.is_empty());
         assert!(sim.icnt.is_busy(), "merged packet now rides the icnt");
-    }
-
-    #[test]
-    fn sim_threads_run_is_bit_identical_to_serial() {
-        // The pooled engine must produce byte-identical results and stats.
-        let run = |threads: usize, seed: u64| {
-            let mut cfg = GpuConfig::small();
-            cfg.sim_threads = threads;
-            let sim = GpuSim::new(
-                cfg,
-                Box::new(BaselineModel::new()),
-                NdetSource::seeded(seed),
-            );
-            let r = sim.run(&[sum_grid(64, 32, 0x300)]);
-            (r.cycles(), r.digest(), format!("{:?}", r.stats))
-        };
-        for seed in [0, 7] {
-            let serial = run(1, seed);
-            for threads in [2, 4, 16] {
-                assert_eq!(serial, run(threads, seed), "threads={threads} seed={seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn sim_threads_clamps_to_cluster_count() {
-        // More workers than clusters is clamped, not an error.
-        let mut cfg = GpuConfig::tiny();
-        cfg.sim_threads = 64;
-        let sim = GpuSim::new(cfg, Box::new(BaselineModel::new()), NdetSource::disabled());
-        let r = sim.run(&[sum_grid(4, 32, 0x500)]);
-        assert_eq!(r.values.read_f32(0x500), 128.0);
     }
 }

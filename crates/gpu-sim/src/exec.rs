@@ -258,65 +258,6 @@ pub enum WakeCmd {
     },
 }
 
-/// Bit-set of the *commit-phase* [`ExecutionModel`] hooks a model
-/// implements beyond the trait defaults.
-///
-/// The engine's independence-sharded commit phase runs a cluster's warp
-/// issues on a worker thread only when the cluster's candidate
-/// instructions cannot reach any hook the model actually overrides; the
-/// worker then substitutes the (pure, stateless) trait defaults for every
-/// hook. A model's [`commit_hook_mask`](ExecutionModel::commit_hook_mask)
-/// is its contract: any commit-phase hook *not* in the mask must behave
-/// exactly like the trait default and touch no model state. The default is
-/// [`HookMask::ALL`] — maximally conservative, never committed in
-/// parallel — so third-party models are safe without opting in.
-///
-/// Only hooks reachable from the issue path are represented; hooks that
-/// always run in serial coordinator phases (ticks, acks, flush handling,
-/// dispatch, kernel boundaries) need no bits.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct HookMask(u32);
-
-impl HookMask {
-    /// No commit-phase hook overridden (the baseline model).
-    pub const EMPTY: Self = Self(0);
-    /// [`ExecutionModel::can_issue`] (consulted for every ready warp).
-    pub const CAN_ISSUE: Self = Self(1 << 0);
-    /// [`ExecutionModel::on_issue`] (fires on every successful issue).
-    pub const ON_ISSUE: Self = Self(1 << 1);
-    /// [`ExecutionModel::on_store`].
-    pub const STORE: Self = Self(1 << 2);
-    /// [`ExecutionModel::on_atomic`].
-    pub const ATOMIC: Self = Self(1 << 3);
-    /// [`ExecutionModel::on_fence`].
-    pub const FENCE: Self = Self(1 << 4);
-    /// [`ExecutionModel::on_barrier_wait`] and
-    /// [`ExecutionModel::on_barrier_release`].
-    pub const BARRIER: Self = Self(1 << 5);
-    /// [`ExecutionModel::can_retire`] and [`ExecutionModel::on_warp_exit`].
-    pub const RETIRE: Self = Self(1 << 6);
-    /// Every commit-phase hook (the conservative default).
-    pub const ALL: Self = Self((1 << 7) - 1);
-
-    /// Union of two masks.
-    #[must_use]
-    pub const fn union(self, other: Self) -> Self {
-        Self(self.0 | other.0)
-    }
-
-    /// Whether the two masks share any hook.
-    #[must_use]
-    pub const fn intersects(self, other: Self) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// Whether no hook is set.
-    #[must_use]
-    pub const fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-}
-
 /// An architecture execution model plugged into the engine.
 ///
 /// All methods have neutral defaults matching the baseline GPU, so a model
@@ -325,16 +266,12 @@ impl HookMask {
 ///
 /// # Threading contract
 ///
-/// Every hook on this trait runs on the engine's coordinating thread, in
-/// the same fixed (cluster, SM, scheduler) order, at any `DAB_SIM_THREADS`
-/// setting, with one audited exception: commit-phase hooks whose bits are
-/// *absent* from [`commit_hook_mask`](Self::commit_hook_mask) are — by
-/// that mask's contract — exactly the stateless trait defaults, and the
-/// sharded commit phase substitutes those defaults on worker threads
-/// without calling into the model at all. Implementations may therefore
-/// keep plain mutable state and need no internal synchronization; the
-/// `Send` bound exists only because the engine itself may migrate between
-/// threads (e.g. when a sweep job runs on a `DAB_JOBS` worker).
+/// Every hook on this trait runs on the one thread that drives the
+/// simulation, in the same fixed (cluster, SM, scheduler) order.
+/// Implementations may therefore keep plain mutable state and need no
+/// internal synchronization; the `Send` bound exists only because the
+/// engine itself may migrate between threads (e.g. when a sweep job runs
+/// on a `DAB_JOBS` worker).
 #[allow(unused_variables)]
 pub trait ExecutionModel: std::fmt::Debug + Send {
     /// Human-readable model name (used in experiment reports).
@@ -343,17 +280,6 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
     /// Which warp-scheduling policy SMs should use under this model.
     fn scheduler_kind(&self) -> SchedKind {
         SchedKind::Gto
-    }
-
-    /// The commit-phase hooks this model overrides (see [`HookMask`]).
-    ///
-    /// Contract: every commit-phase hook whose bit is absent must behave
-    /// exactly like the trait default and read or write no model state —
-    /// the sharded commit phase substitutes the defaults for such hooks on
-    /// worker threads. The conservative default (`ALL`) keeps unknown
-    /// models on the serial path.
-    fn commit_hook_mask(&self) -> HookMask {
-        HookMask::ALL
     }
 
     /// Registers every metric name this model may bump, called once at
@@ -484,8 +410,8 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
     ///
     /// Model hooks have no tracer access, so — like deferred stat deltas —
     /// tracing models push [`obs::Event`]s onto an internal queue and hand
-    /// them to the engine here, right after [`tick`](Self::tick) on the
-    /// coordinating thread, keeping the trace in commit order. Models that
+    /// them to the engine here, right after [`tick`](Self::tick), keeping
+    /// the trace in commit order. Models that
     /// do not trace keep the default (empty, allocation-free). Only called
     /// when tracing is enabled.
     fn take_trace_events(&mut self) -> Vec<obs::Event> {
@@ -521,12 +447,6 @@ impl BaselineModel {
 impl ExecutionModel for BaselineModel {
     fn name(&self) -> String {
         "baseline".to_string()
-    }
-
-    fn commit_hook_mask(&self) -> HookMask {
-        // Pure trait defaults everywhere: every cluster is eligible for the
-        // parallel commit path.
-        HookMask::EMPTY
     }
 }
 

@@ -16,7 +16,7 @@
 //!   shares one oracle (the handle is cloned across
 //!   [`crate::ndet::NdetSource::split`]), and all arbitration draws happen
 //!   in the engine's serial commit phase, so the log order is the engine's
-//!   deterministic visit order — independent of `DAB_SIM_THREADS`.
+//!   deterministic visit order.
 //! - **Effect classes.** Call sites report whether the draw is *eligible*
 //!   to change the machine's immediate next action (e.g. whether the two
 //!   possible rotation starts would serve different queues). Ineligible

@@ -1,36 +1,33 @@
-//! Deterministic intra-simulation parallelism.
+//! Cluster shards, the per-cluster packet outbox, and the strict parsing
+//! of the simulator's environment knobs.
 //!
-//! One simulation is sharded by *compute cluster*: each [`ClusterShard`]
+//! One simulation is split by *compute cluster*: each [`ClusterShard`]
 //! owns a cluster's SMs plus everything those SMs produce ahead of the
 //! globally-ordered part of a cycle — prebuilt warp views, locally-staged
 //! outbound packets ([`PacketOutbox`]), and an issue statistics
-//! accumulator. A [`WorkerPool`] farms whole shards out to worker
-//! threads for the cluster-local phases of a cycle and collects them back;
-//! the engine then *commits* — issues instructions, consults the execution
-//! model, and drains every outbox into the interconnect — serially, in
-//! cluster-index order. Commit order therefore never depends on thread
-//! interleaving, which is what keeps every digest bit-identical to the
-//! serial engine at any `DAB_SIM_THREADS` (see DESIGN.md, "Cluster-epoch
-//! merge protocol").
+//! accumulator. Each cycle the engine prepares every shard's views, then
+//! *commits* — issues instructions, consults the execution model — cluster
+//! by cluster in index order, and finally drains every outbox into the
+//! interconnect in the same order (see DESIGN.md, "The issue cycle").
 //!
-//! The module also owns the strict parsing of the `DAB_SIM_THREADS` /
-//! `DAB_JOBS` worker-count environment variables and of the `DAB_ENGINE`
-//! cycle-loop selector: an unparseable value is an operator error and is
-//! rejected loudly instead of silently falling back to a default.
+//! The module also owns the strict parsing of the `DAB_JOBS` worker-count
+//! environment variable and of the `DAB_ENGINE` cycle-loop selector: an
+//! unparseable value is an operator error and is rejected loudly instead
+//! of silently falling back to a default. The retired knobs
+//! (`DAB_SIM_THREADS`, `DAB_COMMIT_SHARD`, `DAB_REPLICATIONS`) accept only
+//! their one remaining value, so a stale setting stops the run.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 
-use crate::commit::{self, CommitFootprint, CommitOut, CommitParams};
 use crate::config::EngineKind;
-use crate::exec::HookMask;
 use crate::mem::packet::Packet;
 use crate::sched::WarpView;
 use crate::sm::Sm;
 use crate::stats::SimStats;
 
-/// Environment variable selecting worker threads *inside* one simulation.
+/// Retired environment variable that used to select worker threads
+/// *inside* one simulation; every simulation now runs one serial issue
+/// path (see [`sim_threads_from_env`]).
 pub const SIM_THREADS_VAR: &str = "DAB_SIM_THREADS";
 
 /// Environment variable selecting the cycle-loop implementation
@@ -42,10 +39,9 @@ pub const ENGINE_VAR: &str = "DAB_ENGINE";
 /// pass (see [`replications_from_env`]).
 pub const REPLICATIONS_VAR: &str = "DAB_REPLICATIONS";
 
-/// Environment variable selecting whether independence-sharded commits are
-/// enabled (`1`, the default) or every cluster commits on the serial
-/// coordinator path (`0`). Either setting produces bit-identical results;
-/// the knob exists for A/B verification and benchmarking.
+/// Retired environment variable that used to switch independence-sharded
+/// commits off; every cluster now commits in cluster order (see
+/// [`commit_shard_from_env`]).
 pub const COMMIT_SHARD_VAR: &str = "DAB_COMMIT_SHARD";
 
 /// Error from [`parse_count`]: a worker-count environment variable held
@@ -103,18 +99,20 @@ pub fn parse_count(var: &str, raw: &str) -> Result<usize, CountError> {
     }
 }
 
-/// Reads `DAB_SIM_THREADS`; absent means `1` (the serial engine).
+/// Reads the retired `DAB_SIM_THREADS` knob: absent or `1` means `1`, the
+/// only thread count left (every simulation runs one serial issue path).
 ///
 /// # Panics
 ///
-/// Panics with the [`CountError`] message on an invalid value — a typo must
-/// stop the run, not silently serialize it.
+/// Panics naming the variable as retired on any other value, so a stale
+/// `DAB_SIM_THREADS=4` stops the run instead of being silently ignored.
 pub fn sim_threads_from_env() -> usize {
     match std::env::var(SIM_THREADS_VAR) {
-        Ok(raw) => match parse_count(SIM_THREADS_VAR, &raw) {
-            Ok(n) => n,
-            Err(e) => panic!("{e}"),
-        },
+        Ok(raw) if raw.trim() == "1" => 1,
+        Ok(raw) => panic!(
+            "{SIM_THREADS_VAR} is retired (intra-simulation threads were removed; \
+             every simulation runs one serial issue path), got {raw:?}; unset it"
+        ),
         Err(std::env::VarError::NotPresent) => 1,
         Err(e) => panic!("{SIM_THREADS_VAR} is not valid unicode: {e}"),
     }
@@ -204,19 +202,20 @@ pub fn engine_from_env() -> EngineKind {
     }
 }
 
-/// Reads `DAB_COMMIT_SHARD`; absent means `true` (sharded commits on).
+/// Reads the retired `DAB_COMMIT_SHARD` knob: absent or `1` means `true`,
+/// the only setting left (every cluster commits in cluster order).
 ///
 /// # Panics
 ///
-/// Panics on a value other than `0` or `1` — a typo must stop the run,
-/// not silently change the execution path.
+/// Panics naming the variable as retired on any other value, so a stale
+/// `DAB_COMMIT_SHARD=0` stops the run instead of being silently ignored.
 pub fn commit_shard_from_env() -> bool {
     match std::env::var(COMMIT_SHARD_VAR) {
-        Ok(raw) => match raw.trim() {
-            "0" => false,
-            "1" => true,
-            other => panic!("{COMMIT_SHARD_VAR} must be \"0\" or \"1\", got {other:?}"),
-        },
+        Ok(raw) if raw.trim() == "1" => true,
+        Ok(raw) => panic!(
+            "{COMMIT_SHARD_VAR} is retired (commit sharding was removed; every \
+             cluster commits in cluster order), got {raw:?}; unset it"
+        ),
         Err(std::env::VarError::NotPresent) => true,
         Err(e) => panic!("{COMMIT_SHARD_VAR} is not valid unicode: {e}"),
     }
@@ -228,9 +227,9 @@ pub fn commit_shard_from_env() -> bool {
 /// interconnect directly; the engine drains every outbox in cluster-index
 /// order at the cycle's merge point. Staged flits count against the
 /// cluster's injection budget (the engine adds [`flits`](Self::flits) to
-/// every admission check), so staging never admits traffic the serial
-/// engine would have refused — per-cluster packet order and admission
-/// decisions are bit-identical either way.
+/// every admission check), so staging never admits traffic that direct
+/// injection would have refused — per-cluster packet order and admission
+/// decisions are the same either way.
 #[derive(Debug, Default)]
 pub struct PacketOutbox {
     staged: VecDeque<Packet>,
@@ -269,11 +268,9 @@ impl PacketOutbox {
 }
 
 /// One compute cluster's share of the machine, plus everything its
-/// cluster-local cycle phases produce.
+/// prepare phase produces for the commit walk.
 #[derive(Debug)]
 pub struct ClusterShard {
-    /// Cluster index (also the shard's rank in every merge).
-    pub id: usize,
     /// The cluster's SMs, locally indexed (`global = id * per_cluster + i`).
     pub sms: Vec<Sm>,
     /// Prebuilt warp views, indexed `local_sm * num_schedulers + sched`.
@@ -287,46 +284,22 @@ pub struct ClusterShard {
     /// Issue-path statistics, accumulated per shard and merged into the
     /// global [`SimStats`] in cluster-index order at the end of a run.
     pub stats: SimStats,
-    /// Commit-interaction footprint of this cycle's pick candidates,
-    /// rebuilt by [`prepare_views`](Self::prepare_views). The coordinator
-    /// classifies clusters with it before the commit phase.
-    pub footprint: CommitFootprint,
-    /// Independent-commit job for this cycle, set by the coordinator for
-    /// admitted clusters; a pool worker (or the coordinator at one
-    /// thread) takes it and runs [`commit::commit_cluster`] inert.
-    pub commit_job: Option<CommitParams>,
-    /// Activity the independent commit produced, folded into the
-    /// coordinator's totals in cluster-index order.
-    pub commit_out: CommitOut,
-    /// Whether any scheduler was non-parked during the last
-    /// [`prepare_views`](Self::prepare_views): the commit-sharding
-    /// classifier's activity test, computed here for free since prepare
-    /// already evaluates exactly the parked condition per scheduler.
-    /// Nothing between prepare and classification mutates warp liveness
-    /// or lowers a bound to the current cycle, so the prepare-time value
-    /// is the classification-time value.
-    pub active: bool,
     /// Per-local-SM flag: a barrier release during commit mutated warps of
     /// other schedulers on that SM, so its remaining prebuilt views are
-    /// stale and must be rebuilt serially.
+    /// stale and must be rebuilt before use.
     dirty: Vec<bool>,
     num_schedulers: usize,
 }
 
 impl ClusterShard {
     /// Wraps a cluster's SMs (each with `num_schedulers` schedulers).
-    pub fn new(id: usize, sms: Vec<Sm>, num_schedulers: usize) -> Self {
+    pub fn new(sms: Vec<Sm>, num_schedulers: usize) -> Self {
         let rows = sms.len() * num_schedulers;
         Self {
-            id,
             views: vec![Vec::new(); rows],
             view_bounds: vec![u64::MAX; rows],
             outbox: PacketOutbox::default(),
             stats: SimStats::default(),
-            footprint: CommitFootprint::default(),
-            commit_job: None,
-            commit_out: CommitOut::default(),
-            active: false,
             dirty: vec![false; sms.len()],
             num_schedulers,
             sms,
@@ -334,45 +307,29 @@ impl ClusterShard {
     }
 
     /// Rebuilds every scheduler's warp views for `cycle` and clears the
-    /// dirty flags. Pure cluster-local work, safe on any worker thread.
+    /// dirty flags.
     ///
     /// With `use_ready_bound` (the event engine), schedulers whose cached
     /// [`ready_bound`](crate::sm::SchedulerCtx::ready_bound) lies past
     /// `cycle` are skipped: the bound invariant guarantees their
     /// `build_views` would return empty, which is exactly what the commit
     /// loop treats a skipped entry as.
-    ///
-    /// `hook_mask`/`admit` gate the footprint work: once the footprint is
-    /// [`blocked`](CommitFootprint::blocked) under the model's mask (or
-    /// from the start when `admit` is false — full tracing), further
-    /// accumulation cannot change the commit classification, so it stops.
-    /// A blocked cluster's partial footprint is never read beyond the
-    /// `independent` test it already fails.
-    #[allow(clippy::too_many_arguments)]
     pub fn prepare_views(
         &mut self,
         cycle: u64,
         det_aware: bool,
         srr_like: bool,
         use_ready_bound: bool,
-        num_mem_partitions: usize,
-        hook_mask: HookMask,
-        admit: bool,
     ) {
         let Self {
             sms,
             views,
             view_bounds,
-            footprint,
-            active,
             dirty,
             num_schedulers,
             ..
         } = self;
         dirty.fill(false);
-        *footprint = CommitFootprint::default();
-        *active = false;
-        let mut fp_live = admit;
         for (local, sm) in sms.iter().enumerate() {
             for sched in 0..*num_schedulers {
                 let row = local * *num_schedulers + sched;
@@ -382,17 +339,7 @@ impl ClusterShard {
                     views[row] = Vec::new();
                     view_bounds[row] = u64::MAX;
                 } else {
-                    *active = true;
                     let (v, bound) = sm.build_views(sched, cycle, det_aware, srr_like);
-                    if fp_live {
-                        for view in v.iter().filter(|view| view.ready) {
-                            footprint.add_candidate(sm, view.slot, num_mem_partitions);
-                            if footprint.blocked(hook_mask) {
-                                fp_live = false;
-                                break;
-                            }
-                        }
-                    }
                     views[row] = v;
                     view_bounds[row] = bound;
                 }
@@ -408,155 +355,6 @@ impl ClusterShard {
     /// Whether local SM `local`'s prebuilt views are stale.
     pub fn is_dirty(&self, local: usize) -> bool {
         self.dirty[local]
-    }
-}
-
-/// A cluster-local phase of one simulated cycle.
-#[derive(Debug, Clone, Copy)]
-pub enum Phase {
-    /// Prebuild warp views ([`ClusterShard::prepare_views`]).
-    Views {
-        /// Current simulated cycle.
-        cycle: u64,
-        /// Scheduler kind is determinism-aware (batch gating applies).
-        det_aware: bool,
-        /// Scheduler kind is SRR (gated batches may not issue at all).
-        srr_like: bool,
-        /// Event engine: skip schedulers whose ready bound lies past
-        /// `cycle` instead of building (provably empty) views for them.
-        use_ready_bound: bool,
-        /// Partition interleave divisor for footprint accumulation.
-        num_mem_partitions: usize,
-        /// The model's commit-hook mask: footprint accumulation stops
-        /// once the cluster is already blocked under it.
-        hook_mask: HookMask,
-        /// False when no cluster can be admitted this run (full tracing):
-        /// skips footprint accumulation entirely.
-        admit: bool,
-    },
-    /// Run the commit walk inert for shards whose `commit_job` is set
-    /// (admitted independent clusters); a no-op for the rest.
-    Commit,
-}
-
-struct PhaseJob {
-    shard: ClusterShard,
-    phase: Phase,
-}
-
-impl PhaseJob {
-    fn execute(mut self) -> ClusterShard {
-        match self.phase {
-            Phase::Views {
-                cycle,
-                det_aware,
-                srr_like,
-                use_ready_bound,
-                num_mem_partitions,
-                hook_mask,
-                admit,
-            } => self.shard.prepare_views(
-                cycle,
-                det_aware,
-                srr_like,
-                use_ready_bound,
-                num_mem_partitions,
-                hook_mask,
-                admit,
-            ),
-            Phase::Commit => {
-                if let Some(p) = self.shard.commit_job.take() {
-                    let mut sh = commit::Shared::Inert;
-                    let mut out = CommitOut::default();
-                    commit::commit_cluster(&mut self.shard, &p, &mut sh, &mut out);
-                    self.shard.commit_out = out;
-                }
-            }
-        }
-        self.shard
-    }
-}
-
-type PhaseResult = Result<ClusterShard, Box<dyn std::any::Any + Send>>;
-
-/// A pool of scoped worker threads that run cluster-local phases.
-///
-/// Shards travel to workers *by ownership* (cluster `i` always goes to
-/// worker `i % threads`) and come back over one shared channel; the engine
-/// reassembles them by shard id, so the result is order-independent.
-/// Dropping the pool closes the job channels, letting the workers exit
-/// before their owning [`std::thread::scope`] joins them.
-#[derive(Debug)]
-pub struct WorkerPool {
-    job_txs: Vec<mpsc::Sender<PhaseJob>>,
-    done_rx: mpsc::Receiver<PhaseResult>,
-}
-
-impl std::fmt::Debug for PhaseJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PhaseJob(cluster {}, {:?})", self.shard.id, self.phase)
-    }
-}
-
-impl WorkerPool {
-    /// Spawns `threads` workers inside `scope`.
-    pub fn start<'scope>(
-        scope: &'scope std::thread::Scope<'scope, '_>,
-        threads: usize,
-    ) -> WorkerPool {
-        assert!(threads > 0, "a pool needs at least one worker");
-        let (done_tx, done_rx) = mpsc::channel::<PhaseResult>();
-        let job_txs = (0..threads)
-            .map(|_| {
-                let (tx, rx) = mpsc::channel::<PhaseJob>();
-                let done = done_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        // A panic in cluster-local work is forwarded to the
-                        // coordinator (which re-raises it) instead of
-                        // deadlocking the merge that waits for this shard.
-                        let result = catch_unwind(AssertUnwindSafe(|| job.execute()));
-                        if done.send(result).is_err() {
-                            break;
-                        }
-                    }
-                });
-                tx
-            })
-            .collect();
-        WorkerPool { job_txs, done_rx }
-    }
-
-    /// Runs `phase` over every shard in parallel and puts the shards back in
-    /// cluster order. Blocks until all shards return.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises any worker panic on the calling thread.
-    pub fn run_phase(&self, clusters: &mut Vec<ClusterShard>, phase: Phase) {
-        let n = clusters.len();
-        let mut returned: Vec<Option<ClusterShard>> = (0..n).map(|_| None).collect();
-        for shard in clusters.drain(..) {
-            let worker = shard.id % self.job_txs.len();
-            self.job_txs[worker]
-                .send(PhaseJob { shard, phase })
-                .expect("worker alive while pool held");
-        }
-        for _ in 0..n {
-            match self.done_rx.recv().expect("worker alive while pool held") {
-                Ok(shard) => {
-                    let id = shard.id;
-                    debug_assert!(returned[id].is_none(), "shard {id} returned twice");
-                    returned[id] = Some(shard);
-                }
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        clusters.extend(
-            returned
-                .into_iter()
-                .map(|s| s.expect("every shard returned")),
-        );
     }
 }
 
@@ -577,11 +375,11 @@ mod tests {
     #[test]
     fn parse_count_rejects_zero_and_garbage() {
         for bad in ["0", "", "abc", "-2", "3.5", "0x8", "O8"] {
-            let err = parse_count("DAB_SIM_THREADS", bad)
+            let err = parse_count("DAB_JOBS", bad)
                 .expect_err("must reject")
                 .to_string();
             assert!(
-                err.contains("DAB_SIM_THREADS") && err.contains("positive integer"),
+                err.contains("DAB_JOBS") && err.contains("positive integer"),
                 "unhelpful error for {bad:?}: {err}"
             );
         }
@@ -623,78 +421,16 @@ mod tests {
         assert!(outbox.is_empty());
     }
 
-    fn shards(cfg: &GpuConfig) -> Vec<ClusterShard> {
-        (0..cfg.num_clusters)
-            .map(|c| {
-                let sms = (0..cfg.sms_per_cluster)
-                    .map(|i| Sm::new(c * cfg.sms_per_cluster + i, cfg, SchedKind::Gto))
-                    .collect();
-                ClusterShard::new(c, sms, cfg.num_schedulers_per_sm)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn pool_round_trips_shards_in_cluster_order() {
-        let cfg = GpuConfig::small();
-        let mut clusters = shards(&cfg);
-        std::thread::scope(|scope| {
-            let pool = WorkerPool::start(scope, 3);
-            for _ in 0..4 {
-                pool.run_phase(
-                    &mut clusters,
-                    Phase::Views {
-                        cycle: 0,
-                        det_aware: false,
-                        srr_like: false,
-                        use_ready_bound: false,
-                        num_mem_partitions: 1,
-                        hook_mask: HookMask::EMPTY,
-                        admit: true,
-                    },
-                );
-            }
-        });
-        assert_eq!(clusters.len(), cfg.num_clusters);
-        for (i, shard) in clusters.iter().enumerate() {
-            assert_eq!(shard.id, i, "shards must come back in cluster order");
-            assert!(shard.views.iter().all(Vec::is_empty));
-        }
-    }
-
-    #[test]
-    fn pool_forwards_worker_panics() {
-        let cfg = GpuConfig::tiny();
-        let mut clusters = shards(&cfg);
-        // Missing view rows make `prepare_views` panic on a worker.
-        clusters[1].views.clear();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            std::thread::scope(|scope| {
-                let pool = WorkerPool::start(scope, 2);
-                pool.run_phase(
-                    &mut clusters,
-                    Phase::Views {
-                        cycle: 0,
-                        det_aware: false,
-                        srr_like: false,
-                        use_ready_bound: false,
-                        num_mem_partitions: 1,
-                        hook_mask: HookMask::EMPTY,
-                        admit: true,
-                    },
-                );
-            });
-        }));
-        assert!(result.is_err(), "worker panic must reach the coordinator");
-    }
-
     #[test]
     fn dirty_flags_cleared_by_prepare() {
         let cfg = GpuConfig::tiny();
-        let mut shard = shards(&cfg).remove(0);
+        let sms = (0..cfg.sms_per_cluster)
+            .map(|i| Sm::new(i, &cfg, SchedKind::Gto))
+            .collect();
+        let mut shard = ClusterShard::new(sms, cfg.num_schedulers_per_sm);
         shard.mark_dirty(0);
         assert!(shard.is_dirty(0));
-        shard.prepare_views(0, false, false, false, 1, HookMask::EMPTY, true);
+        shard.prepare_views(0, false, false, false);
         assert!(!shard.is_dirty(0));
     }
 

@@ -127,19 +127,14 @@ impl WarpView {
 ///
 /// Policy state lives inside its SM's [`SchedulerCtx`](crate::sm), which
 /// belongs to exactly one [`ClusterShard`](crate::par::ClusterShard).
-/// [`pick`](Self::pick) and every callback run wherever that shard's
-/// commit walk runs — on the coordinating thread for the serial path, or
-/// on the single worker that owns the shard when the cluster is admitted
-/// to the independence-sharded commit path (`DAB_COMMIT_SHARD`; see
-/// DESIGN.md "Parallel commit protocol"). Either way the calls for one
-/// scheduler are sequential in the fixed (cluster, SM, scheduler) order,
-/// and their arguments depend only on shard-local state, so policies
-/// never observe concurrent calls and decide identically at any
-/// `DAB_SIM_THREADS` and either knob setting. `pick` is invoked every
-/// cycle a scheduler has a warp that is ready after the batch gate and
-/// token refusal — even when model gating then cleared all ready flags —
-/// so stateful policies (token rotation, round-robin cursors) advance
-/// identically under the serial and pooled engines.
+/// [`pick`](Self::pick) and every callback run in that shard's commit walk
+/// (see DESIGN.md "The issue cycle"): the calls for one scheduler are
+/// sequential in the fixed (cluster, SM, scheduler) order, so policies
+/// never observe concurrent calls. `pick` is invoked every cycle a
+/// scheduler has a warp that is ready after the batch gate and token
+/// refusal — even when model gating then cleared all ready flags — so
+/// stateful policies (token rotation, round-robin cursors) advance
+/// identically under the dense and event engines.
 pub trait WarpScheduler: std::fmt::Debug + Send {
     /// The policy's kind tag.
     fn kind(&self) -> SchedKind;

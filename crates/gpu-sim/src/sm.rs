@@ -564,9 +564,9 @@ impl Sm {
     ///
     /// This is a pure read of SM-local state — no interconnect, lock, or
     /// execution-model inputs — which is what lets the engine prebuild views
-    /// for many clusters on worker threads. Model issue gating
-    /// (`ExecutionModel::can_issue`) is layered on by the engine afterwards,
-    /// on the coordinating thread.
+    /// for every cluster ahead of the commit walk. Model issue gating
+    /// (`ExecutionModel::can_issue`) is layered on by the commit walk
+    /// afterwards.
     pub fn build_views(
         &self,
         sched: usize,
@@ -926,7 +926,15 @@ mod tests {
             let w = sm.warps[slot].as_mut().expect("occupied slot");
             let (sched, unique) = (w.sched, w.unique);
             match rng() % transitions {
-                0 => w.state = WarpState::WaitMem,
+                // The engine never moves a barrier waiter to `WaitMem`:
+                // such a warp would later wake through transition 1 as a
+                // plain wake, skipping `on_barrier_released` and leaving
+                // the policy's barrier bookkeeping stale.
+                0 => {
+                    if w.state != WarpState::WaitBarrier {
+                        w.state = WarpState::WaitMem;
+                    }
+                }
                 1 => {
                     let released = w.state == WarpState::WaitBarrier;
                     w.state = WarpState::Ready;

@@ -7,11 +7,10 @@
 //! [`counters`](SimStats::counters) map so models can define their own
 //! categories without widening this struct.
 //!
-//! Under `DAB_SIM_THREADS` the engine accumulates issue-path counters into
-//! per-cluster shard copies and folds them into the run total with
+//! The engine accumulates issue-path counters into per-cluster shard
+//! copies and folds them into the run total with
 //! [`merge_shard`](SimStats::merge_shard) in cluster-index order at the
-//! end of the run, so the reported statistics are bit-identical at any
-//! thread count.
+//! end of the run.
 //!
 //! # Counter namespaces
 //!
@@ -188,8 +187,8 @@ impl SimStats {
     /// `cycles` at the end of the run) and no coordinator-only
     /// `det.engine.*` / `det.obs.*` keys. Summing `cycles` across shards
     /// would multiply the clock by the cluster count; a coordinator-only
-    /// counter bumped on a shard would become dependent on the
-    /// cluster-to-worker assignment and silently break thread-invariance.
+    /// counter bumped on a shard would be counted once per cluster that
+    /// bumped it instead of once per run.
     /// Debug builds assert both; release builds behave like
     /// [`merge`](Self::merge).
     pub fn merge_shard(&mut self, shard: &SimStats) {

@@ -4,8 +4,8 @@
 //! blocking-atomic / barrier / fence programs — run through the dense
 //! engine (the equivalence oracle) and the activity-driven event engine.
 //! Digests, cycle counts, and the full statistics set must be
-//! byte-identical at `sim_threads` 1 and 4, with non-determinism injection
-//! disabled and with a seeded stream.
+//! byte-identical, with non-determinism injection disabled and with a
+//! seeded stream.
 //!
 //! The only intentional divergence is the `det.engine.*` activity-counter
 //! family (`cycles_skipped`, `wakeup_events`, `sms_ticked`,
@@ -115,15 +115,9 @@ fn build_grid(raw: RawGrid) -> KernelGrid {
 /// Runs `grid` under the requested engine and returns the determinism
 /// triple: final cycle count, memory digest, and the statistics rendered
 /// with the by-design-divergent `det.engine.*` activity counters stripped.
-fn run(
-    grid: &KernelGrid,
-    engine: EngineKind,
-    threads: usize,
-    ndet: NdetSource,
-) -> (u64, u64, String) {
+fn run(grid: &KernelGrid, engine: EngineKind, ndet: NdetSource) -> (u64, u64, String) {
     let mut cfg = GpuConfig::tiny();
     cfg.engine = engine;
-    cfg.sim_threads = threads;
     let sim = GpuSim::new(cfg, Box::new(BaselineModel::new()), ndet);
     let r = sim.run(std::slice::from_ref(grid));
     let mut stats = r.stats.clone();
@@ -146,18 +140,16 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let grid = build_grid(raw);
-        for threads in [1usize, 4] {
-            prop_assert_eq!(
-                &run(&grid, EngineKind::Dense, threads, NdetSource::disabled()),
-                &run(&grid, EngineKind::Event, threads, NdetSource::disabled()),
-                "disabled ndet, threads={}", threads
-            );
-            prop_assert_eq!(
-                &run(&grid, EngineKind::Dense, threads, NdetSource::seeded(seed)),
-                &run(&grid, EngineKind::Event, threads, NdetSource::seeded(seed)),
-                "seed={}, threads={}", seed, threads
-            );
-        }
+        prop_assert_eq!(
+            &run(&grid, EngineKind::Dense, NdetSource::disabled()),
+            &run(&grid, EngineKind::Event, NdetSource::disabled()),
+            "disabled ndet"
+        );
+        prop_assert_eq!(
+            &run(&grid, EngineKind::Dense, NdetSource::seeded(seed)),
+            &run(&grid, EngineKind::Event, NdetSource::seeded(seed)),
+            "seed={}", seed
+        );
     }
 }
 

@@ -1,14 +1,12 @@
 //! Property: the metrics surface honors the namespace contract end to
 //! end.
 //!
-//! Random microbench grids run under every `sim_threads` × engine ×
-//! `commit_shard` combination:
+//! Random microbench grids — locked sections included — run under both
+//! engines:
 //!
 //! - the **entire** `SimStats` value (fixed fields, every counter,
-//!   every gauge) is bit-identical at 1 and 4 simulation threads and
-//!   across the commit-sharding knob — including the coordinator-only
-//!   `det.engine.*` family, which must not depend on how clusters are
-//!   assigned to workers;
+//!   every gauge) is bit-identical across repeated runs of one engine —
+//!   including the coordinator-only `det.engine.*` family;
 //! - across dense vs. event engines, everything *except* the
 //!   engine-variant `det.engine.*` / `det.obs.*` families agrees
 //!   exactly (those two families are what
@@ -137,18 +135,9 @@ fn build_grid(raw: RawGrid) -> KernelGrid {
 }
 
 /// Runs `grid` under one configuration point.
-fn run(
-    grid: &KernelGrid,
-    engine: EngineKind,
-    threads: usize,
-    commit_shard: bool,
-    profile: bool,
-    seed: u64,
-) -> RunReport {
+fn run(grid: &KernelGrid, engine: EngineKind, profile: bool, seed: u64) -> RunReport {
     let mut cfg = GpuConfig::tiny();
     cfg.engine = engine;
-    cfg.sim_threads = threads;
-    cfg.commit_shard = commit_shard;
     cfg.profile = profile;
     let sim = GpuSim::new(
         cfg,
@@ -193,7 +182,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn stats_are_thread_shard_and_engine_invariant(
+    fn stats_are_repeatable_and_engine_invariant(
         raw in proptest::collection::vec(
             proptest::collection::vec(
                 proptest::collection::vec((0u32..8, 0u64..4, 0u32..8), 1..6),
@@ -206,26 +195,20 @@ proptest! {
         let grid = build_grid(raw);
         let mut per_engine: Vec<RunReport> = Vec::new();
         for engine in [EngineKind::Dense, EngineKind::Event] {
-            let base = run(&grid, engine, 1, true, false, seed);
+            let base = run(&grid, engine, false, seed);
             assert_keys_are_det(&base.stats);
-            // Thread count and commit sharding must not move a single
-            // stats bit — including the coordinator-only det.engine.*
-            // family, which would expose the cluster-to-worker
-            // assignment if it were ever bumped on a shard copy.
-            for (threads, shard) in [(4, true), (1, false), (4, false)] {
-                let other = run(&grid, engine, threads, shard, false, seed);
-                prop_assert_eq!(
-                    &base.stats, &other.stats,
-                    "stats diverge at threads={} shard={} ({:?})",
-                    threads, shard, engine
-                );
-                prop_assert_eq!(
-                    (base.cycles(), base.digest()),
-                    (other.cycles(), other.digest()),
-                    "results diverge at threads={} shard={} ({:?})",
-                    threads, shard, engine
-                );
-            }
+            // A repeated run must not move a single stats bit —
+            // including the coordinator-only det.engine.* family.
+            let again = run(&grid, engine, false, seed);
+            prop_assert_eq!(
+                &base.stats, &again.stats,
+                "stats diverge between repeated runs ({:?})", engine
+            );
+            prop_assert_eq!(
+                (base.cycles(), base.digest()),
+                (again.cycles(), again.digest()),
+                "results diverge between repeated runs ({:?})", engine
+            );
             per_engine.push(base);
         }
         // Across engines everything but det.engine.* / det.obs.* agrees.
@@ -255,8 +238,8 @@ proptest! {
     ) {
         let grid = build_grid(raw);
         for engine in [EngineKind::Dense, EngineKind::Event] {
-            let off = run(&grid, engine, 1, true, false, seed);
-            let on = run(&grid, engine, 4, true, true, seed);
+            let off = run(&grid, engine, false, seed);
+            let on = run(&grid, engine, true, seed);
             prop_assert!(off.profile.is_none());
             prop_assert!(
                 on.profile.is_some(),
@@ -288,7 +271,7 @@ fn profiled_run_records_spans() {
         LANES,
     );
     let grid = KernelGrid::new("loads", vec![CtaSpec::new(0, vec![program])]);
-    let report = run(&grid, EngineKind::Event, 1, true, true, 0);
+    let report = run(&grid, EngineKind::Event, true, 0);
     let profile = report.profile.expect("profiling was enabled");
     let folded = profile.to_collapsed("loads");
     assert!(

@@ -1,12 +1,11 @@
 //! Property: the structured event trace is an *observation*, never a
 //! perturbation — and the observation itself is deterministic.
 //!
-//! Random microbench traces run at full trace detail under every
-//! `sim_threads` × engine combination:
+//! Random microbench traces run at full trace detail under both engines:
 //!
 //! - at a fixed engine, the **whole serialized trace** (arch events,
-//!   sample rows, and engine skip spans) is byte-identical at 1 and 4
-//!   simulation threads;
+//!   sample rows, and engine skip spans) is byte-identical across
+//!   repeated runs;
 //! - across dense vs. event engines, the deterministic `[arch]` and
 //!   `[samples]` sections are identical (the `[engine]` skip spans differ
 //!   by design — that is what the event engine is for), checked with the
@@ -131,27 +130,9 @@ fn build_grid(raw: RawGrid) -> KernelGrid {
 }
 
 /// Runs `grid` with full tracing and returns (cycles, digest, trace).
-fn run_traced(
-    grid: &KernelGrid,
-    engine: EngineKind,
-    threads: usize,
-    seed: u64,
-) -> (u64, u64, obs::Trace) {
-    run_traced_cfg(grid, engine, threads, seed, true)
-}
-
-/// Like [`run_traced`] with the commit-sharding knob explicit.
-fn run_traced_cfg(
-    grid: &KernelGrid,
-    engine: EngineKind,
-    threads: usize,
-    seed: u64,
-    commit_shard: bool,
-) -> (u64, u64, obs::Trace) {
+fn run_traced(grid: &KernelGrid, engine: EngineKind, seed: u64) -> (u64, u64, obs::Trace) {
     let mut cfg = GpuConfig::tiny();
     cfg.engine = engine;
-    cfg.sim_threads = threads;
-    cfg.commit_shard = commit_shard;
     cfg.trace = obs::TraceMode::Full;
     cfg.trace_sample_interval = 64;
     let sim = GpuSim::new(
@@ -182,7 +163,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn traces_are_thread_and_engine_invariant(
+    fn traces_are_repeatable_and_engine_invariant(
         raw in proptest::collection::vec(
             proptest::collection::vec(
                 proptest::collection::vec((0u32..8, 0u64..4, 0u32..8), 1..6),
@@ -195,22 +176,12 @@ proptest! {
         let grid = build_grid(raw);
         let mut per_engine = Vec::new();
         for engine in [EngineKind::Dense, EngineKind::Event] {
-            let (c1, d1, t1) = run_traced(&grid, engine, 1, seed);
-            let (c4, d4, t4) = run_traced(&grid, engine, 4, seed);
+            let (c1, d1, t1) = run_traced(&grid, engine, seed);
+            let (c2, d2, t2) = run_traced(&grid, engine, seed);
             // Whole trace (including engine skip spans) is byte-identical
-            // across thread counts.
-            prop_assert_eq!(t1.to_text(), t4.to_text(), "threads diverge, {:?}", engine);
-            prop_assert_eq!((c1, d1), (c4, d4), "results diverge, {:?}", engine);
-            // ... and across the commit-sharding knob: a full trace keeps
-            // every cluster on the serial engine-backed commit path (the
-            // classifier excludes full-trace cycles), so shard-on and
-            // shard-off runs must serialize the identical trace.
-            let (cs, ds, ts) = run_traced_cfg(&grid, engine, 4, seed, false);
-            prop_assert_eq!(
-                t1.to_text(), ts.to_text(),
-                "commit sharding perturbed the trace, {:?}", engine
-            );
-            prop_assert_eq!((c1, d1), (cs, ds), "commit sharding diverged, {:?}", engine);
+            // across repeated runs.
+            prop_assert_eq!(t1.to_text(), t2.to_text(), "repeat diverges, {:?}", engine);
+            prop_assert_eq!((c1, d1), (c2, d2), "results diverge, {:?}", engine);
             // Observation never perturbs: untraced run agrees bitwise.
             prop_assert_eq!(
                 (c1, d1),
@@ -243,7 +214,7 @@ fn traced_run_records_arch_events_and_samples() {
         LANES,
     );
     let grid = KernelGrid::new("idle", vec![CtaSpec::new(0, vec![program])]);
-    let (cycles, _, trace) = run_traced(&grid, EngineKind::Event, 1, 0);
+    let (cycles, _, trace) = run_traced(&grid, EngineKind::Event, 0);
     assert!(!trace.arch.is_empty(), "no arch events recorded");
     assert!(
         !trace.skips.is_empty(),

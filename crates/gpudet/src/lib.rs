@@ -53,9 +53,7 @@
 use std::collections::BTreeMap;
 
 use gpu_sim::config::GpuConfig;
-use gpu_sim::exec::{
-    AtomicIssue, AtomicRoute, ExecutionModel, HookMask, ModelCtx, StoreRoute, WarpId,
-};
+use gpu_sim::exec::{AtomicIssue, AtomicRoute, ExecutionModel, ModelCtx, StoreRoute, WarpId};
 use gpu_sim::kernel::CtaDistribution;
 use gpu_sim::mem::packet::{AtomKind, WarpRef};
 use gpu_sim::sched::SchedKind;
@@ -127,7 +125,7 @@ pub struct GpuDetModel {
     /// Trace mode copied from the GPU config; gates mode-change events.
     trace: obs::TraceMode,
     /// Deferred mode-transition trace events, drained by the engine after
-    /// each tick (all pushes happen on the coordinating thread).
+    /// each tick (all pushes happen in the engine's fixed hook order).
     trace_events: Vec<obs::Event>,
 }
 
@@ -244,12 +242,6 @@ impl ExecutionModel for GpuDetModel {
         registry.counter("det.gpudet.commit_cycles", "cycles spent in commit mode");
         registry.counter("det.gpudet.serial_cycles", "cycles spent in serial mode");
         registry.counter("det.gpudet.quanta", "quantum rounds completed");
-    }
-
-    fn commit_hook_mask(&self) -> HookMask {
-        // Quantum/serial-mode gating overrides `can_issue` for every warp,
-        // so no cluster is ever eligible for the parallel commit path.
-        HookMask::ALL
     }
 
     fn cta_distribution(&self, num_sms: usize) -> CtaDistribution {

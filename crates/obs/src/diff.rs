@@ -2,7 +2,7 @@
 //!
 //! Two traces of the same workload recorded at the same mode must agree
 //! byte-for-byte on their `[arch]` and `[samples]` sections regardless of
-//! `DAB_SIM_THREADS` or `DAB_ENGINE`. When they do not, the interesting
+//! `DAB_ENGINE`. When they do not, the interesting
 //! question is never "do they differ" (the results digest already said
 //! so) but **where first** — which cycle, SM, warp, and event. This
 //! module streams the deterministic sections of two traces in lockstep

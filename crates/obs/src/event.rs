@@ -238,9 +238,9 @@ impl DetMode {
     }
 }
 
-/// One architectural trace event, recorded in commit order on the
-/// coordinating thread. The `[arch]` section of a trace is a sequence of
-/// these and is byte-identical across `DAB_SIM_THREADS` and engines.
+/// One architectural trace event, recorded in commit order. The `[arch]`
+/// section of a trace is a sequence of these and is byte-identical across
+/// engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// A warp issued one instruction (tag `I`, full).
@@ -693,7 +693,7 @@ impl Event {
 /// interval. Because elided cycles are provably architectural no-ops in
 /// both engines, the state read at the top of the next visited cycle
 /// equals the state at any elided grid point, so rows are byte-identical
-/// across engines and thread counts.
+/// across engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sample {
     /// Grid cycle this row describes (a multiple of the interval).

@@ -13,9 +13,8 @@
 //! # Determinism contract
 //!
 //! Every event in the `[arch]` section and every row of the `[samples]`
-//! section is recorded **in commit order on the coordinating thread**, so a
-//! trace of a given run is byte-identical at any `DAB_SIM_THREADS` and for
-//! the dense and event engines alike. Engine-variant data (cycle-skip
+//! section is recorded **in commit order**, so a trace of a given run is
+//! byte-identical for the dense and event engines alike. Engine-variant data (cycle-skip
 //! spans) lives in the separate `[engine]` section, mirroring the
 //! `det.engine.*` statistics counters that the equivalence jobs strip: the
 //! bisector compares `[arch]` + `[samples]` by default and touches
@@ -24,7 +23,7 @@
 //! # Environment knobs
 //!
 //! * `DAB_TRACE` — `off` (default) | `summary` | `full`. Parsed strictly:
-//!   anything else panics naming the variable, like `DAB_SIM_THREADS`.
+//!   anything else panics naming the variable, like `DAB_ENGINE`.
 //! * `DAB_TRACE_SAMPLE` — sampling grid interval in cycles (default 1024,
 //!   must be a positive integer).
 //! * `DAB_TRACE_DIR` — when set, bench runners write one `<label>.trace`

@@ -12,9 +12,8 @@
 //! of two top-level namespaces:
 //!
 //! * `det.*` — **deterministic** metrics: byte-stable architectural
-//!   counts, merged in cluster-index order, identical at any
-//!   `DAB_SIM_THREADS` and either `DAB_COMMIT_SHARD` setting. Two
-//!   sub-classes refine the contract:
+//!   counts, merged in cluster-index order, identical at any `DAB_JOBS`
+//!   worker count. Two sub-classes refine the contract:
 //!   - [`MetricClass::DetArch`] (everything under `det.*` except the
 //!     family below): additionally identical across `DAB_ENGINE`
 //!     settings — the dense and event engines must agree bit-for-bit.
@@ -32,8 +31,8 @@
 //! Two further properties are keyed off the name, not stored state:
 //!
 //! * `det.engine.*` and `det.obs.*` are **coordinator-only**: they must
-//!   never be bumped on a per-cluster shard copy (the shard fold would
-//!   make them dependent on the cluster-to-worker assignment).
+//!   never be bumped on a per-cluster shard copy (they count engine-level
+//!   events once per run, not once per cluster).
 //!   `SimStats::merge_shard` debug-asserts this.
 //! * `det.obs.*` exists only when tracing is enabled, so equivalence
 //!   comparisons must fix the trace mode on both sides.
@@ -43,8 +42,8 @@
 //! Counters and histogram buckets are summed; gauges are high-watermarks
 //! and merge by `max`. Shard copies fold into the run total in
 //! cluster-index order at the end of the run (see
-//! `SimStats::merge_shard`), so merged values are identical at any thread
-//! count.
+//! `SimStats::merge_shard`), so merged values never depend on shard
+//! order.
 //!
 //! # Registration
 //!
@@ -81,10 +80,9 @@ use std::panic::Location;
 /// Determinism class of a metric, derived from its name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricClass {
-    /// `det.*` (except `det.engine.*`): thread-, shard- and
-    /// engine-invariant; byte-stable.
+    /// `det.*` (except `det.engine.*`): engine-invariant; byte-stable.
     DetArch,
-    /// `det.engine.*`: thread- and shard-invariant, engine-variant by
+    /// `det.engine.*`: deterministic for a fixed engine, engine-variant by
     /// design.
     DetEngine,
     /// `wall.*`: host timing; variant run to run.

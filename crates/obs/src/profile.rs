@@ -39,13 +39,15 @@ pub enum Phase {
     Responses,
     /// Ticket-lock service.
     Locks,
-    /// Warp-view construction (`prepare_views`, serial or pooled).
+    /// Warp-view construction (`prepare_views`).
     Prepare,
-    /// Commit-phase classification (independence sharding admission).
+    /// Never recorded: commit-sharding classification was retired. Kept
+    /// so profile readers that name it still build; its total stays zero.
     CommitClassify,
-    /// Independence-sharded commits (pool workers or inline inert).
+    /// Never recorded: independence-sharded commits were retired. Kept
+    /// so profile readers that name it still build; its total stays zero.
     CommitParallel,
-    /// Serial engine-backed commits, in cluster order.
+    /// The commit walk: every cluster, in cluster order.
     CommitSerial,
     /// Outbox merge into the interconnect.
     Merge,

@@ -20,8 +20,8 @@
 //! ```
 //!
 //! Section counts make truncation detectable; the `end` sentinel makes it
-//! certain. The `[arch]` and `[samples]` sections are thread- and
-//! engine-invariant; `[engine]` (cycle-skip spans) is thread-invariant
+//! certain. The `[arch]` and `[samples]` sections are engine-invariant;
+//! `[engine]` (cycle-skip spans) is deterministic for a fixed engine
 //! only.
 
 use crate::event::{Event, Sample, SkipSpan};

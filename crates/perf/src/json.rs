@@ -432,7 +432,7 @@ mod tests {
         let doc = Json::parse(
             r#"{
   "target": "engine_hot_loop",
-  "host": { "nproc": 1, "sim_threads": 1, "commit_shard": true, "min_reps": 3 },
+  "host": { "nproc": 1, "min_reps": 3 },
   "workloads": [
     { "name": "w",
       "det": { "cycles": 3269, "digest": "0xe88d0f3e5effc624" },
