@@ -214,9 +214,10 @@ impl Cx<'_, '_> {
     /// With `event` set, the walk is an active-set traversal: SMs and
     /// schedulers whose cached `ready_bound` lies in the future are skipped
     /// in place. Skipping is equivalent to the dense visit because
-    /// `ready_bound > cycle` guarantees `build_views` would return empty
-    /// (the bound is never stale-high), and an empty view set is exactly
-    /// the dense `continue`: no gating, no pick, no issue.
+    /// `ready_bound > cycle` guarantees `build_views` would return empty or
+    /// only warps the model refuses again (the bound is never stale-high;
+    /// a repeated refusal has no side effect), and either is a dense visit
+    /// that issues nothing.
     ///
     /// Visited schedulers maintain their bound *incrementally* instead of
     /// rescanning warps: the bound is re-armed to `u64::MAX` before the
@@ -299,6 +300,9 @@ impl Cx<'_, '_> {
     }
 
     /// Model gating (GPUDet quanta / serial mode) applied to ready views.
+    /// A refusal is steady until the model calls `ModelCtx::reopen_issue`,
+    /// so a refused warp is parked: its `bound_at` leaves the event
+    /// engine's incremental `ready_bound` fold.
     fn apply_model_gating(&mut self, local: usize, sched: usize, views: &mut [WarpView]) {
         let cycle = self.p.cycle;
         let sm_idx = self.global_sm(local);
@@ -308,7 +312,10 @@ impl Cx<'_, '_> {
                 slot: v.slot,
                 unique: v.unique,
             };
-            v.ready = self.sh.model.can_issue(warp_id, v.next_is_atomic, cycle);
+            if !self.sh.model.can_issue(warp_id, v.next_is_atomic, cycle) {
+                v.ready = false;
+                v.bound_at = u64::MAX;
+            }
         }
     }
 

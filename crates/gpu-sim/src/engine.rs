@@ -279,6 +279,9 @@ pub struct GpuSim {
     census: Vec<SchedCensus>,
     sched_kind: SchedKind,
     last_progress_cycle: u64,
+    /// Cycles without progress before the run panics as deadlocked
+    /// ([`DEADLOCK_HORIZON`]; unit tests lower it).
+    deadlock_horizon: u64,
     activity: ActivityCounters,
     /// Per-phase host wall-clock accumulator (prepare/commit/merge).
     phase_wall: PhaseWall,
@@ -404,6 +407,7 @@ impl GpuSim {
             registry,
             cfg,
             last_progress_cycle: 0,
+            deadlock_horizon: DEADLOCK_HORIZON,
             activity: ActivityCounters::default(),
             phase_wall: PhaseWall::default(),
         }
@@ -662,17 +666,23 @@ impl GpuSim {
                 self.advance_cycle();
             }
             self.prof_record(obs::Phase::Wheel, span);
-            if self.cycle - self.last_progress_cycle >= DEADLOCK_HORIZON {
+            if self.cycle - self.last_progress_cycle >= self.deadlock_horizon {
                 let mut dump = String::new();
                 for (sm_idx, sm) in self.sms().enumerate() {
                     for (slot, warp) in sm.warps.iter().enumerate() {
                         if let Some(w) = warp {
+                            // A Ready warp whose scheduler holds no bound is
+                            // parked: a gate or model refusal that nothing
+                            // reopened.
+                            let parked = w.state == WarpState::Ready
+                                && sm.schedulers[w.sched].ready_bound == u64::MAX;
                             dump.push_str(&format!(
-                                "\n  sm {sm_idx} slot {slot} unique {} sched {} batch {} state {:?} pc {}/{} next_atomic {}",
+                                "\n  sm {sm_idx} slot {slot} unique {} sched {} batch {} state {:?}{} pc {}/{} next_atomic {}",
                                 w.unique,
                                 w.sched,
                                 w.batch,
                                 w.state,
+                                if parked { " parked" } else { "" },
                                 w.pc,
                                 w.program.instrs.len(),
                                 w.next_is_atomic(),
@@ -1233,9 +1243,10 @@ impl GpuSim {
     /// With `event` set, the walk is an active-set traversal: clusters, SMs
     /// and schedulers whose cached [`ready_bound`](Sm::ready_bound) lies in
     /// the future are skipped in place. Skipping is equivalent to the dense
-    /// visit because `ready_bound > cycle` guarantees `build_views` would
-    /// return empty (the bound is never stale-high), and an empty view set
-    /// is exactly the dense `continue`: no gating, no pick, no issue.
+    /// visit because `ready_bound > cycle` guarantees that `build_views`
+    /// would return empty or only warps the model refuses again (the bound
+    /// is never stale-high; a repeated refusal has no side effect), and
+    /// either is a dense visit that issues nothing.
     ///
     /// The skip conditions match the parked check in
     /// [`ClusterShard::prepare_views`]: mid-commit wakes only ever lower a
@@ -1524,15 +1535,26 @@ impl GpuSim {
     fn apply_wakes(&mut self) {
         let wakes = std::mem::take(&mut self.wakes);
         for wake in wakes {
-            self.progress();
             match wake {
                 WakeCmd::FlushWaiters { sm } => {
+                    self.progress();
                     for slot in 0..self.sm(sm).warps.len() {
                         self.wake_flush_wait(sm, slot);
                     }
                 }
-                WakeCmd::Warp { warp } => {
-                    self.wake_flush_wait(warp.sm, warp.slot);
+                WakeCmd::ReopenIssue => {
+                    // Not progress: no warp has moved yet. The model ticks
+                    // after the issue phase, so `cycle + 1` is the first
+                    // cycle a refused warp could issue.
+                    let next = self.cycle + 1;
+                    let schedulers = self
+                        .clusters
+                        .iter_mut()
+                        .flat_map(|c| &mut c.sms)
+                        .flat_map(|sm| &mut sm.schedulers);
+                    for sched in schedulers.filter(|s| s.live > 0) {
+                        sched.note_ready(next);
+                    }
                 }
             }
         }
@@ -2010,5 +2032,45 @@ mod tests {
         sim.merge_outboxes();
         assert!(sim.clusters[0].outbox.is_empty());
         assert!(sim.icnt.is_busy(), "merged packet now rides the icnt");
+    }
+
+    /// Breaks the `can_issue` contract: refuses its first query once, then
+    /// admits everything, and never calls `ModelCtx::reopen_issue`.
+    #[derive(Debug, Default)]
+    struct RefuseOnce {
+        refused: bool,
+    }
+
+    impl ExecutionModel for RefuseOnce {
+        fn name(&self) -> String {
+            "refuse-once".to_string()
+        }
+
+        fn can_issue(&mut self, _warp: WarpId, _is_atomic: bool, _cycle: u64) -> bool {
+            std::mem::replace(&mut self.refused, true)
+        }
+    }
+
+    fn run_refuse_once(engine: EngineKind) -> RunReport {
+        let mut cfg = GpuConfig::tiny();
+        cfg.engine = engine;
+        let mut sim = GpuSim::new(cfg, Box::new(RefuseOnce::default()), NdetSource::disabled());
+        sim.deadlock_horizon = 10_000;
+        sim.run(&[sum_grid(1, 32, 0x100)])
+    }
+
+    #[test]
+    fn lapsed_model_refusal_issues_on_dense_engine() {
+        // The dense engine asks again every cycle, so the lapse goes unseen.
+        let r = run_refuse_once(EngineKind::Dense);
+        assert_eq!(r.values.read_f32(0x100), 32.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "parked")]
+    fn lapsed_model_refusal_deadlocks_event_engine_as_parked() {
+        // The event engine parks the refused warp until a reopen that never
+        // comes; the watchdog must name the warp as parked, not hang.
+        run_refuse_once(EngineKind::Event);
     }
 }

@@ -236,10 +236,12 @@ impl<'a> ModelCtx<'a> {
         self.wakes.push(WakeCmd::FlushWaiters { sm });
     }
 
-    /// Wakes one specific warp out of flush-wait (used by GPUDet's serial
-    /// mode to hand the execution token to a single warp).
-    pub fn wake_warp(&mut self, warp: WarpRef) {
-        self.wakes.push(WakeCmd::Warp { warp });
+    /// Lifts every standing [`ExecutionModel::can_issue`] refusal: warps
+    /// the model refused may be offered again from the next cycle. Call it
+    /// from `tick` whenever a refused warp may have become issuable.
+    /// Applied by the engine at the end of the model tick.
+    pub fn reopen_issue(&mut self) {
+        self.wakes.push(WakeCmd::ReopenIssue);
     }
 }
 
@@ -251,11 +253,9 @@ pub enum WakeCmd {
         /// Target SM.
         sm: usize,
     },
-    /// Wake one warp.
-    Warp {
-        /// Target warp.
-        warp: WarpRef,
-    },
+    /// Offer every live warp to its scheduler again from the next cycle
+    /// (see [`ModelCtx::reopen_issue`]).
+    ReopenIssue,
 }
 
 /// An architecture execution model plugged into the engine.
@@ -321,6 +321,13 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
 
     /// May this warp issue its next instruction this cycle? (GPUDet uses
     /// this for quantum and serial-mode gating.)
+    ///
+    /// A `false` is steady: it must hold, for this warp and this next
+    /// instruction, until the model calls [`ModelCtx::reopen_issue`] from
+    /// [`tick`](Self::tick). The event engine parks a refused warp and does
+    /// not offer it again before that call; a model that lets a refusal
+    /// lapse on its own deadlocks there (the dense engine would issue).
+    /// Only the first refusal may change model state.
     fn can_issue(&mut self, warp: WarpId, is_atomic: bool, cycle: u64) -> bool {
         true
     }
@@ -529,16 +536,11 @@ mod tests {
             assert_eq!(ctx.census()[6].atomic_stuck, 1);
             assert!(ctx.census()[6].sealed() && !ctx.census()[5].sealed());
             ctx.wake_flush_waiters(1);
-            ctx.wake_warp(WarpRef { sm: 0, slot: 3 });
+            ctx.reopen_issue();
         }
         assert_eq!(
             wakes,
-            vec![
-                WakeCmd::FlushWaiters { sm: 1 },
-                WakeCmd::Warp {
-                    warp: WarpRef { sm: 0, slot: 3 }
-                }
-            ]
+            vec![WakeCmd::FlushWaiters { sm: 1 }, WakeCmd::ReopenIssue]
         );
         assert_eq!(fills, 1);
     }

@@ -312,8 +312,8 @@ impl ClusterShard {
     /// With `use_ready_bound` (the event engine), schedulers whose cached
     /// [`ready_bound`](crate::sm::SchedulerCtx::ready_bound) lies past
     /// `cycle` are skipped: the bound invariant guarantees their
-    /// `build_views` would return empty, which is exactly what the commit
-    /// loop treats a skipped entry as.
+    /// `build_views` would offer no warp the model admits, so the commit
+    /// loop treats a skipped entry as empty.
     pub fn prepare_views(
         &mut self,
         cycle: u64,

@@ -33,7 +33,10 @@ pub enum WarpState {
     WaitMem,
     /// Arrived at a CTA barrier, waiting for siblings.
     WaitBarrier,
-    /// Waiting for the execution model to wake it (DAB flush, GPUDet token).
+    /// Waiting for the execution model's flush wake: a full DAB buffer, a
+    /// flush fence, a barrier released at the epoch boundary, or a retirement
+    /// the model deferred. (Model issue refusals do not use this state; see
+    /// `ExecutionModel::can_issue`.)
     WaitFlush,
     /// Waiting for the deterministic lock manager.
     WaitLock,
@@ -140,7 +143,10 @@ pub struct SchedulerCtx {
     /// [`Sm::recompute_ready_bound`] — but it is never stale-high, so the
     /// activity-driven engine can skip any scheduler with
     /// `ready_bound > cycle` without changing behavior. Every transition
-    /// into `Ready` must go through [`note_ready`](Self::note_ready).
+    /// into `Ready` must go through [`note_ready`](Self::note_ready). A
+    /// warp the execution model refused (`ExecutionModel::can_issue`) is
+    /// not pickable until the model reopens issue, which lowers the bound
+    /// of every scheduler with live warps.
     pub ready_bound: u64,
 }
 

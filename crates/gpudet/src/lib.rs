@@ -377,6 +377,9 @@ impl ExecutionModel for GpuDetModel {
                     self.start_commit(ctx.cycle);
                 }
             }
+            // Every issue gate `can_issue` closes opens here, and only
+            // here: a new token holder or a new quantum. Each opening
+            // reopens issue so the engine offers parked warps again.
             Mode::Commit => {
                 if ctx.cycle >= self.commit_until {
                     if let Some(next) = self.next_serial_warp() {
@@ -386,6 +389,7 @@ impl ExecutionModel for GpuDetModel {
                     } else {
                         self.start_new_quantum(ctx.cycle);
                     }
+                    ctx.reopen_issue();
                 }
             }
             Mode::Serial => {
@@ -394,6 +398,7 @@ impl ExecutionModel for GpuDetModel {
                         Some(next) => self.serial_current = Some(next),
                         None => self.start_new_quantum(ctx.cycle),
                     }
+                    ctx.reopen_issue();
                 }
             }
         }
