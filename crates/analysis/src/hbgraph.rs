@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 
 use dab_workloads::suite::Benchmark;
 use gpu_sim::kernel::KernelGrid;
+use obs::json::quote;
 
 use crate::conflict::{
     classify_pair, group_self_unordered, groups_unordered, walk_kernel, AccessCat,
@@ -261,7 +262,7 @@ impl HbGraph {
     /// [`crate::report::SuiteReport::render_json`]).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"kernel\": {},", json_str(&self.kernel));
+        let _ = writeln!(out, "  \"kernel\": {},", quote(&self.kernel));
         out.push_str("  \"nodes\": [");
         for (i, n) in self.nodes.iter().enumerate() {
             let comma = if i + 1 < self.nodes.len() { "," } else { "" };
@@ -275,7 +276,7 @@ impl HbGraph {
                  \"phase\": {}, \"lock\": {lock}, \"warp\": {}, \"multi_warp\": {}, \
                  \"count\": {} }}{comma}",
                 n.addr,
-                json_str(&n.cat),
+                quote(&n.cat),
                 n.cta,
                 n.phase,
                 n.warp,
@@ -296,7 +297,7 @@ impl HbGraph {
                 "\n    {{ \"a\": {}, \"b\": {}, \"rule\": {} }}{comma}",
                 e.a,
                 e.b,
-                json_str(e.rule.label()),
+                quote(e.rule.label()),
             );
         }
         out.push_str(if self.edges.is_empty() {
@@ -311,13 +312,13 @@ impl HbGraph {
             } else {
                 ""
             };
-            let kinds: Vec<String> = c.kinds.iter().map(|k| json_str(k.label())).collect();
+            let kinds: Vec<String> = c.kinds.iter().map(|k| quote(k.label())).collect();
             let _ = write!(
                 out,
                 "\n    {{ \"addr\": \"{:#x}\", \"class\": {}, \"kinds\": [{}], \
                  \"pairs\": {} }}{comma}",
                 c.addr,
-                json_str(c.class().label()),
+                quote(c.class().label()),
                 kinds.join(", "),
                 c.pairs,
             );
@@ -392,27 +393,6 @@ impl HbGraph {
         out.push_str("}\n");
         out
     }
-}
-
-/// JSON string literal (same escaping as [`crate::report`]).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -10,9 +10,11 @@
 //!
 //! The JSON renderer follows the hand-rolled style of
 //! `crates/bench/src/results.rs` (stable field order, hex-string
-//! addresses, no external dependencies).
+//! addresses, strings quoted by `obs::json`).
 
 use std::fmt::Write as _;
+
+use obs::json::quote;
 
 /// Determinism class of a conflict, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -543,8 +545,8 @@ impl SuiteReport {
     /// style as `crates/bench/src/results.rs`).
     pub fn render_json(&self, allow: &Allowlist) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"target\": {},", json_str("dab_analyze"));
-        let _ = writeln!(out, "  \"scale\": {},", json_str(&self.scale));
+        let _ = writeln!(out, "  \"target\": {},", quote("dab_analyze"));
+        let _ = writeln!(out, "  \"scale\": {},", quote(&self.scale));
         out.push_str("  \"benches\": [");
         for (i, b) in self.benches.iter().enumerate() {
             let comma = if i + 1 < self.benches.len() { "," } else { "" };
@@ -553,8 +555,8 @@ impl SuiteReport {
                 "\n    {{ \"name\": {}, \"family\": {}, \"kernels\": {}, \"warps\": {}, \
                  \"sites\": {}, \"accesses\": {}, \"transactions\": {}, \
                  \"shared_sectors\": {},",
-                json_str(&b.name),
-                json_str(&b.family),
+                quote(&b.name),
+                quote(&b.family),
                 b.kernels,
                 b.warps,
                 b.sites,
@@ -570,8 +572,8 @@ impl SuiteReport {
                     "\n        {{ \"class\": {}, \"kind\": {}, \"sites\": {}, \
                      \"accesses\": {}, \"addr_min\": {}, \"addr_max\": {}, \
                      \"kernels\": {} }}{fc}",
-                    json_str(f.kind.class().label()),
-                    json_str(f.kind.label()),
+                    quote(f.kind.class().label()),
+                    quote(f.kind.label()),
                     f.sites,
                     f.accesses,
                     json_addr(f.addr_min, f.addr_min > f.addr_max),
@@ -591,9 +593,9 @@ impl SuiteReport {
                     out,
                     "\n        {{ \"kernel\": {}, \"kind\": {}, \"detail\": {}, \
                      \"count\": {} }}{lc}",
-                    json_str(&l.kernel),
-                    json_str(l.lint.kind.label()),
-                    json_str(&l.lint.detail),
+                    quote(&l.kernel),
+                    quote(l.lint.kind.label()),
+                    quote(&l.lint.detail),
                     l.lint.count,
                 );
             }
@@ -622,9 +624,9 @@ impl SuiteReport {
             let _ = write!(
                 out,
                 "\n    {{ \"bench\": {}, \"label\": {}, \"detail\": {} }}{comma}",
-                json_str(&v.bench),
-                json_str(&v.label),
-                json_str(&v.detail),
+                quote(&v.bench),
+                quote(&v.label),
+                quote(&v.detail),
             );
         }
         out.push_str(if violations.is_empty() {
@@ -736,27 +738,6 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
         }
     }
     inner(pattern.as_bytes(), text.as_bytes())
-}
-
-/// JSON string literal (same escaping as `crates/bench/src/results.rs`).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Addresses as hex strings (survive doubles-only JSON readers); `null`

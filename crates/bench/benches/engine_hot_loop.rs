@@ -220,7 +220,6 @@ fn write_json(rows: &[Row]) {
     out.push_str("  \"workloads\": [");
     for (i, (row, speedup)) in rows.iter().zip(&speedups).enumerate() {
         let stats = &row.event.report.stats;
-        let phase = row.event.report.phase_wall.secs();
         let full_stats = &row.full.report.stats;
         let comma = if i + 1 < rows.len() { "," } else { "" };
         // Per-workload values split by namespace, mirroring the SimStats
@@ -235,7 +234,6 @@ fn write_json(rows: &[Row]) {
              \"scheduler_scans\": {}, \"partitions_ticked\": {},\n        \
              \"trace_events_full\": {}, \"trace_samples_full\": {} }},\n      \
              \"wall\": {{ \"dense_secs\": {:.6}, \"event_secs\": {:.6}, \"speedup\": {:.4},\n        \
-             \"phase_secs\": {{ \"prepare\": {:.6}, \"commit\": {:.6}, \"merge\": {:.6} }},\n        \
              \"trace_off_overhead\": {:.4}, \"trace_summary_overhead\": {:.4}, \
              \"trace_full_overhead\": {:.4}, \"profile_overhead\": {:.4} }} }}{comma}",
             row.name,
@@ -251,9 +249,6 @@ fn write_json(rows: &[Row]) {
             row.dense.best_secs,
             row.event.best_secs,
             speedup,
-            phase.0,
-            phase.1,
-            phase.2,
             overhead(&row.off, &row.event),
             overhead(&row.summary, &row.event),
             overhead(&row.full, &row.event),

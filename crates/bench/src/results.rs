@@ -21,8 +21,7 @@
 //!       "cycles": 12345, "digest": "0x0123456789abcdef",
 //!       "icnt_stall_cycles": 17, "l1_miss_rate": 0.25,
 //!       "l2_miss_rate": 0.05, "atomics_pki": 32.1,
-//!       "wall_secs": 0.01, "cycles_per_sec": 1234500.0,
-//!       "phase_secs": { "prepare": 0.004, "commit": 0.005, "merge": 0.001 } }
+//!       "wall_secs": 0.01, "cycles_per_sec": 1234500.0 }
 //!   ],
 //!   "metrics": { "geomean_dab": 1.23 },
 //!   "tables": [
@@ -36,15 +35,15 @@
 //! determinism criterion — rendered as a hex string so 64-bit values
 //! survive JSON readers that parse numbers as doubles. `wall_secs`,
 //! `speedup` (summed per-run wall over sweep wall: the parallel-sweep win),
-//! `cycles_per_sec` (per-run simulator throughput), `phase_secs` (per-run
-//! prepare/commit/merge wall breakdown) and the `host` block (CPU count)
-//! are host measurements and are
-//! **not** deterministic; everything else is bit-stable for a given
+//! `cycles_per_sec` (per-run simulator throughput) and the `host` block
+//! (CPU count) are host measurements and are **not** deterministic; everything else is bit-stable for a given
 //! scale/seed regardless of `DAB_JOBS`. The CI equivalence diffs strip
 //! exactly those fields.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+
+use obs::json::quote;
 
 use crate::sweep::SweepResults;
 use crate::{Runner, Table};
@@ -80,7 +79,6 @@ struct RunRecord {
     atomics_pki: f64,
     wall_secs: f64,
     cycles_per_sec: f64,
-    phase_secs: (f64, f64, f64),
 }
 
 impl ResultsSink {
@@ -122,7 +120,6 @@ impl ResultsSink {
                 atomics_pki: run.report.stats.atomics_pki(),
                 wall_secs: run.report.wall_secs(),
                 cycles_per_sec: run.report.cycles_per_sec(),
-                phase_secs: run.report.phase_wall.secs(),
             });
         }
         self
@@ -144,8 +141,8 @@ impl ResultsSink {
     /// Serializes the document (deterministic field order).
     pub fn render(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"target\": {},", json_str(&self.target));
-        let _ = writeln!(out, "  \"scale\": {},", json_str(&self.scale));
+        let _ = writeln!(out, "  \"target\": {},", quote(&self.target));
+        let _ = writeln!(out, "  \"scale\": {},", quote(&self.scale));
         let _ = writeln!(
             out,
             "  \"machine\": {{ \"sms\": {}, \"mem_partitions\": {} }},",
@@ -175,10 +172,9 @@ impl ResultsSink {
                  \"digest\": \"0x{:016x}\",\n      \
                  \"icnt_stall_cycles\": {}, \"l1_miss_rate\": {}, \
                  \"l2_miss_rate\": {}, \"atomics_pki\": {},\n      \
-                 \"wall_secs\": {}, \"cycles_per_sec\": {},\n      \
-                 \"phase_secs\": {{ \"prepare\": {}, \"commit\": {}, \"merge\": {} }} }}{comma}",
-                json_str(&r.label),
-                json_str(&r.model),
+                 \"wall_secs\": {}, \"cycles_per_sec\": {} }}{comma}",
+                quote(&r.label),
+                quote(&r.model),
                 r.seed,
                 r.cycles,
                 r.digest,
@@ -188,9 +184,6 @@ impl ResultsSink {
                 json_f64(r.atomics_pki),
                 json_f64(r.wall_secs),
                 json_f64(r.cycles_per_sec),
-                json_f64(r.phase_secs.0),
-                json_f64(r.phase_secs.1),
-                json_f64(r.phase_secs.2),
             );
         }
         out.push_str(if self.runs.is_empty() {
@@ -201,7 +194,7 @@ impl ResultsSink {
         out.push_str("  \"metrics\": {");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
             let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            let _ = write!(out, "\n    {}: {}{comma}", json_str(name), json_f64(*value));
+            let _ = write!(out, "\n    {}: {}{comma}", quote(name), json_f64(*value));
         }
         out.push_str(if self.metrics.is_empty() {
             "},\n"
@@ -214,7 +207,7 @@ impl ResultsSink {
             let _ = write!(
                 out,
                 "\n    {{ \"title\": {}, \"header\": {},\n      \"rows\": [",
-                json_str(title),
+                quote(title),
                 json_str_array(header),
             );
             for (j, row) in rows.iter().enumerate() {
@@ -264,29 +257,8 @@ fn results_dir() -> PathBuf {
         .join("results")
 }
 
-/// JSON string literal (the labels here are ASCII; escape the basics).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_str_array(items: &[String]) -> String {
-    let cells: Vec<String> = items.iter().map(|s| json_str(s)).collect();
+    let cells: Vec<String> = items.iter().map(|s| quote(s)).collect();
     format!("[{}]", cells.join(", "))
 }
 
@@ -313,8 +285,8 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\ny\"");
+        assert_eq!(quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(quote("x\ny"), "\"x\\ny\"");
         assert_eq!(json_f64(1.5), "1.5");
         assert_eq!(json_f64(2.0), "2.0");
         assert_eq!(json_f64(f64::NAN), "null");

@@ -221,7 +221,8 @@ impl DabModel {
     }
 
     /// Queues injection events for flush-protocol packets the model pushes
-    /// into the interconnect itself (the engine only sees SM-side outboxes).
+    /// into the interconnect itself (the engine traces only the requests
+    /// its issue walk injects).
     fn trace_inject(&mut self, cycle: u64, cluster: usize, pkt: &Packet) {
         if self.trace_full() {
             let kind = match pkt.payload {

@@ -137,8 +137,8 @@ pub struct GpuConfig {
 
     /// Whether the fine-grained engine span profiler is on (not a Table I
     /// row: a simulator-host knob, set from `DAB_PROFILE`). When on, every
-    /// engine phase (partition tick, interconnect, issue prepare/commit,
-    /// outbox merge, event-wheel advance, ...) accumulates host wall-clock
+    /// engine phase (partition tick, interconnect, issue walk, dispatch,
+    /// event-wheel advance, ...) accumulates host wall-clock
     /// into a [`obs::PhaseProfile`] attached to the run report. A
     /// throughput knob only: profile data lives entirely in the `wall.*`
     /// namespace and simulation results are bit-identical either way; when

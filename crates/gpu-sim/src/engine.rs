@@ -9,12 +9,12 @@
 //! 2. the interconnect moves packets (with seeded arbitration jitter);
 //! 3. arrived responses wake warps and fill L1s;
 //! 4. the deterministic lock manager serves ticket holders;
-//! 5. every warp scheduler picks and issues one instruction, consulting the
-//!    execution model for gating and atomic routing;
-//! 6. packets staged in per-cluster outboxes merge into the interconnect in
-//!    cluster-index order (the deterministic merge point);
-//! 7. CTAs are dispatched per the model's distribution policy;
-//! 8. the model ticks (flush controllers, quantum state machines) and its
+//! 5. every warp scheduler, in global `(SM, scheduler)` order, picks and
+//!    issues one instruction, consulting the execution model for gating and
+//!    atomic routing; memory requests enter the interconnect as they issue
+//!    (the issue walk, `GpuSim::issue` in the `commit` module);
+//! 6. CTAs are dispatched per the model's distribution policy;
+//! 7. the model ticks (flush controllers, quantum state machines) and its
 //!    wake commands are applied.
 //!
 //! A run executes a sequence of [`KernelGrid`]s back to back and returns a
@@ -25,7 +25,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::commit::{self, CommitOut, CommitParams, EngineShared};
 use crate::config::{EngineKind, GpuConfig};
 use crate::exec::{ExecutionModel, ModelCtx, SchedCensus, SchedId, WakeCmd, WarpId};
 use crate::imeta::{warp_meta, WarpMeta};
@@ -35,7 +34,6 @@ use crate::mem::icnt::Interconnect;
 use crate::mem::packet::{AtomKind, Payload, WarpRef};
 use crate::mem::partition::MemPartition;
 use crate::ndet::NdetSource;
-use crate::par::ClusterShard;
 use crate::sched::SchedKind;
 use crate::sm::{Sm, WarpState};
 use crate::stats::SimStats;
@@ -60,9 +58,6 @@ pub struct RunReport {
     /// `[samples]` sections are byte-identical for either engine; the
     /// `[engine]` section (cycle-skip spans) is engine-variant by design.
     pub trace: Option<obs::Trace>,
-    /// Per-phase host wall-clock breakdown (prepare/commit/merge). Like
-    /// [`wall`](Self::wall), a throughput measurement only.
-    pub phase_wall: PhaseWall,
     /// Fine-grained engine span profile, present when the run was
     /// configured with `cfg.profile` (`DAB_PROFILE=1`). Pure `wall.*`
     /// host timing — excluded from every determinism comparison; the
@@ -200,49 +195,23 @@ impl Dispatcher {
 /// event engine exists to visit less — so determinism comparisons between
 /// the two engines must ignore the `det.engine.*` stat keys these fold into.
 #[derive(Debug, Default)]
-struct ActivityCounters {
+pub(crate) struct ActivityCounters {
     /// Cycles the engine never visited (event-wheel jumps plus the dense
     /// engine's quiet fast-forward).
     cycles_skipped: u64,
     /// Warp sleep→ready transitions (memory responses, lock grants,
     /// barrier releases, flush wakes) that re-armed a scheduler.
-    wakeup_events: u64,
-    /// SMs entered by an issue phase (not skipped by the active-set walk).
-    sms_ticked: u64,
-    /// Full warp-array ready-bound rescans (batch-gate openings and dirty
-    /// mid-commit view rebuilds): the O(warps/scheduler) work incremental
-    /// wake lists avoid. Before wake lists every scheduler visit ended in
-    /// one, so comparing this against older measurements shows the saving.
-    scheduler_scans: u64,
+    pub(crate) wakeup_events: u64,
+    /// SMs entered by an issue walk (not skipped by the active-set walk).
+    pub(crate) sms_ticked: u64,
+    /// Full warp-array ready-bound rescans (batch-gate openings): the
+    /// O(warps/scheduler) work incremental wake lists avoid. Before wake
+    /// lists every scheduler visit ended in one, so comparing this against
+    /// older measurements shows the saving.
+    pub(crate) scheduler_scans: u64,
     /// Partitions entered by `tick_partitions` (not skipped by the
     /// sleeping-partition check).
     partitions_ticked: u64,
-}
-
-/// Host wall-clock spent inside each engine phase, accumulated across the
-/// whole run. A host measurement like [`RunReport::wall`] — excluded from
-/// every determinism comparison — recorded so perf trajectories can show
-/// *where* a configuration spends its time (view prepare, commit walk,
-/// outbox merge).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PhaseWall {
-    /// Warp-view construction (`prepare_views`).
-    pub prepare: std::time::Duration,
-    /// Commit walk.
-    pub commit: std::time::Duration,
-    /// Outbox merge into the interconnect.
-    pub merge: std::time::Duration,
-}
-
-impl PhaseWall {
-    /// `(prepare, commit, merge)` in seconds, for serialization.
-    pub fn secs(&self) -> (f64, f64, f64) {
-        (
-            self.prepare.as_secs_f64(),
-            self.commit.as_secs_f64(),
-            self.merge.as_secs_f64(),
-        )
-    }
 }
 
 /// The simulator: one GPU, one execution model, one run.
@@ -252,8 +221,8 @@ impl PhaseWall {
 /// every run's initial state identical by construction).
 #[derive(Debug)]
 pub struct GpuSim {
-    cfg: GpuConfig,
-    model: Box<dyn ExecutionModel>,
+    pub(crate) cfg: GpuConfig,
+    pub(crate) model: Box<dyn ExecutionModel>,
     /// Root non-determinism stream (CTA-dispatch tiebreaks). Per-endpoint
     /// child streams below are split off this root at construction, so
     /// each endpoint's draws depend only on the seed and its own tag.
@@ -267,24 +236,21 @@ pub struct GpuSim {
     /// memory→cluster direction).
     icnt_cl_ndet: Vec<NdetSource>,
     values: ValueMem,
-    /// Per-cluster shards: the SMs plus their per-cycle scratch (warp
-    /// views, outbound packet staging).
-    clusters: Vec<ClusterShard>,
-    icnt: Interconnect,
+    /// Every SM, in global (cluster-major) index order.
+    pub(crate) sms: Vec<Sm>,
+    pub(crate) icnt: Interconnect,
     partitions: Vec<MemPartition>,
-    locks: LockManager,
-    stats: SimStats,
-    cycle: u64,
+    pub(crate) locks: LockManager,
+    pub(crate) stats: SimStats,
+    pub(crate) cycle: u64,
     wakes: Vec<WakeCmd>,
     census: Vec<SchedCensus>,
-    sched_kind: SchedKind,
+    pub(crate) sched_kind: SchedKind,
     last_progress_cycle: u64,
     /// Cycles without progress before the run panics as deadlocked
     /// ([`DEADLOCK_HORIZON`]; unit tests lower it).
     deadlock_horizon: u64,
-    activity: ActivityCounters,
-    /// Per-phase host wall-clock accumulator (prepare/commit/merge).
-    phase_wall: PhaseWall,
+    pub(crate) activity: ActivityCounters,
     /// Structured event tracer, `None` when `cfg.trace` is off — the
     /// off-mode fast path is a single pointer null-check per trace site.
     /// All recording happens in commit order, so the trace's deterministic
@@ -317,7 +283,7 @@ pub struct GpuSim {
 }
 
 /// Flattens a packet payload to its trace event class.
-fn pkt_kind(payload: &Payload) -> obs::PacketKind {
+pub(crate) fn pkt_kind(payload: &Payload) -> obs::PacketKind {
     match payload {
         Payload::LoadReq { .. } => obs::PacketKind::LoadReq,
         Payload::StoreReq { .. } => obs::PacketKind::StoreReq,
@@ -352,13 +318,8 @@ impl GpuSim {
     pub fn new(cfg: GpuConfig, model: Box<dyn ExecutionModel>, ndet: NdetSource) -> Self {
         cfg.validate().expect("invalid GPU configuration");
         let sched_kind = model.scheduler_kind();
-        let clusters = (0..cfg.num_clusters)
-            .map(|c| {
-                let sms = (0..cfg.sms_per_cluster)
-                    .map(|i| Sm::new(c * cfg.sms_per_cluster + i, &cfg, sched_kind))
-                    .collect();
-                ClusterShard::new(sms, cfg.num_schedulers_per_sm)
-            })
+        let sms = (0..cfg.num_sms())
+            .map(|id| Sm::new(id, &cfg, sched_kind))
             .collect();
         let dram_jitter = if ndet.is_enabled() { 16 } else { 0 };
         let partitions = (0..cfg.num_mem_partitions)
@@ -384,7 +345,7 @@ impl GpuSim {
         Self {
             icnt: Interconnect::new(&cfg),
             locks: LockManager::new(&cfg),
-            clusters,
+            sms,
             partitions,
             values: ValueMem::new(),
             stats: SimStats::default(),
@@ -409,14 +370,12 @@ impl GpuSim {
             last_progress_cycle: 0,
             deadlock_horizon: DEADLOCK_HORIZON,
             activity: ActivityCounters::default(),
-            phase_wall: PhaseWall::default(),
         }
     }
 
     /// Registers the engine-owned metric families: the engine-level
     /// `det.engine.*` activity counters and `det.obs.*` trace counts, plus
-    /// the shard-side `det.stall.*` issue-stall counters charged by the
-    /// commit machinery.
+    /// the `det.stall.*` issue-stall counters charged by the issue walk.
     fn register_engine_metrics(registry: &mut obs::MetricsRegistry) {
         registry.counter(
             "det.engine.cycles_skipped",
@@ -484,23 +443,6 @@ impl GpuSim {
         }
     }
 
-    /// The SM with global index `idx`.
-    fn sm(&self, idx: usize) -> &Sm {
-        let spc = self.cfg.sms_per_cluster;
-        &self.clusters[idx / spc].sms[idx % spc]
-    }
-
-    /// Mutable access to the SM with global index `idx`.
-    fn sm_mut(&mut self, idx: usize) -> &mut Sm {
-        let spc = self.cfg.sms_per_cluster;
-        &mut self.clusters[idx / spc].sms[idx % spc]
-    }
-
-    /// Iterates SMs in global (cluster-major) order.
-    fn sms(&self) -> impl Iterator<Item = &Sm> {
-        self.clusters.iter().flat_map(|c| c.sms.iter())
-    }
-
     /// The configuration this simulator was built with.
     pub fn config(&self) -> &GpuConfig {
         &self.cfg
@@ -521,13 +463,7 @@ impl GpuSim {
             self.run_kernel(grid, statics);
             kernel_cycles.push((grid.name.clone(), self.cycle - start));
         }
-        // Fold shard, partition, and activity counters into the final
-        // stats. Issue-path counters accumulate per shard while a kernel
-        // runs; fold them in here in cluster-index order.
-        for cluster in &mut self.clusters {
-            let shard_stats = std::mem::take(&mut cluster.stats);
-            self.stats.merge_shard(&shard_stats);
-        }
+        // Fold partition and activity counters into the final stats.
         self.stats.cycles = self.cycle;
         for p in &self.partitions {
             let ps = p.stats();
@@ -582,7 +518,6 @@ impl GpuSim {
             kernel_cycles,
             wall: started.elapsed(),
             trace,
-            phase_wall: self.phase_wall,
             profile: self.profile.map(|p| *p),
         }
     }
@@ -639,13 +574,9 @@ impl GpuSim {
             let span = self.prof_start();
             self.tick_locks();
             self.prof_record(obs::Phase::Locks, span);
-            self.issue_all(event);
-            // Deterministic merge point: packets the issue phase staged in
-            // per-cluster outboxes enter the interconnect in cluster-index
-            // order.
             let span = self.prof_start();
-            self.merge_outboxes();
-            self.prof_record(obs::Phase::Merge, span);
+            self.issue(event);
+            self.prof_record(obs::Phase::CommitSerial, span);
             let span = self.prof_start();
             self.dispatch(grid, dispatcher);
             self.prof_record(obs::Phase::Dispatch, span);
@@ -668,7 +599,7 @@ impl GpuSim {
             self.prof_record(obs::Phase::Wheel, span);
             if self.cycle - self.last_progress_cycle >= self.deadlock_horizon {
                 let mut dump = String::new();
-                for (sm_idx, sm) in self.sms().enumerate() {
+                for (sm_idx, sm) in self.sms.iter().enumerate() {
                     for (slot, warp) in sm.warps.iter().enumerate() {
                         if let Some(w) = warp {
                             // A Ready warp whose scheduler holds no bound is
@@ -692,7 +623,7 @@ impl GpuSim {
                 }
                 let mut tail = self.trace_tail();
                 if let Some(tracer) = self.tracer.as_deref() {
-                    for (sm_idx, sm) in self.sms().enumerate() {
+                    for (sm_idx, sm) in self.sms.iter().enumerate() {
                         for (slot, warp) in sm.warps.iter().enumerate() {
                             let Some(w) = warp else { continue };
                             if w.state == WarpState::Ready {
@@ -725,11 +656,9 @@ impl GpuSim {
     /// the inter-kernel cycle gap.
     fn end_kernel(&mut self) {
         self.model.on_kernel_end();
-        for cluster in &mut self.clusters {
-            for sm in &mut cluster.sms {
-                for sched in &mut sm.schedulers {
-                    sched.on_kernel_boundary();
-                }
+        for sm in &mut self.sms {
+            for sched in &mut sm.schedulers {
+                sched.on_kernel_boundary();
             }
         }
         self.locks.reset();
@@ -738,8 +667,7 @@ impl GpuSim {
 
     fn kernel_done(&self, dispatcher: &Dispatcher) -> bool {
         dispatcher.all_dispatched()
-            && self.sms().all(|sm| sm.live_warps() == 0)
-            && self.clusters.iter().all(|c| c.outbox.is_empty())
+            && self.sms.iter().all(|sm| sm.live_warps() == 0)
             && !self.icnt.is_busy()
             && self.partitions.iter().all(|p| !p.is_busy())
             && !self.locks.is_busy()
@@ -748,15 +676,13 @@ impl GpuSim {
 
     fn advance_cycle(&mut self) {
         // Conservative fast-forward: only when the memory system is quiet
-        // (including packets still staged in cluster outboxes) and the
-        // model needs no per-cycle tick may we jump to the next warp-ready
-        // or lock-service event.
+        // and the model needs no per-cycle tick may we jump to the next
+        // warp-ready or lock-service event.
         let quiet = !self.icnt.is_busy()
-            && self.clusters.iter().all(|c| c.outbox.is_empty())
             && self.partitions.iter().all(|p| !p.is_busy())
             && !self.model.needs_tick();
         if quiet {
-            let mut target = self.sms().filter_map(Sm::earliest_ready).min();
+            let mut target = self.sms.iter().filter_map(Sm::earliest_ready).min();
             let mut fold = |ev: Option<u64>| {
                 if let Some(e) = ev {
                     target = Some(target.map_or(e, |t| t.min(e)));
@@ -798,7 +724,6 @@ impl GpuSim {
     fn advance_cycle_event(&mut self) {
         // Work that must be processed next cycle forces a dense step.
         let busy_now = self.icnt.has_queued_work()
-            || self.clusters.iter().any(|c| !c.outbox.is_empty())
             || self.model.needs_tick()
             || self
                 .partitions
@@ -809,7 +734,7 @@ impl GpuSim {
             let next = self.cycle + 1;
             let mut target = u64::MAX;
             let mut fold = |ev: u64| target = target.min(ev.max(next));
-            for sm in self.sms() {
+            for sm in &self.sms {
                 let b = sm.ready_bound();
                 if b < u64::MAX {
                     fold(b);
@@ -846,7 +771,7 @@ impl GpuSim {
         self.cycle += 1;
     }
 
-    fn progress(&mut self) {
+    pub(crate) fn progress(&mut self) {
         self.last_progress_cycle = self.cycle;
     }
 
@@ -870,7 +795,8 @@ impl GpuSim {
             .and_then(|t| t.next_due_sample(self.cycle))
         {
             let ready_warps = self
-                .sms()
+                .sms
+                .iter()
                 .flat_map(|sm| sm.warps.iter().flatten())
                 .filter(|w| w.state == WarpState::Ready)
                 .count() as u64;
@@ -904,7 +830,7 @@ impl GpuSim {
     /// Records an architectural trace event, if tracing is enabled at the
     /// event's level.
     #[inline]
-    fn trace_event(&mut self, ev: obs::Event) {
+    pub(crate) fn trace_event(&mut self, ev: obs::Event) {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.record(ev);
         }
@@ -913,7 +839,7 @@ impl GpuSim {
     /// Whether full-detail tracing is on (gates construction of hot-path
     /// events so untraced runs pay one branch only).
     #[inline]
-    fn trace_full(&self) -> bool {
+    pub(crate) fn trace_full(&self) -> bool {
         self.tracer.as_deref().is_some_and(obs::Tracer::is_full)
     }
 
@@ -1055,7 +981,7 @@ impl GpuSim {
                         self.model.on_atomic_ack(warp, kind, remaining, self.cycle);
                         if kind == AtomKind::Atom {
                             let cycle = self.cycle;
-                            let sm = self.sm_mut(warp.sm);
+                            let sm = &mut self.sms[warp.sm];
                             let mut woke = None;
                             if let Some(w) = sm.warps[warp.slot].as_mut() {
                                 if w.state == WarpState::WaitAtom {
@@ -1099,7 +1025,7 @@ impl GpuSim {
     fn handle_load_resp(&mut self, sector_addr: u64, warp: WarpRef) {
         let cycle = self.cycle;
         let trace_full = self.trace_full();
-        let sm = self.sm_mut(warp.sm);
+        let sm = &mut self.sms[warp.sm];
         sm.l1.fill(sector_addr);
         let Some(waiters) = sm.l1_mshrs.remove(&sector_addr) else {
             return;
@@ -1142,7 +1068,7 @@ impl GpuSim {
 
     fn complete_write(&mut self, warp: WarpRef) -> u32 {
         let cycle = self.cycle;
-        let sm = self.sm_mut(warp.sm);
+        let sm = &mut self.sms[warp.sm];
         let mut remaining = 0;
         let mut woke = None;
         if let Some(w) = sm.warps[warp.slot].as_mut() {
@@ -1175,7 +1101,7 @@ impl GpuSim {
         for warp in released {
             self.progress();
             let cycle = self.cycle;
-            let sm = self.sm_mut(warp.sm);
+            let sm = &mut self.sms[warp.sm];
             let mut woke = None;
             if let Some(w) = sm.warps[warp.slot].as_mut() {
                 if w.state == WarpState::WaitLock {
@@ -1207,157 +1133,6 @@ impl GpuSim {
     }
 
     // ------------------------------------------------------------------
-    // Issue
-    // ------------------------------------------------------------------
-
-    /// Issues at most one instruction per warp scheduler: every cluster
-    /// prepares its warp views (the read-only scan over each SM's warp
-    /// contexts), then [`issue_commit`](Self::issue_commit) walks the
-    /// schedulers in global `(cluster, sm, sched)` order.
-    fn issue_all(&mut self, event: bool) {
-        let det_aware = self.sched_kind.is_determinism_aware();
-        let srr_like = self.sched_kind == SchedKind::Srr;
-        let prepare_started = std::time::Instant::now();
-        let cycle = self.cycle;
-        for shard in &mut self.clusters {
-            shard.prepare_views(cycle, det_aware, srr_like, event);
-        }
-        let commit_started = std::time::Instant::now();
-        self.phase_wall.prepare += commit_started - prepare_started;
-        // Reuses the always-on `phase_wall` instants, so this span is
-        // free to record exactly (every cycle, unscaled) rather than
-        // through the sampled path.
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.record(obs::Phase::Prepare, commit_started - prepare_started);
-        }
-        self.issue_commit(event);
-        self.phase_wall.commit += commit_started.elapsed();
-    }
-
-    /// The commit half of the issue phase: walk clusters in index order and
-    /// commit each via [`commit::commit_cluster`] with the live engine
-    /// resources — consuming the prebuilt views in global
-    /// `(cluster, sm, scheduler)` order, rebuilding any an earlier barrier
-    /// release made stale this cycle.
-    ///
-    /// With `event` set, the walk is an active-set traversal: clusters, SMs
-    /// and schedulers whose cached [`ready_bound`](Sm::ready_bound) lies in
-    /// the future are skipped in place. Skipping is equivalent to the dense
-    /// visit because `ready_bound > cycle` guarantees that `build_views`
-    /// would return empty or only warps the model refuses again (the bound
-    /// is never stale-high; a repeated refusal has no side effect), and
-    /// either is a dense visit that issues nothing.
-    ///
-    /// The skip conditions match the parked check in
-    /// [`ClusterShard::prepare_views`]: mid-commit wakes only ever lower a
-    /// bound to `cycle + 1` (still parked), so prepare and commit always
-    /// agree on which schedulers are active.
-    fn issue_commit(&mut self, event: bool) {
-        debug_assert_eq!(event, self.cfg.engine == EngineKind::Event);
-        let span = self.prof_start();
-        for cl in 0..self.clusters.len() {
-            self.with_engine_commit(cl, commit::commit_cluster);
-        }
-        self.prof_record(obs::Phase::CommitSerial, span);
-    }
-
-    /// Folds one commit walk's activity into the engine totals.
-    fn fold_commit_out(&mut self, out: CommitOut) {
-        self.activity.sms_ticked += out.sms_ticked;
-        self.activity.scheduler_scans += out.scheduler_scans;
-        self.activity.wakeup_events += out.wakeup_events;
-        if out.progressed {
-            self.last_progress_cycle = self.cycle;
-        }
-    }
-
-    /// Builds the immutable per-cluster snapshot a commit walk reads.
-    fn commit_params(&self, cl: usize) -> CommitParams {
-        CommitParams {
-            cycle: self.cycle,
-            cluster: cl,
-            spc: self.cfg.sms_per_cluster,
-            num_sched: self.cfg.num_schedulers_per_sm,
-            l1_hit_latency: self.cfg.l1_hit_latency,
-            icnt_flit_size: self.cfg.icnt_flit_size,
-            num_mem_partitions: self.cfg.num_mem_partitions,
-            det_aware: self.sched_kind.is_determinism_aware(),
-            srr_like: self.sched_kind == SchedKind::Srr,
-            event: self.cfg.engine == EngineKind::Event,
-            icnt_budget: self.icnt.request_injection_budget(cl),
-        }
-    }
-
-    /// Runs `f` against cluster `cl`'s shard with the live engine
-    /// resources ([`EngineShared`]), then folds the walk's activity
-    /// counters into the engine totals. Every commit-machinery entry point
-    /// goes through here, so all of them observe the same parameters.
-    fn with_engine_commit(
-        &mut self,
-        cl: usize,
-        f: impl FnOnce(&mut ClusterShard, &CommitParams, &mut EngineShared<'_>, &mut CommitOut),
-    ) {
-        let p = self.commit_params(cl);
-        let mut out = CommitOut::default();
-        {
-            let GpuSim {
-                clusters,
-                model,
-                locks,
-                tracer,
-                ..
-            } = self;
-            let mut sh = EngineShared {
-                model: model.as_mut(),
-                locks,
-                tracer: tracer.as_deref_mut(),
-            };
-            f(&mut clusters[cl], &p, &mut sh, &mut out);
-        }
-        self.fold_commit_out(out);
-    }
-
-    /// Drains every cluster's staged outbound packets into the interconnect,
-    /// in cluster-index order: the per-cycle deterministic merge point.
-    fn merge_outboxes(&mut self) {
-        let merge_started = std::time::Instant::now();
-        let trace_full = self.trace_full();
-        for c in 0..self.clusters.len() {
-            while let Some(pkt) = self.clusters[c].outbox.pop() {
-                if trace_full {
-                    self.trace_event(obs::Event::IcntInject {
-                        cycle: self.cycle,
-                        cluster: c as u32,
-                        dest: pkt.dest as u32,
-                        kind: pkt_kind(&pkt.payload),
-                    });
-                }
-                self.icnt.inject_request(c, pkt);
-            }
-        }
-        self.phase_wall.merge += merge_started.elapsed();
-    }
-
-    /// Wakes a flush-parked warp at the epoch boundary (see
-    /// [`commit::wake_flush_wait`]); the model-wake entry point.
-    fn wake_flush_wait(&mut self, sm_idx: usize, slot: usize) {
-        let spc = self.cfg.sms_per_cluster;
-        self.with_engine_commit(sm_idx / spc, |shard, p, sh, out| {
-            commit::wake_flush_wait(shard, p, sh, out, sm_idx % spc, slot);
-        });
-    }
-
-    /// Retires the warp if it has finished and drained (see
-    /// [`commit::try_retire`]); entry point for the response, lock-grant,
-    /// and spawn paths.
-    fn try_retire(&mut self, sm_idx: usize, slot: usize) {
-        let spc = self.cfg.sms_per_cluster;
-        self.with_engine_commit(sm_idx / spc, |shard, p, sh, out| {
-            commit::try_retire(shard, p, sh, out, sm_idx % spc, slot);
-        });
-    }
-
-    // ------------------------------------------------------------------
     // Dispatch, model tick, wakes
     // ------------------------------------------------------------------
 
@@ -1372,10 +1147,10 @@ impl GpuSim {
                     continue;
                 };
                 let cta = &grid.ctas[cta_idx];
-                if self.sm(sm_idx).can_accept(cta) {
+                if self.sms[sm_idx].can_accept(cta) {
                     dispatcher.static_queues[sm_idx].pop_front();
                     let base = dispatcher.statics.unique_bases[cta_idx];
-                    let slots = self.sm_mut(sm_idx).add_cta(
+                    let slots = self.sms[sm_idx].add_cta(
                         cta,
                         base,
                         cycle,
@@ -1396,7 +1171,7 @@ impl GpuSim {
             let n = self.cfg.num_sms();
             let placeable = dispatcher.dynamic_queue.front().is_some_and(|&cta_idx| {
                 let cta = &grid.ctas[cta_idx];
-                (0..n).any(|sm_idx| self.sm(sm_idx).can_accept(cta))
+                (0..n).any(|sm_idx| self.sms[sm_idx].can_accept(cta))
             });
             if placeable {
                 // Oracle branch point only when the perturbed rotation
@@ -1409,7 +1184,7 @@ impl GpuSim {
                 let eligible = self.ndet.has_oracle()
                     && dispatcher.dynamic_queue.front().is_some_and(|&cta_idx| {
                         let cta = &grid.ctas[cta_idx];
-                        let acceptors = (0..n).filter(|&s| self.sm(s).can_accept(cta)).count();
+                        let acceptors = (0..n).filter(|&s| self.sms[s].can_accept(cta)).count();
                         acceptors >= 2 || dispatcher.dynamic_queue.len() >= 2
                     });
                 let start = (dispatcher.rr
@@ -1424,10 +1199,10 @@ impl GpuSim {
                         break;
                     };
                     let cta = &grid.ctas[cta_idx];
-                    if self.sm(sm_idx).can_accept(cta) {
+                    if self.sms[sm_idx].can_accept(cta) {
                         dispatcher.dynamic_queue.pop_front();
                         let base = dispatcher.statics.unique_bases[cta_idx];
-                        let slots = self.sm_mut(sm_idx).add_cta(
+                        let slots = self.sms[sm_idx].add_cta(
                             cta,
                             base,
                             cycle,
@@ -1444,17 +1219,12 @@ impl GpuSim {
             }
         }
         if dispatcher.all_dispatched() {
-            for cluster in &mut self.clusters {
-                for sm in &mut cluster.sms {
-                    for sched in &mut sm.schedulers {
-                        if sched.advance_completed(true) {
-                            // The batch gate opened for a partially filled
-                            // tail batch; its warps carried no timer bound
-                            // while gated, so re-arm the scheduler for the
-                            // next issue phase.
-                            sched.note_ready(cycle + 1);
-                        }
-                    }
+            for sched in self.sms.iter_mut().flat_map(|sm| &mut sm.schedulers) {
+                if sched.advance_completed(true) {
+                    // The batch gate opened for a partially filled tail
+                    // batch; its warps carried no timer bound while gated,
+                    // so re-arm the scheduler for the next issue phase.
+                    sched.note_ready(cycle + 1);
                 }
             }
         }
@@ -1463,7 +1233,7 @@ impl GpuSim {
     fn notify_spawns(&mut self, sm_idx: usize, slots: &[usize]) {
         for &slot in slots {
             let (sched, unique) = {
-                let w = self.sm(sm_idx).warps[slot].as_ref().expect("spawned");
+                let w = self.sms[sm_idx].warps[slot].as_ref().expect("spawned");
                 (w.sched, w.unique)
             };
             self.model.on_warp_spawn(WarpId {
@@ -1485,23 +1255,18 @@ impl GpuSim {
         if det_aware {
             // Per-cycle, not on demand: GTRR times its switch to round
             // robin by these reports (`WarpScheduler::notes_pending_atomics`).
-            for sm in self.clusters.iter_mut().flat_map(|c| &mut c.sms) {
+            for sm in &mut self.sms {
                 sm.note_pending_atomics();
             }
         }
-        let schedulers = self
-            .clusters
-            .iter()
-            .flat_map(|c| &c.sms)
-            .flat_map(|sm| &sm.schedulers);
+        let schedulers = self.sms.iter().flat_map(|sm| &sm.schedulers);
         for (row, sched) in self.census.iter_mut().zip(schedulers) {
             *row = sched.census();
         }
         let num_sched = self.cfg.num_schedulers_per_sm;
-        let clusters = &self.clusters;
+        let sms = &self.sms;
         let mut fill_stuck = |rows: &mut [SchedCensus]| {
-            let sms = clusters.iter().flat_map(|c| &c.sms);
-            for (sm, rows) in sms.zip(rows.chunks_mut(num_sched)) {
+            for (sm, rows) in sms.iter().zip(rows.chunks_mut(num_sched)) {
                 sm.atomic_stuck_into(rows);
             }
         };
@@ -1538,7 +1303,7 @@ impl GpuSim {
             match wake {
                 WakeCmd::FlushWaiters { sm } => {
                     self.progress();
-                    for slot in 0..self.sm(sm).warps.len() {
+                    for slot in 0..self.sms[sm].warps.len() {
                         self.wake_flush_wait(sm, slot);
                     }
                 }
@@ -1547,11 +1312,7 @@ impl GpuSim {
                     // after the issue phase, so `cycle + 1` is the first
                     // cycle a refused warp could issue.
                     let next = self.cycle + 1;
-                    let schedulers = self
-                        .clusters
-                        .iter_mut()
-                        .flat_map(|c| &mut c.sms)
-                        .flat_map(|sm| &mut sm.schedulers);
+                    let schedulers = self.sms.iter_mut().flat_map(|sm| &mut sm.schedulers);
                     for sched in schedulers.filter(|s| s.live > 0) {
                         sched.note_ready(next);
                     }
@@ -1568,7 +1329,6 @@ mod tests {
     use crate::isa::Instr;
     use crate::isa::{AtomicAccess, AtomicOp, LockKind, MemAccess, Value, WarpProgram};
     use crate::kernel::CtaSpec;
-    use crate::mem::packet::Packet;
 
     fn sum_grid(warps: usize, lanes: usize, target: u64) -> KernelGrid {
         let ctas = (0..warps)
@@ -1993,45 +1753,6 @@ mod tests {
         let grid = KernelGrid::new("empty", vec![CtaSpec::new(0, vec![WarpProgram::empty(32)])]);
         let report = run_baseline(grid);
         assert_eq!(report.stats.warp_instrs, 0);
-    }
-
-    #[test]
-    fn staged_outbox_packets_block_quiescence() {
-        // Regression: a packet staged in a cluster outbox but not yet merged
-        // into the interconnect must keep the machine "busy" — both for
-        // kernel completion and for the fast-forward's quiet check.
-        let mut sim = GpuSim::new(
-            GpuConfig::tiny(),
-            Box::new(BaselineModel::new()),
-            NdetSource::disabled(),
-        );
-        let empty = KernelGrid::new("noop", vec![]);
-        let statics = KernelStatics::build(&sim.cfg, &empty);
-        let dispatcher =
-            Dispatcher::new(&empty, CtaDistribution::Dynamic, sim.cfg.num_sms(), statics);
-        assert!(sim.kernel_done(&dispatcher), "idle machine must be done");
-
-        let pkt = Packet::new(
-            0,
-            Payload::LoadReq {
-                sector_addr: 0x40,
-                warp: WarpRef { sm: 0, slot: 0 },
-            },
-            sim.cfg.icnt_flit_size,
-        );
-        sim.clusters[0].outbox.stage(pkt);
-        assert!(
-            !sim.kernel_done(&dispatcher),
-            "staged outbox packet must count as in-flight work"
-        );
-        // The quiet fast-forward must also refuse to jump over the merge.
-        let before = sim.cycle;
-        sim.advance_cycle();
-        assert_eq!(sim.cycle, before + 1, "no fast-forward while staged");
-
-        sim.merge_outboxes();
-        assert!(sim.clusters[0].outbox.is_empty());
-        assert!(sim.icnt.is_busy(), "merged packet now rides the icnt");
     }
 
     /// Breaks the `can_issue` contract: refuses its first query once, then

@@ -52,7 +52,7 @@
 //! assert_eq!(report.values.read_f32(0x1000), 32.0);
 //! ```
 
-pub mod commit;
+mod commit;
 pub mod config;
 pub mod engine;
 pub mod exec;

@@ -115,11 +115,8 @@ impl Interconnect {
 
     /// Remaining request-injection headroom (in flits) for `cluster`: the
     /// exact budget [`can_inject_request`](Self::can_inject_request) tests
-    /// against. Snapshotting this lets the commit phase run injection
-    /// checks against a cluster-local copy — exactly equivalent to the
-    /// live check because the interconnect is never mutated during the
-    /// issue phase (all issued packets stage in per-cluster outboxes and
-    /// enter the interconnect at the later merge point).
+    /// against. The issue walk checks each request against it right before
+    /// injecting, so every packet already injected this cycle counts.
     pub fn request_injection_budget(&self, cluster: usize) -> u32 {
         let free = self
             .injection_capacity_flits
@@ -205,8 +202,7 @@ impl Interconnect {
     /// `cl_ndet` one per cluster: every arbitration point draws from its
     /// *own* stream (forked from the run seed via
     /// [`NdetSource::split`]), so the sequence one endpoint sees never
-    /// depends on how work for other endpoints is ordered — a prerequisite
-    /// for sharding the engine across threads without perturbation drift.
+    /// depends on how work for other endpoints is ordered.
     ///
     /// # Panics
     ///

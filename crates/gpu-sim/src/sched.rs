@@ -123,14 +123,13 @@ impl WarpView {
 /// to [`pick`](Self::pick) one warp from the live set. After issuing, the
 /// engine reports back via [`on_issue`](Self::on_issue).
 ///
-/// # Threading contract
+/// # Call order
 ///
-/// Policy state lives inside its SM's [`SchedulerCtx`](crate::sm), which
-/// belongs to exactly one [`ClusterShard`](crate::par::ClusterShard).
-/// [`pick`](Self::pick) and every callback run in that shard's commit walk
-/// (see DESIGN.md "The issue cycle"): the calls for one scheduler are
-/// sequential in the fixed (cluster, SM, scheduler) order, so policies
-/// never observe concurrent calls. `pick` is invoked every cycle a
+/// Policy state lives inside its SM's [`SchedulerCtx`](crate::sm).
+/// [`pick`](Self::pick) and every callback run on the engine's one thread
+/// (see DESIGN.md "The issue cycle"): the issue walk visits schedulers in
+/// the fixed (cluster, SM, scheduler) order, so policies never observe
+/// concurrent calls. `pick` is invoked every cycle a
 /// scheduler has a warp that is ready after the batch gate and token
 /// refusal — even when model gating then cleared all ready flags — so
 /// stateful policies (token rotation, round-robin cursors) advance

@@ -531,7 +531,7 @@ impl Sm {
 
     /// Folds slot `slot`'s *current* timer bound into its scheduler's
     /// `ready_bound`. The event engine calls this for the warp it just
-    /// issued from — the prebuilt view's `bound_at` predates the issue, so
+    /// issued from — its view's `bound_at` predates the issue, so
     /// the warp is re-evaluated live (its peers' `bound_at` values are
     /// still valid and are folded directly).
     pub fn note_slot_bound(&mut self, slot: usize, det_aware: bool, srr_like: bool) {
@@ -568,11 +568,10 @@ impl Sm {
     /// the event engine can install it directly instead of rescanning the
     /// warps after the visit.
     ///
-    /// This is a pure read of SM-local state — no interconnect, lock, or
-    /// execution-model inputs — which is what lets the engine prebuild views
-    /// for every cluster ahead of the commit walk. Model issue gating
-    /// (`ExecutionModel::can_issue`) is layered on by the commit walk
-    /// afterwards.
+    /// This is a pure read of the scheduler's own warps and context — no
+    /// interconnect, lock, or execution-model inputs. The issue walk calls
+    /// it right before the scheduler's pick and layers model issue gating
+    /// (`ExecutionModel::can_issue`) on afterwards.
     pub fn build_views(
         &self,
         sched: usize,
@@ -860,11 +859,10 @@ mod tests {
         )
     }
 
-    /// Mirrors a commit visit that picks the warp in `slot` (if it is a
-    /// ready view, and an atomic-next one when `atomic`): re-arm the
-    /// scheduler's bound, `issue`, then fold the other views' prebuilt
-    /// bounds back in and re-evaluate the picked warp, as the commit walk
-    /// does.
+    /// Mirrors an issue-walk visit that picks the warp in `slot` (if it is
+    /// a ready view, and an atomic-next one when `atomic`): re-arm the
+    /// scheduler's bound, `issue`, then fold the other views' bounds back
+    /// in and re-evaluate the picked warp, as the issue walk does.
     fn visit(
         sm: &mut Sm,
         slot: usize,
@@ -890,7 +888,7 @@ mod tests {
     /// Drives random warp transitions, each mirroring an engine site, and
     /// checks after every step that each scheduler's incremental bound is
     /// no later than the exact scan, and that the per-visit install (what
-    /// the commit walk does with `build_views`' aggregate) equals the
+    /// the issue walk does with `build_views`' aggregate) equals the
     /// `recompute_ready_bound` oracle. `det_aware` adds the engine's
     /// token-moving sites (atomic issue, exit, barrier arrival and release)
     /// so refused-warp parking is exercised.

@@ -7,16 +7,15 @@
 //! [`counters`](SimStats::counters) map so models can define their own
 //! categories without widening this struct.
 //!
-//! The engine accumulates issue-path counters into per-cluster shard
-//! copies and folds them into the run total with
-//! [`merge_shard`](SimStats::merge_shard) in cluster-index order at the
-//! end of the run.
+//! The engine accumulates every counter of a run into one `SimStats`;
+//! [`merge`](SimStats::merge) sums whole independent runs (sweeps and the
+//! benchmark aggregate with it).
 //!
 //! # Counter namespaces
 //!
 //! Every named metric lives in the `det.*` namespace of the
 //! [`obs::metrics`] registry — the full contract (namespace classes,
-//! merge ordering, coordinator-only families) is documented there and
+//! merge rules, coordinator-only families) is documented there and
 //! enforced here:
 //!
 //! * [`bump`](SimStats::bump), [`gauge_max`](SimStats::gauge_max) and
@@ -30,8 +29,6 @@
 //!   a matching registration is deprecated; register new families at
 //!   component construction (`ExecutionModel::register_metrics` for
 //!   models).
-//! * Coordinator-only families (`det.engine.*`, `det.obs.*`) must never
-//!   be bumped on shard copies — see [`merge_shard`](SimStats::merge_shard).
 //!
 //! # Examples
 //!
@@ -86,7 +83,7 @@ fn check_det_key(name: &str) {
         Ok(obs::metrics::MetricClass::Wall) => panic!(
             "SimStats rejects wall-clock metric {name:?}: wall.* values are \
              timing-variant and must never enter the deterministic stats maps \
-             (use the span profiler / PhaseWall instead)"
+             (use the span profiler instead)"
         ),
         Ok(_) => {}
         Err(e) => panic!(
@@ -155,7 +152,7 @@ impl SimStats {
     /// Raises the named high-watermark gauge to at least `v`.
     ///
     /// Gauges merge by `max` (not sum), which keeps a high-watermark
-    /// meaningful across shard folds and whole-run merges alike.
+    /// meaningful across whole-run merges.
     ///
     /// # Panics
     ///
@@ -179,48 +176,11 @@ impl SimStats {
         self.bump(hist.bucket_key(value), 1);
     }
 
-    /// Folds a per-cluster shard copy into the run total.
-    ///
-    /// This is [`merge`](Self::merge) plus the shard invariant: shard
-    /// copies accumulate *issue-path* statistics only, so they must carry
-    /// no `cycles` (the coordinator owns the clock and overwrites
-    /// `cycles` at the end of the run) and no coordinator-only
-    /// `det.engine.*` / `det.obs.*` keys. Summing `cycles` across shards
-    /// would multiply the clock by the cluster count; a coordinator-only
-    /// counter bumped on a shard would be counted once per cluster that
-    /// bumped it instead of once per run.
-    /// Debug builds assert both; release builds behave like
-    /// [`merge`](Self::merge).
-    pub fn merge_shard(&mut self, shard: &SimStats) {
-        debug_assert_eq!(
-            shard.cycles, 0,
-            "shard stats must not accumulate cycles: the coordinator owns the clock"
-        );
-        debug_assert!(
-            !shard
-                .counters
-                .keys()
-                .chain(shard.gauges.keys())
-                .any(|k| obs::metrics::is_coordinator_only(k)),
-            "coordinator-only counter bumped on a shard copy: {:?}",
-            shard
-                .counters
-                .keys()
-                .chain(shard.gauges.keys())
-                .filter(|k| obs::metrics::is_coordinator_only(k))
-                .collect::<Vec<_>>()
-        );
-        self.merge(shard);
-    }
-
     /// Merges another stats object into this one: every fixed field and
     /// counter is summed, gauges take the max.
     ///
     /// Note `cycles` is summed too, which is only correct when the two
-    /// operands account disjoint time (e.g. whole independent runs). For
-    /// folding per-cluster shard copies of the *same* run, use
-    /// [`merge_shard`](Self::merge_shard), which asserts the shard
-    /// invariant.
+    /// operands account disjoint time (e.g. whole independent runs).
     pub fn merge(&mut self, other: &SimStats) {
         self.cycles += other.cycles;
         self.thread_instrs += other.thread_instrs;
@@ -352,42 +312,6 @@ mod tests {
         assert_eq!(a.counter("det.test.m"), 3);
         assert_eq!(a.counter("det.test.n"), 7);
         assert_eq!(a.gauge("det.test.g"), 9, "gauges merge by max, not sum");
-    }
-
-    #[test]
-    fn merge_shard_folds_issue_path_stats() {
-        let mut total = SimStats::default();
-        let mut shard = SimStats {
-            warp_instrs: 5,
-            ..Default::default()
-        };
-        shard.bump("det.dab.flushes", 2);
-        total.merge_shard(&shard);
-        assert_eq!(total.warp_instrs, 5);
-        assert_eq!(total.counter("det.dab.flushes"), 2);
-        assert_eq!(total.cycles, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard stats must not accumulate cycles")]
-    #[cfg(debug_assertions)]
-    fn merge_shard_rejects_shard_cycles() {
-        let mut total = SimStats::default();
-        let shard = SimStats {
-            cycles: 7,
-            ..Default::default()
-        };
-        total.merge_shard(&shard);
-    }
-
-    #[test]
-    #[should_panic(expected = "coordinator-only counter")]
-    #[cfg(debug_assertions)]
-    fn merge_shard_rejects_coordinator_only_counters() {
-        let mut total = SimStats::default();
-        let mut shard = SimStats::default();
-        shard.bump("det.engine.cycles_skipped", 1);
-        total.merge_shard(&shard);
     }
 
     #[test]

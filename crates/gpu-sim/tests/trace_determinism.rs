@@ -63,8 +63,7 @@ fn decode(opcode: u32, operand: u64, count: u32) -> Instr {
         6 => Instr::Fence,
         // Cross-cluster interaction on purpose: every warp contends on one
         // of two shared ticket locks whose home cells sit in the same
-        // small window as the atomics above, so commit-sharding's
-        // `uses_locks`/same-partition fallbacks are genuinely exercised.
+        // small window as the atomics above.
         _ => Instr::LockedSection {
             kind: if operand.is_multiple_of(2) {
                 LockKind::TestAndSet

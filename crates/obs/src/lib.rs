@@ -5,10 +5,11 @@
 //! ([`Sample`]), the trace container and its byte-stable text format
 //! ([`Trace`]), the recording side ([`Tracer`]), the first-divergence
 //! bisector ([`diff`]), the Chrome trace-event / Perfetto exporter
-//! ([`perfetto`]), the typed metrics registry ([`metrics`]), and the
-//! engine span profiler ([`profile`]). The simulator crates (`gpu-sim`,
-//! `dab`, `gpudet`, `bench`) depend on it; the `dab-trace` binary ships
-//! from here.
+//! ([`perfetto`]), the typed metrics registry ([`metrics`]), the engine
+//! span profiler ([`profile`]), and the JSON string escaper every
+//! hand-rendered JSON writer shares ([`json`]). The simulator crates
+//! (`gpu-sim`, `dab`, `gpudet`, `bench`) and the tools (`analysis`,
+//! `dab-perf`) depend on it; the `dab-trace` binary ships from here.
 //!
 //! # Determinism contract
 //!
@@ -35,6 +36,7 @@
 pub mod diff;
 pub mod event;
 pub mod filter;
+pub mod json;
 pub mod metrics;
 pub mod perfetto;
 pub mod profile;

@@ -12,8 +12,8 @@
 //! of two top-level namespaces:
 //!
 //! * `det.*` — **deterministic** metrics: byte-stable architectural
-//!   counts, merged in cluster-index order, identical at any `DAB_JOBS`
-//!   worker count. Two sub-classes refine the contract:
+//!   counts, identical at any `DAB_JOBS` worker count. Two sub-classes
+//!   refine the contract:
 //!   - [`MetricClass::DetArch`] (everything under `det.*` except the
 //!     family below): additionally identical across `DAB_ENGINE`
 //!     settings — the dense and event engines must agree bit-for-bit.
@@ -30,20 +30,19 @@
 //!
 //! Two further properties are keyed off the name, not stored state:
 //!
-//! * `det.engine.*` and `det.obs.*` are **coordinator-only**: they must
-//!   never be bumped on a per-cluster shard copy (they count engine-level
-//!   events once per run, not once per cluster).
-//!   `SimStats::merge_shard` debug-asserts this.
+//! * `det.engine.*` and `det.obs.*` are **coordinator-only**: the engine
+//!   folds them into the run's stats once, at the end of the run, from
+//!   its own activity counters and tracer; no component bumps them while
+//!   the machine runs.
 //! * `det.obs.*` exists only when tracing is enabled, so equivalence
 //!   comparisons must fix the trace mode on both sides.
 //!
 //! # Merge ordering
 //!
 //! Counters and histogram buckets are summed; gauges are high-watermarks
-//! and merge by `max`. Shard copies fold into the run total in
-//! cluster-index order at the end of the run (see
-//! `SimStats::merge_shard`), so merged values never depend on shard
-//! order.
+//! and merge by `max`. One run accumulates into a single `SimStats`;
+//! `SimStats::merge` folds whole runs together (sweeps, the benchmark),
+//! so merged values never depend on the order runs finish.
 //!
 //! # Registration
 //!
@@ -103,7 +102,7 @@ impl MetricClass {
 /// What kind of value a registered metric carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
-    /// Monotonic sum; shard copies merge by addition.
+    /// Monotonic sum; merges by addition.
     Counter,
     /// High-watermark; merges by `max`.
     Gauge,
@@ -228,8 +227,8 @@ pub fn validate_name(name: &str) -> Result<MetricClass, NameError> {
     }
 }
 
-/// Whether a key names a coordinator-only counter family (never legal on
-/// a per-cluster shard copy).
+/// Whether a key names a coordinator-only family: counted by the engine
+/// once per run (`det.engine.*`, `det.obs.*`) or host timing (`wall.*`).
 pub fn is_coordinator_only(name: &str) -> bool {
     name.starts_with("det.engine.") || name.starts_with("det.obs.") || name.starts_with("wall.")
 }

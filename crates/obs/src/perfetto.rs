@@ -36,10 +36,12 @@ pub fn to_chrome_json(trace: &Trace) -> String {
 pub fn to_chrome_json_with_profile(trace: &Trace, profile: &[(String, u64)]) -> String {
     let mut events: Vec<String> = Vec::new();
 
+    // Frame paths come from a user-supplied `.folded` file: quote them.
     for (path, us) in profile {
         events.push(format!(
-            "{{\"name\":\"{path}\",\"ph\":\"C\",\"ts\":0,\"pid\":3,\"tid\":2,\
-             \"args\":{{\"value\":{us}}}}}"
+            "{{\"name\":{},\"ph\":\"C\",\"ts\":0,\"pid\":3,\"tid\":2,\
+             \"args\":{{\"value\":{us}}}}}",
+            crate::json::quote(path)
         ));
     }
 
@@ -315,6 +317,23 @@ mod tests {
         assert_eq!(
             to_chrome_json(&trace),
             to_chrome_json_with_profile(&trace, &[])
+        );
+    }
+
+    #[test]
+    fn profile_frame_names_are_escaped() {
+        let trace = Trace {
+            mode: TraceMode::Summary,
+            sample_interval: 8,
+            arch: Vec::new(),
+            samples: Vec::new(),
+            skips: Vec::new(),
+        };
+        let profile = vec![("a\"b\\c".to_string(), 7)];
+        let json = to_chrome_json_with_profile(&trace, &profile);
+        assert!(
+            json.contains(r#""name":"a\"b\\c""#),
+            "frame name must be a valid JSON string: {json}"
         );
     }
 }

@@ -39,7 +39,9 @@ pub enum Phase {
     Responses,
     /// Ticket-lock service.
     Locks,
-    /// Warp-view construction (`prepare_views`).
+    /// Never recorded: warp views are now built inside the issue walk
+    /// (`CommitSerial`). Kept so profile readers that name it still
+    /// build; its total stays zero.
     Prepare,
     /// Never recorded: commit-sharding classification was retired. Kept
     /// so profile readers that name it still build; its total stays zero.
@@ -47,9 +49,12 @@ pub enum Phase {
     /// Never recorded: independence-sharded commits were retired. Kept
     /// so profile readers that name it still build; its total stays zero.
     CommitParallel,
-    /// The commit walk: every cluster, in cluster order.
+    /// The issue walk: every SM and scheduler in global order, warp-view
+    /// construction and request injection included.
     CommitSerial,
-    /// Outbox merge into the interconnect.
+    /// Never recorded: requests now enter the interconnect as they issue
+    /// (`CommitSerial`). Kept so profile readers that name it still
+    /// build; its total stays zero.
     Merge,
     /// CTA dispatch.
     Dispatch,

@@ -90,7 +90,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => out.push_str(&render_num(*x)),
-            Json::Str(s) => render_str(s, out),
+            Json::Str(s) => obs::json::push_quoted(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -107,7 +107,7 @@ impl Json {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    render_str(k, out);
+                    obs::json::push_quoted(out, k);
                     out.push_str(": ");
                     v.render_into(out);
                 }
@@ -128,24 +128,6 @@ fn render_num(x: f64) -> String {
     } else {
         format!("{x}")
     }
-}
-
-fn render_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {

@@ -16,8 +16,9 @@
 //!   `results/bench_history.jsonl` and renders the trajectory, so a
 //!   slow per-commit drift is visible even when every individual
 //!   compare stayed inside tolerance.
-//! * [`json`] is the dependency-free ordered JSON parser/renderer the
-//!   rest is built on (the workspace deliberately has no serde).
+//! * [`json`] is the ordered JSON parser/renderer the rest is built on
+//!   (the workspace deliberately has no serde; strings are quoted by the
+//!   shared `obs::json` escaper).
 //!
 //! The `dab-perf` binary wraps these as `report`, `compare`, and
 //! `history` subcommands; see `main.rs` or `dab-perf --help`.
