@@ -35,6 +35,7 @@ use analysis::report::glob_match;
 use analysis::{analyze_suite_with_jobs, Allowlist};
 use dab_workloads::scale::Scale;
 use dab_workloads::suite::analyze_all;
+use obs::json;
 
 fn usage() -> &'static str {
     "usage: dab-analyze (--suite | --bench <glob>...) \
@@ -50,15 +51,6 @@ fn jobs_from_env() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("DAB_RESULTS_DIR") {
-        return PathBuf::from(dir);
-    }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results")
 }
 
 fn default_allowlist_path() -> PathBuf {
@@ -154,7 +146,7 @@ fn main() -> ExitCode {
         for b in &benches {
             for g in HbGraph::of_benchmark(b) {
                 let stem = format!("{}__{}", sanitize(&b.name), sanitize(&g.kernel));
-                for (ext, body) in [("hb.json", g.to_json()), ("hb.dot", g.to_dot())] {
+                for (ext, body) in [("hb.json", g.to_json().pretty()), ("hb.dot", g.to_dot())] {
                     let path = dir.join(format!("{stem}.{ext}"));
                     if let Err(e) = std::fs::write(&path, body) {
                         eprintln!("cannot write {}: {e}", path.display());
@@ -182,14 +174,12 @@ fn main() -> ExitCode {
     }
 
     if json {
-        let dir = results_dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-        } else {
-            let path = dir.join("dab_analyze.json");
-            match std::fs::write(&path, report.render_json(&allow)) {
-                Ok(()) => println!("results: {}", path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+        let dir = json::results_dir("results");
+        match json::write(&dir, "dab_analyze.json", &report.to_json(&allow)) {
+            Ok(path) => println!("results: {}", path.display()),
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::from(2);
             }
         }
     }

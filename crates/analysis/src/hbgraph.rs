@@ -16,7 +16,7 @@
 //! its schedule enumeration entirely. Racy kernels get a finite list of
 //! independent choice points instead of an opaque seed space.
 //!
-//! Serialization (JSON and Graphviz DOT) is hand-rolled and byte-stable:
+//! Serialization (an `obs::json` document and Graphviz DOT) is byte-stable:
 //! nodes are sorted by `(word, walk order)` and words ascending, so the
 //! same trace always produces the same bytes — snapshot-tested like the
 //! golden suite reports.
@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 
 use dab_workloads::suite::Benchmark;
 use gpu_sim::kernel::KernelGrid;
-use obs::json::quote;
+use obs::json::Json;
 
 use crate::conflict::{
     classify_pair, group_self_unordered, groups_unordered, walk_kernel, AccessCat,
@@ -258,78 +258,47 @@ impl HbGraph {
             .count()
     }
 
-    /// Byte-stable JSON document (hand-rolled, same idiom as
-    /// [`crate::report::SuiteReport::render_json`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"kernel\": {},", quote(&self.kernel));
-        out.push_str("  \"nodes\": [");
-        for (i, n) in self.nodes.iter().enumerate() {
-            let comma = if i + 1 < self.nodes.len() { "," } else { "" };
-            let lock = match n.lock {
-                Some(l) => format!("\"{l:#x}\""),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                out,
-                "\n    {{ \"id\": {i}, \"addr\": \"{:#x}\", \"cat\": {}, \"cta\": {}, \
-                 \"phase\": {}, \"lock\": {lock}, \"warp\": {}, \"multi_warp\": {}, \
-                 \"count\": {} }}{comma}",
-                n.addr,
-                quote(&n.cat),
-                n.cta,
-                n.phase,
-                n.warp,
-                n.multi_warp,
-                n.count,
-            );
-        }
-        out.push_str(if self.nodes.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+    /// The JSON document (write it with [`Json::pretty`]; byte-stable,
+    /// like [`crate::report::SuiteReport::to_json`]).
+    pub fn to_json(&self) -> Json {
+        let hex = |a: u64| Json::from(format!("{a:#x}"));
+        let nodes = self.nodes.iter().enumerate().map(|(i, n)| {
+            Json::obj([
+                ("id", Json::from(i)),
+                ("addr", hex(n.addr)),
+                ("cat", Json::from(n.cat.as_str())),
+                ("cta", Json::from(n.cta)),
+                ("phase", Json::from(n.phase)),
+                ("lock", n.lock.map_or(Json::Null, hex)),
+                ("warp", Json::from(n.warp)),
+                ("multi_warp", Json::from(n.multi_warp)),
+                ("count", Json::from(n.count)),
+            ])
         });
-        out.push_str("  \"edges\": [");
-        for (i, e) in self.edges.iter().enumerate() {
-            let comma = if i + 1 < self.edges.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "\n    {{ \"a\": {}, \"b\": {}, \"rule\": {} }}{comma}",
-                e.a,
-                e.b,
-                quote(e.rule.label()),
-            );
-        }
-        out.push_str(if self.edges.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        let edges = self.edges.iter().map(|e| {
+            Json::obj([
+                ("a", Json::from(e.a)),
+                ("b", Json::from(e.b)),
+                ("rule", Json::from(e.rule.label())),
+            ])
         });
-        out.push_str("  \"choice_points\": [");
-        for (i, c) in self.choice_points.iter().enumerate() {
-            let comma = if i + 1 < self.choice_points.len() {
-                ","
-            } else {
-                ""
-            };
-            let kinds: Vec<String> = c.kinds.iter().map(|k| quote(k.label())).collect();
-            let _ = write!(
-                out,
-                "\n    {{ \"addr\": \"{:#x}\", \"class\": {}, \"kinds\": [{}], \
-                 \"pairs\": {} }}{comma}",
-                c.addr,
-                quote(c.class().label()),
-                kinds.join(", "),
-                c.pairs,
-            );
-        }
-        out.push_str(if self.choice_points.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
+        let choice_points = self.choice_points.iter().map(|c| {
+            Json::obj([
+                ("addr", hex(c.addr)),
+                ("class", Json::from(c.class().label())),
+                (
+                    "kinds",
+                    Json::Arr(c.kinds.iter().map(|k| Json::from(k.label())).collect()),
+                ),
+                ("pairs", Json::from(c.pairs)),
+            ])
         });
-        out.push_str("}\n");
-        out
+        Json::obj([
+            ("kernel", Json::from(self.kernel.as_str())),
+            ("nodes", Json::Arr(nodes.collect())),
+            ("edges", Json::Arr(edges.collect())),
+            ("choice_points", Json::Arr(choice_points.collect())),
+        ])
     }
 
     /// Byte-stable Graphviz DOT rendering for human debugging: one
@@ -514,11 +483,11 @@ mod tests {
         let b = micro("micro_ticket_counter");
         let a1: Vec<String> = HbGraph::of_benchmark(&b)
             .iter()
-            .map(HbGraph::to_json)
+            .map(|g| g.to_json().pretty())
             .collect();
         let a2: Vec<String> = HbGraph::of_benchmark(&b)
             .iter()
-            .map(HbGraph::to_json)
+            .map(|g| g.to_json().pretty())
             .collect();
         assert_eq!(a1, a2);
         let d1: Vec<String> = HbGraph::of_benchmark(&b)

@@ -24,8 +24,8 @@
 //! 3. **Well-formedness linting** ([`lint`]) — trace invariants every
 //!    workload generator must uphold.
 //! 4. **Deterministic reporting and CI gating** ([`report`]) — sorted,
-//!    seed-independent, byte-identical reports (text and hand-rolled
-//!    JSON), gated against an explicit allowlist.
+//!    seed-independent, byte-identical reports (text and `obs::json`),
+//!    gated against an explicit allowlist.
 //!
 //! The `dab-analyze` binary runs the whole workload suite
 //! (`cargo run --release -p analysis --bin dab-analyze -- --suite`) and

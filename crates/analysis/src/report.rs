@@ -8,13 +8,13 @@
 //! `dab-analyze --suite` therefore produces byte-identical output across
 //! runs and across `DAB_JOBS` settings.
 //!
-//! The JSON renderer follows the hand-rolled style of
-//! `crates/bench/src/results.rs` (stable field order, hex-string
-//! addresses, strings quoted by `obs::json`).
+//! The JSON document is an `obs::json` value with a stable field order
+//! and hex-string addresses (`null` for site-less findings), written in
+//! the layout every results document shares.
 
 use std::fmt::Write as _;
 
-use obs::json::quote;
+use obs::json::Json;
 
 /// Determinism class of a conflict, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -541,101 +541,73 @@ impl SuiteReport {
         out
     }
 
-    /// Renders the JSON document (hand-rolled, stable field order — same
-    /// style as `crates/bench/src/results.rs`).
-    pub fn render_json(&self, allow: &Allowlist) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"target\": {},", quote("dab_analyze"));
-        let _ = writeln!(out, "  \"scale\": {},", quote(&self.scale));
-        out.push_str("  \"benches\": [");
-        for (i, b) in self.benches.iter().enumerate() {
-            let comma = if i + 1 < self.benches.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "\n    {{ \"name\": {}, \"family\": {}, \"kernels\": {}, \"warps\": {}, \
-                 \"sites\": {}, \"accesses\": {}, \"transactions\": {}, \
-                 \"shared_sectors\": {},",
-                quote(&b.name),
-                quote(&b.family),
-                b.kernels,
-                b.warps,
-                b.sites,
-                b.accesses,
-                b.transactions,
-                b.shared_sectors,
-            );
-            out.push_str("\n      \"findings\": [");
-            for (j, f) in b.findings.iter().enumerate() {
-                let fc = if j + 1 < b.findings.len() { "," } else { "" };
-                let _ = write!(
-                    out,
-                    "\n        {{ \"class\": {}, \"kind\": {}, \"sites\": {}, \
-                     \"accesses\": {}, \"addr_min\": {}, \"addr_max\": {}, \
-                     \"kernels\": {} }}{fc}",
-                    quote(f.kind.class().label()),
-                    quote(f.kind.label()),
-                    f.sites,
-                    f.accesses,
-                    json_addr(f.addr_min, f.addr_min > f.addr_max),
-                    json_addr(f.addr_max, f.addr_min > f.addr_max),
-                    f.kernels,
-                );
-            }
-            out.push_str(if b.findings.is_empty() {
-                "],"
-            } else {
-                "\n      ],"
+    /// The JSON document, in stable field order (write it with
+    /// [`Json::pretty`]).
+    pub fn to_json(&self, allow: &Allowlist) -> Json {
+        let benches = self.benches.iter().map(|b| {
+            let findings = b.findings.iter().map(|f| {
+                // Site-less findings (barrier divergence) have no range.
+                let absent = f.addr_min > f.addr_max;
+                let addr = |a: u64| {
+                    if absent {
+                        Json::Null
+                    } else {
+                        Json::from(format!("0x{a:08x}"))
+                    }
+                };
+                Json::obj([
+                    ("class", Json::from(f.kind.class().label())),
+                    ("kind", Json::from(f.kind.label())),
+                    ("sites", Json::from(f.sites)),
+                    ("accesses", Json::from(f.accesses)),
+                    ("addr_min", addr(f.addr_min)),
+                    ("addr_max", addr(f.addr_max)),
+                    ("kernels", Json::from(f.kernels)),
+                ])
             });
-            out.push_str("\n      \"lints\": [");
-            for (j, l) in b.lints.iter().enumerate() {
-                let lc = if j + 1 < b.lints.len() { "," } else { "" };
-                let _ = write!(
-                    out,
-                    "\n        {{ \"kernel\": {}, \"kind\": {}, \"detail\": {}, \
-                     \"count\": {} }}{lc}",
-                    quote(&l.kernel),
-                    quote(l.lint.kind.label()),
-                    quote(&l.lint.detail),
-                    l.lint.count,
-                );
-            }
-            out.push_str(if b.lints.is_empty() {
-                "] }"
-            } else {
-                "\n      ] }"
+            let lints = b.lints.iter().map(|l| {
+                Json::obj([
+                    ("kernel", Json::from(l.kernel.as_str())),
+                    ("kind", Json::from(l.lint.kind.label())),
+                    ("detail", Json::from(l.lint.detail.as_str())),
+                    ("count", Json::from(l.lint.count)),
+                ])
             });
-            out.push_str(comma);
-        }
-        out.push_str(if self.benches.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+            Json::obj([
+                ("name", Json::from(b.name.as_str())),
+                ("family", Json::from(b.family.as_str())),
+                ("kernels", Json::from(b.kernels)),
+                ("warps", Json::from(b.warps)),
+                ("sites", Json::from(b.sites)),
+                ("accesses", Json::from(b.accesses)),
+                ("transactions", Json::from(b.transactions)),
+                ("shared_sectors", Json::from(b.shared_sectors)),
+                ("findings", Json::Arr(findings.collect())),
+                ("lints", Json::Arr(lints.collect())),
+            ])
         });
         let (benign, weak, hazard) = self.class_totals();
-        let _ = writeln!(
-            out,
-            "  \"totals\": {{ \"benign\": {benign}, \"weak_det_ok\": {weak}, \
-             \"hazard\": {hazard} }},"
-        );
-        let violations = self.violations(allow);
-        out.push_str("  \"violations\": [");
-        for (i, v) in violations.iter().enumerate() {
-            let comma = if i + 1 < violations.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "\n    {{ \"bench\": {}, \"label\": {}, \"detail\": {} }}{comma}",
-                quote(&v.bench),
-                quote(&v.label),
-                quote(&v.detail),
-            );
-        }
-        out.push_str(if violations.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
+        let violations = self.violations(allow).into_iter().map(|v| {
+            Json::obj([
+                ("bench", Json::from(v.bench)),
+                ("label", Json::from(v.label)),
+                ("detail", Json::from(v.detail)),
+            ])
         });
-        out.push_str("}\n");
-        out
+        Json::obj([
+            ("target", Json::from("dab_analyze")),
+            ("scale", Json::from(self.scale.as_str())),
+            ("benches", Json::Arr(benches.collect())),
+            (
+                "totals",
+                Json::obj([
+                    ("benign", Json::from(benign)),
+                    ("weak_det_ok", Json::from(weak)),
+                    ("hazard", Json::from(hazard)),
+                ]),
+            ),
+            ("violations", Json::Arr(violations.collect())),
+        ])
     }
 }
 
@@ -738,16 +710,6 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
         }
     }
     inner(pattern.as_bytes(), text.as_bytes())
-}
-
-/// Addresses as hex strings (survive doubles-only JSON readers); `null`
-/// for site-less findings like barrier divergence.
-fn json_addr(addr: u64, absent: bool) -> String {
-    if absent {
-        "null".to_string()
-    } else {
-        format!("\"0x{addr:08x}\"")
-    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ fn baseline() -> &'static (Vec<Benchmark>, String, String) {
         let benches = subset();
         let report = analyze_suite(&benches, "ci");
         let text = report.render_text(&Allowlist::empty());
-        let json = report.render_json(&Allowlist::empty());
+        let json = report.to_json(&Allowlist::empty()).pretty();
         (benches, text, json)
     })
 }
@@ -56,7 +56,7 @@ fn repeated_analysis_is_byte_identical() {
     let a = analyze_suite(&benches, "ci");
     let b = analyze_suite(&benches, "ci");
     assert_eq!(a.render_text(&allow), b.render_text(&allow));
-    assert_eq!(a.render_json(&allow), b.render_json(&allow));
+    assert_eq!(a.to_json(&allow).pretty(), b.to_json(&allow).pretty());
 }
 
 proptest! {
@@ -74,6 +74,6 @@ proptest! {
             benches.iter().map(|b| permute_warps(b, &swaps)).collect();
         let report = analyze_suite(&permuted, "ci");
         prop_assert_eq!(&report.render_text(&Allowlist::empty()), text);
-        prop_assert_eq!(&report.render_json(&Allowlist::empty()), json);
+        prop_assert_eq!(&report.to_json(&Allowlist::empty()).pretty(), json);
     }
 }

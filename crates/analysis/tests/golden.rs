@@ -84,7 +84,7 @@ fn golden_text_report() {
 fn golden_json_report() {
     check(
         "subset.json",
-        &subset_report().render_json(&shipped_allowlist()),
+        &subset_report().to_json(&shipped_allowlist()).pretty(),
     );
 }
 
@@ -102,7 +102,7 @@ fn golden_hb_graphs() {
     for b in &benches {
         for g in HbGraph::of_benchmark(b) {
             let stem = format!("{}__{}", b.name, g.kernel.replace(['/', ' '], "__"));
-            check(&format!("{stem}.hb.json"), &g.to_json());
+            check(&format!("{stem}.hb.json"), &g.to_json().pretty());
             check(&format!("{stem}.hb.dot"), &g.to_dot());
         }
     }

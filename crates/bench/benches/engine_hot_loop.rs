@@ -19,8 +19,6 @@
 //! the minimum over the timed iterations (min-of-3 policy — see
 //! [`MIN_REPS`]), and values below 3 in the environment are raised.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -34,6 +32,7 @@ use gpu_sim::config::{EngineKind, GpuConfig};
 use gpu_sim::engine::{GpuSim, RunReport};
 use gpu_sim::kernel::KernelGrid;
 use gpu_sim::ndet::NdetSource;
+use obs::json::{self, Json};
 
 /// One engine × workload measurement: the last run's report and the best
 /// (minimum) single-run wall-clock across the timed iterations.
@@ -210,71 +209,60 @@ fn write_json(rows: &[Row]) {
     // so it reads as 1.0 plus measurement noise.
     let overhead =
         |m: &Measurement, base: &Measurement| m.best_secs / base.best_secs.max(1e-12) - 1.0;
-    let mut out = String::from("{\n  \"target\": \"engine_hot_loop\",\n");
-    let _ = writeln!(
-        out,
-        "  \"host\": {{ \"nproc\": {}, \"min_reps\": {} }},",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        std::env::var("CRITERION_ITERS").map_or(MIN_REPS, |v| v.parse().unwrap_or(MIN_REPS)),
-    );
-    out.push_str("  \"workloads\": [");
-    for (i, (row, speedup)) in rows.iter().zip(&speedups).enumerate() {
-        let stats = &row.event.report.stats;
-        let full_stats = &row.full.report.stats;
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        // Per-workload values split by namespace, mirroring the SimStats
-        // contract: everything under "det" is bit-stable for this scale
-        // and seed (dab-perf compares it exactly); everything under
-        // "wall" is a host timing (dab-perf applies a tolerance).
-        let _ = write!(
-            out,
-            "\n    {{ \"name\": \"{}\",\n      \
-             \"det\": {{ \"cycles\": {}, \"digest\": \"0x{:016x}\",\n        \
-             \"cycles_skipped\": {}, \"wakeup_events\": {}, \"sms_ticked\": {}, \
-             \"scheduler_scans\": {}, \"partitions_ticked\": {},\n        \
-             \"trace_events_full\": {}, \"trace_samples_full\": {} }},\n      \
-             \"wall\": {{ \"dense_secs\": {:.6}, \"event_secs\": {:.6}, \"speedup\": {:.4},\n        \
-             \"trace_off_overhead\": {:.4}, \"trace_summary_overhead\": {:.4}, \
-             \"trace_full_overhead\": {:.4}, \"profile_overhead\": {:.4} }} }}{comma}",
-            row.name,
-            row.event.report.cycles(),
-            row.event.report.digest(),
-            stats.counter("det.engine.cycles_skipped"),
-            stats.counter("det.engine.wakeup_events"),
-            stats.counter("det.engine.sms_ticked"),
-            stats.counter("det.engine.scheduler_scans"),
-            stats.counter("det.engine.partitions_ticked"),
-            full_stats.counter("det.obs.trace_events"),
-            full_stats.counter("det.obs.samples"),
-            row.dense.best_secs,
-            row.event.best_secs,
-            speedup,
-            overhead(&row.off, &row.event),
-            overhead(&row.summary, &row.event),
-            overhead(&row.full, &row.event),
-            overhead(&row.profiled, &row.event),
-        );
-    }
-    let max_off_overhead = rows
-        .iter()
-        .map(|r| overhead(&r.off, &r.event))
-        .fold(f64::NEG_INFINITY, f64::max);
-    let max_profile_overhead = rows
-        .iter()
-        .map(|r| overhead(&r.profiled, &r.event))
-        .fold(f64::NEG_INFINITY, f64::max);
-    let _ = write!(
-        out,
-        "\n  ],\n  \"geomean_speedup\": {:.4},\n  \"max_trace_off_overhead\": {:.4},\n  \
-         \"max_profile_overhead\": {:.4}\n}}\n",
-        geomean(&speedups),
-        max_off_overhead,
-        max_profile_overhead,
-    );
-    let path = json_path();
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("results: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    // Per-workload values split by namespace, mirroring the SimStats
+    // contract: everything under "det" is bit-stable for this scale and
+    // seed (dab-perf compares it exactly); everything under "wall" is a
+    // host timing (dab-perf applies a tolerance).
+    let workloads = rows.iter().zip(&speedups).map(|(row, &speedup)| {
+        let report = &row.event.report;
+        let engine = |key: &str| Json::from(report.stats.counter(&format!("det.engine.{key}")));
+        let traced =
+            |key: &str| Json::from(row.full.report.stats.counter(&format!("det.obs.{key}")));
+        let vs_event = |m: &Measurement| Json::from(overhead(m, &row.event));
+        let det = Json::obj([
+            ("cycles", Json::from(report.cycles())),
+            ("digest", Json::from(format!("0x{:016x}", report.digest()))),
+            ("cycles_skipped", engine("cycles_skipped")),
+            ("wakeup_events", engine("wakeup_events")),
+            ("sms_ticked", engine("sms_ticked")),
+            ("scheduler_scans", engine("scheduler_scans")),
+            ("partitions_ticked", engine("partitions_ticked")),
+            ("trace_events_full", traced("trace_events")),
+            ("trace_samples_full", traced("samples")),
+        ]);
+        let wall = Json::obj([
+            ("dense_secs", Json::from(row.dense.best_secs)),
+            ("event_secs", Json::from(row.event.best_secs)),
+            ("speedup", Json::from(speedup)),
+            ("trace_off_overhead", vs_event(&row.off)),
+            ("trace_summary_overhead", vs_event(&row.summary)),
+            ("trace_full_overhead", vs_event(&row.full)),
+            ("profile_overhead", vs_event(&row.profiled)),
+        ]);
+        Json::obj([("name", Json::from(row.name)), ("det", det), ("wall", wall)])
+    });
+    let max_overhead = |m: fn(&Row) -> &Measurement| {
+        let max = rows.iter().map(|r| overhead(m(r), &r.event));
+        Json::from(max.fold(f64::NEG_INFINITY, f64::max))
+    };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let min_reps =
+        std::env::var("CRITERION_ITERS").map_or(MIN_REPS, |v| v.parse().unwrap_or(MIN_REPS));
+    let host = Json::obj([
+        ("nproc", Json::from(nproc)),
+        ("min_reps", Json::from(min_reps)),
+    ]);
+    let doc = Json::obj([
+        ("target", Json::from("engine_hot_loop")),
+        ("host", host),
+        ("workloads", Json::Arr(workloads.collect())),
+        ("geomean_speedup", Json::from(geomean(&speedups))),
+        ("max_trace_off_overhead", max_overhead(|r| &r.off)),
+        ("max_profile_overhead", max_overhead(|r| &r.profiled)),
+    ]);
+    match json::write(&json::results_dir(""), "BENCH_engine.json", &doc) {
+        Ok(path) => println!("results: {}", path.display()),
+        Err(e) => panic!("{e}"),
     }
     write_folded(rows);
     println!(
@@ -294,20 +282,11 @@ fn write_folded(rows: &[Row]) {
             folded.push_str(&profile.to_collapsed(row.name));
         }
     }
-    let path = json_path().with_file_name("BENCH_engine.folded");
+    let path = json::results_dir("").join("BENCH_engine.folded");
     match std::fs::write(&path, &folded) {
         Ok(()) => println!("profile: {}", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
-}
-
-/// `BENCH_engine.json` in `DAB_RESULTS_DIR` if set, else the repo root.
-fn json_path() -> PathBuf {
-    let dir = match std::env::var("DAB_RESULTS_DIR") {
-        Ok(dir) => PathBuf::from(dir),
-        Err(_) => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    };
-    dir.join("BENCH_engine.json")
 }
 
 /// Repetition policy: every measurement is the minimum of at least

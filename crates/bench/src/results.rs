@@ -4,7 +4,8 @@
 //! human-readable `.txt`, so downstream tooling (plots, regression diffing,
 //! CI artifact comparison) never has to scrape the aligned-column text.
 //!
-//! Schema (stable; documented in README.md):
+//! Schema (stable; documented in README.md), in the one layout every
+//! results document shares ([`obs::json::Json::pretty`]):
 //!
 //! ```json
 //! {
@@ -17,33 +18,36 @@
 //!   "wall_secs": 1.234,
 //!   "speedup": 3.21,
 //!   "runs": [
-//!     { "label": "BC_1k/baseline", "model": "baseline", "seed": 1,
-//!       "cycles": 12345, "digest": "0x0123456789abcdef",
-//!       "icnt_stall_cycles": 17, "l1_miss_rate": 0.25,
-//!       "l2_miss_rate": 0.05, "atomics_pki": 32.1,
-//!       "wall_secs": 0.01, "cycles_per_sec": 1234500.0 }
+//!     { "label": "BC_1k/baseline", "model": "baseline", "seed": 1, "cycles": 12345, "digest": "0x0123456789abcdef", "icnt_stall_cycles": 17, "l1_miss_rate": 0.25, "l2_miss_rate": 0.05, "atomics_pki": 32.1, "wall_secs": 0.01, "cycles_per_sec": 1234500 }
 //!   ],
 //!   "metrics": { "geomean_dab": 1.23 },
 //!   "tables": [
-//!     { "title": "main", "header": ["benchmark", "DAB"],
-//!       "rows": [["BC_1k", "1.21x"]] }
+//!     {
+//!       "title": "main",
+//!       "header": ["benchmark", "DAB"],
+//!       "rows": [
+//!         ["BC_1k", "1.21x"]
+//!       ]
+//!     }
 //!   ]
 //! }
 //! ```
 //!
 //! `digest` is the run's [`gpu_sim::mem::value::ValueMem`] digest — the
 //! determinism criterion — rendered as a hex string so 64-bit values
-//! survive JSON readers that parse numbers as doubles. `wall_secs`,
-//! `speedup` (summed per-run wall over sweep wall: the parallel-sweep win),
-//! `cycles_per_sec` (per-run simulator throughput) and the `host` block
-//! (CPU count) are host measurements and are **not** deterministic; everything else is bit-stable for a given
-//! scale/seed regardless of `DAB_JOBS`. The CI equivalence diffs strip
-//! exactly those fields.
+//! survive JSON readers that parse numbers as doubles. Numbers follow the
+//! one `obs::json` rule: integer-valued numbers print without a fraction,
+//! others in their shortest round-trip form, and non-finite ones as
+//! `null`.
+//!
+//! `wall_secs`, `speedup` (summed per-run wall over sweep wall: the
+//! parallel-sweep win), `cycles_per_sec` (per-run simulator throughput)
+//! and the `host` block (CPU count) are host measurements and are **not**
+//! deterministic; everything else is bit-stable for a given scale/seed
+//! regardless of `DAB_JOBS`. The CI equivalence diffs strip exactly those
+//! fields.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
-use obs::json::quote;
+use obs::json::{self, Json};
 
 use crate::sweep::SweepResults;
 use crate::{Runner, Table};
@@ -52,46 +56,37 @@ use crate::{Runner, Table};
 #[derive(Debug)]
 pub struct ResultsSink {
     target: String,
-    scale: String,
-    sms: usize,
-    mem_partitions: usize,
-    seed: u64,
-    nproc: usize,
+    /// The members every document opens with: target, scale, machine,
+    /// seed and host.
+    head: Vec<(&'static str, Json)>,
     workers: Option<usize>,
     wall_secs: Option<f64>,
     /// Summed per-run wall-clock, for the sweep-level `speedup` field.
     run_secs: f64,
-    runs: Vec<RunRecord>,
-    metrics: Vec<(String, f64)>,
-    tables: Vec<(String, Vec<String>, Vec<Vec<String>>)>,
-}
-
-#[derive(Debug)]
-struct RunRecord {
-    label: String,
-    model: String,
-    seed: u64,
-    cycles: u64,
-    digest: u64,
-    icnt_stall_cycles: u64,
-    l1_miss_rate: f64,
-    l2_miss_rate: f64,
-    atomics_pki: f64,
-    wall_secs: f64,
-    cycles_per_sec: f64,
+    runs: Vec<Json>,
+    metrics: Vec<(String, Json)>,
+    tables: Vec<Json>,
 }
 
 impl ResultsSink {
     /// Starts a sink for `target` (the bench binary's name, which becomes
     /// the file stem).
     pub fn new(target: impl Into<String>, runner: &Runner) -> Self {
+        let target = target.into();
+        let machine = Json::obj([
+            ("sms", Json::from(runner.gpu.num_sms())),
+            ("mem_partitions", Json::from(runner.gpu.num_mem_partitions)),
+        ]);
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
-            target: target.into(),
-            scale: runner.scale.label().to_string(),
-            sms: runner.gpu.num_sms(),
-            mem_partitions: runner.gpu.num_mem_partitions,
-            seed: runner.seed,
-            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            head: vec![
+                ("target", Json::from(target.as_str())),
+                ("scale", Json::from(runner.scale.label())),
+                ("machine", machine),
+                ("seed", Json::from(runner.seed)),
+                ("host", Json::obj([("nproc", Json::from(nproc))])),
+            ],
+            target,
             workers: None,
             wall_secs: None,
             run_secs: 0.0,
@@ -107,189 +102,104 @@ impl ResultsSink {
         self.workers = Some(results.workers);
         self.wall_secs = Some(self.wall_secs.unwrap_or(0.0) + results.wall.as_secs_f64());
         for run in results.runs() {
-            self.run_secs += run.report.wall_secs();
-            self.runs.push(RunRecord {
-                label: run.label.clone(),
-                model: run.report.model.clone(),
-                seed: run.seed,
-                cycles: run.report.cycles(),
-                digest: run.report.digest(),
-                icnt_stall_cycles: run.report.stats.icnt_stall_cycles,
-                l1_miss_rate: run.report.stats.l1_miss_rate(),
-                l2_miss_rate: run.report.stats.l2_miss_rate(),
-                atomics_pki: run.report.stats.atomics_pki(),
-                wall_secs: run.report.wall_secs(),
-                cycles_per_sec: run.report.cycles_per_sec(),
-            });
+            let report = &run.report;
+            self.run_secs += report.wall_secs();
+            self.runs.push(Json::obj([
+                ("label", Json::from(run.label.as_str())),
+                ("model", Json::from(report.model.as_str())),
+                ("seed", Json::from(run.seed)),
+                ("cycles", Json::from(report.cycles())),
+                ("digest", Json::from(format!("0x{:016x}", report.digest()))),
+                (
+                    "icnt_stall_cycles",
+                    Json::from(report.stats.icnt_stall_cycles),
+                ),
+                ("l1_miss_rate", Json::from(report.stats.l1_miss_rate())),
+                ("l2_miss_rate", Json::from(report.stats.l2_miss_rate())),
+                ("atomics_pki", Json::from(report.stats.atomics_pki())),
+                ("wall_secs", Json::from(report.wall_secs())),
+                ("cycles_per_sec", Json::from(report.cycles_per_sec())),
+            ]));
         }
         self
     }
 
     /// Records a named scalar metric (geomeans, correlations, ...).
     pub fn metric(&mut self, name: impl Into<String>, value: f64) -> &mut Self {
-        self.metrics.push((name.into(), value));
+        self.metrics.push((name.into(), Json::from(value)));
         self
     }
 
     /// Records a rendered table (same rows the target prints).
     pub fn table(&mut self, title: impl Into<String>, table: &Table) -> &mut Self {
-        self.tables
-            .push((title.into(), table.header().to_vec(), table.rows().to_vec()));
+        self.tables.push(Json::obj([
+            ("title", Json::from(title.into())),
+            ("header", Json::strs(table.header())),
+            (
+                "rows",
+                Json::Arr(table.rows().iter().map(|r| Json::strs(r)).collect()),
+            ),
+        ]));
         self
     }
 
-    /// Serializes the document (deterministic field order).
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"target\": {},", quote(&self.target));
-        let _ = writeln!(out, "  \"scale\": {},", quote(&self.scale));
-        let _ = writeln!(
-            out,
-            "  \"machine\": {{ \"sms\": {}, \"mem_partitions\": {} }},",
-            self.sms, self.mem_partitions
-        );
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"host\": {{ \"nproc\": {} }},", self.nproc);
+    /// The document, in deterministic field order.
+    fn to_json(&self) -> Json {
+        let mut doc = self.head.clone();
         if let Some(w) = self.workers {
-            let _ = writeln!(out, "  \"workers\": {w},");
+            doc.push(("workers", Json::from(w)));
         }
         if let Some(wall) = self.wall_secs {
-            let _ = writeln!(out, "  \"wall_secs\": {},", json_f64(wall));
+            doc.push(("wall_secs", Json::from(wall)));
             // Parallel-sweep win: how much wall-clock the `DAB_JOBS`
             // workers saved over running every job back to back.
-            let _ = writeln!(
-                out,
-                "  \"speedup\": {},",
-                json_f64(self.run_secs / wall.max(1e-9))
-            );
+            doc.push(("speedup", Json::from(self.run_secs / wall.max(1e-9))));
         }
-        out.push_str("  \"runs\": [");
-        for (i, r) in self.runs.iter().enumerate() {
-            let comma = if i + 1 < self.runs.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "\n    {{ \"label\": {}, \"model\": {}, \"seed\": {}, \"cycles\": {}, \
-                 \"digest\": \"0x{:016x}\",\n      \
-                 \"icnt_stall_cycles\": {}, \"l1_miss_rate\": {}, \
-                 \"l2_miss_rate\": {}, \"atomics_pki\": {},\n      \
-                 \"wall_secs\": {}, \"cycles_per_sec\": {} }}{comma}",
-                quote(&r.label),
-                quote(&r.model),
-                r.seed,
-                r.cycles,
-                r.digest,
-                r.icnt_stall_cycles,
-                json_f64(r.l1_miss_rate),
-                json_f64(r.l2_miss_rate),
-                json_f64(r.atomics_pki),
-                json_f64(r.wall_secs),
-                json_f64(r.cycles_per_sec),
-            );
-        }
-        out.push_str(if self.runs.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"metrics\": {");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            let _ = write!(out, "\n    {}: {}{comma}", quote(name), json_f64(*value));
-        }
-        out.push_str(if self.metrics.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"tables\": [");
-        for (i, (title, header, rows)) in self.tables.iter().enumerate() {
-            let comma = if i + 1 < self.tables.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "\n    {{ \"title\": {}, \"header\": {},\n      \"rows\": [",
-                quote(title),
-                json_str_array(header),
-            );
-            for (j, row) in rows.iter().enumerate() {
-                let row_comma = if j + 1 < rows.len() { "," } else { "" };
-                let _ = write!(out, "\n        {}{row_comma}", json_str_array(row));
-            }
-            out.push_str(if rows.is_empty() {
-                "] }"
-            } else {
-                "\n      ] }"
-            });
-            out.push_str(comma);
-        }
-        out.push_str(if self.tables.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        doc.push(("runs", Json::Arr(self.runs.clone())));
+        doc.push(("metrics", Json::Obj(self.metrics.clone())));
+        doc.push(("tables", Json::Arr(self.tables.clone())));
+        Json::obj(doc)
     }
 
     /// Writes `results/<target>.json` (directory overridable with
     /// `DAB_RESULTS_DIR`) and prints the path.
+    ///
+    /// # Panics
+    ///
+    /// When the directory cannot be created or the file cannot be
+    /// written; the message names the path.
     pub fn write(&self) {
-        let dir = results_dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return;
+        let file = format!("{}.json", self.target);
+        match json::write(&json::results_dir("results"), &file, &self.to_json()) {
+            Ok(path) => println!("results: {}", path.display()),
+            Err(e) => panic!("{e}"),
         }
-        let path = dir.join(format!("{}.json", self.target));
-        match std::fs::write(&path, self.render()) {
-            Ok(()) => println!("results: {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
-    }
-}
-
-/// The `results/` directory: `DAB_RESULTS_DIR` if set, else the repo-root
-/// `results/` two levels above this crate.
-fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("DAB_RESULTS_DIR") {
-        return PathBuf::from(dir);
-    }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results")
-}
-
-fn json_str_array(items: &[String]) -> String {
-    let cells: Vec<String> = items.iter().map(|s| quote(s)).collect();
-    format!("[{}]", cells.join(", "))
-}
-
-/// JSON number: finite floats as-is, non-finite as null (JSON has no NaN).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        // `Display` for f64 prints integers without a dot; keep it a float
-        // so typed readers see a consistent number shape.
-        if s.contains(['.', 'e', 'E']) {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sweep;
+    use dab_workloads::microbench::atomic_sum_grid;
     use dab_workloads::scale::Scale;
 
     #[test]
     fn json_escaping() {
-        assert_eq!(quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(quote("x\ny"), "\"x\\ny\"");
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(2.0), "2.0");
-        assert_eq!(json_f64(f64::NAN), "null");
+        let runner = Runner::at_scale(Scale::Ci);
+        let mut sink = ResultsSink::new("unit_test", &runner);
+        let mut t = Table::new(&["a\"b\\c", "x\ny"]);
+        t.row(vec!["1".into(), "2".into()]);
+        sink.metric("half", 1.5)
+            .metric("whole", 2.0)
+            .metric("undefined", f64::NAN)
+            .table("main", &t);
+        let s = sink.to_json().render();
+        assert!(s.contains(r#""a\"b\\c""#), "quote not escaped in: {s}");
+        assert!(s.contains(r#""x\ny""#), "newline not escaped in: {s}");
+        assert!(s.contains(r#""half": 1.5"#), "in: {s}");
+        assert!(s.contains(r#""whole": 2"#), "in: {s}");
+        assert!(s.contains(r#""undefined": null"#), "in: {s}");
     }
 
     #[test]
@@ -299,18 +209,12 @@ mod tests {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["x".into(), "1.00x".into()]);
         sink.metric("geomean", 1.25).table("main", &t);
-        let s = sink.render();
-        assert_eq!(
-            s.matches('{').count(),
-            s.matches('}').count(),
-            "unbalanced braces in: {s}"
-        );
-        assert_eq!(s.matches('[').count(), s.matches(']').count());
-        assert!(s.contains("\"target\": \"unit_test\""));
-        assert!(s.contains("\"geomean\": 1.25"));
-        assert!(s.contains("\"rows\": ["));
-        // Smoke-check nesting with a tiny bracket matcher over the
-        // structural characters (our strings contain no brackets).
+        let s = sink.to_json().pretty();
+        assert!(s.contains("\"target\": \"unit_test\""), "in: {s}");
+        assert!(s.contains("\"geomean\": 1.25"), "in: {s}");
+        assert!(s.contains("\"rows\": ["), "in: {s}");
+        // Nesting check over the structural characters (these strings
+        // contain no brackets).
         let mut depth = 0i32;
         for c in s.chars() {
             match c {
@@ -318,16 +222,42 @@ mod tests {
                 '}' | ']' => depth -= 1,
                 _ => {}
             }
-            assert!(depth >= 0);
+            assert!(depth >= 0, "closes before it opens in: {s}");
         }
-        assert_eq!(depth, 0);
+        assert_eq!(depth, 0, "unbalanced in: {s}");
     }
 
     #[test]
-    fn results_dir_override() {
-        std::env::set_var("DAB_RESULTS_DIR", "/tmp/dab-results-test");
-        assert_eq!(results_dir(), PathBuf::from("/tmp/dab-results-test"));
-        std::env::remove_var("DAB_RESULTS_DIR");
-        assert!(results_dir().ends_with("results"));
+    fn render_round_trips_through_the_parser() {
+        let mut runner = Runner::at_scale(Scale::Ci);
+        runner.gpu = gpu_sim::config::GpuConfig::tiny();
+        let grid = vec![atomic_sum_grid(64, 0x2000_0000)];
+        let mut sweep = Sweep::new(&runner);
+        sweep.baseline("base \"quoted\"", &grid);
+        let results = sweep.run_with_workers(1);
+        let mut sink = ResultsSink::new("unit_test", &runner);
+        let mut t = Table::new(&["a", "b"]);
+        t.row(vec!["x".into(), "1.00x".into()]);
+        sink.sweep(&results)
+            .metric("geomean", 1.25)
+            .metric("undefined", f64::NAN)
+            .table("main", &t);
+        let text = sink.to_json().pretty();
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{e} in:\n{text}"));
+
+        assert_eq!(doc.get("target"), Some(&Json::from("unit_test")));
+        let metrics = doc.get("metrics").unwrap();
+        assert_eq!(metrics.get("geomean"), Some(&Json::from(1.25)));
+        assert_eq!(metrics.get("undefined"), Some(&Json::Null));
+        let table = &doc.get("tables").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(table.get("title"), Some(&Json::from("main")));
+        let row = Json::strs(&["x".into(), "1.00x".into()]);
+        assert_eq!(table.get("rows"), Some(&Json::Arr(vec![row])));
+        let run = &doc.get("runs").and_then(Json::as_arr).unwrap()[0];
+        let report = &results.runs()[0].report;
+        let digest = format!("0x{:016x}", report.digest());
+        assert_eq!(run.get("label"), Some(&Json::from("base \"quoted\"")));
+        assert_eq!(run.get("cycles"), Some(&Json::from(report.cycles())));
+        assert_eq!(run.get("digest"), Some(&Json::from(digest)));
     }
 }

@@ -12,33 +12,30 @@ use dab::DabConfig;
 use dab_bench::Runner;
 use dab_workloads::scale::Scale;
 use dab_workloads::suite::full_suite;
+use obs::json::Json;
 
 const FIG10: &str = include_str!("../../../results/fig10_overall.json");
 
-/// The committed `(seed, cycles, digest)` of the fig10 run `label`, read
-/// from its run record (one record starts per line, label first).
+/// The committed `(seed, cycles, digest)` of the fig10 run `label`.
 fn committed(label: &str) -> (u64, u64, String) {
-    let key = format!("{{ \"label\": \"{label}\",");
-    let line = FIG10
-        .lines()
-        .find(|l| l.trim_start().starts_with(&key))
+    let doc = Json::parse(FIG10).expect("results/fig10_overall.json parses");
+    let run = doc
+        .get("runs")
+        .and_then(Json::as_arr)
+        .expect("fig10 has a runs array")
+        .iter()
+        .find(|r| r.get("label").and_then(Json::as_str) == Some(label))
         .unwrap_or_else(|| panic!("no run {label:?} in results/fig10_overall.json"));
-    let field = |name: &str| -> &str {
-        let tag = format!("\"{name}\": ");
-        let start = line
-            .find(&tag)
-            .unwrap_or_else(|| panic!("{label}: no {name}"))
-            + tag.len();
-        let rest = &line[start..];
-        rest[..rest.find(',').unwrap_or(rest.len())]
-            .trim()
-            .trim_matches('"')
+    let num = |name: &str| {
+        run.get(name)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("{label}: no numeric {name}")) as u64
     };
-    (
-        field("seed").parse().expect("seed"),
-        field("cycles").parse().expect("cycles"),
-        field("digest").to_string(),
-    )
+    let digest = run
+        .get("digest")
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("{label}: no digest"));
+    (num("seed"), num("cycles"), digest.to_string())
 }
 
 /// Runs benchmark `name` of the CI-scale suite under baseline, DAB

@@ -30,7 +30,8 @@
 //! Exit codes: `0` all gates hold; `1` a gate failed (a statically
 //! single-class benchmark explored to more than one class, a walk failed
 //! to stay below the naive schedule bound, or a `--require-racy`
-//! benchmark came back single-class); `2` usage error.
+//! benchmark came back single-class); `2` usage or I/O error (a results
+//! or witness-trace write that fails names its path).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -40,20 +41,12 @@ use dab_explore::{ExploreConfig, ModelKind, SuiteExploration};
 use dab_workloads::scale::Scale;
 use dab_workloads::suite::micro_suite;
 use gpu_sim::par::parse_count;
+use obs::json;
 
 fn usage() -> &'static str {
     "usage: dab-explore (--suite | --bench <glob>...) [--model dab|baseline] \
      [--budget <n>] [--verify <n>] [--json] [--witness-traces <dir>] \
      [--no-static-prune] [--require-racy <glob>] [--quiet]"
-}
-
-fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("DAB_RESULTS_DIR") {
-        return PathBuf::from(dir);
-    }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results")
 }
 
 fn main() -> ExitCode {
@@ -193,18 +186,16 @@ fn main() -> ExitCode {
     }
 
     if json {
-        let dir = results_dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-        } else {
-            let path = dir.join("dab_explore.json");
-            match std::fs::write(&path, result.render_json()) {
-                Ok(()) => {
-                    if !quiet {
-                        println!("results: {}", path.display());
-                    }
+        let dir = json::results_dir("results");
+        match json::write(&dir, "dab_explore.json", &result.to_json()) {
+            Ok(path) => {
+                if !quiet {
+                    println!("results: {}", path.display());
                 }
-                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+            }
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::from(2);
             }
         }
     }

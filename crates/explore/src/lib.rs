@@ -39,7 +39,6 @@
 //! repeated runs.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use analysis::hbgraph::HbGraph;
@@ -52,6 +51,7 @@ use gpu_sim::kernel::KernelGrid;
 use gpu_sim::ndet::NdetSource;
 use gpu_sim::oracle::{Decision, ScheduleOracle};
 use gpu_sim::par::parse_count;
+use obs::json::Json;
 
 /// Environment variable bounding simulator runs per racy benchmark.
 pub const BUDGET_VAR: &str = "DAB_EXPLORE_BUDGET";
@@ -407,60 +407,39 @@ impl SuiteExploration {
         }
     }
 
-    /// Byte-stable JSON document (hand-rolled like
-    /// `analysis::report::SuiteReport::render_json`; `wall`-free, so
-    /// repeated runs produce identical bytes).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"scale\": \"{}\",", self.scale);
-        let _ = writeln!(out, "  \"model\": \"{}\",", self.model.label());
-        out.push_str("  \"benches\": [");
-        for (i, b) in self.benches.iter().enumerate() {
-            let comma = if i + 1 < self.benches.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "\n    {{ \"name\": \"{}\",\n      \"hazard_choice_points\": {},\n      \
-                 \"statically_pruned\": {},\n      \"classes\": {},\n      \
-                 \"explored\": {},\n      \"decision_sites\": {},\n      \
-                 \"branch_sites\": {},\n      \"naive_bound_log2\": {:.1},\n      \
-                 \"budget_exhausted\": {},\n      \"verified\": {},\n      \
-                 \"outcomes\": [",
-                b.bench,
-                b.hazard_choice_points,
-                b.statically_pruned,
-                b.classes.len(),
-                b.explored,
-                b.decision_sites,
-                b.branch_sites,
-                b.naive_bound_log2,
-                b.budget_exhausted,
-                b.verified,
-            );
-            for (j, (digest, class)) in b.classes.iter().enumerate() {
-                let jc = if j + 1 < b.classes.len() { "," } else { "" };
-                let witness: Vec<String> = class.witness.iter().map(|v| v.to_string()).collect();
-                let _ = write!(
-                    out,
-                    "\n        {{ \"digest\": \"{digest:#018x}\", \"runs\": {}, \
-                     \"witness\": [{}] }}{jc}",
-                    class.runs,
-                    witness.join(", "),
-                );
-            }
-            out.push_str(if b.classes.is_empty() {
-                "] }"
-            } else {
-                "\n      ] }"
+    /// The JSON document (write it with [`Json::pretty`]; `wall`-free,
+    /// so repeated runs produce identical bytes).
+    pub fn to_json(&self) -> Json {
+        let benches = self.benches.iter().map(|b| {
+            let outcomes = b.classes.iter().map(|(digest, class)| {
+                Json::obj([
+                    ("digest", Json::from(format!("{digest:#018x}"))),
+                    ("runs", Json::from(class.runs)),
+                    (
+                        "witness",
+                        Json::Arr(class.witness.iter().map(|&v| Json::from(v)).collect()),
+                    ),
+                ])
             });
-            out.push_str(comma);
-        }
-        out.push_str(if self.benches.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
+            Json::obj([
+                ("name", Json::from(b.bench.as_str())),
+                ("hazard_choice_points", Json::from(b.hazard_choice_points)),
+                ("statically_pruned", Json::from(b.statically_pruned)),
+                ("classes", Json::from(b.classes.len())),
+                ("explored", Json::from(b.explored)),
+                ("decision_sites", Json::from(b.decision_sites)),
+                ("branch_sites", Json::from(b.branch_sites)),
+                ("naive_bound_log2", Json::from(b.naive_bound_log2)),
+                ("budget_exhausted", Json::from(b.budget_exhausted)),
+                ("verified", Json::from(b.verified)),
+                ("outcomes", Json::Arr(outcomes.collect())),
+            ])
         });
-        out.push_str("}\n");
-        out
+        Json::obj([
+            ("scale", Json::from(self.scale.as_str())),
+            ("model", Json::from(self.model.label())),
+            ("benches", Json::Arr(benches.collect())),
+        ])
     }
 }
 
@@ -610,7 +589,7 @@ mod tests {
         let b = tiny_ticket(8);
         let a = SuiteExploration::run(&cfg, "ci", std::slice::from_ref(&b));
         let c = SuiteExploration::run(&cfg, "ci", std::slice::from_ref(&b));
-        assert_eq!(a.render_json(), c.render_json());
+        assert_eq!(a.to_json().pretty(), c.to_json().pretty());
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn exploration_is_repeatable() {
     assert_eq!(benches.len(), 2);
     let first = SuiteExploration::run(&tiny_cfg(), "ci", &benches);
     let second = SuiteExploration::run(&tiny_cfg(), "ci", &benches);
-    assert_eq!(first.render_json(), second.render_json());
+    assert_eq!(first.to_json().pretty(), second.to_json().pretty());
     let racy = first
         .benches
         .iter()

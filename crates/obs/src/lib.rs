@@ -6,10 +6,13 @@
 //! ([`Trace`]), the recording side ([`Tracer`]), the first-divergence
 //! bisector ([`diff`]), the Chrome trace-event / Perfetto exporter
 //! ([`perfetto`]), the typed metrics registry ([`metrics`]), the engine
-//! span profiler ([`profile`]), and the JSON string escaper every
-//! hand-rendered JSON writer shares ([`json`]). The simulator crates
-//! (`gpu-sim`, `dab`, `gpudet`, `bench`) and the tools (`analysis`,
-//! `dab-perf`) depend on it; the `dab-trace` binary ships from here.
+//! span profiler ([`profile`]), and the workspace's one JSON module
+//! ([`json`]): the ordered value type, its parser, the compact and
+//! pretty renderers, and the results-document writer that every results
+//! file (figures, analyzer and explorer reports, `BENCH_engine.json`)
+//! goes through. The simulator crates (`gpu-sim`, `dab`, `gpudet`,
+//! `bench`) and the tools (`analysis`, `dab-explore`, `dab-perf`) depend
+//! on it; the `dab-trace` binary ships from here.
 //!
 //! # Determinism contract
 //!
@@ -32,6 +35,9 @@
 //! * `DAB_PROFILE` — `0` (default) | `1`: enable the engine span
 //!   profiler. A throughput knob only — results are bit-identical either
 //!   way; all profile data lives in the `wall.*` namespace.
+//! * `DAB_RESULTS_DIR` — when set, every results document is written
+//!   there instead of the repository's `results/` (or, for
+//!   `BENCH_engine.json`, its root); see [`json::results_dir`].
 
 pub mod diff;
 pub mod event;

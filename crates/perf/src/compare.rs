@@ -17,8 +17,8 @@
 //! not failures: growing a results schema must not require regenerating
 //! every committed baseline first.
 
-use crate::json::Json;
 use crate::metrics::{flatten, Class, Metric, Value};
+use obs::json::Json;
 
 /// Relative wall-clock tolerance used when the caller passes none.
 /// Generous on purpose: CI runners vary widely, and the hard gate is the

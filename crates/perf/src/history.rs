@@ -11,8 +11,8 @@
 //! slow drift (every commit 2% slower) is visible even though each
 //! individual `compare` stayed inside tolerance.
 
-use crate::json::Json;
 use crate::metrics::Value;
+use obs::json::Json;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::process::Command;
@@ -69,31 +69,23 @@ impl Record {
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut members = vec![
-            ("sha".to_string(), Json::Str(self.sha.clone())),
-            ("unix_secs".to_string(), Json::Num(self.unix_secs as f64)),
+            ("sha", Json::from(self.sha.as_str())),
+            ("unix_secs", Json::from(self.unix_secs)),
         ];
         if let Some(host) = &self.host {
-            members.push(("host".to_string(), host.clone()));
+            members.push(("host", host.clone()));
         }
         if let Some(g) = self.geomean_speedup {
-            members.push(("geomean_speedup".to_string(), Json::Num(g)));
+            members.push(("geomean_speedup", Json::from(g)));
         }
-        let workloads = self
-            .workloads
-            .iter()
-            .map(|(name, secs, speedup)| {
-                let mut w = vec![("name".to_string(), Json::Str(name.clone()))];
-                if let Some(s) = secs {
-                    w.push(("event_secs".to_string(), Json::Num(*s)));
-                }
-                if let Some(s) = speedup {
-                    w.push(("speedup".to_string(), Json::Num(*s)));
-                }
-                Json::Obj(w)
-            })
-            .collect();
-        members.push(("workloads".to_string(), Json::Arr(workloads)));
-        Json::Obj(members).render()
+        let workloads = self.workloads.iter().map(|(name, secs, speedup)| {
+            let mut w = vec![("name", Json::from(name.as_str()))];
+            w.extend(secs.map(|s| ("event_secs", Json::from(s))));
+            w.extend(speedup.map(|s| ("speedup", Json::from(s))));
+            Json::obj(w)
+        });
+        members.push(("workloads", Json::Arr(workloads.collect())));
+        Json::obj(members).render()
     }
 
     /// Parses one history line back into a record.

@@ -16,14 +16,13 @@
 //!   `results/bench_history.jsonl` and renders the trajectory, so a
 //!   slow per-commit drift is visible even when every individual
 //!   compare stayed inside tolerance.
-//! * [`json`] is the ordered JSON parser/renderer the rest is built on
-//!   (the workspace deliberately has no serde; strings are quoted by the
-//!   shared `obs::json` escaper).
+//!
+//! All of it reads and writes through the workspace's one JSON module,
+//! [`obs::json`] (the workspace deliberately has no serde).
 //!
 //! The `dab-perf` binary wraps these as `report`, `compare`, and
 //! `history` subcommands; see `main.rs` or `dab-perf --help`.
 
 pub mod compare;
 pub mod history;
-pub mod json;
 pub mod metrics;

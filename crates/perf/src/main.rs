@@ -14,8 +14,8 @@
 
 use dab_perf::compare::{compare, render, Comparison, DEFAULT_WALL_TOLERANCE};
 use dab_perf::history;
-use dab_perf::json::Json;
 use dab_perf::metrics::flatten;
+use obs::json::Json;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

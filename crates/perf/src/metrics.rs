@@ -20,7 +20,7 @@
 //!   compared — two valid runs of the same commit may come from
 //!   different machines.
 
-use crate::json::Json;
+use obs::json::Json;
 
 /// The comparison class of one flattened metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
