@@ -91,11 +91,12 @@ impl GpuSim {
     /// pick (so mid-issue wakes land on a clean slate), then the per-view
     /// timer bounds of non-picked warps are folded back in and the picked
     /// warp is re-evaluated live (`Sm::note_slot_bound`). Views are built
-    /// at the visit itself, so a barrier release earlier in the walk is
-    /// already reflected in them.
+    /// at the visit itself (into one buffer every visit reuses), so a
+    /// barrier release earlier in the walk is already reflected in them.
     pub(crate) fn issue(&mut self, event: bool) {
         let cycle = self.cycle;
         let (det_aware, srr_like) = self.gate_flags();
+        let mut views = std::mem::take(&mut self.views);
         for sm_idx in 0..self.sms.len() {
             if event && self.sms[sm_idx].ready_bound() > cycle {
                 continue;
@@ -118,8 +119,8 @@ impl GpuSim {
                 if event && sctx.ready_bound > cycle {
                     continue;
                 }
-                let (mut views, agg_bound) =
-                    self.sms[sm_idx].build_views(sched, cycle, det_aware, srr_like);
+                let agg_bound =
+                    self.sms[sm_idx].build_views(sched, cycle, det_aware, srr_like, &mut views);
                 if event {
                     // Re-arm before the pick: wakes triggered by this
                     // visit (barrier releases, retirements) lower the
@@ -149,6 +150,7 @@ impl GpuSim {
                 }
             }
         }
+        self.views = views;
     }
 
     /// Model gating (GPUDet quanta / serial mode) applied to ready views.
@@ -186,68 +188,105 @@ impl GpuSim {
         picked
     }
 
+    /// Issues the next instruction of the warp in `slot`. An `Alu` updates
+    /// the warp in place; every other kind goes through
+    /// [`issue_other`](Self::issue_other). Both share the post-issue tail:
+    /// trace, stats, the `on_issue` hooks and retirement.
     fn issue_one(&mut self, sm_idx: usize, sched: usize, slot: usize) {
         let cycle = self.cycle;
-        let (program, meta, pc, unique, lanes) = {
-            let w = self.sms[sm_idx].warps[slot].as_ref().expect("picked warp");
-            (
-                Arc::clone(&w.program),
-                Arc::clone(&w.meta),
-                w.pc,
-                w.unique,
-                w.program.active_lanes,
-            )
-        };
-        let instr = &program.instrs[pc];
+        let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
+        let (pc, unique, lanes) = (w.pc, w.unique, w.program.active_lanes);
+        let instr = &w.program.instrs[pc];
+        let (kind, atomics, was_atomic) =
+            (instr_kind(instr), instr.atomic_count(), instr.is_atomic());
         let warp_id = WarpId {
             sched: SchedId { sm: sm_idx, sched },
             slot,
             unique,
         };
-        let warp_ref = WarpRef { sm: sm_idx, slot };
-
-        let mut issued = true;
-        let mut thread_instrs = instr.thread_instr_count(lanes);
-        match instr {
-            Instr::Alu { cycles, count } => {
-                let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
-                if w.alu_rem == 0 {
-                    w.alu_rem = (*count).max(1);
-                }
-                w.alu_rem -= 1;
-                thread_instrs = lanes as u64;
-                if w.alu_rem == 0 {
-                    w.pc += 1;
-                    // Latency tail before the (dependent) next instruction.
-                    w.next_ready = cycle + (*cycles).max(1) as u64;
-                } else {
-                    // Back-to-back issue within the burst.
-                    w.next_ready = cycle + 1;
-                }
+        let (issued, thread_instrs) = if let Instr::Alu { cycles, count } = *instr {
+            if w.alu_rem == 0 {
+                w.alu_rem = count.max(1);
             }
+            w.alu_rem -= 1;
+            if w.alu_rem == 0 {
+                w.pc += 1;
+                // Latency tail before the (dependent) next instruction.
+                w.next_ready = cycle + cycles.max(1) as u64;
+            } else {
+                // Back-to-back issue within the burst.
+                w.next_ready = cycle + 1;
+            }
+            (true, lanes as u64)
+        } else {
+            let thread_instrs = instr.thread_instr_count(lanes);
+            // The other kinds call back into `self` while they read the
+            // instruction and its metadata, so they hold their own handles.
+            let (program, meta) = (Arc::clone(&w.program), Arc::clone(&w.meta));
+            let issued = self.issue_other(warp_id, &program.instrs[pc], meta.at(pc));
+            (issued, thread_instrs)
+        };
+
+        if issued {
+            self.progress();
+            if self.trace_full() {
+                self.trace_event(obs::Event::Issue {
+                    cycle,
+                    sm: sm_idx as u32,
+                    sched: sched as u32,
+                    slot: slot as u32,
+                    unique,
+                    pc: pc as u32,
+                    kind,
+                });
+            }
+            self.stats.warp_instrs += 1;
+            self.stats.thread_instrs += thread_instrs;
+            self.stats.atomics += atomics;
+            let sctx = &mut self.sms[sm_idx].schedulers[sched];
+            if was_atomic {
+                // The token may pass to a warp parked as refused.
+                sctx.token_event(cycle + 1, |p| p.on_issue(unique, true, cycle));
+            } else {
+                sctx.policy.on_issue(unique, false, cycle);
+            }
+            self.model.on_issue(warp_id, was_atomic, cycle);
+            self.try_retire(sm_idx, slot);
+        }
+    }
+
+    /// Issues a non-ALU instruction `instr` (with its metadata `meta`) for
+    /// `warp_id`; returns whether it issued or must be retried.
+    fn issue_other(&mut self, warp_id: WarpId, instr: &Instr, meta: &InstrMeta) -> bool {
+        let cycle = self.cycle;
+        let (sm_idx, slot) = (warp_id.sched.sm, warp_id.slot);
+        match instr {
+            Instr::Alu { .. } => unreachable!("ALU instructions issue in place"),
             Instr::Load { .. } => {
-                let InstrMeta::Sectors(sectors) = meta.at(pc) else {
+                let InstrMeta::Sectors(sectors) = meta else {
                     unreachable!("load without sector metadata")
                 };
-                issued = self.issue_load(sm_idx, slot, sectors);
+                self.issue_load(sm_idx, slot, sectors)
             }
             Instr::Store { .. } => {
-                let InstrMeta::Sectors(sectors) = meta.at(pc) else {
+                let InstrMeta::Sectors(sectors) = meta else {
                     unreachable!("store without sector metadata")
                 };
-                issued = self.issue_store(warp_id, sectors);
+                self.issue_store(warp_id, sectors)
             }
             Instr::Red { op, accesses } => {
-                issued = self.issue_atomic(warp_id, *op, accesses, AtomKind::Red, meta.at(pc));
+                self.issue_atomic(warp_id, *op, accesses, AtomKind::Red, meta)
             }
             Instr::Atom { op, accesses } => {
-                issued = self.issue_atomic(warp_id, *op, accesses, AtomKind::Atom, meta.at(pc));
+                self.issue_atomic(warp_id, *op, accesses, AtomKind::Atom, meta)
             }
             Instr::Bar => {
                 self.issue_barrier(sm_idx, slot);
+                true
             }
             Instr::Fence => {
                 self.issue_fence(warp_id);
+                true
             }
             Instr::LockedSection {
                 kind,
@@ -261,8 +300,8 @@ impl GpuSim {
                     w.next_lock_occurrence(*lock_addr)
                 };
                 self.locks.acquire(
-                    warp_ref,
-                    unique,
+                    WarpRef { sm: sm_idx, slot },
+                    warp_id.unique,
                     occurrence,
                     *kind,
                     *lock_addr,
@@ -281,42 +320,17 @@ impl GpuSim {
                         reason: obs::SleepReason::Lock,
                     });
                 }
+                true
             }
-        }
-
-        if issued {
-            self.progress();
-            if self.trace_full() {
-                self.trace_event(obs::Event::Issue {
-                    cycle,
-                    sm: sm_idx as u32,
-                    sched: sched as u32,
-                    slot: slot as u32,
-                    unique,
-                    pc: pc as u32,
-                    kind: instr_kind(instr),
-                });
-            }
-            self.stats.warp_instrs += 1;
-            self.stats.thread_instrs += thread_instrs;
-            self.stats.atomics += instr.atomic_count();
-            let was_atomic = instr.is_atomic();
-            let sctx = &mut self.sms[sm_idx].schedulers[sched];
-            if was_atomic {
-                // The token may pass to a warp parked as refused.
-                sctx.token_event(cycle + 1, |p| p.on_issue(unique, true, cycle));
-            } else {
-                sctx.policy.on_issue(unique, false, cycle);
-            }
-            self.model.on_issue(warp_id, was_atomic, cycle);
-            self.try_retire(sm_idx, slot);
         }
     }
 
     fn issue_load(&mut self, sm_idx: usize, slot: usize, sectors: &[u64]) -> bool {
         let cycle = self.cycle;
-        // Probe L1 for each precomputed sector.
-        let mut missing: Vec<u64> = Vec::new();
+        // Probe L1 for each precomputed sector; the misses collect in one
+        // buffer every load reuses.
+        let mut missing = std::mem::take(&mut self.load_misses);
+        missing.clear();
         {
             let sm = &mut self.sms[sm_idx];
             for &s in sectors {
@@ -330,63 +344,66 @@ impl GpuSim {
                 }
             }
         }
-        if missing.is_empty() {
-            let l1_hit_latency = self.cfg.l1_hit_latency as u64;
-            let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
-            w.pc += 1;
-            w.next_ready = cycle + l1_hit_latency;
-            return true;
-        }
-        // Structural checks: MSHR space for new sectors, interconnect room.
-        let sm = &self.sms[sm_idx];
-        let new_sectors: Vec<u64> = missing
-            .iter()
-            .copied()
-            .filter(|s| !sm.l1_mshrs.contains_key(s))
-            .collect();
-        if sm.l1_mshrs.len() + new_sectors.len() > sm.l1_mshr_capacity {
-            self.stats.bump("det.stall.l1_mshr", 1);
-            return false;
-        }
-        let flits_needed = new_sectors.len() as u32;
-        if !self.can_send(sm_idx, flits_needed) {
-            self.stats.icnt_stall_cycles += 1;
-            return false;
-        }
-        let warp_ref = WarpRef { sm: sm_idx, slot };
-        for &s in &missing {
-            let is_new = {
-                let sm = &mut self.sms[sm_idx];
-                let is_new = !sm.l1_mshrs.contains_key(&s);
-                sm.l1_mshrs.entry(s).or_default().push(slot);
-                is_new
-            };
-            if is_new {
-                let pkt = Packet::new(
-                    partition_of(s, self.cfg.num_mem_partitions),
-                    Payload::LoadReq {
-                        sector_addr: s,
-                        warp: warp_ref,
-                    },
-                    self.cfg.icnt_flit_size,
-                );
-                self.stats.mem_transactions += 1;
-                self.send(sm_idx, pkt);
+        let issued = 'issue: {
+            if missing.is_empty() {
+                let l1_hit_latency = self.cfg.l1_hit_latency as u64;
+                let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
+                w.pc += 1;
+                w.next_ready = cycle + l1_hit_latency;
+                break 'issue true;
             }
-        }
-        let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
-        w.outstanding_loads += missing.len() as u32;
-        w.pc += 1;
-        w.state = WarpState::WaitMem;
-        if self.trace_full() {
-            self.trace_event(obs::Event::Sleep {
-                cycle,
-                sm: sm_idx as u32,
-                slot: slot as u32,
-                reason: obs::SleepReason::Mem,
-            });
-        }
-        true
+            // Structural checks: MSHR space for new sectors, interconnect
+            // room.
+            let sm = &self.sms[sm_idx];
+            let new_sectors = missing
+                .iter()
+                .filter(|s| !sm.l1_mshrs.contains_key(s))
+                .count();
+            if sm.l1_mshrs.len() + new_sectors > sm.l1_mshr_capacity {
+                self.stats.bump("det.stall.l1_mshr", 1);
+                break 'issue false;
+            }
+            if !self.can_send(sm_idx, new_sectors as u32) {
+                self.stats.icnt_stall_cycles += 1;
+                break 'issue false;
+            }
+            let warp_ref = WarpRef { sm: sm_idx, slot };
+            for &s in &missing {
+                let is_new = {
+                    let sm = &mut self.sms[sm_idx];
+                    let is_new = !sm.l1_mshrs.contains_key(&s);
+                    sm.l1_mshrs.entry(s).or_default().push(slot);
+                    is_new
+                };
+                if is_new {
+                    let pkt = Packet::new(
+                        partition_of(s, self.cfg.num_mem_partitions),
+                        Payload::LoadReq {
+                            sector_addr: s,
+                            warp: warp_ref,
+                        },
+                        self.cfg.icnt_flit_size,
+                    );
+                    self.stats.mem_transactions += 1;
+                    self.send(sm_idx, pkt);
+                }
+            }
+            let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
+            w.outstanding_loads += missing.len() as u32;
+            w.pc += 1;
+            w.state = WarpState::WaitMem;
+            if self.trace_full() {
+                self.trace_event(obs::Event::Sleep {
+                    cycle,
+                    sm: sm_idx as u32,
+                    slot: slot as u32,
+                    reason: obs::SleepReason::Mem,
+                });
+            }
+            true
+        };
+        self.load_misses = missing;
+        issued
     }
 
     fn issue_store(&mut self, warp_id: WarpId, sectors: &[u64]) -> bool {
@@ -767,11 +784,12 @@ impl GpuSim {
             return;
         }
         self.progress();
-        // `no_more_arrivals` is refreshed by the dispatcher each cycle; the
-        // conservative value here only delays partial-batch completion by a
-        // cycle at worst.
+        // The conservative `no_more_arrivals` here only delays partial-batch
+        // completion to the dispatcher's tail sweep, which this exit makes
+        // due (a cycle later at worst).
         let gate_before = self.sms[sm_idx].schedulers[sched].completed_batches;
         let warp = self.sms[sm_idx].retire_warp(slot, false, cycle);
+        self.tail_sweep_due = true;
         debug_assert_eq!(warp.unique, unique);
         let event = self.cfg.engine == EngineKind::Event;
         if event && self.sms[sm_idx].schedulers[sched].completed_batches != gate_before {

@@ -34,7 +34,7 @@ use crate::mem::icnt::Interconnect;
 use crate::mem::packet::{AtomKind, Payload, WarpRef};
 use crate::mem::partition::MemPartition;
 use crate::ndet::NdetSource;
-use crate::sched::SchedKind;
+use crate::sched::{SchedKind, WarpView};
 use crate::sm::{Sm, WarpState};
 use crate::stats::SimStats;
 use crate::values::ValueMem;
@@ -245,6 +245,14 @@ pub struct GpuSim {
     pub(crate) cycle: u64,
     wakes: Vec<WakeCmd>,
     census: Vec<SchedCensus>,
+    /// The issue walk's warp-view buffer, refilled at every scheduler
+    /// visit (`Sm::build_views`).
+    pub(crate) views: Vec<WarpView>,
+    /// The L1-miss sectors of the load being issued, reused by every load.
+    pub(crate) load_misses: Vec<u64>,
+    /// Whether the end-of-dispatch batch-completion sweep is due: set when
+    /// a kernel begins and when a warp retires, cleared by the sweep.
+    pub(crate) tail_sweep_due: bool,
     pub(crate) sched_kind: SchedKind,
     last_progress_cycle: u64,
     /// Cycles without progress before the run panics as deadlocked
@@ -352,6 +360,9 @@ impl GpuSim {
             cycle: 0,
             wakes: Vec::new(),
             census,
+            views: Vec::new(),
+            load_misses: Vec::new(),
+            tail_sweep_due: false,
             sched_kind,
             model,
             ndet,
@@ -538,6 +549,7 @@ impl GpuSim {
         let dispatcher = Dispatcher::new(grid, dist, self.cfg.num_sms(), statics);
         self.model.on_kernel_start(&grid.name, grid.ctas.len());
         self.last_progress_cycle = self.cycle;
+        self.tail_sweep_due = true;
         dispatcher
     }
 
@@ -1218,7 +1230,10 @@ impl GpuSim {
                 }
             }
         }
-        if dispatcher.all_dispatched() {
+        // Once every CTA is placed, batch completion can advance only on the
+        // first such visit (a partial tail batch may now complete) and after
+        // a warp exit; `tail_sweep_due` marks both.
+        if dispatcher.all_dispatched() && std::mem::take(&mut self.tail_sweep_due) {
             for sched in self.sms.iter_mut().flat_map(|sm| &mut sm.schedulers) {
                 if sched.advance_completed(true) {
                     // The batch gate opened for a partially filled tail

@@ -302,6 +302,8 @@ impl Sm {
     pub fn new(id: usize, cfg: &GpuConfig, sched_kind: SchedKind) -> Self {
         let num_schedulers = cfg.num_schedulers_per_sm;
         let width = cfg.warps_per_scheduler();
+        // `can_accept` counts `width` slots per scheduler.
+        debug_assert_eq!(width * num_schedulers, cfg.max_warps_per_sm);
         Self {
             id,
             cluster: id / cfg.sms_per_cluster,
@@ -324,6 +326,11 @@ impl Sm {
 
     /// Whether the SM has room for `cta` (warp slots per scheduler, threads,
     /// CTA count).
+    ///
+    /// Answered from counts: warp `w` of the CTA goes to scheduler
+    /// `w % S`, so scheduler `s` takes `ceil((n - s) / S)` of its `n`
+    /// warps, and each scheduler's `live` count is its occupied share of
+    /// its `width` slots.
     pub fn can_accept(&self, cta: &CtaSpec) -> bool {
         if self.resident_ctas >= self.max_ctas {
             return false;
@@ -331,24 +338,11 @@ impl Sm {
         if self.resident_threads + cta.num_threads() > self.max_threads {
             return false;
         }
-        // Each warp w of the CTA goes to scheduler w % S; count free slots
-        // per scheduler.
-        let mut needed = vec![0usize; self.num_schedulers];
-        for (w, _) in cta.warps.iter().enumerate() {
-            needed[w % self.num_schedulers] += 1;
-        }
-        for (sched, &need) in needed.iter().enumerate() {
-            let free = self
-                .warps
-                .iter()
-                .enumerate()
-                .filter(|(slot, w)| slot % self.num_schedulers == sched && w.is_none())
-                .count();
-            if free < need {
-                return false;
-            }
-        }
-        true
+        let (n, ns) = (cta.warps.len(), self.num_schedulers);
+        self.schedulers.iter().enumerate().all(|(s, sctx)| {
+            let need = (n + ns - 1 - s) / ns;
+            sctx.live as usize + need <= sctx.width
+        })
     }
 
     /// Places a CTA onto the SM; returns the slots used.
@@ -448,7 +442,7 @@ impl Sm {
 
     /// Number of live warps on the SM.
     pub fn live_warps(&self) -> usize {
-        self.warps.iter().filter(|w| w.is_some()).count()
+        self.schedulers.iter().map(|s| s.live as usize).sum()
     }
 
     /// Earliest `next_ready` among issuable warps, for fast-forwarding.
@@ -558,15 +552,17 @@ impl Sm {
             .unwrap_or(u64::MAX)
     }
 
-    /// Builds scheduler `sched`'s warp views for `cycle`, sorted by unique
-    /// id, applying the batch gate and the token refusal (`Sm::gate`).
-    /// Returns an empty vector when no warp is ready after gating.
+    /// Fills `views` with scheduler `sched`'s warp views for `cycle`, sorted
+    /// by unique id, applying the batch gate and the token refusal
+    /// (`Sm::gate`). Leaves `views` empty when no warp is ready after
+    /// gating. Whatever `views` held before is discarded, so the issue walk
+    /// reuses one buffer for every visit.
     ///
-    /// The second return value is the scheduler's aggregate timer bound:
-    /// the minimum `bound_at` over all live warps (`u64::MAX` when every
-    /// warp waits on an event or a gate). It is exact at build time, so
-    /// the event engine can install it directly instead of rescanning the
-    /// warps after the visit.
+    /// Returns the scheduler's aggregate timer bound: the minimum
+    /// `bound_at` over all live warps (`u64::MAX` when every warp waits on
+    /// an event or a gate). It is exact at build time, so the event engine
+    /// can install it directly instead of rescanning the warps after the
+    /// visit.
     ///
     /// This is a pure read of the scheduler's own warps and context — no
     /// interconnect, lock, or execution-model inputs. The issue walk calls
@@ -578,10 +574,11 @@ impl Sm {
         cycle: u64,
         det_aware: bool,
         srr_like: bool,
-    ) -> (Vec<WarpView>, u64) {
+        views: &mut Vec<WarpView>,
+    ) -> u64 {
+        views.clear();
         let sctx = &self.schedulers[sched];
         let grant = sctx.policy.atomic_grant();
-        let mut views: Vec<WarpView> = Vec::new();
         let mut any_ready = false;
         let mut agg_bound = u64::MAX;
         let mut slot = sched;
@@ -617,11 +614,12 @@ impl Sm {
             }
             slot += self.num_schedulers;
         }
-        if !any_ready {
-            return (Vec::new(), agg_bound);
+        if any_ready {
+            views.sort_unstable_by_key(|v| v.unique);
+        } else {
+            views.clear();
         }
-        views.sort_unstable_by_key(|v| v.unique);
-        (views, agg_bound)
+        agg_bound
     }
 
     /// Reports every Ready atomic-next warp to its policy, for the
@@ -774,6 +772,80 @@ mod tests {
         assert!(sm.can_accept(&cta(8, 32)));
     }
 
+    /// Slot-scan oracle for [`Sm::live_warps`].
+    fn live_warps_scan(sm: &Sm) -> usize {
+        sm.warps.iter().filter(|w| w.is_some()).count()
+    }
+
+    /// Slot-scan oracle for [`Sm::can_accept`]: free slots per scheduler,
+    /// counted the way `add_cta` looks for them.
+    fn can_accept_scan(sm: &Sm, cta: &CtaSpec) -> bool {
+        let ns = sm.num_schedulers();
+        sm.resident_ctas < sm.max_ctas
+            && sm.resident_threads + cta.num_threads() <= sm.max_threads
+            && (0..ns).all(|sched| {
+                let need = (0..cta.warps.len()).filter(|w| w % ns == sched).count();
+                let free = sm
+                    .warps
+                    .iter()
+                    .enumerate()
+                    .filter(|(slot, w)| slot % ns == sched && w.is_none())
+                    .count();
+                free >= need
+            })
+    }
+
+    #[test]
+    fn placement_counts_match_slot_scan_on_random_sequences() {
+        // Same deterministic generator as the ready-bound test below.
+        let mut state = 0x1319_8a2e_0370_7344u64;
+        let mut rng = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        // Probe sizes 1-16 cover counts below, at and off multiples of the
+        // four schedulers; 1-lane CTAs reach the slot limit before the
+        // thread limit, 32-lane ones the other way round.
+        let probes: Vec<CtaSpec> = (1..=16).flat_map(|n| [cta(n, 1), cta(n, 32)]).collect();
+        let mut sm = sm();
+        let mut next_base = 0;
+        for step in 0..3000u64 {
+            let occupied: Vec<usize> = (0..sm.warps.len())
+                .filter(|&s| sm.warps[s].is_some())
+                .collect();
+            if occupied.is_empty() || rng() % 3 != 0 {
+                let c = cta(1 + rng() as usize % 16, [1, 7, 32][rng() as usize % 3]);
+                if sm.can_accept(&c) {
+                    sm.add_cta(&c, next_base, step, &metas_for(&c));
+                    next_base += c.warps.len() as u64;
+                }
+            } else {
+                let slot = occupied[rng() as usize % occupied.len()];
+                sm.retire_warp(slot, false, step);
+            }
+            assert_eq!(sm.live_warps(), live_warps_scan(&sm), "step {step}");
+            for (sched, sctx) in sm.schedulers.iter().enumerate() {
+                let ns = sm.num_schedulers();
+                let occupied = (sched..sm.warps.len())
+                    .step_by(ns)
+                    .filter(|&s| sm.warps[s].is_some())
+                    .count();
+                assert_eq!(sctx.live as usize, occupied, "step {step} sched {sched}");
+            }
+            for p in &probes {
+                assert_eq!(
+                    sm.can_accept(p),
+                    can_accept_scan(&sm, p),
+                    "step {step}: {} warps x {} lanes",
+                    p.warps.len(),
+                    p.num_threads() / p.warps.len()
+                );
+            }
+        }
+    }
+
     #[test]
     fn batch_assignment_by_arrival() {
         let mut sched = SchedulerCtx::new(SchedKind::Gwat, 2, 4);
@@ -823,7 +895,8 @@ mod tests {
         let mut sm = sm();
         let c = cta(8, 32);
         sm.add_cta(&c, 0, 0, &metas_for(&c));
-        let (views, bound) = sm.build_views(0, 0, false, false);
+        let mut views = Vec::new();
+        let bound = sm.build_views(0, 0, false, false, &mut views);
         assert_eq!(views.len(), 2, "scheduler 0 owns 2 of the 8 warps");
         assert!(views.windows(2).all(|w| w[0].unique < w[1].unique));
         assert!(views.iter().all(|v| v.ready));
@@ -835,9 +908,41 @@ mod tests {
         for slot in slots {
             sm.warps[slot].as_mut().expect("resident").state = WarpState::WaitMem;
         }
-        let (views, bound) = sm.build_views(0, 0, false, false);
+        let bound = sm.build_views(0, 0, false, false, &mut views);
         assert!(views.is_empty());
         assert_eq!(bound, u64::MAX);
+    }
+
+    #[test]
+    fn build_views_discards_a_dirty_buffer() {
+        let mut sm = Sm::new(0, &GpuConfig::tiny(), SchedKind::Gwat);
+        let c = atomic_heavy_cta();
+        let slots = sm.add_cta(&c, 0, 0, &metas_for(&c));
+        let ns = sm.num_schedulers();
+        // Scheduler 1: one warp parked, one due only at cycle 9.
+        let sched1: Vec<usize> = slots.iter().copied().filter(|s| s % ns == 1).collect();
+        sm.warps[sched1[0]].as_mut().expect("resident").state = WarpState::WaitMem;
+        sm.warps[sched1[1]].as_mut().expect("resident").next_ready = 9;
+        // Scheduler 2: every warp parked, so its fresh result is empty.
+        for &slot in slots.iter().filter(|s| *s % ns == 2) {
+            sm.warps[slot].as_mut().expect("resident").state = WarpState::WaitFlush;
+        }
+        let mut reused = Vec::new();
+        for cycle in [0, 9] {
+            // Schedulers 0 and 3 have ready warps, so each of them both
+            // leaves the buffer dirty and refills a dirty one.
+            for (dirty_from, sched) in [(0, 3), (3, 0), (0, 1), (0, 2), (2, 0), (3, 1)] {
+                sm.build_views(dirty_from, 0, true, false, &mut reused);
+                let mut fresh = Vec::new();
+                let fresh_bound = sm.build_views(sched, cycle, true, false, &mut fresh);
+                let bound = sm.build_views(sched, cycle, true, false, &mut reused);
+                assert_eq!(
+                    (&reused, bound),
+                    (&fresh, fresh_bound),
+                    "cycle {cycle}: scheduler {sched} after {dirty_from}"
+                );
+            }
+        }
     }
 
     /// A CTA of 8 warps, each alternating atomics with ALU work, so warps
@@ -872,7 +977,8 @@ mod tests {
         issue: impl FnOnce(&mut Sm),
     ) {
         let sched = slot % sm.num_schedulers();
-        let (views, _) = sm.build_views(sched, cycle, det_aware, false);
+        let mut views = Vec::new();
+        sm.build_views(sched, cycle, det_aware, false, &mut views);
         let picked = |v: &&WarpView| v.slot == slot && v.ready && (v.next_is_atomic || !atomic);
         if !views.iter().any(|v| picked(&v)) {
             return;
@@ -987,7 +1093,7 @@ mod tests {
             let floor = if det_aware { cycle + 1 } else { 0 };
             for s in 0..ns {
                 let incremental = sm.schedulers[s].ready_bound.max(floor);
-                let (_, scanned) = sm.build_views(s, cycle, det_aware, false);
+                let scanned = sm.build_views(s, cycle, det_aware, false, &mut Vec::new());
                 assert!(
                     incremental <= scanned.max(floor),
                     "{kind:?} step {step}: incremental bound {incremental} exceeds \
