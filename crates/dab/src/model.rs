@@ -443,9 +443,9 @@ impl DabModel {
     fn tick_global(&mut self, ctx: &mut ModelCtx<'_>) {
         match self.phase {
             Phase::Idle => {
-                // The seal reads the costly census column, so only once a
-                // flush is wanted.
-                if self.want_flush(ctx) && sealed(ctx, 0..self.gpu.num_sms()) {
+                // The seal may walk warps, so ask only once a flush is
+                // wanted.
+                if self.want_flush(ctx) && ctx.sealed(0..self.gpu.num_sms()) {
                     self.start_global_epoch(ctx);
                     self.push_packets(ctx);
                 }
@@ -502,7 +502,7 @@ impl DabModel {
                 || (ctx.kernel_fully_dispatched
                     && ctx.live_warps() == 0
                     && self.any_entries_in_sm_range(sms.clone()));
-            if want && sealed(ctx, sms.clone()) {
+            if want && ctx.sealed(sms.clone()) {
                 self.cluster_active[c] = true;
                 self.flush_busy_since.get_or_insert(ctx.cycle);
                 self.enqueue_cluster_flush(c, false);
@@ -517,15 +517,6 @@ impl DabModel {
             }
         }
     }
-}
-
-/// Whether every scheduler of SMs `sms` is sealed. Reads the census's
-/// costly column, so callers ask only once a flush is wanted.
-fn sealed(ctx: &mut ModelCtx<'_>, sms: std::ops::Range<usize>) -> bool {
-    let scheds = ctx.cfg.num_schedulers_per_sm;
-    let census = ctx.census();
-    sms.flat_map(|sm| &census[sm * scheds..(sm + 1) * scheds])
-        .all(|c| c.sealed())
 }
 
 impl ExecutionModel for DabModel {
@@ -771,8 +762,8 @@ impl ExecutionModel for DabModel {
     fn needs_tick(&self) -> bool {
         // While idle with no cluster flushing, `tick` only probes the
         // flush-start conditions, and every input to those (flush requests,
-        // census seals, dispatch status, buffered-entry counts) changes only
-        // through engine actions on cycles the engine visits anyway — so
+        // scheduler seals, dispatch status, buffered-entry counts) changes
+        // only through engine actions on cycles the engine visits anyway — so
         // skipping the probe on idle cycles cannot change when a flush
         // starts. Buffered entries or in-flight acks alone keep the model
         // non-quiescent but do not require ticking.

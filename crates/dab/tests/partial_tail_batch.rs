@@ -2,11 +2,10 @@
 //!
 //! GWAT lets a warp issue atomics only once every warp of the earlier
 //! batches (hardware-slot generations) has exited. The last batch of a
-//! scheduler is usually partial; it can complete only after dispatch has
-//! placed every CTA, which the engine re-checks at the end of its dispatch
-//! phase, on the first visit after the last placement and after each warp
-//! exit. The kernel below leaves partial last batches on every scheduler
-//! and runs under DAB on both engines against fixed cycles and digest.
+//! scheduler is usually partial and never completes, which gates no warp:
+//! no later batch exists to wait on it. The kernel below leaves partial
+//! last batches on every scheduler and runs under DAB on both engines
+//! against fixed cycles and digest.
 
 use dab::{DabConfig, DabModel};
 use gpu_sim::config::{EngineKind, GpuConfig};

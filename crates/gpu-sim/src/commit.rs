@@ -784,12 +784,8 @@ impl GpuSim {
             return;
         }
         self.progress();
-        // The conservative `no_more_arrivals` here only delays partial-batch
-        // completion to the dispatcher's tail sweep, which this exit makes
-        // due (a cycle later at worst).
         let gate_before = self.sms[sm_idx].schedulers[sched].completed_batches;
-        let warp = self.sms[sm_idx].retire_warp(slot, false, cycle);
-        self.tail_sweep_due = true;
+        let warp = self.sms[sm_idx].retire_warp(slot, cycle);
         debug_assert_eq!(warp.unique, unique);
         let event = self.cfg.engine == EngineKind::Event;
         if event && self.sms[sm_idx].schedulers[sched].completed_batches != gate_before {

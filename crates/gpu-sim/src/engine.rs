@@ -26,7 +26,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::config::{EngineKind, GpuConfig};
-use crate::exec::{ExecutionModel, ModelCtx, SchedCensus, SchedId, WakeCmd, WarpId};
+use crate::exec::{ExecutionModel, ModelCtx, SchedId, WakeCmd, WarpId};
 use crate::imeta::{warp_meta, WarpMeta};
 use crate::kernel::{CtaDistribution, KernelGrid};
 use crate::lock::{LockManager, LockPrescan};
@@ -244,15 +244,13 @@ pub struct GpuSim {
     pub(crate) stats: SimStats,
     pub(crate) cycle: u64,
     wakes: Vec<WakeCmd>,
-    census: Vec<SchedCensus>,
+    /// Where the model's next seal query starts ([`ModelCtx::sealed`]).
+    seal_witness: usize,
     /// The issue walk's warp-view buffer, refilled at every scheduler
     /// visit (`Sm::build_views`).
     pub(crate) views: Vec<WarpView>,
     /// The L1-miss sectors of the load being issued, reused by every load.
     pub(crate) load_misses: Vec<u64>,
-    /// Whether the end-of-dispatch batch-completion sweep is due: set when
-    /// a kernel begins and when a warp retires, cleared by the sweep.
-    pub(crate) tail_sweep_due: bool,
     pub(crate) sched_kind: SchedKind,
     last_progress_cycle: u64,
     /// Cycles without progress before the run panics as deadlocked
@@ -333,7 +331,6 @@ impl GpuSim {
         let partitions = (0..cfg.num_mem_partitions)
             .map(|id| MemPartition::new(id, &cfg, dram_jitter))
             .collect();
-        let census = vec![SchedCensus::default(); cfg.num_sms() * cfg.num_schedulers_per_sm];
         // Fixed stream tags keep every endpoint's draw sequence a pure
         // function of the seed.
         let part_ndet = (0..cfg.num_mem_partitions)
@@ -359,10 +356,9 @@ impl GpuSim {
             stats: SimStats::default(),
             cycle: 0,
             wakes: Vec::new(),
-            census,
+            seal_witness: 0,
             views: Vec::new(),
             load_misses: Vec::new(),
-            tail_sweep_due: false,
             sched_kind,
             model,
             ndet,
@@ -549,7 +545,6 @@ impl GpuSim {
         let dispatcher = Dispatcher::new(grid, dist, self.cfg.num_sms(), statics);
         self.model.on_kernel_start(&grid.name, grid.ctas.len());
         self.last_progress_cycle = self.cycle;
-        self.tail_sweep_due = true;
         dispatcher
     }
 
@@ -1230,19 +1225,6 @@ impl GpuSim {
                 }
             }
         }
-        // Once every CTA is placed, batch completion can advance only on the
-        // first such visit (a partial tail batch may now complete) and after
-        // a warp exit; `tail_sweep_due` marks both.
-        if dispatcher.all_dispatched() && std::mem::take(&mut self.tail_sweep_due) {
-            for sched in self.sms.iter_mut().flat_map(|sm| &mut sm.schedulers) {
-                if sched.advance_completed(true) {
-                    // The batch gate opened for a partially filled tail
-                    // batch; its warps carried no timer bound while gated,
-                    // so re-arm the scheduler for the next issue phase.
-                    sched.note_ready(cycle + 1);
-                }
-            }
-        }
     }
 
     fn notify_spawns(&mut self, sm_idx: usize, slots: &[usize]) {
@@ -1261,45 +1243,28 @@ impl GpuSim {
         }
     }
 
-    /// Ticks the execution model. The census counts are copied from the
-    /// schedulers every tick; the O(warps) `atomic_stuck` walk runs only if
-    /// the model reads [`ModelCtx::census`] (DAB, on
-    /// ticks that evaluate its flush seal).
+    /// Ticks the execution model. The context lends the live SMs, so the
+    /// model's seal query ([`ModelCtx::sealed`]) reads the machine only
+    /// when it asks, and stops at the first scheduler that is not sealed.
     fn model_tick(&mut self, all_dispatched: bool) {
-        let det_aware = self.sched_kind.is_determinism_aware();
-        if det_aware {
+        if self.sched_kind == SchedKind::Gtrr {
             // Per-cycle, not on demand: GTRR times its switch to round
-            // robin by these reports (`WarpScheduler::notes_pending_atomics`).
+            // robin by these reports (`WarpScheduler::notes_pending_atomics`;
+            // no other policy asks for them).
             for sm in &mut self.sms {
                 sm.note_pending_atomics();
             }
         }
-        let schedulers = self.sms.iter().flat_map(|sm| &sm.schedulers);
-        for (row, sched) in self.census.iter_mut().zip(schedulers) {
-            *row = sched.census();
-        }
-        let num_sched = self.cfg.num_schedulers_per_sm;
-        let sms = &self.sms;
-        let mut fill_stuck = |rows: &mut [SchedCensus]| {
-            for (sm, rows) in sms.iter().zip(rows.chunks_mut(num_sched)) {
-                sm.atomic_stuck_into(rows);
-            }
-        };
-        let ctx = ModelCtx::new(
-            self.cycle,
-            &self.cfg,
-            &mut self.icnt,
-            &mut self.stats,
-            &mut self.census,
-            all_dispatched,
-            &mut self.wakes,
-        );
-        // Non-determinism-aware policies never refuse an atomic steadily,
-        // so their `atomic_stuck` column stays 0.
-        let mut ctx = if det_aware {
-            ctx.with_lazy_atomic_stuck(&mut fill_stuck)
-        } else {
-            ctx
+        let mut ctx = ModelCtx {
+            cycle: self.cycle,
+            cfg: &self.cfg,
+            icnt: &mut self.icnt,
+            stats: &mut self.stats,
+            sms: &self.sms,
+            det_aware: self.sched_kind.is_determinism_aware(),
+            seal_witness: &mut self.seal_witness,
+            kernel_fully_dispatched: all_dispatched,
+            wakes: &mut self.wakes,
         };
         self.model.tick(&mut ctx);
         // Drain events the model queued while its hooks ran this cycle.

@@ -14,7 +14,8 @@
 //! kernel boundaries), per-issue hooks (atomics, fences, barriers), packet
 //! delivery hooks (flush entries at partitions, acks at clusters), and a
 //! per-cycle [`tick`](ExecutionModel::tick) with a [`ModelCtx`] that lets
-//! the model inject packets and wake flush-waiting warps.
+//! the model inject packets, wake flush-waiting warps and ask whether the
+//! machine is sealed.
 
 use crate::config::GpuConfig;
 use crate::isa::{AtomicAccess, AtomicOp};
@@ -23,7 +24,9 @@ use crate::mem::icnt::Interconnect;
 use crate::mem::packet::{AtomKind, RopOp, WarpRef};
 use crate::mem::partition::MemPartition;
 use crate::sched::SchedKind;
+use crate::sm::Sm;
 use crate::stats::SimStats;
+use std::ops::Range;
 
 /// Identifies one warp scheduler: `(sm, scheduler index)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -107,44 +110,11 @@ pub enum BarrierRelease {
     WaitFlush,
 }
 
-/// Per-scheduler warp census handed to [`ExecutionModel::tick`] through
-/// [`ModelCtx::census`].
-///
-/// The counts are kept incrementally by the engine; `atomic_stuck` needs a
-/// walk over every resident warp, so it is computed only on ticks that
-/// read the census. The DAB flush controller derives its deterministic
-/// flush trigger from this: a scheduler's buffer is *sealed* once it is
-/// full or every live warp is flush-blocked.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedCensus {
-    /// Live (spawned, not yet exited) warps.
-    pub live: u32,
-    /// Warps in flush-wait (stalled atomic, fence, or post-barrier).
-    pub flush_wait: u32,
-    /// Warps waiting at an incomplete CTA barrier.
-    pub barrier_wait: u32,
-    /// Ready warps whose next instruction is an atomic that the scheduling
-    /// policy steadily refuses (no token / not their turn / greedy phase /
-    /// batch gate). They cannot add buffer entries until a currently
-    /// blocked warp acts, so their contributions are final.
-    pub atomic_stuck: u32,
-}
-
-impl SchedCensus {
-    /// Whether every live warp is blocked at a deterministic program point
-    /// (flush-wait, barrier, or steady atomic refusal). This is DAB's
-    /// *seal* condition: once every scheduler is sealed, buffer contents
-    /// are a deterministic prefix of each buffer's fill sequence and a
-    /// flush may begin.
-    pub fn sealed(&self) -> bool {
-        self.live == self.flush_wait + self.barrier_wait + self.atomic_stuck
-    }
-}
-
-/// Fills the census's `atomic_stuck` column (see [`ModelCtx::census`]).
-type FillStuck<'a> = &'a mut dyn FnMut(&mut [SchedCensus]);
-
 /// Mutable per-cycle context the engine lends to the model.
+///
+/// It borrows the live machine, so what the model asks about the warps
+/// ([`sealed`](Self::sealed), [`live_warps`](Self::live_warps)) is read
+/// when asked and costs nothing on ticks that do not ask.
 pub struct ModelCtx<'a> {
     /// Current cycle.
     pub cycle: u64,
@@ -154,17 +124,20 @@ pub struct ModelCtx<'a> {
     pub icnt: &'a mut Interconnect,
     /// Run statistics (models add their own named counters).
     pub stats: &'a mut SimStats,
-    /// Census rows indexed by `sm * num_schedulers_per_sm + sched`; the
-    /// `atomic_stuck` column is valid once `fill_stuck` has run.
-    census: &'a mut [SchedCensus],
-    /// Computes the `atomic_stuck` column on the first [`census`](Self::census)
-    /// read; `None` once the rows are complete.
-    fill_stuck: Option<FillStuck<'a>>,
+    /// Every SM, in global index order: what [`sealed`](Self::sealed) and
+    /// [`live_warps`](Self::live_warps) read.
+    pub(crate) sms: &'a [Sm],
+    /// The machine's scheduling policy is determinism-aware (see
+    /// [`Sm::sealed`]).
+    pub(crate) det_aware: bool,
+    /// Global index (`sm * num_schedulers_per_sm + sched`) of the scheduler
+    /// that last answered "not sealed"; the next seal query starts there.
+    pub(crate) seal_witness: &'a mut usize,
     /// Every CTA of the current kernel has been dispatched to an SM.
     pub kernel_fully_dispatched: bool,
     /// Wake commands collected this cycle, applied by the engine after the
     /// model's tick returns.
-    wakes: &'a mut Vec<WakeCmd>,
+    pub(crate) wakes: &'a mut Vec<WakeCmd>,
 }
 
 impl std::fmt::Debug for ModelCtx<'_> {
@@ -172,57 +145,45 @@ impl std::fmt::Debug for ModelCtx<'_> {
         f.debug_struct("ModelCtx")
             .field("cycle", &self.cycle)
             .field("kernel_fully_dispatched", &self.kernel_fully_dispatched)
-            .field("census_complete", &self.fill_stuck.is_none())
+            .field("seal_witness", &self.seal_witness)
             .field("wakes", &self.wakes)
             .finish_non_exhaustive()
     }
 }
 
-impl<'a> ModelCtx<'a> {
-    /// Builds a context over complete census rows (used by the engine;
-    /// exposed for model unit tests).
-    pub fn new(
-        cycle: u64,
-        cfg: &'a GpuConfig,
-        icnt: &'a mut Interconnect,
-        stats: &'a mut SimStats,
-        census: &'a mut [SchedCensus],
-        kernel_fully_dispatched: bool,
-        wakes: &'a mut Vec<WakeCmd>,
-    ) -> Self {
-        Self {
-            cycle,
-            cfg,
-            icnt,
-            stats,
-            census,
-            fill_stuck: None,
-            kernel_fully_dispatched,
-            wakes,
+impl ModelCtx<'_> {
+    /// Whether every scheduler of SMs `sms` is *sealed* ([`Sm::sealed`]):
+    /// DAB's flush trigger. Stops at the first scheduler that is not and
+    /// remembers it; the next query starts at that scheduler (wrapping
+    /// within `sms`), since a scheduler that was not sealed on one tick is
+    /// the likeliest not to be on the next. The answer is a conjunction of
+    /// pure reads of the machine, so the order and the early exit cannot
+    /// change it.
+    pub fn sealed(&mut self, sms: Range<usize>) -> bool {
+        let per_sm = self.cfg.num_schedulers_per_sm;
+        let (first, n) = (sms.start * per_sm, sms.len() * per_sm);
+        let start = match self.seal_witness.checked_sub(first) {
+            Some(d) if d < n => d,
+            _ => 0,
+        };
+        for i in 0..n {
+            let g = first + (start + i) % n;
+            if !self.sms[g / per_sm].sealed(g % per_sm, self.det_aware) {
+                *self.seal_witness = g;
+                return false;
+            }
         }
+        true
     }
 
-    /// Defers the census's `atomic_stuck` column to `fill`, which runs on
-    /// the first [`census`](Self::census) read of this tick, if any.
-    pub(crate) fn with_lazy_atomic_stuck(mut self, fill: FillStuck<'a>) -> Self {
-        self.fill_stuck = Some(fill);
-        self
-    }
-
-    /// Census rows indexed by `sm * num_schedulers_per_sm + sched`. The
-    /// first read of a tick walks every resident warp to count steadily
-    /// refused atomics, so read it only when the answer matters.
-    pub fn census(&mut self) -> &[SchedCensus] {
-        if let Some(fill) = self.fill_stuck.take() {
-            fill(self.census);
-        }
-        self.census
-    }
-
-    /// Live warps on the whole machine, from the census counts (cheap: no
+    /// Live warps on the whole machine, from the schedulers' counts (no
     /// warp walk).
     pub fn live_warps(&self) -> u32 {
-        self.census.iter().map(|c| c.live).sum()
+        self.sms
+            .iter()
+            .flat_map(|sm| &sm.schedulers)
+            .map(|s| s.live)
+            .sum()
     }
 
     /// Cluster housing a given SM.
@@ -383,6 +344,9 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
     fn on_atomic_ack(&mut self, warp: WarpRef, kind: AtomKind, remaining: u32, cycle: u64) {}
 
     /// Per-cycle model work (flush controllers, quantum state machines).
+    /// Runs after the cycle's issue and dispatch; `ctx` answers questions
+    /// about the machine as it stands then (DAB's seal:
+    /// [`ModelCtx::sealed`]).
     fn tick(&mut self, ctx: &mut ModelCtx<'_>) {}
 
     /// May new CTAs be dispatched right now?
@@ -460,6 +424,9 @@ impl ExecutionModel for BaselineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{Instr, Value, WarpProgram};
+    use crate::kernel::CtaSpec;
+    use crate::sm::WarpState;
 
     #[test]
     fn baseline_defaults() {
@@ -505,43 +472,70 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let mut icnt = Interconnect::new(&cfg);
         let mut stats = SimStats::default();
-        let rows = cfg.num_sms() * cfg.num_schedulers_per_sm;
-        let mut census = vec![
-            SchedCensus {
-                live: 1,
-                ..SchedCensus::default()
-            };
-            rows
-        ];
-        let mut wakes = Vec::new();
-        let mut fills = 0;
-        let mut fill = |rows: &mut [SchedCensus]| {
-            fills += 1;
-            rows[6].atomic_stuck = 1;
+        let mut sms: Vec<Sm> = (0..cfg.num_sms())
+            .map(|id| Sm::new(id, &cfg, SchedKind::Gwat))
+            .collect();
+        // Five warps on SM 1, each at an atomic; warps 0 and 4 share
+        // scheduler 0, where GWAT grants only warp 0.
+        let red = Instr::Red {
+            op: AtomicOp::AddF32,
+            accesses: vec![AtomicAccess::new(0, 0, Value::F32(1.0))],
         };
-        {
-            let mut ctx = ModelCtx::new(
-                5,
-                &cfg,
-                &mut icnt,
-                &mut stats,
-                &mut census,
-                false,
-                &mut wakes,
-            )
-            .with_lazy_atomic_stuck(&mut fill);
-            assert_eq!(ctx.cluster_of_sm(1), 1); // tiny: 1 SM per cluster
-            assert_eq!(ctx.live_warps(), rows as u32);
-            // The warp walk runs on the first read only.
-            assert_eq!(ctx.census()[6].atomic_stuck, 1);
-            assert!(ctx.census()[6].sealed() && !ctx.census()[5].sealed());
-            ctx.wake_flush_waiters(1);
-            ctx.reopen_issue();
-        }
+        let cta = CtaSpec::new(0, vec![WarpProgram::new(vec![red], 32); 5]);
+        let metas: Vec<_> = cta
+            .warps
+            .iter()
+            .map(|p| crate::imeta::warp_meta(p, &cfg))
+            .collect();
+        let slots = sms[1].add_cta(&cta, 0, 0, &metas);
+        let mut wakes = Vec::new();
+        let mut witness = 0;
+        let mut ctx = ModelCtx {
+            cycle: 5,
+            cfg: &cfg,
+            icnt: &mut icnt,
+            stats: &mut stats,
+            sms: &sms,
+            det_aware: true,
+            seal_witness: &mut witness,
+            kernel_fully_dispatched: false,
+            wakes: &mut wakes,
+        };
+        assert_eq!(ctx.cluster_of_sm(1), 1); // tiny: 1 SM per cluster
+        assert_eq!(ctx.live_warps(), 5);
+        // SM 0 is empty and sealed; SM 1's scheduler 0 (global 4) is the
+        // first that is not, and the query leaves its witness there.
+        assert!(ctx.sealed(0..1));
+        assert!(!ctx.sealed(0..2));
+        assert_eq!(*ctx.seal_witness, 4);
+        ctx.wake_flush_waiters(1);
+        ctx.reopen_issue();
         assert_eq!(
             wakes,
             vec![WakeCmd::FlushWaiters { sm: 1 }, WakeCmd::ReopenIssue]
         );
-        assert_eq!(fills, 1);
+        // Park warps 0-3 in flush-wait: scheduler 0 is then sealed on warp
+        // 4's refused atomic, schedulers 1-3 on their counts alone.
+        for &slot in &slots[..4] {
+            sms[1].warps[slot].as_mut().expect("resident").state = WarpState::WaitFlush;
+            sms[1].schedulers[slot % 4].flush_wait += 1;
+        }
+        let mut ctx = ModelCtx {
+            cycle: 6,
+            cfg: &cfg,
+            icnt: &mut icnt,
+            stats: &mut stats,
+            sms: &sms,
+            det_aware: true,
+            seal_witness: &mut witness,
+            kernel_fully_dispatched: true,
+            wakes: &mut wakes,
+        };
+        assert!(ctx.sealed(0..2), "the other warp's atomic is refused");
+        ctx.det_aware = false;
+        assert!(
+            !ctx.sealed(1..2),
+            "no steady refusal without a det-aware policy"
+        );
     }
 }

@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::config::GpuConfig;
-use crate::exec::SchedCensus;
 use crate::imeta::WarpMeta;
 use crate::isa::{Instr, WarpProgram};
 use crate::kernel::CtaSpec;
@@ -112,7 +111,7 @@ impl WarpCtx {
 }
 
 /// Per-scheduler bookkeeping: policy instance, arrival/batch accounting, and
-/// census counters.
+/// the warp counts [`Sm::sealed`] reads.
 #[derive(Debug)]
 pub struct SchedulerCtx {
     /// The scheduling policy.
@@ -127,11 +126,11 @@ pub struct SchedulerCtx {
     batch_exits: BTreeMap<u64, u32>,
     /// All batches `< completed_batches` have fully exited.
     pub completed_batches: u64,
-    /// Live warps (census).
+    /// Live warps.
     pub live: u32,
-    /// Flush-waiting warps (census).
+    /// Flush-waiting warps.
     pub flush_wait: u32,
-    /// Warps waiting at an incomplete CTA barrier (census).
+    /// Warps waiting at an incomplete CTA barrier.
     pub barrier_wait: u32,
     /// Lower bound on the earliest cycle any of this scheduler's warps can
     /// be picked (`u64::MAX` when none is in [`WarpState::Ready`]).
@@ -172,17 +171,6 @@ impl SchedulerCtx {
         self.ready_bound = self.ready_bound.min(t);
     }
 
-    /// This scheduler's census counts. `atomic_stuck` is left 0: it costs
-    /// a warp walk, which [`Sm::atomic_stuck_into`] does on demand.
-    pub(crate) fn census(&self) -> SchedCensus {
-        SchedCensus {
-            live: self.live,
-            flush_wait: self.flush_wait,
-            barrier_wait: self.barrier_wait,
-            atomic_stuck: 0,
-        }
-    }
-
     /// Runs `event`, a policy callback that may move the atomic token (an
     /// atomic issue, a warp exit, a barrier arrival), and lowers the ready
     /// bound to `t` if the policy's [`AtomicGrant`] changed: a warp parked
@@ -207,35 +195,18 @@ impl SchedulerCtx {
 
     /// Registers a warp exit and updates completed-batch accounting.
     ///
-    /// `no_more_arrivals` is true once the kernel has dispatched every CTA:
-    /// only then may a partially-filled batch complete.
-    pub fn register_exit(&mut self, batch: u64, no_more_arrivals: bool) {
+    /// A batch completes once it is fully populated and every warp of it
+    /// has exited. Only a scheduler's last batch can stay partial, and no
+    /// warp waits on it: the gate holds back later batches only.
+    pub fn register_exit(&mut self, batch: u64) {
         *self.batch_exits.entry(batch).or_insert(0) += 1;
         self.live -= 1;
-        self.advance_completed(no_more_arrivals);
-    }
-
-    /// Re-evaluates batch completion (also called when dispatch finishes).
-    /// Returns `true` when `completed_batches` advanced — the batch gate
-    /// opened for a later batch, so the event engine must re-arm
-    /// `ready_bound` (gated warps are excluded from the bound).
-    pub fn advance_completed(&mut self, no_more_arrivals: bool) -> bool {
-        let before = self.completed_batches;
-        loop {
-            let b = self.completed_batches;
-            let size = self.batch_sizes.get(&b).copied().unwrap_or(0);
-            let exits = self.batch_exits.get(&b).copied().unwrap_or(0);
-            let fully_populated = size as usize == self.width || no_more_arrivals;
-            let batch_done = size > 0 && exits == size && fully_populated;
-            let empty_tail =
-                size == 0 && no_more_arrivals && b < self.arrivals.div_ceil(self.width as u64);
-            if batch_done || empty_tail {
-                self.completed_batches += 1;
-            } else {
-                break;
-            }
+        let full = self.width as u32;
+        while self.batch_sizes.get(&self.completed_batches) == Some(&full)
+            && self.batch_exits.get(&self.completed_batches) == Some(&full)
+        {
+            self.completed_batches += 1;
         }
-        self.completed_batches != before
     }
 
     /// Whether a warp of `batch` may issue atomics now (all earlier batches
@@ -422,11 +393,11 @@ impl Sm {
     ///
     /// The exit may pass an atomic token to a warp parked as refused, which
     /// could then issue this very cycle, so it is a token event at `cycle`.
-    pub fn retire_warp(&mut self, slot: usize, no_more_arrivals: bool, cycle: u64) -> WarpCtx {
+    pub fn retire_warp(&mut self, slot: usize, cycle: u64) -> WarpCtx {
         let warp = self.warps[slot].take().expect("slot occupied");
         let sched = &mut self.schedulers[warp.sched];
         sched.token_event(cycle, |p| p.on_warp_exit(warp.unique));
-        sched.register_exit(warp.batch, no_more_arrivals);
+        sched.register_exit(warp.batch);
         self.resident_threads -= warp.program.active_lanes;
         let barrier = self
             .barriers
@@ -645,28 +616,35 @@ impl Sm {
         }
     }
 
-    /// Fills the `atomic_stuck` column of this SM's census rows (one per
-    /// scheduler, in `out`): Ready warps whose next atomic is steadily
-    /// refused by the policy ([`AtomicGrant::refuses`]) or the batch gate.
-    /// They cannot change any buffer before a flush, so DAB may seal. This
-    /// is the census's only O(warps) part; the engine runs it only when
-    /// the model reads the census.
+    /// Whether scheduler `sched` is *sealed*: every live warp is blocked at
+    /// a deterministic program point, so DAB may flush (its contributions
+    /// to the buffer are final until a blocked warp acts). Blocked means
+    /// flush-wait, a CTA barrier, or — only under a determinism-aware
+    /// policy (`det_aware`) — a Ready warp whose next atomic the batch gate
+    /// or the policy steadily refuses ([`AtomicGrant::refuses`]).
     ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than the scheduler count.
-    pub(crate) fn atomic_stuck_into(&self, out: &mut [SchedCensus]) {
-        assert!(out.len() >= self.num_schedulers, "census row per scheduler");
-        for (s, sched) in self.schedulers.iter().enumerate() {
-            let grant = sched.policy.atomic_grant();
-            out[s].atomic_stuck = self.warps[s..]
-                .iter()
-                .step_by(self.num_schedulers)
-                .flatten()
-                .filter(|w| Self::atomic_pending(w))
-                .filter(|w| !sched.batch_may_issue_atomics(w.batch) || grant.refuses(w.unique))
-                .count() as u32;
+    /// The counts answer first: the flush and barrier waiters are disjoint
+    /// from the Ready warps, so `live == flush_wait + barrier_wait` seals
+    /// with no refused atomic to count. Otherwise only this scheduler's
+    /// warps are walked.
+    pub fn sealed(&self, sched: usize, det_aware: bool) -> bool {
+        let s = &self.schedulers[sched];
+        let blocked = s.flush_wait + s.barrier_wait;
+        if s.live == blocked {
+            return true;
         }
+        if !det_aware {
+            return false;
+        }
+        let grant = s.policy.atomic_grant();
+        let stuck = self.warps[sched..]
+            .iter()
+            .step_by(self.num_schedulers)
+            .flatten()
+            .filter(|w| Self::atomic_pending(w))
+            .filter(|w| !s.batch_may_issue_atomics(w.batch) || grant.refuses(w.unique))
+            .count() as u32;
+        s.live == blocked + stuck
     }
 
     /// A Ready warp whose next instruction is an atomic.
@@ -689,7 +667,22 @@ enum Gate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ModelCtx;
     use crate::isa::{AtomicAccess, AtomicOp, Value};
+    use crate::mem::icnt::Interconnect;
+    use crate::stats::SimStats;
+
+    /// Deterministic LCG for the random-sequence tests: no time- or
+    /// platform-dependent seeding, so the sequence is identical on every
+    /// run and host.
+    fn seeded_rng(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        }
+    }
 
     fn cta(warps: usize, lanes: usize) -> CtaSpec {
         CtaSpec::new(
@@ -764,7 +757,7 @@ mod tests {
         let c = cta(8, 32);
         let slots = sm.add_cta(&c, 0, 0, &metas_for(&c));
         for slot in slots {
-            sm.retire_warp(slot, false, 0);
+            sm.retire_warp(slot, 0);
         }
         assert_eq!(sm.live_warps(), 0);
         assert_eq!(sm.resident_ctas, 0);
@@ -797,14 +790,7 @@ mod tests {
 
     #[test]
     fn placement_counts_match_slot_scan_on_random_sequences() {
-        // Same deterministic generator as the ready-bound test below.
-        let mut state = 0x1319_8a2e_0370_7344u64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
+        let mut rng = seeded_rng(0x1319_8a2e_0370_7344);
         // Probe sizes 1-16 cover counts below, at and off multiples of the
         // four schedulers; 1-lane CTAs reach the slot limit before the
         // thread limit, 32-lane ones the other way round.
@@ -815,7 +801,7 @@ mod tests {
             let occupied: Vec<usize> = (0..sm.warps.len())
                 .filter(|&s| sm.warps[s].is_some())
                 .collect();
-            if occupied.is_empty() || rng() % 3 != 0 {
+            if occupied.is_empty() || !rng().is_multiple_of(3) {
                 let c = cta(1 + rng() as usize % 16, [1, 7, 32][rng() as usize % 3]);
                 if sm.can_accept(&c) {
                     sm.add_cta(&c, next_base, step, &metas_for(&c));
@@ -823,7 +809,7 @@ mod tests {
                 }
             } else {
                 let slot = occupied[rng() as usize % occupied.len()];
-                sm.retire_warp(slot, false, step);
+                sm.retire_warp(slot, step);
             }
             assert_eq!(sm.live_warps(), live_warps_scan(&sm), "step {step}");
             for (sched, sctx) in sm.schedulers.iter().enumerate() {
@@ -855,23 +841,29 @@ mod tests {
         assert!(sched.batch_may_issue_atomics(0));
         assert!(!sched.batch_may_issue_atomics(1));
         // Batch 0 fully exits → batch 1 unblocked.
-        sched.register_exit(0, false);
+        sched.register_exit(0);
         assert!(!sched.batch_may_issue_atomics(1));
-        sched.register_exit(0, false);
+        sched.register_exit(0);
         assert!(sched.batch_may_issue_atomics(1));
     }
 
     #[test]
-    fn partial_batch_completes_only_after_dispatch_done() {
-        let mut sched = SchedulerCtx::new(SchedKind::Gwat, 4, 4);
-        let (b, _) = sched.register_arrival();
-        assert_eq!(b, 0);
-        sched.register_exit(0, false);
-        // One of a potential four exited; more may arrive → batch 0 open.
-        assert!(!sched.batch_may_issue_atomics(1));
-        sched.advance_completed(true);
-        // Dispatch finished → the partial batch can complete.
+    fn only_a_full_batch_completes() {
+        let mut sched = SchedulerCtx::new(SchedKind::Gwat, 2, 4);
+        for _ in 0..3 {
+            sched.register_arrival();
+        }
+        sched.register_exit(1);
+        // Batch 1 (one of two slots) is partial and fully exited, but
+        // batch 0 is still live → nothing completes.
+        assert_eq!(sched.completed_batches, 0);
+        sched.register_exit(0);
+        sched.register_exit(0);
+        // Batch 0 completes; the partial batch 1 stays open, and no warp
+        // waits on it.
+        assert_eq!(sched.completed_batches, 1);
         assert!(sched.batch_may_issue_atomics(1));
+        assert!(!sched.batch_may_issue_atomics(2));
     }
 
     #[test]
@@ -999,16 +991,7 @@ mod tests {
     /// token-moving sites (atomic issue, exit, barrier arrival and release)
     /// so refused-warp parking is exercised.
     fn check_incremental_ready_bound(kind: SchedKind, det_aware: bool) {
-        // Deterministic splitmix-style generator: no time- or
-        // platform-dependent seeding, so the sequence is identical on
-        // every run and host.
-        let mut state = 0x243f_6a88_85a3_08d3u64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
+        let mut rng = seeded_rng(0x243f_6a88_85a3_08d3);
         let mut sm = Sm::new(0, &GpuConfig::tiny(), kind);
         let c = if det_aware {
             atomic_heavy_cta()
@@ -1081,8 +1064,8 @@ mod tests {
                     });
                 }
                 _ => {
-                    if rng() % 4 == 0 {
-                        sm.retire_warp(slot, false, cycle);
+                    if rng().is_multiple_of(4) {
+                        sm.retire_warp(slot, cycle);
                     }
                 }
             }
@@ -1120,20 +1103,212 @@ mod tests {
 
     #[test]
     fn census_counts_live_and_refused_atomics() {
-        for (kind, stuck) in [(SchedKind::Gto, 0), (SchedKind::Gwat, 1)] {
+        for kind in [SchedKind::Gto, SchedKind::Gwat] {
+            let det_aware = kind.is_determinism_aware();
             let mut sm = Sm::new(0, &GpuConfig::tiny(), kind);
             let c = cta(8, 32);
-            sm.add_cta(&c, 0, 0, &metas_for(&c));
-            let mut rows: Vec<SchedCensus> =
-                sm.schedulers.iter().map(SchedulerCtx::census).collect();
-            assert!(rows.iter().all(|r| r.live == 2));
+            let slots = sm.add_cta(&c, 0, 0, &metas_for(&c));
+            assert!(sm.schedulers.iter().all(|s| s.live == 2));
             // Every warp waits at its atomic: GTO grants them all, GWAT
-            // only each scheduler's token holder.
-            sm.atomic_stuck_into(&mut rows);
-            assert!(
-                rows.iter().all(|r| r.atomic_stuck == stuck),
-                "{kind:?}: {rows:?}"
-            );
+            // only each scheduler's token holder, so neither seals.
+            assert!((0..4).all(|s| !sm.sealed(s, det_aware)), "{kind:?}");
+            // Park each token holder (the lower unique) in flush-wait:
+            // GWAT then seals on its one refused atomic, GTO does not.
+            for &slot in &slots[..4] {
+                set_state(&mut sm, slot, WarpState::WaitFlush, 0);
+            }
+            for s in 0..4 {
+                assert_eq!(sm.sealed(s, det_aware), det_aware, "{kind:?}");
+                assert_eq!(sm.sealed(s, det_aware), sealed_walk(&sm, s, det_aware));
+            }
+        }
+    }
+
+    /// Moves the warp in `slot` to `state` the way the engine's park and
+    /// wake sites do: its scheduler's flush and barrier counts follow, a
+    /// barrier arrival is a token event, and leaving a barrier is a
+    /// release.
+    fn set_state(sm: &mut Sm, slot: usize, state: WarpState, cycle: u64) {
+        let w = sm.warps[slot].as_mut().expect("resident");
+        let (old, unique) = (w.state, w.unique);
+        w.state = state;
+        if state == WarpState::Ready {
+            w.next_ready = cycle + 1;
+        }
+        let sched = &mut sm.schedulers[w.sched];
+        match old {
+            WarpState::WaitFlush => sched.flush_wait -= 1,
+            WarpState::WaitBarrier => {
+                sched.barrier_wait -= 1;
+                sched.policy.on_barrier_released(unique);
+            }
+            _ => {}
+        }
+        match state {
+            WarpState::WaitFlush => sched.flush_wait += 1,
+            WarpState::WaitBarrier => {
+                sched.barrier_wait += 1;
+                sched.token_event(cycle + 1, |p| p.on_barrier_arrival(unique));
+            }
+            _ => {}
+        }
+    }
+
+    /// Full-walk oracle for [`Sm::sealed`], the census formula it replaced:
+    /// `live == flush_wait + barrier_wait + stuck`, where `stuck` counts
+    /// the Ready atomic-next warps that the batch gate or the policy
+    /// refuses, and stays 0 unless `det_aware`. It finds the scheduler's
+    /// warps by their `sched` field rather than by slot stride.
+    fn sealed_walk(sm: &Sm, sched: usize, det_aware: bool) -> bool {
+        let s = &sm.schedulers[sched];
+        let grant = s.policy.atomic_grant();
+        let stuck = sm
+            .warps
+            .iter()
+            .flatten()
+            .filter(|w| w.sched == sched && w.state == WarpState::Ready && w.next_is_atomic())
+            .filter(|w| !s.batch_may_issue_atomics(w.batch) || grant.refuses(w.unique))
+            .count() as u32;
+        let stuck = if det_aware { stuck } else { 0 };
+        s.live == s.flush_wait + s.barrier_wait + stuck
+    }
+
+    /// One random step on `sm`, each mirroring an engine site: place a CTA
+    /// of 1-8 atomic-heavy warps, park or wake a warp (memory, flush,
+    /// barrier), issue an ALU or (if granted) an atomic, or retire a warp.
+    /// Under GTRR it ends with the per-cycle pending-atomic reports.
+    fn seal_step(sm: &mut Sm, rng: &mut impl FnMut() -> u64, next_base: &mut u64, cycle: u64) {
+        let occupied: Vec<usize> = (0..sm.warps.len())
+            .filter(|&s| sm.warps[s].is_some())
+            .collect();
+        if occupied.is_empty() || rng().is_multiple_of(8) {
+            let mut c = atomic_heavy_cta();
+            c.warps.truncate(1 + rng() as usize % 8);
+            if sm.can_accept(&c) {
+                sm.add_cta(&c, *next_base, cycle, &metas_for(&c));
+                *next_base += c.warps.len() as u64;
+            }
+            return;
+        }
+        let slot = occupied[rng() as usize % occupied.len()];
+        let w = sm.warps[slot].as_ref().expect("occupied slot");
+        let (sched, unique, state) = (w.sched, w.unique, w.state);
+        let (atomic, finished) = (w.next_is_atomic(), w.finished());
+        let batch_open = sm.schedulers[sched].batch_may_issue_atomics(w.batch);
+        let granted = !sm.schedulers[sched].policy.atomic_grant().refuses(unique);
+        match rng() % 6 {
+            0 => {
+                let to = [WarpState::Ready, WarpState::WaitMem, WarpState::WaitFlush];
+                let to = to[rng() as usize % 3];
+                // A barrier waiter leaves only by release (to Ready or
+                // flush-wait); only a Ready warp arrives at a barrier.
+                if state != WarpState::WaitBarrier || to != WarpState::WaitMem {
+                    set_state(sm, slot, to, cycle);
+                }
+            }
+            1 if state == WarpState::Ready && !finished => {
+                set_state(sm, slot, WarpState::WaitBarrier, cycle);
+            }
+            2 if state == WarpState::Ready && !finished && (!atomic || granted && batch_open) => {
+                sm.warps[slot].as_mut().expect("resident").pc += 1;
+                let sc = &mut sm.schedulers[sched];
+                sc.token_event(cycle + 1, |p| p.on_issue(unique, atomic, cycle));
+            }
+            3 if finished || rng().is_multiple_of(4) => {
+                set_state(sm, slot, WarpState::Ready, cycle);
+                sm.retire_warp(slot, cycle);
+            }
+            _ => {}
+        }
+        if sm.schedulers[0].policy.kind() == SchedKind::Gtrr {
+            sm.note_pending_atomics();
+        }
+    }
+
+    /// Drives seeded random placement, state-change and retirement
+    /// sequences and checks after every step that [`Sm::sealed`] agrees
+    /// with the full-walk oracle on every scheduler. Also requires each
+    /// way of answering to occur: sealed by the counts, sealed only with
+    /// refused atomics counted, and not sealed.
+    #[test]
+    fn seal_matches_full_walk_on_random_sequences() {
+        for kind in [SchedKind::Gto, SchedKind::Gwat, SchedKind::Gtrr] {
+            let det_aware = kind.is_determinism_aware();
+            let mut rng = seeded_rng(0x4528_21e6_38d0_1377);
+            let mut sm = Sm::new(0, &GpuConfig::tiny(), kind);
+            let (mut next_base, mut seen) = (0, [0u32; 3]);
+            for step in 0..4000u64 {
+                seal_step(&mut sm, &mut rng, &mut next_base, step);
+                for s in 0..sm.num_schedulers() {
+                    let sealed = sm.sealed(s, det_aware);
+                    assert_eq!(
+                        sealed,
+                        sealed_walk(&sm, s, det_aware),
+                        "{kind:?} step {step} sched {s}"
+                    );
+                    let sc = &sm.schedulers[s];
+                    let by_counts = sc.live == sc.flush_wait + sc.barrier_wait;
+                    seen[usize::from(sealed) + usize::from(by_counts)] += 1;
+                }
+            }
+            assert!(seen[0] > 0 && seen[2] > 0, "{kind:?}: {seen:?}");
+            // Only a determinism-aware policy seals on refused atomics.
+            assert_eq!(seen[1] > 0, det_aware, "{kind:?}: {seen:?}");
+        }
+    }
+
+    /// [`ModelCtx::sealed`] over every SM range of a 4-SM machine, from
+    /// every witness (in range, out of range, and past the machine), must
+    /// equal the oracle's conjunction, and a "not sealed" answer must leave
+    /// the witness on a scheduler of the range that is not sealed.
+    #[test]
+    fn seal_query_matches_oracle_from_any_witness() {
+        let cfg = GpuConfig::tiny();
+        let per_sm = cfg.num_schedulers_per_sm;
+        for kind in [SchedKind::Gto, SchedKind::Gwat, SchedKind::Gtrr] {
+            let det_aware = kind.is_determinism_aware();
+            let mut rng = seeded_rng(0xa409_3822_299f_31d0);
+            let mut sms: Vec<Sm> = (0..4).map(|id| Sm::new(id, &cfg, kind)).collect();
+            let mut next_base = 0;
+            let (mut icnt, mut stats, mut wakes) =
+                (Interconnect::new(&cfg), SimStats::default(), Vec::new());
+            for step in 0..600u64 {
+                for sm in &mut sms {
+                    seal_step(sm, &mut rng, &mut next_base, step);
+                }
+                let oracle: Vec<bool> = (0..4 * per_sm)
+                    .map(|g| sealed_walk(&sms[g / per_sm], g % per_sm, det_aware))
+                    .collect();
+                for lo in 0..=4 {
+                    for hi in lo..=4 {
+                        let want = oracle[lo * per_sm..hi * per_sm].iter().all(|&b| b);
+                        for start in 0..4 * per_sm + 2 {
+                            let mut witness = start;
+                            let mut ctx = ModelCtx {
+                                cycle: step,
+                                cfg: &cfg,
+                                icnt: &mut icnt,
+                                stats: &mut stats,
+                                sms: &sms,
+                                det_aware,
+                                seal_witness: &mut witness,
+                                kernel_fully_dispatched: false,
+                                wakes: &mut wakes,
+                            };
+                            let got = ctx.sealed(lo..hi);
+                            let at =
+                                || format!("{kind:?} step {step} SMs {lo}..{hi} witness {start}");
+                            assert_eq!(got, want, "{}", at());
+                            if got {
+                                assert_eq!(witness, start, "{}", at());
+                            } else {
+                                let range = lo * per_sm..hi * per_sm;
+                                assert!(range.contains(&witness) && !oracle[witness], "{}", at());
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
