@@ -10,13 +10,12 @@
 //! `ExecutionModel` hook and `WarpScheduler` call of the issue phase
 //! therefore happens in one deterministic order.
 //!
-//! The retirement and flush-wake machinery lives here too, because the
-//! walk and the engine's response, lock-grant, spawn and model-wake paths
-//! share it.
+//! The warp state transitions ([`GpuSim::park`], [`GpuSim::wake`]) and the
+//! retirement machinery live here too, because the walk and the engine's
+//! response, lock-grant, spawn and model-wake paths share them.
 
 use std::sync::Arc;
 
-use crate::config::EngineKind;
 use crate::engine::{pkt_kind, GpuSim};
 use crate::exec::{
     AtomicIssue, AtomicRoute, BarrierRelease, FenceAction, SchedId, StoreRoute, WarpId,
@@ -28,6 +27,30 @@ use crate::mem::packet::{AtomKind, Packet, Payload, WarpRef};
 use crate::mem::partition_of;
 use crate::sched::{SchedKind, WarpView};
 use crate::sm::WarpState;
+
+/// The state a warp parks in for `reason`.
+fn parked_state(reason: obs::SleepReason) -> WarpState {
+    match reason {
+        obs::SleepReason::Mem => WarpState::WaitMem,
+        obs::SleepReason::Atom => WarpState::WaitAtom,
+        obs::SleepReason::Drain => WarpState::WaitDrain,
+        obs::SleepReason::Lock => WarpState::WaitLock,
+        obs::SleepReason::Barrier => WarpState::WaitBarrier,
+        obs::SleepReason::Flush => WarpState::WaitFlush,
+    }
+}
+
+/// The state a warp woken at `site` leaves.
+fn woken_state(site: obs::WakeSite) -> WarpState {
+    match site {
+        obs::WakeSite::LoadResp => WarpState::WaitMem,
+        obs::WakeSite::AtomAck => WarpState::WaitAtom,
+        obs::WakeSite::StoreDrain => WarpState::WaitDrain,
+        obs::WakeSite::LockGrant => WarpState::WaitLock,
+        obs::WakeSite::Barrier => WarpState::WaitBarrier,
+        obs::WakeSite::Flush => WarpState::WaitFlush,
+    }
+}
 
 /// Flattens an instruction to its trace event class.
 fn instr_kind(instr: &Instr) -> obs::InstrKind {
@@ -78,27 +101,30 @@ impl GpuSim {
     /// Issues at most one instruction per warp scheduler, walking SMs and
     /// their schedulers in global index order.
     ///
-    /// With `event` set, the walk is an active-set traversal: SMs and
-    /// schedulers whose cached `ready_bound` lies in the future are skipped
-    /// in place. Skipping is equivalent to the dense visit because
-    /// `ready_bound > cycle` guarantees `build_views` would return empty or
-    /// only warps the model refuses again (the bound is never stale-high;
-    /// a repeated refusal has no side effect), and either is a dense visit
-    /// that issues nothing.
+    /// With `skip` set (the event engine), the walk is an active-set
+    /// traversal: SMs and schedulers whose cached `ready_bound` lies in the
+    /// future are skipped in place. Skipping is equivalent to a visit
+    /// because `ready_bound > cycle` guarantees `build_views` would return
+    /// empty or only warps the model refuses again (the bound is never
+    /// stale-high; a repeated refusal has no side effect), and either is a
+    /// visit that issues nothing. Without `skip` (the dense engine) every
+    /// scheduler is visited and that rule is checked instead: a visit to a
+    /// scheduler with `ready_bound > cycle` that finds a ready view after
+    /// model gating panics.
     ///
-    /// Visited schedulers maintain their bound *incrementally* instead of
-    /// rescanning warps: the bound is re-armed to `u64::MAX` before the
+    /// Every visited scheduler maintains its bound *incrementally* instead
+    /// of rescanning warps: the bound is re-armed to `u64::MAX` before the
     /// pick (so mid-issue wakes land on a clean slate), then the per-view
     /// timer bounds of non-picked warps are folded back in and the picked
     /// warp is re-evaluated live (`Sm::note_slot_bound`). Views are built
     /// at the visit itself (into one buffer every visit reuses), so a
     /// barrier release earlier in the walk is already reflected in them.
-    pub(crate) fn issue(&mut self, event: bool) {
+    pub(crate) fn issue(&mut self, skip: bool) {
         let cycle = self.cycle;
         let (det_aware, srr_like) = self.gate_flags();
         let mut views = std::mem::take(&mut self.views);
         for sm_idx in 0..self.sms.len() {
-            if event && self.sms[sm_idx].ready_bound() > cycle {
+            if skip && self.sms[sm_idx].ready_bound() > cycle {
                 continue;
             }
             self.activity.sms_ticked += 1;
@@ -111,46 +137,58 @@ impl GpuSim {
                     // exact one. Clear it, or it pins the event wheel (and
                     // this SM's walk) to every remaining cycle; a later CTA
                     // placement re-lowers it on arrival.
-                    if event {
-                        sctx.ready_bound = u64::MAX;
-                    }
+                    sctx.ready_bound = u64::MAX;
                     continue;
                 }
-                if event && sctx.ready_bound > cycle {
+                let bound = sctx.ready_bound;
+                if skip && bound > cycle {
                     continue;
                 }
                 let agg_bound =
                     self.sms[sm_idx].build_views(sched, cycle, det_aware, srr_like, &mut views);
-                if event {
-                    // Re-arm before the pick: wakes triggered by this
-                    // visit (barrier releases, retirements) lower the
-                    // bound from MAX via `note_ready`/recompute and are
-                    // preserved by the min-folds below.
-                    self.sms[sm_idx].schedulers[sched].ready_bound = u64::MAX;
-                }
+                // Re-arm before the pick: wakes triggered by this visit
+                // (barrier releases, retirements) lower the bound from MAX
+                // via `note_ready`/recompute and are preserved by the
+                // min-folds below.
+                self.sms[sm_idx].schedulers[sched].ready_bound = u64::MAX;
                 let picked = if views.is_empty() {
                     None
                 } else {
                     self.apply_model_gating(sm_idx, sched, &mut views);
+                    if bound > cycle && views.iter().any(|v| v.ready) {
+                        self.skip_rule_broken(sm_idx, sched, bound);
+                    }
                     self.pick_and_issue(sm_idx, sched, &views)
                 };
-                if event {
-                    let sm = &mut self.sms[sm_idx];
-                    for v in &views {
-                        if Some(v.slot) != picked {
-                            sm.schedulers[sched].note_ready(v.bound_at);
-                        }
+                let sm = &mut self.sms[sm_idx];
+                for v in &views {
+                    if Some(v.slot) != picked {
+                        sm.schedulers[sched].note_ready(v.bound_at);
                     }
-                    if views.is_empty() {
-                        sm.schedulers[sched].note_ready(agg_bound);
-                    }
-                    if let Some(slot) = picked {
-                        sm.note_slot_bound(slot, det_aware, srr_like);
-                    }
+                }
+                if views.is_empty() {
+                    sm.schedulers[sched].note_ready(agg_bound);
+                }
+                if let Some(slot) = picked {
+                    sm.note_slot_bound(slot, det_aware, srr_like);
                 }
             }
         }
         self.views = views;
+    }
+
+    /// The dense engine's check failed: a visit the event engine would
+    /// have skipped found a ready warp, so the scheduler's bound was
+    /// stale-high.
+    #[cold]
+    fn skip_rule_broken(&self, sm_idx: usize, sched: usize, bound: u64) -> ! {
+        panic!(
+            "skip rule broken: SM {sm_idx} scheduler {sched} has a ready warp at cycle {} \
+             but its ready bound is {bound}, so the event engine would have skipped it \
+             (model {})",
+            self.cycle,
+            self.model.name()
+        );
     }
 
     /// Model gating (GPUDet quanta / serial mode) applied to ready views.
@@ -258,7 +296,6 @@ impl GpuSim {
     /// Issues a non-ALU instruction `instr` (with its metadata `meta`) for
     /// `warp_id`; returns whether it issued or must be retried.
     fn issue_other(&mut self, warp_id: WarpId, instr: &Instr, meta: &InstrMeta) -> bool {
-        let cycle = self.cycle;
         let (sm_idx, slot) = (warp_id.sched.sm, warp_id.slot);
         match instr {
             Instr::Alu { .. } => unreachable!("ALU instructions issue in place"),
@@ -309,17 +346,11 @@ impl GpuSim {
                     *critical_cycles,
                     *op,
                 );
-                let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
-                w.pc += 1;
-                w.state = WarpState::WaitLock;
-                if self.trace_full() {
-                    self.trace_event(obs::Event::Sleep {
-                        cycle,
-                        sm: sm_idx as u32,
-                        slot: slot as u32,
-                        reason: obs::SleepReason::Lock,
-                    });
-                }
+                self.sms[sm_idx].warps[slot]
+                    .as_mut()
+                    .expect("picked warp")
+                    .pc += 1;
+                self.park(sm_idx, slot, obs::SleepReason::Lock);
                 true
             }
         }
@@ -391,15 +422,7 @@ impl GpuSim {
             let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
             w.outstanding_loads += missing.len() as u32;
             w.pc += 1;
-            w.state = WarpState::WaitMem;
-            if self.trace_full() {
-                self.trace_event(obs::Event::Sleep {
-                    cycle,
-                    sm: sm_idx as u32,
-                    slot: slot as u32,
-                    reason: obs::SleepReason::Mem,
-                });
-            }
+            self.park(sm_idx, slot, obs::SleepReason::Mem);
             true
         };
         self.load_misses = missing;
@@ -473,7 +496,7 @@ impl GpuSim {
                 true
             }
             AtomicRoute::StallFlush => {
-                self.set_flush_wait(sm_idx, slot);
+                self.park(sm_idx, slot, obs::SleepReason::Flush);
                 self.stats.bump("det.stall.atomic_buffer_full", 1);
                 false
             }
@@ -522,15 +545,7 @@ impl GpuSim {
                 w.pc += 1;
                 match kind {
                     AtomKind::Red => w.next_ready = cycle + 1,
-                    AtomKind::Atom => w.state = WarpState::WaitAtom,
-                }
-                if kind == AtomKind::Atom && self.trace_full() {
-                    self.trace_event(obs::Event::Sleep {
-                        cycle,
-                        sm: sm_idx as u32,
-                        slot: slot as u32,
-                        reason: obs::SleepReason::Atom,
-                    });
+                    AtomKind::Atom => self.park(sm_idx, slot, obs::SleepReason::Atom),
                 }
                 true
             }
@@ -538,42 +553,31 @@ impl GpuSim {
     }
 
     fn issue_barrier(&mut self, sm_idx: usize, slot: usize) {
-        let cycle = self.cycle;
         let (cta_key, warp_id) = {
-            let sm = &mut self.sms[sm_idx];
-            let w = sm.warps[slot].as_mut().expect("picked warp");
+            let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
             w.pc += 1;
-            w.state = WarpState::WaitBarrier;
-            let (cta_key, sched, unique) = (w.cta_key, w.sched, w.unique);
-            sm.schedulers[sched].barrier_wait += 1;
             (
-                cta_key,
+                w.cta_key,
                 WarpId {
-                    sched: SchedId { sm: sm_idx, sched },
+                    sched: SchedId {
+                        sm: sm_idx,
+                        sched: w.sched,
+                    },
                     slot,
-                    unique,
+                    unique: w.unique,
                 },
             )
         };
-        if self.trace_full() {
-            self.trace_event(obs::Event::Sleep {
-                cycle,
-                sm: sm_idx as u32,
-                slot: slot as u32,
-                reason: obs::SleepReason::Barrier,
-            });
-        }
-        self.model.on_barrier_wait(warp_id, cycle);
-        {
-            let sm = &mut self.sms[sm_idx];
-            // The policy consumes the warp's token/turn so atomic grants
-            // never deadlock behind the barrier; the next holder may be a
-            // warp parked as refused.
-            sm.schedulers[warp_id.sched.sched]
-                .token_event(cycle + 1, |p| p.on_barrier_arrival(warp_id.unique));
-            let barrier = sm.barriers.get_mut(&cta_key).expect("barrier state");
-            barrier.waiting_slots.push(slot);
-        }
+        // The park hands the policy's token/turn on so atomic grants never
+        // deadlock behind the barrier; the next holder may be a warp parked
+        // as refused.
+        self.park(sm_idx, slot, obs::SleepReason::Barrier);
+        self.model.on_barrier_wait(warp_id, self.cycle);
+        let barrier = self.sms[sm_idx]
+            .barriers
+            .get_mut(&cta_key)
+            .expect("barrier state");
+        barrier.waiting_slots.push(slot);
         self.try_release_barrier(sm_idx, cta_key);
     }
 
@@ -608,31 +612,11 @@ impl GpuSim {
                 }
             })
             .collect();
-        let release = self.model.on_barrier_release(sm_idx, &waiting_ids, cycle);
-        for id in &waiting_ids {
-            self.sms[sm_idx].schedulers[id.sched.sched].barrier_wait -= 1;
-        }
-        match release {
+        match self.model.on_barrier_release(sm_idx, &waiting_ids, cycle) {
             BarrierRelease::Immediate => {
                 for s in waiting {
-                    {
-                        let sm = &mut self.sms[sm_idx];
-                        let w = sm.warps[s].as_mut().expect("at barrier");
-                        w.state = WarpState::Ready;
-                        w.next_ready = cycle + 1;
-                        let (sched, unique) = (w.sched, w.unique);
-                        sm.schedulers[sched].note_ready(cycle + 1);
-                        sm.schedulers[sched].policy.on_barrier_released(unique);
-                    }
-                    self.activity.wakeup_events += 1;
-                    if self.trace_full() {
-                        self.trace_event(obs::Event::Wake {
-                            cycle,
-                            sm: sm_idx as u32,
-                            slot: s as u32,
-                            site: obs::WakeSite::Barrier,
-                        });
-                    }
+                    let woke = self.wake(sm_idx, s, obs::WakeSite::Barrier);
+                    debug_assert!(woke, "barrier waiter in slot {s} was not at the barrier");
                     // The barrier may have been the warp's last instruction.
                     self.try_retire(sm_idx, s);
                 }
@@ -642,7 +626,7 @@ impl GpuSim {
                 // wake (the epoch boundary), which keeps un-parking — and
                 // therefore the token/turn grant order — deterministic.
                 for s in waiting {
-                    self.set_flush_wait(sm_idx, s);
+                    self.park(sm_idx, s, obs::SleepReason::Flush);
                 }
             }
         }
@@ -652,84 +636,54 @@ impl GpuSim {
         let cycle = self.cycle;
         let sm_idx = warp_id.sched.sm;
         let slot = warp_id.slot;
-        match self.model.on_fence(warp_id, cycle) {
-            FenceAction::DrainWarp => {
-                let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
-                w.pc += 1;
-                let drains = w.outstanding_writes > 0;
-                if drains {
-                    w.state = WarpState::WaitDrain;
-                } else {
-                    w.next_ready = cycle + 1;
-                }
-                if drains && self.trace_full() {
-                    self.trace_event(obs::Event::Sleep {
-                        cycle,
-                        sm: sm_idx as u32,
-                        slot: slot as u32,
-                        reason: obs::SleepReason::Drain,
-                    });
-                }
+        let action = self.model.on_fence(warp_id, cycle);
+        let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
+        w.pc += 1;
+        match action {
+            FenceAction::DrainWarp if w.outstanding_writes > 0 => {
+                self.park(sm_idx, slot, obs::SleepReason::Drain);
             }
-            FenceAction::WaitFlush => {
-                let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
-                w.pc += 1;
-                self.set_flush_wait(sm_idx, slot);
-            }
+            FenceAction::DrainWarp => w.next_ready = cycle + 1,
+            FenceAction::WaitFlush => self.park(sm_idx, slot, obs::SleepReason::Flush),
         }
     }
 
-    fn set_flush_wait(&mut self, sm_idx: usize, slot: usize) {
-        let cycle = self.cycle;
-        let sm = &mut self.sms[sm_idx];
-        let w = sm.warps[slot].as_mut().expect("warp resident");
-        let mut parked = false;
-        if w.state != WarpState::WaitFlush {
-            w.state = WarpState::WaitFlush;
-            sm.schedulers[w.sched].flush_wait += 1;
-            parked = true;
-        }
-        if parked && self.trace_full() {
+    /// Parks the warp in `slot` of SM `sm_idx` for `reason` ([`Sm::park`])
+    /// and records the sleep. Every park site goes through here.
+    ///
+    /// [`Sm::park`]: crate::sm::Sm::park
+    pub(crate) fn park(&mut self, sm_idx: usize, slot: usize, reason: obs::SleepReason) {
+        self.sms[sm_idx].park(slot, parked_state(reason), self.cycle);
+        if self.trace_full() {
             self.trace_event(obs::Event::Sleep {
-                cycle,
+                cycle: self.cycle,
                 sm: sm_idx as u32,
                 slot: slot as u32,
-                reason: obs::SleepReason::Flush,
+                reason,
             });
         }
     }
 
-    /// Wakes a flush-parked warp at the epoch boundary; the model-wake
-    /// entry point.
-    pub(crate) fn wake_flush_wait(&mut self, sm_idx: usize, slot: usize) {
-        let cycle = self.cycle;
-        let sm = &mut self.sms[sm_idx];
-        let mut woke = false;
-        if let Some(w) = sm.warps[slot].as_mut() {
-            if w.state == WarpState::WaitFlush {
-                w.state = WarpState::Ready;
-                w.next_ready = cycle + 1;
-                let (sched, unique) = (w.sched, w.unique);
-                sm.schedulers[sched].flush_wait -= 1;
-                sm.schedulers[sched].note_ready(cycle + 1);
-                // Un-park barrier waiters at the epoch boundary (no-op for
-                // warps that were flush-blocked for other reasons).
-                sm.schedulers[sched].policy.on_barrier_released(unique);
-                woke = true;
-            }
+    /// Wakes the warp in `slot` of SM `sm_idx` if it is parked in the
+    /// state `site` releases ([`Sm::wake`]), counting the wake-up and
+    /// recording it; returns whether it woke. Every wake site goes through
+    /// here, the site naming which one.
+    ///
+    /// [`Sm::wake`]: crate::sm::Sm::wake
+    pub(crate) fn wake(&mut self, sm_idx: usize, slot: usize, site: obs::WakeSite) -> bool {
+        if !self.sms[sm_idx].wake(slot, woken_state(site), self.cycle) {
+            return false;
         }
-        if woke {
-            self.activity.wakeup_events += 1;
-            if self.trace_full() {
-                self.trace_event(obs::Event::Wake {
-                    cycle,
-                    sm: sm_idx as u32,
-                    slot: slot as u32,
-                    site: obs::WakeSite::Flush,
-                });
-            }
+        self.activity.wakeup_events += 1;
+        if self.trace_full() {
+            self.trace_event(obs::Event::Wake {
+                cycle: self.cycle,
+                sm: sm_idx as u32,
+                slot: slot as u32,
+                site,
+            });
         }
-        self.try_retire(sm_idx, slot);
+        true
     }
 
     /// Retires the warp if it has finished its program and drained all
@@ -737,35 +691,17 @@ impl GpuSim {
     /// lock-grant and spawn paths.
     pub(crate) fn try_retire(&mut self, sm_idx: usize, slot: usize) {
         let cycle = self.cycle;
-        let mut parked_to_drain = false;
-        let retire = {
-            match self.sms[sm_idx].warps[slot].as_mut() {
-                Some(w) if w.finished() => {
-                    if w.outstanding_loads == 0 && w.outstanding_writes == 0 {
-                        // Only a warp that is not waiting on anything may
-                        // retire; a warp whose last instruction parked it
-                        // (barrier, flush, lock) retires after its wake.
-                        w.state == WarpState::Ready
-                    } else {
-                        if w.state == WarpState::Ready {
-                            w.state = WarpState::WaitDrain;
-                            parked_to_drain = true;
-                        }
-                        false
-                    }
-                }
-                _ => false,
-            }
+        let Some(w) = self.sms[sm_idx].warps[slot].as_ref() else {
+            return;
         };
-        if parked_to_drain && self.trace_full() {
-            self.trace_event(obs::Event::Sleep {
-                cycle,
-                sm: sm_idx as u32,
-                slot: slot as u32,
-                reason: obs::SleepReason::Drain,
-            });
+        // Only a finished warp that is not waiting on anything may retire;
+        // a warp whose last instruction parked it (barrier, flush, lock)
+        // retires after its wake.
+        if !w.finished() || w.state != WarpState::Ready {
+            return;
         }
-        if !retire {
+        if w.outstanding_loads > 0 || w.outstanding_writes > 0 {
+            self.park(sm_idx, slot, obs::SleepReason::Drain);
             return;
         }
         let (unique, sched) = {
@@ -780,15 +716,14 @@ impl GpuSim {
             slot,
             unique,
         }) {
-            self.set_flush_wait(sm_idx, slot);
+            self.park(sm_idx, slot, obs::SleepReason::Flush);
             return;
         }
         self.progress();
         let gate_before = self.sms[sm_idx].schedulers[sched].completed_batches;
         let warp = self.sms[sm_idx].retire_warp(slot, cycle);
         debug_assert_eq!(warp.unique, unique);
-        let event = self.cfg.engine == EngineKind::Event;
-        if event && self.sms[sm_idx].schedulers[sched].completed_batches != gate_before {
+        if self.sms[sm_idx].schedulers[sched].completed_batches != gate_before {
             // The batch gate opened: warps this scheduler had parked with
             // no timer bound (gated atomics) may now be pickable, so the
             // incremental bound must be re-derived exactly.

@@ -106,11 +106,13 @@ pub struct GpuConfig {
     pub sim_threads: usize,
 
     /// Cycle-loop implementation (not a Table I row: a simulator-host knob,
-    /// set from `DAB_ENGINE`). [`EngineKind::Dense`] sweeps every cluster,
-    /// SM, and scheduler every cycle; [`EngineKind::Event`] (the default)
-    /// skips provably idle components and fast-forwards through provably
-    /// empty cycle ranges via a deterministic event wheel. Both produce
-    /// bit-identical digests, cycle counts, and architectural statistics.
+    /// set from `DAB_ENGINE`). [`EngineKind::Event`] (the default) skips
+    /// provably idle SMs and schedulers and jumps over provably empty
+    /// cycle ranges via a deterministic event wheel; [`EngineKind::Dense`]
+    /// is the same engine with those skips turned off, visiting every SM
+    /// and scheduler every cycle and checking that each skip would have
+    /// been a no-op. Both produce bit-identical digests, cycle counts, and
+    /// architectural statistics.
     pub engine: EngineKind,
 
     /// Whether the commit phase runs independence-sharded (not a Table I
@@ -149,12 +151,15 @@ pub struct GpuConfig {
 
 /// Which cycle-loop implementation drives the simulation.
 ///
-/// The dense engine is the reference oracle; the event engine is the
-/// activity-driven optimization pinned equivalent to it by
-/// `crates/gpu-sim/tests/engine_equivalence.rs` and the CI byte-diff job.
+/// Both run one engine and differ only in what they skip. The event
+/// engine skips; the dense engine is the checking reference, pinned
+/// equivalent by `crates/gpu-sim/tests/engine_equivalence.rs` and the CI
+/// byte-diff job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Visit every cluster/SM/scheduler every cycle (reference oracle).
+    /// Visit every SM and scheduler every cycle, skipping nothing, and
+    /// panic if a visit the event engine would skip (a scheduler whose
+    /// `ready_bound` lies in the future) finds a ready warp.
     Dense,
     /// Activity-driven: hierarchical active sets plus a cycle-skipping
     /// event wheel. Bit-identical to [`EngineKind::Dense`], faster.

@@ -196,11 +196,11 @@ impl Dispatcher {
 /// the two engines must ignore the `det.engine.*` stat keys these fold into.
 #[derive(Debug, Default)]
 pub(crate) struct ActivityCounters {
-    /// Cycles the engine never visited (event-wheel jumps plus the dense
-    /// engine's quiet fast-forward).
+    /// Cycles the engine never visited: event-wheel jumps. Always 0 on the
+    /// dense engine, which visits every cycle.
     cycles_skipped: u64,
-    /// Warp sleep→ready transitions (memory responses, lock grants,
-    /// barrier releases, flush wakes) that re-armed a scheduler.
+    /// Warp sleep→ready transitions, counted by the one wake path
+    /// (`GpuSim::wake`), so it equals the trace's `Wake` events.
     pub(crate) wakeup_events: u64,
     /// SMs entered by an issue walk (not skipped by the active-set walk).
     pub(crate) sms_ticked: u64,
@@ -386,7 +386,7 @@ impl GpuSim {
     fn register_engine_metrics(registry: &mut obs::MetricsRegistry) {
         registry.counter(
             "det.engine.cycles_skipped",
-            "cycles the engine never visited (event-wheel jumps, quiet fast-forward)",
+            "cycles the engine never visited (event-wheel jumps; 0 on the dense engine)",
         );
         registry.counter(
             "det.engine.wakeup_events",
@@ -531,8 +531,10 @@ impl GpuSim {
 
     fn run_kernel(&mut self, grid: &KernelGrid, statics: KernelStatics) {
         let mut dispatcher = self.begin_kernel(grid, statics);
-        let event = self.cfg.engine == EngineKind::Event;
-        while !self.kernel_step(grid, &mut dispatcher, event) {}
+        // The engines differ only in this: the event engine skips what
+        // provably cannot act, the dense engine visits it and checks that.
+        let skip = self.cfg.engine == EngineKind::Event;
+        while !self.kernel_step(grid, &mut dispatcher, skip) {}
         self.end_kernel();
     }
 
@@ -550,7 +552,7 @@ impl GpuSim {
 
     /// Runs one iteration of the per-cycle loop; returns `true` when the
     /// kernel is complete, *without* advancing past the completion cycle.
-    fn kernel_step(&mut self, grid: &KernelGrid, dispatcher: &mut Dispatcher, event: bool) -> bool {
+    fn kernel_step(&mut self, grid: &KernelGrid, dispatcher: &mut Dispatcher, skip: bool) -> bool {
         if self.profile.is_some() {
             self.prof_sample = self
                 .prof_steps
@@ -582,7 +584,7 @@ impl GpuSim {
             self.tick_locks();
             self.prof_record(obs::Phase::Locks, span);
             let span = self.prof_start();
-            self.issue(event);
+            self.issue(skip);
             self.prof_record(obs::Phase::CommitSerial, span);
             let span = self.prof_start();
             self.dispatch(grid, dispatcher);
@@ -598,11 +600,7 @@ impl GpuSim {
                 return true;
             }
             let span = self.prof_start();
-            if event {
-                self.advance_cycle_event();
-            } else {
-                self.advance_cycle();
-            }
+            self.advance_cycle(skip);
             self.prof_record(obs::Phase::Wheel, span);
             if self.cycle - self.last_progress_cycle >= self.deadlock_horizon {
                 let mut dump = String::new();
@@ -681,55 +679,36 @@ impl GpuSim {
             && self.model.quiescent()
     }
 
-    fn advance_cycle(&mut self) {
-        // Conservative fast-forward: only when the memory system is quiet
-        // and the model needs no per-cycle tick may we jump to the next
-        // warp-ready or lock-service event.
-        let quiet = !self.icnt.is_busy()
-            && self.partitions.iter().all(|p| !p.is_busy())
-            && !self.model.needs_tick();
-        if quiet {
-            let mut target = self.sms.iter().filter_map(Sm::earliest_ready).min();
-            let mut fold = |ev: Option<u64>| {
-                if let Some(e) = ev {
-                    target = Some(target.map_or(e, |t| t.min(e)));
-                }
-            };
-            fold(self.model.next_event_hint());
-            if self.locks.is_busy() {
-                match self.locks.next_event_cycle() {
-                    // A lock can act immediately: no fast-forward.
-                    Some(0) => fold(Some(self.cycle + 1)),
-                    ev => fold(ev),
-                }
-            }
-            if let Some(t) = target {
-                if t > self.cycle + 1 {
-                    self.activity.cycles_skipped += t - self.cycle - 1;
-                    if let Some(tr) = self.tracer.as_deref_mut() {
-                        tr.record_skip(self.cycle, t);
-                    }
-                    self.cycle = t;
-                    return;
-                }
+    /// Advances the clock: one cycle on the dense engine, and on the event
+    /// engine (`skip`) straight to the earliest cycle at which any
+    /// component can act.
+    ///
+    /// Correctness of the jump rests on every elided cycle being a
+    /// provable no-op of the dense loop: no queued interconnect work (so
+    /// arbitration points draw no perturbations), no partition or lock
+    /// with an immediate event, no model tick needed, and no scheduler
+    /// whose [`ready_bound`](crate::sm::SchedulerCtx) admits a pick.
+    /// Components with a known future event fold their absolute event
+    /// cycle into the jump target, clamped to `cycle + 1` so the wheel
+    /// never stalls or re-visits the present.
+    fn advance_cycle(&mut self, skip: bool) {
+        let next = self.cycle + 1;
+        let target = if skip { self.wheel_target() } else { next };
+        if target > next {
+            self.activity.cycles_skipped += target - next;
+            if let Some(tr) = self.tracer.as_deref_mut() {
+                tr.record_skip(self.cycle, target);
             }
         }
-        self.cycle += 1;
+        self.cycle = target;
     }
 
-    /// Event-wheel cycle advance (`DAB_ENGINE=event`): jump straight to
-    /// the earliest cycle at which any component can act.
-    ///
-    /// Correctness rests on every elided cycle being a provable no-op of
-    /// the dense loop: no queued interconnect work (so arbitration points
-    /// draw no perturbations), no partition or lock with an immediate
-    /// event, no model tick needed, and no scheduler whose
-    /// [`ready_bound`](crate::sm::SchedulerCtx) admits a pick. Components
-    /// with a known future event fold their absolute event cycle into the
-    /// jump target, clamped to `cycle + 1` so the wheel never stalls or
-    /// re-visits the present.
-    fn advance_cycle_event(&mut self) {
-        // Work that must be processed next cycle forces a dense step.
+    /// The event wheel's next cycle: `cycle + 1` when work is due then,
+    /// else the earliest future event. A fully idle machine (no event at
+    /// all) means the kernel-done check declined to finish; the wheel then
+    /// steps densely and lets the deadlock horizon surface the bug.
+    fn wheel_target(&self) -> u64 {
+        let next = self.cycle + 1;
         let busy_now = self.icnt.has_queued_work()
             || self.model.needs_tick()
             || self
@@ -737,45 +716,35 @@ impl GpuSim {
                 .iter()
                 .any(|p| p.next_event_cycle() == Some(0))
             || (self.locks.is_busy() && self.locks.next_event_cycle() == Some(0));
-        if !busy_now {
-            let next = self.cycle + 1;
-            let mut target = u64::MAX;
-            let mut fold = |ev: u64| target = target.min(ev.max(next));
-            for sm in &self.sms {
-                let b = sm.ready_bound();
-                if b < u64::MAX {
-                    fold(b);
-                }
-            }
-            for p in &self.partitions {
-                if let Some(t) = p.next_event_cycle() {
-                    fold(t);
-                }
-            }
-            if let Some(t) = self.icnt.next_event_cycle() {
-                fold(t);
-            }
-            if self.locks.is_busy() {
-                if let Some(t) = self.locks.next_event_cycle() {
-                    fold(t);
-                }
-            }
-            if let Some(t) = self.model.next_event_hint() {
-                fold(t);
-            }
-            if target > next && target < u64::MAX {
-                self.activity.cycles_skipped += target - next;
-                if let Some(tr) = self.tracer.as_deref_mut() {
-                    tr.record_skip(self.cycle, target);
-                }
-                self.cycle = target;
-                return;
-            }
-            // `target == u64::MAX` (machine fully idle) means the
-            // kernel-done check declined to finish; step densely and let
-            // the deadlock horizon surface the bug.
+        if busy_now {
+            return next;
         }
-        self.cycle += 1;
+        let mut target = u64::MAX;
+        let mut fold = |ev: u64| target = target.min(ev.max(next));
+        for sm in &self.sms {
+            fold(sm.ready_bound());
+        }
+        for p in &self.partitions {
+            if let Some(t) = p.next_event_cycle() {
+                fold(t);
+            }
+        }
+        if let Some(t) = self.icnt.next_event_cycle() {
+            fold(t);
+        }
+        if self.locks.is_busy() {
+            if let Some(t) = self.locks.next_event_cycle() {
+                fold(t);
+            }
+        }
+        if let Some(t) = self.model.next_event_hint() {
+            fold(t);
+        }
+        if target == u64::MAX {
+            next
+        } else {
+            target
+        }
     }
 
     pub(crate) fn progress(&mut self) {
@@ -987,28 +956,7 @@ impl GpuSim {
                         let remaining = self.complete_write(warp);
                         self.model.on_atomic_ack(warp, kind, remaining, self.cycle);
                         if kind == AtomKind::Atom {
-                            let cycle = self.cycle;
-                            let sm = &mut self.sms[warp.sm];
-                            let mut woke = None;
-                            if let Some(w) = sm.warps[warp.slot].as_mut() {
-                                if w.state == WarpState::WaitAtom {
-                                    w.state = WarpState::Ready;
-                                    w.next_ready = cycle + 1;
-                                    woke = Some(w.sched);
-                                }
-                            }
-                            if let Some(sched) = woke {
-                                sm.schedulers[sched].note_ready(cycle + 1);
-                                self.activity.wakeup_events += 1;
-                                if trace_full {
-                                    self.trace_event(obs::Event::Wake {
-                                        cycle,
-                                        sm: warp.sm as u32,
-                                        slot: warp.slot as u32,
-                                        site: obs::WakeSite::AtomAck,
-                                    });
-                                }
-                            }
+                            self.wake(warp.sm, warp.slot, obs::WakeSite::AtomAck);
                         }
                         self.try_retire(warp.sm, warp.slot);
                     }
@@ -1030,42 +978,19 @@ impl GpuSim {
     }
 
     fn handle_load_resp(&mut self, sector_addr: u64, warp: WarpRef) {
-        let cycle = self.cycle;
-        let trace_full = self.trace_full();
         let sm = &mut self.sms[warp.sm];
         sm.l1.fill(sector_addr);
         let Some(waiters) = sm.l1_mshrs.remove(&sector_addr) else {
             return;
         };
-        let mut woke = 0;
-        // Empty unless full tracing is on (`Vec::new` never allocates).
-        let mut woke_slots: Vec<usize> = Vec::new();
         for &slot in &waiters {
-            let mut woke_sched = None;
-            if let Some(w) = sm.warps[slot].as_mut() {
+            let drained = self.sms[warp.sm].warps[slot].as_mut().is_some_and(|w| {
                 w.outstanding_loads = w.outstanding_loads.saturating_sub(1);
-                if w.outstanding_loads == 0 && w.state == WarpState::WaitMem {
-                    w.state = WarpState::Ready;
-                    w.next_ready = cycle + 1;
-                    woke_sched = Some(w.sched);
-                }
-            }
-            if let Some(sched) = woke_sched {
-                sm.schedulers[sched].note_ready(cycle + 1);
-                woke += 1;
-                if trace_full {
-                    woke_slots.push(slot);
-                }
-            }
-        }
-        self.activity.wakeup_events += woke;
-        for slot in woke_slots {
-            self.trace_event(obs::Event::Wake {
-                cycle,
-                sm: warp.sm as u32,
-                slot: slot as u32,
-                site: obs::WakeSite::LoadResp,
+                w.outstanding_loads == 0
             });
+            if drained {
+                self.wake(warp.sm, slot, obs::WakeSite::LoadResp);
+            }
         }
         // A woken warp may have nothing left to execute.
         for slot in waiters {
@@ -1074,30 +999,13 @@ impl GpuSim {
     }
 
     fn complete_write(&mut self, warp: WarpRef) -> u32 {
-        let cycle = self.cycle;
-        let sm = &mut self.sms[warp.sm];
-        let mut remaining = 0;
-        let mut woke = None;
-        if let Some(w) = sm.warps[warp.slot].as_mut() {
-            w.outstanding_writes = w.outstanding_writes.saturating_sub(1);
-            remaining = w.outstanding_writes;
-            if w.outstanding_writes == 0 && w.state == WarpState::WaitDrain {
-                w.state = WarpState::Ready;
-                w.next_ready = cycle + 1;
-                woke = Some(w.sched);
-            }
-        }
-        if let Some(sched) = woke {
-            sm.schedulers[sched].note_ready(cycle + 1);
-            self.activity.wakeup_events += 1;
-            if self.trace_full() {
-                self.trace_event(obs::Event::Wake {
-                    cycle,
-                    sm: warp.sm as u32,
-                    slot: warp.slot as u32,
-                    site: obs::WakeSite::StoreDrain,
-                });
-            }
+        let Some(w) = self.sms[warp.sm].warps[warp.slot].as_mut() else {
+            return 0;
+        };
+        w.outstanding_writes = w.outstanding_writes.saturating_sub(1);
+        let remaining = w.outstanding_writes;
+        if remaining == 0 {
+            self.wake(warp.sm, warp.slot, obs::WakeSite::StoreDrain);
         }
         self.try_retire(warp.sm, warp.slot);
         remaining
@@ -1107,34 +1015,19 @@ impl GpuSim {
         let released = self.locks.tick(self.cycle, &mut self.values);
         for warp in released {
             self.progress();
-            let cycle = self.cycle;
-            let sm = &mut self.sms[warp.sm];
-            let mut woke = None;
-            if let Some(w) = sm.warps[warp.slot].as_mut() {
-                if w.state == WarpState::WaitLock {
-                    w.state = WarpState::Ready;
-                    w.next_ready = cycle + 1;
-                    woke = Some((w.sched, w.unique));
-                }
+            let waiting = self.sms[warp.sm].warps[warp.slot]
+                .as_ref()
+                .filter(|w| w.state == WarpState::WaitLock)
+                .map(|w| w.unique);
+            if let (Some(unique), true) = (waiting, self.tracer.is_some()) {
+                self.trace_event(obs::Event::LockGrant {
+                    cycle: self.cycle,
+                    sm: warp.sm as u32,
+                    slot: warp.slot as u32,
+                    unique,
+                });
             }
-            if let Some((sched, unique)) = woke {
-                sm.schedulers[sched].note_ready(cycle + 1);
-                self.activity.wakeup_events += 1;
-                if self.tracer.is_some() {
-                    self.trace_event(obs::Event::LockGrant {
-                        cycle,
-                        sm: warp.sm as u32,
-                        slot: warp.slot as u32,
-                        unique,
-                    });
-                    self.trace_event(obs::Event::Wake {
-                        cycle,
-                        sm: warp.sm as u32,
-                        slot: warp.slot as u32,
-                        site: obs::WakeSite::LockGrant,
-                    });
-                }
-            }
+            self.wake(warp.sm, warp.slot, obs::WakeSite::LockGrant);
             self.try_retire(warp.sm, warp.slot);
         }
     }
@@ -1284,7 +1177,8 @@ impl GpuSim {
                 WakeCmd::FlushWaiters { sm } => {
                     self.progress();
                     for slot in 0..self.sms[sm].warps.len() {
-                        self.wake_flush_wait(sm, slot);
+                        self.wake(sm, slot, obs::WakeSite::Flush);
+                        self.try_retire(sm, slot);
                     }
                 }
                 WakeCmd::ReopenIssue => {
@@ -1761,10 +1655,12 @@ mod tests {
     }
 
     #[test]
-    fn lapsed_model_refusal_issues_on_dense_engine() {
-        // The dense engine asks again every cycle, so the lapse goes unseen.
-        let r = run_refuse_once(EngineKind::Dense);
-        assert_eq!(r.values.read_f32(0x100), 32.0);
+    #[should_panic(expected = "skip rule broken: SM 0 scheduler 0 has a ready warp at cycle 2")]
+    fn lapsed_model_refusal_breaks_skip_rule_on_dense_engine() {
+        // The dense engine asks again every cycle and finds the warp the
+        // event engine parked ready: it names the scheduler whose bound
+        // the lapse left stale-high.
+        run_refuse_once(EngineKind::Dense);
     }
 
     #[test]

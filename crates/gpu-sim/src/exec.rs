@@ -287,7 +287,8 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
     /// instruction, until the model calls [`ModelCtx::reopen_issue`] from
     /// [`tick`](Self::tick). The event engine parks a refused warp and does
     /// not offer it again before that call; a model that lets a refusal
-    /// lapse on its own deadlocks there (the dense engine would issue).
+    /// lapse on its own deadlocks there, and the dense engine, which asks
+    /// again at every visit, panics on the broken skip rule.
     /// Only the first refusal may change model state.
     fn can_issue(&mut self, warp: WarpId, is_atomic: bool, cycle: u64) -> bool {
         true
@@ -362,17 +363,17 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
 
     /// `true` while skipping a [`tick`](Self::tick) could change behavior.
     ///
-    /// The event engine (and the dense engine's fast-forward) only elides
-    /// cycles on which `needs_tick` is `false`; models whose `tick` is a
-    /// provable no-op whenever their externally-driven inputs are unchanged
-    /// may override this to admit cycle-skipping. The default is maximally
-    /// conservative: tick whenever the model is not quiescent.
+    /// The event engine only elides cycles on which `needs_tick` is
+    /// `false`; models whose `tick` is a provable no-op whenever their
+    /// externally-driven inputs are unchanged may override this to admit
+    /// cycle-skipping. The default is maximally conservative: tick
+    /// whenever the model is not quiescent.
     fn needs_tick(&self) -> bool {
         !self.quiescent()
     }
 
     /// Earliest future cycle at which the model needs to run even if the
-    /// rest of the machine is idle, for engine fast-forwarding.
+    /// rest of the machine is idle, for the event engine's cycle jumps.
     fn next_event_hint(&self) -> Option<u64> {
         None
     }
@@ -517,8 +518,7 @@ mod tests {
         // Park warps 0-3 in flush-wait: scheduler 0 is then sealed on warp
         // 4's refused atomic, schedulers 1-3 on their counts alone.
         for &slot in &slots[..4] {
-            sms[1].warps[slot].as_mut().expect("resident").state = WarpState::WaitFlush;
-            sms[1].schedulers[slot % 4].flush_wait += 1;
+            sms[1].park(slot, WarpState::WaitFlush, 6);
         }
         let mut ctx = ModelCtx {
             cycle: 6,

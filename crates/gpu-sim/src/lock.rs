@@ -80,8 +80,9 @@ pub struct LockPrescan {
 }
 
 impl LockPrescan {
-    /// Accumulates the expected tickets of one warp program, exactly as
-    /// [`LockManager::prescan_warp`] would.
+    /// Accumulates the expected tickets of one warp program. `unique` must
+    /// be the same deterministic id later passed to
+    /// [`LockManager::acquire`].
     pub fn scan_warp(&mut self, program: &WarpProgram, unique: u64) {
         let mut occurrence: HashMap<u64, u32> = HashMap::new();
         for instr in &program.instrs {
@@ -140,57 +141,9 @@ impl LockManager {
         }
     }
 
-    /// Registers the expected ticket set of one warp program (called by the
-    /// engine for every warp at kernel launch, before any execution). `unique`
-    /// must be the same deterministic id later passed to [`acquire`].
-    ///
-    /// [`acquire`]: Self::acquire
-    pub fn prescan_warp(&mut self, program: &WarpProgram, unique: u64) {
-        let mut occurrence: HashMap<u64, u32> = HashMap::new();
-        for instr in &program.instrs {
-            if let Instr::LockedSection {
-                lock_addr,
-                accesses,
-                ..
-            } = instr
-            {
-                let occ = occurrence.entry(*lock_addr).or_insert(0);
-                let state = self.locks.entry(*lock_addr).or_insert_with(|| LockState {
-                    expected: Vec::new(),
-                    serve_idx: 0,
-                    arrived: BTreeMap::new(),
-                    in_service: None,
-                    services: 0,
-                });
-                for acc in accesses {
-                    state.expected.push(ticket_for(unique, *occ, acc.lane));
-                }
-                *occ += 1;
-            }
-        }
-    }
-
-    /// Sorts the expected ticket lists; call once after all pre-scans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two lanes produced the same ticket (a workload bug).
-    pub fn finish_prescan(&mut self) {
-        for state in self.locks.values_mut() {
-            state.expected.sort_unstable();
-            let before = state.expected.len();
-            state.expected.dedup();
-            assert_eq!(before, state.expected.len(), "duplicate lock tickets");
-        }
-    }
-
     /// Installs a finished [`LockPrescan`] as this manager's expected
-    /// ticket sets — equivalent to replaying [`prescan_warp`] for every
-    /// warp followed by [`finish_prescan`], but a memcpy of the already
-    /// sorted vectors instead of a re-walk of every program.
-    ///
-    /// [`prescan_warp`]: Self::prescan_warp
-    /// [`finish_prescan`]: Self::finish_prescan
+    /// ticket sets (a copy of the already sorted vectors; the engine does
+    /// this at every kernel start).
     pub fn install_prescan(&mut self, pre: &LockPrescan) {
         debug_assert!(self.locks.is_empty(), "installing over live lock state");
         for (addr, tickets) in &pre.expected {
@@ -347,7 +300,7 @@ impl LockManager {
         self.locks.values().map(|s| s.services).sum()
     }
 
-    /// Earliest future completion cycle, for engine fast-forwarding.
+    /// Earliest future completion cycle, for the event engine's cycle jumps.
     /// Returns `Some(0)` ("immediately") when a lock could start serving.
     pub fn next_event_cycle(&self) -> Option<u64> {
         let mut next: Option<u64> = None;
@@ -397,11 +350,13 @@ mod tests {
     }
 
     fn manager_with(programs: &[(u64, &WarpProgram)]) -> LockManager {
-        let mut m = LockManager::new(&GpuConfig::tiny());
+        let mut pre = LockPrescan::default();
         for (unique, p) in programs {
-            m.prescan_warp(p, *unique);
+            pre.scan_warp(p, *unique);
         }
-        m.finish_prescan();
+        pre.finish();
+        let mut m = LockManager::new(&GpuConfig::tiny());
+        m.install_prescan(&pre);
         m
     }
 
@@ -592,47 +547,6 @@ mod tests {
             1,
             AtomicOp::AddF32,
         );
-    }
-
-    #[test]
-    fn install_prescan_matches_per_warp_prescan() {
-        // The standalone pre-scan plus install must leave the manager in a
-        // state behaviorally identical to the classic per-warp walk: same
-        // serve order, same release order, same functional result.
-        let programs: Vec<WarpProgram> = (0..3).map(|_| locked_program(2)).collect();
-        let drive = |mut m: LockManager| -> (Vec<WarpRef>, u32, u64) {
-            let mut values = ValueMem::new();
-            for (u, p) in programs.iter().enumerate() {
-                if let Instr::LockedSection { accesses, .. } = &p.instrs[0] {
-                    m.acquire(
-                        WarpRef { sm: 0, slot: u },
-                        u as u64,
-                        0,
-                        LockKind::TestAndSet,
-                        LOCK,
-                        accesses,
-                        10,
-                        AtomicOp::AddF32,
-                    );
-                }
-            }
-            let mut released = Vec::new();
-            let mut cycle = 0u64;
-            while m.is_busy() {
-                released.extend(m.tick(cycle, &mut values));
-                cycle += 1;
-            }
-            (released, values.read_bits(0x100), m.services())
-        };
-        let classic = manager_with(&[(0, &programs[0]), (1, &programs[1]), (2, &programs[2])]);
-        let mut pre = LockPrescan::default();
-        for (u, p) in programs.iter().enumerate() {
-            pre.scan_warp(p, u as u64);
-        }
-        pre.finish();
-        let mut installed = LockManager::new(&GpuConfig::tiny());
-        installed.install_prescan(&pre);
-        assert_eq!(drive(classic), drive(installed));
     }
 
     #[test]

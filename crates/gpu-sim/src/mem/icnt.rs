@@ -423,7 +423,7 @@ impl Interconnect {
     }
 
     /// Earliest cycle at which an in-flight transfer completes, if any.
-    /// Used by the engine's idle fast-forward.
+    /// Used by the event engine's cycle jumps.
     pub fn next_event_cycle(&self) -> Option<u64> {
         self.mem_pull
             .iter()

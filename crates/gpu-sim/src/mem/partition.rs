@@ -471,7 +471,7 @@ impl MemPartition {
             || self.dram.is_busy()
     }
 
-    /// Earliest future event cycle, for engine fast-forwarding.
+    /// Earliest future event cycle, for the event engine's cycle jumps.
     pub fn next_event_cycle(&self) -> Option<u64> {
         let mut next = self.dram.next_event_cycle();
         if !self.rop.queue.is_empty() && self.rop.wait_fill.is_none() {

@@ -91,15 +91,11 @@ pub fn parse_count(var: &str, raw: &str) -> Result<usize, CountError> {
 /// Panics naming the variable as retired on any other value, so a stale
 /// `DAB_SIM_THREADS=4` stops the run instead of being silently ignored.
 pub fn sim_threads_from_env() -> usize {
-    match std::env::var(SIM_THREADS_VAR) {
-        Ok(raw) if raw.trim() == "1" => 1,
-        Ok(raw) => panic!(
-            "{SIM_THREADS_VAR} is retired (intra-simulation threads were removed; \
-             every simulation runs one serial issue path), got {raw:?}; unset it"
-        ),
-        Err(std::env::VarError::NotPresent) => 1,
-        Err(e) => panic!("{SIM_THREADS_VAR} is not valid unicode: {e}"),
-    }
+    check_retired(
+        SIM_THREADS_VAR,
+        "intra-simulation threads were removed; every simulation runs one serial issue path",
+    );
+    1
 }
 
 /// Reads the retired `DAB_REPLICATIONS` knob: absent or `1` means `1`,
@@ -110,15 +106,11 @@ pub fn sim_threads_from_env() -> usize {
 /// Panics naming the variable as retired on any other value, so a stale
 /// `DAB_REPLICATIONS=4` stops the run instead of being silently ignored.
 pub fn replications_from_env() -> usize {
-    match std::env::var(REPLICATIONS_VAR) {
-        Ok(raw) if raw.trim() == "1" => 1,
-        Ok(raw) => panic!(
-            "{REPLICATIONS_VAR} is retired (replication lanes were removed; every \
-             sweep job runs solo), got {raw:?}; unset it"
-        ),
-        Err(std::env::VarError::NotPresent) => 1,
-        Err(e) => panic!("{REPLICATIONS_VAR} is not valid unicode: {e}"),
-    }
+    check_retired(
+        REPLICATIONS_VAR,
+        "replication lanes were removed; every sweep job runs solo",
+    );
+    1
 }
 
 /// Error from [`parse_engine`]: `DAB_ENGINE` held something other than
@@ -194,14 +186,22 @@ pub fn engine_from_env() -> EngineKind {
 /// Panics naming the variable as retired on any other value, so a stale
 /// `DAB_COMMIT_SHARD=0` stops the run instead of being silently ignored.
 pub fn commit_shard_from_env() -> bool {
-    match std::env::var(COMMIT_SHARD_VAR) {
-        Ok(raw) if raw.trim() == "1" => true,
-        Ok(raw) => panic!(
-            "{COMMIT_SHARD_VAR} is retired (commit sharding was removed; every \
-             cluster commits in cluster order), got {raw:?}; unset it"
-        ),
-        Err(std::env::VarError::NotPresent) => true,
-        Err(e) => panic!("{COMMIT_SHARD_VAR} is not valid unicode: {e}"),
+    check_retired(
+        COMMIT_SHARD_VAR,
+        "commit sharding was removed; every cluster commits in cluster order",
+    );
+    true
+}
+
+/// The one body of the retired-knob readers: `var` may be absent or `1`
+/// (its only remaining value); anything else panics naming the variable
+/// and `why` it was retired.
+fn check_retired(var: &str, why: &str) {
+    match std::env::var(var) {
+        Ok(raw) if raw.trim() == "1" => {}
+        Ok(raw) => panic!("{var} is retired ({why}), got {raw:?}; unset it"),
+        Err(std::env::VarError::NotPresent) => {}
+        Err(e) => panic!("{var} is not valid unicode: {e}"),
     }
 }
 

@@ -128,10 +128,12 @@ pub struct SchedulerCtx {
     pub completed_batches: u64,
     /// Live warps.
     pub live: u32,
-    /// Flush-waiting warps.
-    pub flush_wait: u32,
-    /// Warps waiting at an incomplete CTA barrier.
-    pub barrier_wait: u32,
+    /// Flush-waiting warps. Private: only [`Sm::park`] and [`Sm::wake`]
+    /// change it.
+    flush_wait: u32,
+    /// Warps waiting at an incomplete CTA barrier. Private: only
+    /// [`Sm::park`] and [`Sm::wake`] change it.
+    barrier_wait: u32,
     /// Lower bound on the earliest cycle any of this scheduler's warps can
     /// be picked (`u64::MAX` when none is in [`WarpState::Ready`]).
     ///
@@ -141,8 +143,10 @@ pub struct SchedulerCtx {
     /// empty scheduler visit and tightens it via
     /// [`Sm::recompute_ready_bound`] — but it is never stale-high, so the
     /// activity-driven engine can skip any scheduler with
-    /// `ready_bound > cycle` without changing behavior. Every transition
-    /// into `Ready` must go through [`note_ready`](Self::note_ready). A
+    /// `ready_bound > cycle` without changing behavior (the dense engine
+    /// visits it anyway and panics if it finds a pickable warp). Every
+    /// transition into `Ready` goes through [`Sm::wake`] or a spawn, both
+    /// of which call [`note_ready`](Self::note_ready). A
     /// warp the execution model refused (`ExecutionModel::can_issue`) is
     /// not pickable until the model reopens issue, which lowers the bound
     /// of every scheduler with live warps.
@@ -222,8 +226,13 @@ impl SchedulerCtx {
         self.batch_sizes.clear();
         self.batch_exits.clear();
         self.completed_batches = 0;
-        self.flush_wait = 0;
-        self.barrier_wait = 0;
+        // Warps retire only from `Ready`, so the park counts are back to
+        // zero by construction.
+        debug_assert_eq!(
+            (self.flush_wait, self.barrier_wait),
+            (0, 0),
+            "kernel boundary with parked warps"
+        );
         self.ready_bound = u64::MAX;
         self.policy.on_kernel_boundary();
     }
@@ -416,16 +425,67 @@ impl Sm {
         self.schedulers.iter().map(|s| s.live as usize).sum()
     }
 
-    /// Earliest `next_ready` among issuable warps, for fast-forwarding.
-    /// Warps blocked on memory/barriers/flushes have no bound (they are
-    /// woken by events).
-    pub fn earliest_ready(&self) -> Option<u64> {
-        self.warps
-            .iter()
-            .flatten()
-            .filter(|w| w.state == WarpState::Ready)
-            .map(|w| w.next_ready)
-            .min()
+    /// Parks the warp in `slot` in state `to`. With [`wake`](Self::wake)
+    /// this is the warp state machine: nothing else moves a resident warp
+    /// out of or back into [`WarpState::Ready`], so the scheduler's
+    /// `flush_wait`/`barrier_wait` counts (what [`sealed`](Self::sealed)
+    /// reads) are right by construction.
+    ///
+    /// A warp parks from `Ready`, except that a barrier the model releases
+    /// into the flush epoch moves its waiters from `WaitBarrier` straight
+    /// to `WaitFlush` (no release callback yet: that comes with the flush
+    /// wake). A barrier arrival hands the policy's atomic token on, so it
+    /// is a token event at `cycle + 1`. Parking needs no bound update:
+    /// a stale-low `ready_bound` is allowed.
+    pub fn park(&mut self, slot: usize, to: WarpState, cycle: u64) {
+        let w = self.warps[slot].as_mut().expect("parked warp is resident");
+        let from = w.state;
+        debug_assert!(
+            (from == WarpState::Ready && to != WarpState::Ready)
+                || (from == WarpState::WaitBarrier && to == WarpState::WaitFlush),
+            "SM {} slot {slot}: no park from {from:?} to {to:?}",
+            self.id
+        );
+        w.state = to;
+        let unique = w.unique;
+        let sched = &mut self.schedulers[w.sched];
+        if from == WarpState::WaitBarrier {
+            sched.barrier_wait -= 1;
+        }
+        match to {
+            WarpState::WaitFlush => sched.flush_wait += 1,
+            WarpState::WaitBarrier => {
+                sched.barrier_wait += 1;
+                sched.token_event(cycle + 1, |p| p.on_barrier_arrival(unique));
+            }
+            _ => {}
+        }
+    }
+
+    /// Wakes the warp in `slot` if it is parked in state `from`; returns
+    /// whether it woke. The warp may issue from `cycle + 1` on, and its
+    /// scheduler's bound is lowered to that cycle. Leaving a barrier or
+    /// the flush wait is a barrier release for the policy (a no-op for
+    /// warps that were flush-blocked for other reasons).
+    pub fn wake(&mut self, slot: usize, from: WarpState, cycle: u64) -> bool {
+        debug_assert_ne!(from, WarpState::Ready, "a Ready warp cannot wake");
+        let Some(w) = self.warps[slot].as_mut().filter(|w| w.state == from) else {
+            return false;
+        };
+        w.state = WarpState::Ready;
+        w.next_ready = cycle + 1;
+        let unique = w.unique;
+        let sched = &mut self.schedulers[w.sched];
+        match from {
+            WarpState::WaitFlush => sched.flush_wait -= 1,
+            WarpState::WaitBarrier => sched.barrier_wait -= 1,
+            _ => {}
+        }
+        sched.note_ready(cycle + 1);
+        if matches!(from, WarpState::WaitBarrier | WarpState::WaitFlush) {
+            sched.policy.on_barrier_released(unique);
+        }
+        true
     }
 
     /// Warp schedulers on this SM.
@@ -898,7 +958,7 @@ mod tests {
         // and the aggregate bound reports "event-woken only".
         let slots: Vec<usize> = views.iter().map(|v| v.slot).collect();
         for slot in slots {
-            sm.warps[slot].as_mut().expect("resident").state = WarpState::WaitMem;
+            sm.park(slot, WarpState::WaitMem, 0);
         }
         let bound = sm.build_views(0, 0, false, false, &mut views);
         assert!(views.is_empty());
@@ -913,11 +973,11 @@ mod tests {
         let ns = sm.num_schedulers();
         // Scheduler 1: one warp parked, one due only at cycle 9.
         let sched1: Vec<usize> = slots.iter().copied().filter(|s| s % ns == 1).collect();
-        sm.warps[sched1[0]].as_mut().expect("resident").state = WarpState::WaitMem;
+        sm.park(sched1[0], WarpState::WaitMem, 0);
         sm.warps[sched1[1]].as_mut().expect("resident").next_ready = 9;
         // Scheduler 2: every warp parked, so its fresh result is empty.
         for &slot in slots.iter().filter(|s| *s % ns == 2) {
-            sm.warps[slot].as_mut().expect("resident").state = WarpState::WaitFlush;
+            sm.park(slot, WarpState::WaitFlush, 0);
         }
         let mut reused = Vec::new();
         for cycle in [0, 9] {
@@ -1007,39 +1067,31 @@ mod tests {
                 sm.add_cta(&c, next_base, cycle, &metas_for(&c));
                 next_base += 8;
             }
-            // One random warp transition: a park (no note — stale-low is
-            // allowed), a wake (`note_ready`, as the wake sites do), an
-            // issue-side `next_ready` bump followed by the engine's
-            // post-issue `note_slot_bound`, or one of the token-moving
-            // sites, each followed by the note the engine makes there.
+            // One random warp transition: a park (`Sm::park`; no note —
+            // stale-low is allowed), a wake (`Sm::wake`, which notes the
+            // bound), an issue-side `next_ready` bump followed by the
+            // engine's post-issue `note_slot_bound`, or one of the
+            // token-moving sites, each followed by the note the engine
+            // makes there.
             let occupied: Vec<usize> = (0..sm.warps.len())
                 .filter(|&s| sm.warps[s].is_some())
                 .collect();
             let slot = occupied[rng() as usize % occupied.len()];
             let w = sm.warps[slot].as_mut().expect("occupied slot");
-            let (sched, unique) = (w.sched, w.unique);
+            let (sched, unique, state) = (w.sched, w.unique, w.state);
             match rng() % transitions {
-                // The engine never moves a barrier waiter to `WaitMem`:
-                // such a warp would later wake through transition 1 as a
-                // plain wake, skipping `on_barrier_released` and leaving
-                // the policy's barrier bookkeeping stale.
                 0 => {
-                    if w.state != WarpState::WaitBarrier {
-                        w.state = WarpState::WaitMem;
+                    if state == WarpState::Ready {
+                        sm.park(slot, WarpState::WaitMem, cycle);
                     }
                 }
                 1 => {
-                    let released = w.state == WarpState::WaitBarrier;
-                    w.state = WarpState::Ready;
-                    w.next_ready = cycle + rng() % 5;
-                    let t = w.next_ready;
-                    sm.schedulers[sched].note_ready(t);
-                    if released {
-                        sm.schedulers[sched].policy.on_barrier_released(unique);
+                    if state != WarpState::Ready {
+                        sm.wake(slot, state, cycle);
                     }
                 }
                 2 => {
-                    if w.state == WarpState::Ready {
+                    if state == WarpState::Ready {
                         w.next_ready = cycle + 1 + rng() % 4;
                         sm.note_slot_bound(slot, det_aware, false);
                     }
@@ -1057,10 +1109,7 @@ mod tests {
                 4 => {
                     // The warp arrives at a barrier, passing the token on.
                     visit(&mut sm, slot, cycle, det_aware, false, |sm| {
-                        let w = sm.warps[slot].as_mut().expect("resident");
-                        w.state = WarpState::WaitBarrier;
-                        sm.schedulers[sched]
-                            .token_event(cycle + 1, |p| p.on_barrier_arrival(unique));
+                        sm.park(slot, WarpState::WaitBarrier, cycle);
                     });
                 }
                 _ => {
@@ -1124,33 +1173,26 @@ mod tests {
         }
     }
 
-    /// Moves the warp in `slot` to `state` the way the engine's park and
-    /// wake sites do: its scheduler's flush and barrier counts follow, a
-    /// barrier arrival is a token event, and leaving a barrier is a
-    /// release.
+    /// Moves the warp in `slot` to `state` through the production
+    /// transitions: [`Sm::wake`] into `Ready`, [`Sm::park`] out of it or
+    /// from a barrier into the flush wait, and a wake then a park for a
+    /// move the engine makes in two steps (say, memory wait to flush
+    /// wait).
     fn set_state(sm: &mut Sm, slot: usize, state: WarpState, cycle: u64) {
-        let w = sm.warps[slot].as_mut().expect("resident");
-        let (old, unique) = (w.state, w.unique);
-        w.state = state;
-        if state == WarpState::Ready {
-            w.next_ready = cycle + 1;
+        let old = sm.warps[slot].as_ref().expect("resident").state;
+        if old == state {
+            return;
         }
-        let sched = &mut sm.schedulers[w.sched];
-        match old {
-            WarpState::WaitFlush => sched.flush_wait -= 1,
-            WarpState::WaitBarrier => {
-                sched.barrier_wait -= 1;
-                sched.policy.on_barrier_released(unique);
-            }
-            _ => {}
+        let direct = old == WarpState::Ready
+            || (old == WarpState::WaitBarrier && state == WarpState::WaitFlush);
+        if !direct {
+            assert!(
+                sm.wake(slot, old, cycle),
+                "slot {slot} is parked in {old:?}"
+            );
         }
-        match state {
-            WarpState::WaitFlush => sched.flush_wait += 1,
-            WarpState::WaitBarrier => {
-                sched.barrier_wait += 1;
-                sched.token_event(cycle + 1, |p| p.on_barrier_arrival(unique));
-            }
-            _ => {}
+        if state != WarpState::Ready {
+            sm.park(slot, state, cycle);
         }
     }
 
@@ -1324,7 +1366,7 @@ mod tests {
         // Park scheduler 0's warps; the cached bound is stale-low (allowed)
         // until an explicit recompute tightens it.
         for &slot in slots.iter().filter(|&&s| s % ns == 0) {
-            sm.warps[slot].as_mut().expect("resident").state = WarpState::WaitMem;
+            sm.park(slot, WarpState::WaitMem, 5);
         }
         assert_eq!(sm.schedulers[0].ready_bound, 5, "stale-low is allowed");
         sm.recompute_ready_bound(0, false, false);
@@ -1334,16 +1376,5 @@ mod tests {
         assert_eq!(sm.schedulers[0].ready_bound, 9);
         sm.schedulers[0].note_ready(100);
         assert_eq!(sm.schedulers[0].ready_bound, 9);
-    }
-
-    #[test]
-    fn earliest_ready_tracks_minimum() {
-        let mut sm = sm();
-        let c = cta(2, 32);
-        let slots = sm.add_cta(&c, 0, 5, &metas_for(&c));
-        assert_eq!(sm.earliest_ready(), Some(5));
-        sm.warps[slots[0]].as_mut().expect("resident").next_ready = 20;
-        sm.warps[slots[1]].as_mut().expect("resident").state = WarpState::WaitMem;
-        assert_eq!(sm.earliest_ready(), Some(20));
     }
 }

@@ -107,7 +107,7 @@ pub enum WakeSite {
     LockGrant,
     /// CTA barrier released.
     Barrier,
-    /// Model flush completed (`wake_flush_wait`).
+    /// Model flush completed (the `FlushWaiters` wake).
     Flush,
 }
 
