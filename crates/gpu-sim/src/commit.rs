@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 
+use crate::config::EngineKind;
 use crate::engine::{pkt_kind, GpuSim};
 use crate::exec::{
     AtomicIssue, AtomicRoute, BarrierRelease, FenceAction, SchedId, StoreRoute, WarpId,
@@ -232,7 +233,9 @@ impl GpuSim {
     /// trace, stats, the `on_issue` hooks and retirement.
     fn issue_one(&mut self, sm_idx: usize, sched: usize, slot: usize) {
         let cycle = self.cycle;
-        let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
+        let sm = &mut self.sms[sm_idx];
+        let l1_generation = sm.l1.generation();
+        let w = sm.warps[slot].as_mut().expect("picked warp");
         let (pc, unique, lanes) = (w.pc, w.unique, w.program.active_lanes);
         let instr = &w.program.instrs[pc];
         let (kind, atomics, was_atomic) =
@@ -256,6 +259,9 @@ impl GpuSim {
                 w.next_ready = cycle + 1;
             }
             (true, lanes as u64)
+        } else if w.refused_load.holds(pc, l1_generation) {
+            self.replay_refused_load(sm_idx, slot, pc);
+            (false, 0)
         } else {
             let thread_instrs = instr.thread_instr_count(lanes);
             // The other kinds call back into `self` while they read the
@@ -358,25 +364,24 @@ impl GpuSim {
 
     fn issue_load(&mut self, sm_idx: usize, slot: usize, sectors: &[u64]) -> bool {
         let cycle = self.cycle;
-        // Probe L1 for each precomputed sector; the misses collect in one
+        // Probe L1 for each precomputed sector; the probes collect in one
         // buffer every load reuses.
-        let mut missing = std::mem::take(&mut self.load_misses);
-        missing.clear();
-        {
-            let sm = &mut self.sms[sm_idx];
-            for &s in sectors {
-                self.stats.l1_accesses += 1;
-                match sm.l1.probe(s) {
-                    Probe::Hit => {}
-                    Probe::SectorMiss | Probe::LineMiss => {
-                        self.stats.l1_misses += 1;
-                        missing.push(s);
-                    }
-                }
-            }
-        }
+        let mut probes = std::mem::take(&mut self.load_probes);
+        probes.clear();
+        let sm = &mut self.sms[sm_idx];
+        probes.extend(sectors.iter().map(|&s| sm.l1.probe_line(s)));
+        let misses = probes.iter().filter(|p| p.outcome != Probe::Hit).count() as u64;
+        self.stats.l1_accesses += sectors.len() as u64;
+        self.stats.l1_misses += misses;
+        let missing = || {
+            sectors
+                .iter()
+                .zip(&probes)
+                .filter(|(_, p)| p.outcome != Probe::Hit)
+                .map(|(&s, _)| s)
+        };
         let issued = 'issue: {
-            if missing.is_empty() {
+            if misses == 0 {
                 let l1_hit_latency = self.cfg.l1_hit_latency as u64;
                 let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
                 w.pc += 1;
@@ -385,13 +390,19 @@ impl GpuSim {
             }
             // Structural checks: MSHR space for new sectors, interconnect
             // room.
-            let sm = &self.sms[sm_idx];
-            let new_sectors = missing
-                .iter()
-                .filter(|s| !sm.l1_mshrs.contains_key(s))
-                .count();
+            let sm = &mut self.sms[sm_idx];
+            let new_sectors = missing().filter(|s| !sm.l1_mshrs.contains_key(s)).count();
             if sm.l1_mshrs.len() + new_sectors > sm.l1_mshr_capacity {
-                self.stats.bump("det.stall.l1_mshr", 1);
+                // The warp retries every cycle; until the L1's residency
+                // changes, each retry replays these probes.
+                let generation = sm.l1.generation();
+                let w = sm.warps[slot].as_mut().expect("picked warp");
+                let record = &mut w.refused_load;
+                record.pc = Some(w.pc);
+                record.generation = generation;
+                record.probes.clone_from(&probes);
+                record.misses = misses;
+                self.l1_mshr_stalls += 1;
                 break 'issue false;
             }
             if !self.can_send(sm_idx, new_sectors as u32) {
@@ -399,7 +410,7 @@ impl GpuSim {
                 break 'issue false;
             }
             let warp_ref = WarpRef { sm: sm_idx, slot };
-            for &s in &missing {
+            for s in missing() {
                 let is_new = {
                     let sm = &mut self.sms[sm_idx];
                     let is_new = !sm.l1_mshrs.contains_key(&s);
@@ -420,13 +431,62 @@ impl GpuSim {
                 }
             }
             let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
-            w.outstanding_loads += missing.len() as u32;
+            w.outstanding_loads += misses as u32;
             w.pc += 1;
             self.park(sm_idx, slot, obs::SleepReason::Mem);
             true
         };
-        self.load_misses = missing;
+        self.load_probes = probes;
         issued
+    }
+
+    /// Retries the load at `pc` that the MSHR table refused, while the
+    /// warp's [`RefusedLoad`](crate::sm::RefusedLoad) record holds: the L1
+    /// and the stats see the same probes and the warp is refused again,
+    /// with no tag scan and no MSHR lookup. The dense engine first checks
+    /// the record against the live cache and MSHR table.
+    fn replay_refused_load(&mut self, sm_idx: usize, slot: usize, pc: usize) {
+        if self.cfg.engine == EngineKind::Dense {
+            if let Some(what) = self.stale_refused_load(sm_idx, slot) {
+                panic!(
+                    "stale refused-load record: SM {sm_idx} slot {slot} pc {pc} at cycle {}: {what}",
+                    self.cycle
+                );
+            }
+        }
+        let sm = &mut self.sms[sm_idx];
+        let record = &sm.warps[slot].as_ref().expect("picked warp").refused_load;
+        sm.l1.replay(&record.probes, record.misses);
+        self.stats.l1_accesses += record.probes.len() as u64;
+        self.stats.l1_misses += record.misses;
+        self.l1_mshr_stalls += 1;
+    }
+
+    /// The dense engine's check of a replay: what, if anything, makes the
+    /// record differ from re-probing. Every recorded probe must be what a
+    /// probe would find now, and the MSHR table must still lack room.
+    fn stale_refused_load(&self, sm_idx: usize, slot: usize) -> Option<String> {
+        let sm = &self.sms[sm_idx];
+        let w = sm.warps[slot].as_ref().expect("picked warp");
+        let InstrMeta::Sectors(sectors) = w.meta.at(w.pc) else {
+            unreachable!("refused load without sector metadata")
+        };
+        let record = &w.refused_load;
+        for (&s, recorded) in sectors.iter().zip(&record.probes) {
+            let now = sm.l1.peek_line(s);
+            if now != *recorded {
+                return Some(format!(
+                    "sector {s:#x} was recorded as {recorded:?} but is now {now:?}"
+                ));
+            }
+        }
+        let new_sectors = sectors
+            .iter()
+            .zip(&record.probes)
+            .filter(|(s, p)| p.outcome != Probe::Hit && !sm.l1_mshrs.contains_key(s))
+            .count();
+        (sm.l1_mshrs.len() + new_sectors <= sm.l1_mshr_capacity)
+            .then(|| format!("the MSHR table has room for its {new_sectors} new sectors"))
     }
 
     fn issue_store(&mut self, warp_id: WarpId, sectors: &[u64]) -> bool {
@@ -497,7 +557,7 @@ impl GpuSim {
             }
             AtomicRoute::StallFlush => {
                 self.park(sm_idx, slot, obs::SleepReason::Flush);
-                self.stats.bump("det.stall.atomic_buffer_full", 1);
+                self.atomic_buffer_full_stalls += 1;
                 false
             }
             AtomicRoute::ToMemory => {
@@ -738,5 +798,198 @@ impl GpuSim {
         });
         // A warp exiting without reaching its CTA's barrier may complete it.
         self.try_release_barrier(sm_idx, warp.cta_key);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::GpuConfig;
+    use crate::exec::BaselineModel;
+    use crate::imeta::warp_meta;
+    use crate::isa::{MemAccess, WarpProgram};
+    use crate::kernel::CtaSpec;
+    use crate::mem::cache::{Probed, SectoredCache};
+    use crate::ndet::NdetSource;
+
+    /// The tiny machine's L1 has 16 sets of 128 B lines: lines 2 KiB apart
+    /// share a set.
+    const SET_STRIDE: u64 = 16 * 128;
+    /// The load's three sectors: a hit, a sector miss on the same line and
+    /// a line miss in the same set.
+    const HIT: u64 = 0x10_000;
+    const SECTOR_MISS: u64 = HIT + 32;
+    const LINE_MISS: u64 = HIT + SET_STRIDE;
+    /// A resident line of the same set that the load does not touch.
+    const OTHER: u64 = HIT + 2 * SET_STRIDE;
+
+    fn load(addrs: &[u64]) -> Instr {
+        Instr::Load {
+            accesses: vec![MemAccess {
+                addrs: addrs.to_vec(),
+            }],
+        }
+    }
+
+    /// SM 0 of the tiny machine holding one warp whose load at pc 0 hits,
+    /// sector-misses and line-misses, behind a full MSHR table; pc 1 loads
+    /// `LINE_MISS` alone. Returns the simulator and the warp's slot.
+    fn refused_load_sim(engine: EngineKind) -> (GpuSim, usize) {
+        let mut cfg = GpuConfig::tiny();
+        cfg.engine = engine;
+        let program = WarpProgram::new(
+            vec![load(&[HIT, SECTOR_MISS, LINE_MISS]), load(&[LINE_MISS])],
+            3,
+        );
+        let meta = warp_meta(&program, &cfg);
+        let cta = CtaSpec::new(0, vec![program]);
+        let mut sim = GpuSim::new(cfg, Box::new(BaselineModel::new()), NdetSource::disabled());
+        let sm = &mut sim.sms[0];
+        sm.l1.fill(HIT);
+        sm.l1.fill(OTHER);
+        let slot = sm.add_cta(&cta, 0, 0, &[meta])[0];
+        // Sectors the load does not touch, one per MSHR.
+        for i in 0..sm.l1_mshr_capacity as u64 {
+            sm.l1_mshrs.insert(0x100_0000 + 32 * i, Vec::new());
+        }
+        (sim, slot)
+    }
+
+    /// One issue walk, then the next cycle.
+    fn step(sim: &mut GpuSim) {
+        sim.issue(sim.cfg.engine == EngineKind::Event);
+        sim.cycle += 1;
+    }
+
+    fn record(sim: &GpuSim, slot: usize) -> &crate::sm::RefusedLoad {
+        &sim.sms[0].warps[slot].as_ref().expect("warp").refused_load
+    }
+
+    fn outcomes(probes: &[Probed]) -> Vec<Probe> {
+        probes.iter().map(|p| p.outcome).collect()
+    }
+
+    /// The issue-path counters a refused load charges.
+    fn counts(sim: &GpuSim) -> (u64, u64, u64) {
+        (
+            sim.stats.l1_accesses,
+            sim.stats.l1_misses,
+            sim.l1_mshr_stalls,
+        )
+    }
+
+    #[test]
+    fn refused_load_replays_what_reprobing_does() {
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let (mut sim, slot) = refused_load_sim(engine);
+            step(&mut sim);
+            let r = record(&sim, slot);
+            assert_eq!(r.pc, Some(0));
+            assert_eq!(r.generation, sim.sms[0].l1.generation());
+            assert_eq!(
+                outcomes(&r.probes),
+                [Probe::Hit, Probe::SectorMiss, Probe::LineMiss]
+            );
+            assert_eq!(r.misses, 2);
+            assert_eq!(counts(&sim), (3, 2, 1));
+            // A probe of another line between the attempts reorders the
+            // set's LRU; the replay must stamp the load's line after it.
+            sim.sms[0].l1.probe(OTHER);
+            let mut reprobed: SectoredCache = sim.sms[0].l1.clone();
+            step(&mut sim);
+            for s in [HIT, SECTOR_MISS, LINE_MISS] {
+                reprobed.probe(s);
+            }
+            let replayed = &mut sim.sms[0].l1;
+            assert_eq!(
+                format!("{replayed:?}"),
+                format!("{reprobed:?}"),
+                "{engine:?}"
+            );
+            // Both pick the same victims from here on.
+            for i in 3..70 {
+                let a = HIT + i * SET_STRIDE;
+                assert_eq!(replayed.fill(a), reprobed.fill(a));
+            }
+            assert_eq!(format!("{replayed:?}"), format!("{reprobed:?}"));
+            assert_eq!(counts(&sim), (6, 4, 2));
+            assert_eq!(sim.sms[0].warps[slot].as_ref().expect("warp").pc, 0);
+        }
+    }
+
+    #[test]
+    fn residency_change_or_new_pc_forces_a_full_probe() {
+        // A load response fills the sector that missed.
+        let (mut sim, slot) = refused_load_sim(EngineKind::Dense);
+        step(&mut sim);
+        sim.sms[0].l1.fill(SECTOR_MISS);
+        step(&mut sim);
+        let r = record(&sim, slot);
+        assert_eq!(r.generation, sim.sms[0].l1.generation());
+        assert_eq!(
+            outcomes(&r.probes),
+            [Probe::Hit, Probe::Hit, Probe::LineMiss]
+        );
+        assert_eq!((r.misses, counts(&sim)), (1, (6, 3, 2)));
+
+        // A store write-evicts the sector that hit, its line's only valid
+        // one, so the line leaves.
+        let (mut sim, slot) = refused_load_sim(EngineKind::Dense);
+        step(&mut sim);
+        sim.sms[0].l1.evict_sector(HIT);
+        step(&mut sim);
+        let r = record(&sim, slot);
+        assert_eq!(r.generation, sim.sms[0].l1.generation());
+        assert_eq!(outcomes(&r.probes), [Probe::LineMiss; 3]);
+        assert_eq!((r.misses, counts(&sim)), (3, (6, 5, 2)));
+
+        // The record is keyed by pc: at pc 1, with the L1 unchanged, the
+        // warp probes its new load's one sector.
+        let (mut sim, slot) = refused_load_sim(EngineKind::Dense);
+        step(&mut sim);
+        let generation = sim.sms[0].l1.generation();
+        sim.sms[0].warps[slot].as_mut().expect("warp").pc = 1;
+        step(&mut sim);
+        let r = record(&sim, slot);
+        assert_eq!((r.pc, r.generation), (Some(1), generation));
+        assert_eq!(outcomes(&r.probes), [Probe::LineMiss]);
+        assert_eq!(counts(&sim), (4, 3, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "stale refused-load record: SM 0 slot 0 pc 0 at cycle 1: \
+                               sector 0x10000 was recorded as")]
+    fn dense_engine_names_a_stale_probe() {
+        let (mut sim, slot) = refused_load_sim(EngineKind::Dense);
+        step(&mut sim);
+        let w = sim.sms[0].warps[slot].as_mut().expect("warp");
+        w.refused_load.probes[0].outcome = Probe::SectorMiss;
+        step(&mut sim);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale refused-load record: SM 0 slot 0 pc 0 at cycle 1: \
+                               the MSHR table has room for its 2 new sectors")]
+    fn dense_engine_names_an_mshr_table_with_room() {
+        let (mut sim, _) = refused_load_sim(EngineKind::Dense);
+        step(&mut sim);
+        // Keys leaving without a fill: what the exactness argument rules out.
+        sim.sms[0].l1_mshrs.clear();
+        step(&mut sim);
+    }
+
+    #[test]
+    fn event_engine_trusts_its_record() {
+        // Without the dense check a stale record is replayed as it stands:
+        // the retry charges the recorded miss count, not a fresh probe's.
+        let (mut sim, slot) = refused_load_sim(EngineKind::Event);
+        step(&mut sim);
+        sim.sms[0].warps[slot]
+            .as_mut()
+            .expect("warp")
+            .refused_load
+            .misses = 3;
+        step(&mut sim);
+        assert_eq!(counts(&sim), (6, 5, 2));
     }
 }

@@ -294,15 +294,27 @@ impl GpuConfig {
         if self.num_mem_partitions == 0 {
             return Err(ConfigError::new("need at least one memory partition"));
         }
-        if !self.l1_size.is_multiple_of(self.l1_assoc * self.line_size) {
+        if self.l1_assoc == 0 || !self.l1_size.is_multiple_of(self.l1_assoc * self.line_size) {
             return Err(ConfigError::new("L1 size must be assoc * line * sets"));
         }
-        if !self
-            .l2_slice_size()
-            .is_multiple_of(self.l2_assoc * self.line_size)
+        if self.l2_assoc == 0
+            || !self
+                .l2_slice_size()
+                .is_multiple_of(self.l2_assoc * self.line_size)
         {
             return Err(ConfigError::new(
                 "L2 slice size must be assoc * line * sets",
+            ));
+        }
+        // The caches index sets with shifts and masks.
+        let l1_sets = self.l1_size / (self.l1_assoc * self.line_size);
+        let l2_sets = self.l2_slice_size() / (self.l2_assoc * self.line_size);
+        if ![self.line_size, self.sector_size, l1_sets, l2_sets]
+            .iter()
+            .all(|n| n.is_power_of_two())
+        {
+            return Err(ConfigError::new(
+                "cache line size, sector size and L1/L2 set counts must be powers of two",
             ));
         }
         if self.icnt_flit_size == 0 || self.icnt_flits_per_cycle == 0 {
@@ -406,6 +418,15 @@ mod tests {
         let mut cfg = GpuConfig::small();
         cfg.sector_size = 48;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn non_power_of_two_cache_geometry_rejected() {
+        // A 64-way L1 of 128 B lines with 48 sets.
+        let mut cfg = GpuConfig::small();
+        cfg.l1_size = 48 * 64 * 128;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains("powers of two"), "{err}");
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::exec::{ExecutionModel, ModelCtx, SchedId, WakeCmd, WarpId};
 use crate::imeta::{warp_meta, WarpMeta};
 use crate::kernel::{CtaDistribution, KernelGrid};
 use crate::lock::{LockManager, LockPrescan};
+use crate::mem::cache::Probed;
 use crate::mem::icnt::Interconnect;
 use crate::mem::packet::{AtomKind, Payload, WarpRef};
 use crate::mem::partition::MemPartition;
@@ -249,8 +250,13 @@ pub struct GpuSim {
     /// The issue walk's warp-view buffer, refilled at every scheduler
     /// visit (`Sm::build_views`).
     pub(crate) views: Vec<WarpView>,
-    /// The L1-miss sectors of the load being issued, reused by every load.
-    pub(crate) load_misses: Vec<u64>,
+    /// The L1 probes of the load being issued, reused by every load.
+    pub(crate) load_probes: Vec<Probed>,
+    /// Issue attempts refused for L1 MSHR space (`det.stall.l1_mshr`).
+    pub(crate) l1_mshr_stalls: u64,
+    /// Atomics stalled on a full model-side buffer
+    /// (`det.stall.atomic_buffer_full`).
+    pub(crate) atomic_buffer_full_stalls: u64,
     pub(crate) sched_kind: SchedKind,
     last_progress_cycle: u64,
     /// Cycles without progress before the run panics as deadlocked
@@ -358,7 +364,9 @@ impl GpuSim {
             wakes: Vec::new(),
             seal_witness: 0,
             views: Vec::new(),
-            load_misses: Vec::new(),
+            load_probes: Vec::new(),
+            l1_mshr_stalls: 0,
+            atomic_buffer_full_stalls: 0,
             sched_kind,
             model,
             ndet,
@@ -497,6 +505,18 @@ impl GpuSim {
         );
         self.stats
             .bump("det.icnt.packets_routed", self.icnt.packets_moved());
+        // The issue-stall keys exist only once charged.
+        for (name, n) in [
+            ("det.stall.l1_mshr", self.l1_mshr_stalls),
+            (
+                "det.stall.atomic_buffer_full",
+                self.atomic_buffer_full_stalls,
+            ),
+        ] {
+            if n > 0 {
+                self.stats.bump(name, n);
+            }
+        }
         // The `det.obs.*` family is engine-invariant
         // (deterministic trace sections only), but exists only when tracing
         // is enabled, so equivalence comparisons must fix the trace mode.

@@ -32,25 +32,49 @@ pub enum Probe {
     LineMiss,
 }
 
-#[derive(Debug, Clone)]
-struct Line {
-    tag: u64,
-    sector_valid: u64, // bitmask over sectors
-    last_use: u64,
-    valid: bool,
+/// What one probe found: its outcome and the line it touched.
+///
+/// `line` indexes the cache's way arrays (`set * assoc + way`); it is
+/// `None` for a line miss, which touches no line. A caller that keeps the
+/// results of a batch of probes can later [`replay`](SectoredCache::replay)
+/// them while the cache's [`generation`](SectoredCache::generation) is
+/// unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probed {
+    /// The probe's outcome.
+    pub outcome: Probe,
+    /// The line the probe stamped, if the line was resident.
+    pub line: Option<u32>,
 }
 
 /// A sectored, set-associative, LRU cache (tags only).
+///
+/// The tag store is struct-of-arrays, one entry per way in set-major order
+/// (`set * assoc + way`): a probe scans one contiguous run of `keys`.
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
-    sets: Vec<Vec<Line>>,
+    /// Per way: the line's tag plus one, or 0 for an invalid way.
+    keys: Vec<u64>,
+    /// Per way: bitmask of the valid sectors.
+    sector_valid: Vec<u64>,
+    /// Per way: the use clock of the line's last probe or fill.
+    last_use: Vec<u64>,
+    assoc: usize,
     num_sets: usize,
-    line_size: u64,
-    sector_size: u64,
+    /// `log2(line_size)`.
+    line_shift: u32,
+    /// `log2(sector_size)`.
+    sector_shift: u32,
+    /// `log2(num_sets)`.
+    set_shift: u32,
     sectors_per_line: usize,
     use_clock: u64,
     accesses: u64,
     misses: u64,
+    /// Residency generation: bumped by every [`fill`](Self::fill) and by
+    /// every [`evict_sector`](Self::evict_sector) that finds its line, the
+    /// only operations that change which lines and sectors are resident.
+    generation: u64,
 }
 
 impl SectoredCache {
@@ -60,7 +84,9 @@ impl SectoredCache {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (zero sizes, line not a
-    /// multiple of sector, size not a multiple of `assoc * line_size`).
+    /// multiple of sector, size not a multiple of `assoc * line_size`), or
+    /// if the line size, sector size or set count is not a power of two
+    /// (sets are indexed with shifts and masks).
     pub fn new(size: usize, assoc: usize, line_size: usize, sector_size: usize) -> Self {
         assert!(size > 0 && assoc > 0 && line_size > 0 && sector_size > 0);
         assert!(
@@ -72,113 +98,167 @@ impl SectoredCache {
             "size must be sets * assoc * line_size"
         );
         let num_sets = size / (assoc * line_size);
-        let line = Line {
-            tag: 0,
-            sector_valid: 0,
-            last_use: 0,
-            valid: false,
-        };
+        assert!(
+            line_size.is_power_of_two()
+                && sector_size.is_power_of_two()
+                && num_sets.is_power_of_two(),
+            "line size, sector size and set count must be powers of two"
+        );
+        let sectors_per_line = line_size / sector_size;
+        assert!(sectors_per_line <= 64, "a line holds at most 64 sectors");
+        // A tag is at most `u64::MAX >> 1` once a line spans two bytes or
+        // the cache has two sets, so `tag + 1` cannot wrap to the invalid key.
+        assert!(line_size * num_sets > 1, "cache must hold two line slots");
+        let ways = num_sets * assoc;
+        assert!(u32::try_from(ways).is_ok(), "way index must fit in u32");
         Self {
-            sets: vec![vec![line; assoc]; num_sets],
+            keys: vec![0; ways],
+            sector_valid: vec![0; ways],
+            last_use: vec![0; ways],
+            assoc,
             num_sets,
-            line_size: line_size as u64,
-            sector_size: sector_size as u64,
-            sectors_per_line: line_size / sector_size,
+            line_shift: line_size.trailing_zeros(),
+            sector_shift: sector_size.trailing_zeros(),
+            set_shift: num_sets.trailing_zeros(),
+            sectors_per_line,
             use_clock: 0,
             accesses: 0,
             misses: 0,
+            generation: 0,
         }
     }
 
+    /// Splits `addr` into its set's first way index, its line key
+    /// (`tag + 1`) and its sector bit.
+    #[inline]
     fn decompose(&self, addr: u64) -> (usize, u64, u64) {
-        let line_addr = addr / self.line_size;
-        let set = (line_addr % self.num_sets as u64) as usize;
-        let tag = line_addr / self.num_sets as u64;
-        let sector = (addr % self.line_size) / self.sector_size;
-        (set, tag, sector)
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr & (self.num_sets as u64 - 1)) as usize;
+        let key = (line_addr >> self.set_shift) + 1;
+        let sector = (addr >> self.sector_shift) & (self.sectors_per_line as u64 - 1);
+        (set * self.assoc, key, 1 << sector)
+    }
+
+    /// The way index holding the line `key` in the set starting at `base`.
+    #[inline]
+    fn find(&self, base: usize, key: u64) -> Option<usize> {
+        self.keys[base..base + self.assoc]
+            .iter()
+            .position(|&k| k == key)
+            .map(|w| base + w)
     }
 
     /// Probes for the sector containing `addr`, updating LRU and hit/miss
     /// statistics.
     pub fn probe(&mut self, addr: u64) -> Probe {
+        self.probe_line(addr).outcome
+    }
+
+    /// [`probe`](Self::probe) that also reports the line it touched.
+    pub fn probe_line(&mut self, addr: u64) -> Probed {
         self.accesses += 1;
         self.use_clock += 1;
-        let clock = self.use_clock;
-        let (set, tag, sector) = self.decompose(addr);
-        for line in &mut self.sets[set] {
-            if line.valid && line.tag == tag {
-                line.last_use = clock;
-                if line.sector_valid & (1 << sector) != 0 {
-                    return Probe::Hit;
-                }
-                self.misses += 1;
-                return Probe::SectorMiss;
-            }
+        let probed = self.peek_line(addr);
+        if let Some(i) = probed.line {
+            self.last_use[i as usize] = self.use_clock;
         }
-        self.misses += 1;
-        Probe::LineMiss
+        if probed.outcome != Probe::Hit {
+            self.misses += 1;
+        }
+        probed
     }
 
     /// Peeks whether the sector containing `addr` is resident without
     /// touching LRU state or statistics.
     pub fn peek(&self, addr: u64) -> Probe {
-        let (set, tag, sector) = self.decompose(addr);
-        for line in &self.sets[set] {
-            if line.valid && line.tag == tag {
-                if line.sector_valid & (1 << sector) != 0 {
-                    return Probe::Hit;
-                }
-                return Probe::SectorMiss;
+        self.peek_line(addr).outcome
+    }
+
+    /// [`peek`](Self::peek) that also reports the line a probe would touch:
+    /// exactly what [`probe_line`](Self::probe_line) would return now.
+    pub fn peek_line(&self, addr: u64) -> Probed {
+        let (base, key, bit) = self.decompose(addr);
+        match self.find(base, key) {
+            Some(i) => Probed {
+                outcome: if self.sector_valid[i] & bit != 0 {
+                    Probe::Hit
+                } else {
+                    Probe::SectorMiss
+                },
+                line: Some(i as u32),
+            },
+            None => Probed {
+                outcome: Probe::LineMiss,
+                line: None,
+            },
+        }
+    }
+
+    /// Repeats a batch of probes recorded by [`probe_line`](Self::probe_line),
+    /// `misses` of which missed, without scanning tags: the same counter
+    /// increments, use-clock steps and `last_use` stamps, in the same order.
+    ///
+    /// Exact only while [`generation`](Self::generation) still equals its
+    /// value when the batch was recorded: then no line gained or lost
+    /// residency, so every probe would find the same outcome on the same
+    /// line.
+    pub fn replay(&mut self, probes: &[Probed], misses: u64) {
+        self.accesses += probes.len() as u64;
+        self.misses += misses;
+        for p in probes {
+            self.use_clock += 1;
+            if let Some(i) = p.line {
+                self.last_use[i as usize] = self.use_clock;
             }
         }
-        Probe::LineMiss
     }
 
     /// Fills the sector containing `addr`, allocating the line (evicting the
     /// LRU way) if needed. Returns `true` if a valid line was evicted.
     pub fn fill(&mut self, addr: u64) -> bool {
         self.use_clock += 1;
+        self.generation += 1;
         let clock = self.use_clock;
-        let (set, tag, sector) = self.decompose(addr);
-        let ways = &mut self.sets[set];
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.sector_valid |= 1 << sector;
-            line.last_use = clock;
+        let (base, key, bit) = self.decompose(addr);
+        if let Some(i) = self.find(base, key) {
+            self.sector_valid[i] |= bit;
+            self.last_use[i] = clock;
             return false;
         }
-        // Prefer an invalid way, otherwise evict true-LRU.
-        let victim = if let Some(i) = ways.iter().position(|l| !l.valid) {
-            i
-        } else {
-            ways.iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("associativity is non-zero")
+        // Prefer an invalid way, otherwise evict true-LRU (the first way
+        // with the lowest stamp).
+        let ways = base..base + self.assoc;
+        let victim = match self.keys[ways.clone()].iter().position(|&k| k == 0) {
+            Some(w) => base + w,
+            None => ways
+                .min_by_key(|&i| self.last_use[i])
+                .expect("associativity is non-zero"),
         };
-        let evicted = ways[victim].valid;
-        ways[victim] = Line {
-            tag,
-            sector_valid: 1 << sector,
-            last_use: clock,
-            valid: true,
-        };
+        let evicted = self.keys[victim] != 0;
+        self.keys[victim] = key;
+        self.sector_valid[victim] = bit;
+        self.last_use[victim] = clock;
         evicted
     }
 
-    /// Invalidates the sector containing `addr` if resident (used to mimic
-    /// the virtual-write-queue experiment where out-of-order flush atomics
-    /// trigger L2 evictions).
+    /// Invalidates the sector containing `addr` if resident (used for the
+    /// L1's write-evict policy and to mimic the virtual-write-queue
+    /// experiment where out-of-order flush atomics trigger L2 evictions).
     pub fn evict_sector(&mut self, addr: u64) {
-        let (set, tag, sector) = self.decompose(addr);
-        for line in &mut self.sets[set] {
-            if line.valid && line.tag == tag {
-                line.sector_valid &= !(1 << sector);
-                if line.sector_valid == 0 {
-                    line.valid = false;
-                }
+        let (base, key, bit) = self.decompose(addr);
+        if let Some(i) = self.find(base, key) {
+            self.generation += 1;
+            self.sector_valid[i] &= !bit;
+            if self.sector_valid[i] == 0 {
+                self.keys[i] = 0;
             }
         }
+    }
+
+    /// The residency generation: equal readings mean no line gained or
+    /// lost residency, and no sector became valid or invalid, in between.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Total probes observed.
@@ -285,6 +365,56 @@ mod tests {
     #[should_panic(expected = "whole sectors")]
     fn bad_geometry_panics() {
         SectoredCache::new(512, 2, 100, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn non_power_of_two_set_count_panics() {
+        SectoredCache::new(3 * 2 * 128, 2, 128, 32);
+    }
+
+    #[test]
+    fn generation_counts_residency_changes() {
+        let mut c = small();
+        c.probe(0);
+        assert_eq!((c.peek(0), c.generation()), (Probe::LineMiss, 0));
+        c.fill(0);
+        c.fill(0);
+        assert_eq!(c.generation(), 2);
+        // Evicting a sector of an absent line changes nothing.
+        c.evict_sector(256);
+        assert_eq!(c.generation(), 2);
+        c.evict_sector(32);
+        assert_eq!(c.generation(), 3);
+    }
+
+    #[test]
+    fn replay_repeats_recorded_probes() {
+        let mut c = small();
+        c.fill(0);
+        c.fill(256);
+        let probes = [c.probe_line(0), c.probe_line(32), c.probe_line(512)];
+        assert_eq!(probes[0].outcome, Probe::Hit);
+        assert_eq!(probes[1].line, probes[0].line);
+        assert_eq!(
+            probes[2],
+            Probed {
+                outcome: Probe::LineMiss,
+                line: None
+            }
+        );
+        let mut reprobed = c.clone();
+        c.probe(256);
+        reprobed.probe(256);
+        c.replay(&probes, 2);
+        for a in [0, 32, 512] {
+            reprobed.probe(a);
+        }
+        assert_eq!(format!("{c:?}"), format!("{reprobed:?}"));
+        // Line 0 was stamped after line 256, so the next fill evicts 256.
+        c.fill(512);
+        assert_eq!(c.peek(256), Probe::LineMiss);
+        assert_eq!(c.peek(0), Probe::Hit);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::config::GpuConfig;
 use crate::imeta::WarpMeta;
 use crate::isa::{Instr, WarpProgram};
 use crate::kernel::CtaSpec;
-use crate::mem::cache::SectoredCache;
+use crate::mem::cache::{Probed, SectoredCache};
 use crate::sched::{make_scheduler, AtomicGrant, SchedKind, WarpScheduler, WarpView};
 
 /// Execution state of a warp context.
@@ -78,6 +78,38 @@ pub struct WarpCtx {
     pub outstanding_writes: u32,
     /// Occurrence counters per lock address, for deterministic tickets.
     pub lock_occurrences: Vec<(u64, u32)>,
+    /// The L1 probes of this warp's last load the MSHR table refused.
+    pub refused_load: RefusedLoad,
+}
+
+/// The L1 probes of a load the SM's MSHR table refused, kept so the warp's
+/// retries replay them ([`SectoredCache::replay`]) instead of scanning
+/// tags and the MSHR table again.
+///
+/// The record holds while the warp is still at `pc` and the L1 is still at
+/// `generation`: no line gained or lost residency, so every probe finds the
+/// same outcome on the same line, and the MSHR table has only grown (its
+/// keys leave only on a load response, right after that response's fill),
+/// so the load is refused again.
+#[derive(Debug, Default)]
+pub struct RefusedLoad {
+    /// The refused load's pc; `None` while no record is held.
+    pub pc: Option<usize>,
+    /// The L1 residency generation the probes were recorded at.
+    pub generation: u64,
+    /// One probe per sector, in the load's sector order.
+    pub probes: Vec<Probed>,
+    /// How many of `probes` missed.
+    pub misses: u64,
+}
+
+impl RefusedLoad {
+    /// Whether the record replays exactly for a warp at `pc` with the L1
+    /// at `generation`.
+    #[inline]
+    pub fn holds(&self, pc: usize, generation: u64) -> bool {
+        self.pc == Some(pc) && self.generation == generation
+    }
 }
 
 impl WarpCtx {
@@ -391,6 +423,7 @@ impl Sm {
                 outstanding_loads: 0,
                 outstanding_writes: 0,
                 lock_occurrences: Vec::new(),
+                refused_load: RefusedLoad::default(),
             });
             slots.push(slot);
         }

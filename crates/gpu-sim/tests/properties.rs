@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use gpu_sim::config::GpuConfig;
 use gpu_sim::isa::{AtomicOp, Value};
-use gpu_sim::mem::cache::{Probe, SectoredCache};
+use gpu_sim::mem::cache::{Probe, Probed, SectoredCache};
 use gpu_sim::mem::icnt::Interconnect;
 use gpu_sim::mem::packet::{Packet, Payload, WarpRef};
 use gpu_sim::mem::{partition_of, sector_align, PARTITION_INTERLEAVE};
@@ -225,6 +225,190 @@ proptest! {
                     prop_assert!(seq > prev, "flow order violated");
                 }
                 last.insert(cluster, seq);
+            }
+        }
+    }
+}
+
+/// A reference cache: each set a vector of line records scanned in order,
+/// with division-based set indexing. The struct-of-arrays
+/// [`SectoredCache`] must be indistinguishable from it.
+mod reference {
+    use gpu_sim::mem::cache::Probe;
+
+    #[derive(Debug, Clone)]
+    struct Line {
+        tag: u64,
+        sector_valid: u64,
+        last_use: u64,
+        valid: bool,
+    }
+
+    #[derive(Debug)]
+    pub struct Cache {
+        sets: Vec<Vec<Line>>,
+        line_size: u64,
+        sector_size: u64,
+        use_clock: u64,
+        pub accesses: u64,
+        pub misses: u64,
+    }
+
+    impl Cache {
+        pub fn new(size: usize, assoc: usize, line_size: usize, sector_size: usize) -> Self {
+            let line = Line {
+                tag: 0,
+                sector_valid: 0,
+                last_use: 0,
+                valid: false,
+            };
+            Self {
+                sets: vec![vec![line; assoc]; size / (assoc * line_size)],
+                line_size: line_size as u64,
+                sector_size: sector_size as u64,
+                use_clock: 0,
+                accesses: 0,
+                misses: 0,
+            }
+        }
+
+        fn decompose(&self, addr: u64) -> (usize, u64, u64) {
+            let line_addr = addr / self.line_size;
+            let sets = self.sets.len() as u64;
+            let sector = (addr % self.line_size) / self.sector_size;
+            ((line_addr % sets) as usize, line_addr / sets, sector)
+        }
+
+        pub fn probe(&mut self, addr: u64) -> Probe {
+            self.accesses += 1;
+            self.use_clock += 1;
+            let clock = self.use_clock;
+            let (set, tag, sector) = self.decompose(addr);
+            for line in &mut self.sets[set] {
+                if line.valid && line.tag == tag {
+                    line.last_use = clock;
+                    if line.sector_valid & (1 << sector) != 0 {
+                        return Probe::Hit;
+                    }
+                    self.misses += 1;
+                    return Probe::SectorMiss;
+                }
+            }
+            self.misses += 1;
+            Probe::LineMiss
+        }
+
+        pub fn peek(&self, addr: u64) -> Probe {
+            let (set, tag, sector) = self.decompose(addr);
+            match self.sets[set].iter().find(|l| l.valid && l.tag == tag) {
+                Some(l) if l.sector_valid & (1 << sector) != 0 => Probe::Hit,
+                Some(_) => Probe::SectorMiss,
+                None => Probe::LineMiss,
+            }
+        }
+
+        pub fn fill(&mut self, addr: u64) -> bool {
+            self.use_clock += 1;
+            let clock = self.use_clock;
+            let (set, tag, sector) = self.decompose(addr);
+            let ways = &mut self.sets[set];
+            if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
+                line.sector_valid |= 1 << sector;
+                line.last_use = clock;
+                return false;
+            }
+            let victim = match ways.iter().position(|l| !l.valid) {
+                Some(i) => i,
+                None => (0..ways.len())
+                    .min_by_key(|&i| ways[i].last_use)
+                    .expect("associativity is non-zero"),
+            };
+            let evicted = ways[victim].valid;
+            ways[victim] = Line {
+                tag,
+                sector_valid: 1 << sector,
+                last_use: clock,
+                valid: true,
+            };
+            evicted
+        }
+
+        pub fn evict_sector(&mut self, addr: u64) {
+            let (set, tag, sector) = self.decompose(addr);
+            for line in &mut self.sets[set] {
+                if line.valid && line.tag == tag {
+                    line.sector_valid &= !(1 << sector);
+                    if line.sector_valid == 0 {
+                        line.valid = false;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Sets in the traced caches; the address pool covers eight lines per set,
+/// so sets overflow and evict.
+const TRACE_SETS: u64 = 4;
+const TRACE_POOL: u64 = 8 * TRACE_SETS * 128;
+
+proptest! {
+    /// The struct-of-arrays cache matches the reference on random probe,
+    /// peek, fill and evict traces with recorded-then-replayed probe
+    /// batches: equal outcomes, counters, eviction reports and residency
+    /// of every line after every step (so equal LRU victims), for any
+    /// associativity, including a non-power-of-two one like the L2's.
+    #[test]
+    fn soa_cache_matches_reference(
+        assoc in 1usize..6,
+        ops in proptest::collection::vec(
+            (0u32..12, 0u64..TRACE_POOL, proptest::collection::vec(0u64..TRACE_POOL, 1..8)),
+            1..300,
+        ),
+    ) {
+        let size = TRACE_SETS as usize * assoc * 128;
+        let mut soa = SectoredCache::new(size, assoc, 128, 32);
+        let mut reference = reference::Cache::new(size, assoc, 128, 32);
+        let mut kept: Option<(Vec<u64>, Vec<Probed>, u64, u64)> = None;
+        // `kind` picks the step: probe, peek, fill, evict, record a batch
+        // of probes (as a refused load does), or replay the kept batch if
+        // the residency generation still matches it (as its retry does).
+        for (kind, a, addrs) in ops {
+            match kind {
+                0..=2 => prop_assert_eq!(soa.probe(a), reference.probe(a)),
+                3 => prop_assert_eq!(soa.peek(a), reference.peek(a)),
+                4..=6 => prop_assert_eq!(soa.fill(a), reference.fill(a)),
+                7 => {
+                    soa.evict_sector(a);
+                    reference.evict_sector(a);
+                }
+                8 => {
+                    let probes: Vec<Probed> = addrs.iter().map(|&a| soa.probe_line(a)).collect();
+                    for (&a, p) in addrs.iter().zip(&probes) {
+                        prop_assert_eq!(p.outcome, reference.probe(a));
+                        prop_assert_eq!(p.line.is_some(), p.outcome != Probe::LineMiss);
+                    }
+                    let misses = probes.iter().filter(|p| p.outcome != Probe::Hit).count() as u64;
+                    kept = Some((addrs, probes, misses, soa.generation()));
+                }
+                _ => {
+                    if let Some((addrs, probes, misses, generation)) = &kept {
+                        if *generation == soa.generation() {
+                            for (&a, p) in addrs.iter().zip(probes) {
+                                prop_assert_eq!(soa.peek_line(a), *p);
+                            }
+                            soa.replay(probes, *misses);
+                            for &a in addrs {
+                                reference.probe(a);
+                            }
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(soa.accesses(), reference.accesses);
+            prop_assert_eq!(soa.misses(), reference.misses);
+            for a in (0..TRACE_POOL).step_by(32) {
+                prop_assert_eq!(soa.peek(a), reference.peek(a), "sector {:#x}", a);
             }
         }
     }
