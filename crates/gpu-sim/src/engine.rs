@@ -704,13 +704,9 @@ impl GpuSim {
     /// component can act.
     ///
     /// Correctness of the jump rests on every elided cycle being a
-    /// provable no-op of the dense loop: no queued interconnect work (so
-    /// arbitration points draw no perturbations), no partition or lock
-    /// with an immediate event, no model tick needed, and no scheduler
-    /// whose [`ready_bound`](crate::sm::SchedulerCtx) admits a pick.
-    /// Components with a known future event fold their absolute event
-    /// cycle into the jump target, clamped to `cycle + 1` so the wheel
-    /// never stalls or re-visits the present.
+    /// provable no-op of the dense loop: no model tick needed, and no
+    /// interconnect, partition, lock manager or scheduler that could act
+    /// before the target (so arbitration points draw no perturbations).
     fn advance_cycle(&mut self, skip: bool) {
         let next = self.cycle + 1;
         let target = if skip { self.wheel_target() } else { next };
@@ -723,42 +719,31 @@ impl GpuSim {
         self.cycle = target;
     }
 
-    /// The event wheel's next cycle: `cycle + 1` when work is due then,
-    /// else the earliest future event. A fully idle machine (no event at
-    /// all) means the kernel-done check declined to finish; the wheel then
-    /// steps densely and lets the deadlock horizon surface the bug.
+    /// The event wheel's next cycle: the earliest absolute cycle any
+    /// component reports through `next_event_cycle` (the schedulers through
+    /// [`ready_bound`](crate::sm::SchedulerCtx)), clamped to `cycle + 1` so
+    /// the wheel never stalls or re-visits the present. A value at or
+    /// before the present means "visit now", so the fold stops as soon as
+    /// the target reaches `cycle + 1`; the cheap queries come first and the
+    /// schedulers last. A fully idle machine (no event at all) means the
+    /// kernel-done check declined to finish; the wheel then steps densely
+    /// and lets the deadlock horizon surface the bug.
     fn wheel_target(&self) -> u64 {
         let next = self.cycle + 1;
-        let busy_now = self.icnt.has_queued_work()
-            || self.model.needs_tick()
-            || self
-                .partitions
-                .iter()
-                .any(|p| p.next_event_cycle() == Some(0))
-            || (self.locks.is_busy() && self.locks.next_event_cycle() == Some(0));
-        if busy_now {
+        if self.model.needs_tick() {
             return next;
         }
+        let events = std::iter::once(self.icnt.next_event_cycle())
+            .chain(self.partitions.iter().map(MemPartition::next_event_cycle))
+            .chain(std::iter::once(self.locks.next_event_cycle()))
+            .flatten()
+            .chain(self.sms.iter().map(Sm::ready_bound));
         let mut target = u64::MAX;
-        let mut fold = |ev: u64| target = target.min(ev.max(next));
-        for sm in &self.sms {
-            fold(sm.ready_bound());
-        }
-        for p in &self.partitions {
-            if let Some(t) = p.next_event_cycle() {
-                fold(t);
+        for ev in events {
+            target = target.min(ev.max(next));
+            if target == next {
+                break;
             }
-        }
-        if let Some(t) = self.icnt.next_event_cycle() {
-            fold(t);
-        }
-        if self.locks.is_busy() {
-            if let Some(t) = self.locks.next_event_cycle() {
-                fold(t);
-            }
-        }
-        if let Some(t) = self.model.next_event_hint() {
-            fold(t);
         }
         if target == u64::MAX {
             next
@@ -873,10 +858,14 @@ impl GpuSim {
         let trace_full = self.trace_full();
         for p in 0..self.partitions.len() {
             // Sleeping partitions: skip a partition with no arrived input
-            // and no due internal event. `MemPartition::due` documents why
-            // the skipped tick is a no-op and why the jitter stream is
-            // unperturbed.
-            if !self.icnt.has_arrived_request(p) && !self.partitions[p].due(self.cycle) {
+            // and no due internal event. `MemPartition::next_event_cycle`
+            // documents why the skipped tick is a no-op and why the jitter
+            // stream is unperturbed.
+            if !self.icnt.has_arrived_request(p)
+                && self.partitions[p]
+                    .next_event_cycle()
+                    .is_none_or(|t| t > self.cycle)
+            {
                 continue;
             }
             self.activity.partitions_ticked += 1;
@@ -947,9 +936,6 @@ impl GpuSim {
                     });
                 }
             }
-            // Flush retirements are also surfaced directly (the ack packets
-            // additionally travel the network for write-back accounting).
-            let _ = self.partitions[p].take_retired_flush_acks();
         }
     }
 

@@ -372,12 +372,6 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
         !self.quiescent()
     }
 
-    /// Earliest future cycle at which the model needs to run even if the
-    /// rest of the machine is idle, for the event engine's cycle jumps.
-    fn next_event_hint(&self) -> Option<u64> {
-        None
-    }
-
     /// Drains trace events the model queued since the last call.
     ///
     /// Model hooks have no tracer access, so — like deferred stat deltas —

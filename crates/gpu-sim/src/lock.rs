@@ -259,7 +259,6 @@ impl LockManager {
         released
     }
 
-    /// Whether any lane is queued or in service.
     /// One-line queue summary for stall diagnostics: per lock address the
     /// served/arrived/expected ticket counts and the in-service ticket,
     /// plus every warp still blocked on a lock.
@@ -291,6 +290,9 @@ impl LockManager {
         )
     }
 
+    /// Whether any lane is queued or in service. The in-service holder
+    /// stays in `arrived` until it completes, so a lock in service always
+    /// counts as busy.
     pub fn is_busy(&self) -> bool {
         self.locks.values().any(|s| !s.arrived.is_empty())
     }
@@ -300,8 +302,10 @@ impl LockManager {
         self.locks.values().map(|s| s.services).sum()
     }
 
-    /// Earliest future completion cycle, for the event engine's cycle jumps.
-    /// Returns `Some(0)` ("immediately") when a lock could start serving.
+    /// Earliest cycle at which [`tick`](Self::tick) can act, or `None`
+    /// when no lane is queued or in service: a lock that could start
+    /// serving reports cycle 0 (at or before any present), otherwise the
+    /// earliest in-service completion.
     pub fn next_event_cycle(&self) -> Option<u64> {
         let mut next: Option<u64> = None;
         for s in self.locks.values() {

@@ -1,10 +1,12 @@
 //! Interconnection network between compute clusters and memory partitions.
 //!
-//! A simple flit-accurate crossbar: each memory partition pulls request
-//! packets from per-cluster injection FIFOs (head-of-line blocking, rotating
-//! arbitration), and each cluster pulls response packets from per-partition
-//! return FIFOs into its bounded ejection buffer. Transfers are serialized at
-//! [`GpuConfig::icnt_flits_per_cycle`] flits per cycle per endpoint and add a
+//! A simple flit-accurate crossbar made of two instances of one private
+//! `Channel`: requests flow from per-cluster injection FIFOs to the memory
+//! partitions, responses from per-partition return FIFOs to the clusters.
+//! In either channel each sink pulls packets from the heads of the source
+//! FIFOs (head-of-line blocking, rotating arbitration) into its bounded
+//! input buffer. Transfers are serialized at
+//! [`GpuConfig::icnt_flits_per_cycle`] flits per cycle per sink and add a
 //! fixed pipeline latency.
 //!
 //! Arbitration ties are broken through the [`NdetSource`], which is one of
@@ -19,6 +21,7 @@ use std::collections::VecDeque;
 
 use crate::config::GpuConfig;
 use crate::ndet::NdetSource;
+use crate::oracle::{TAG_ICNT_CL, TAG_ICNT_MEM};
 
 use super::packet::Packet;
 
@@ -26,6 +29,177 @@ use super::packet::Packet;
 struct Transfer {
     packet: Packet,
     arrive_cycle: u64,
+}
+
+/// One direction of the crossbar: per-source injection FIFOs and, per
+/// sink, a rotating arbiter, a serialized link and a bounded input buffer.
+/// A packet's `dest` names its sink.
+#[derive(Debug)]
+struct Channel {
+    /// Decision-site tag of this channel's arbitration draws.
+    tag: &'static str,
+    flits_per_cycle: usize,
+    latency: u64,
+    /// Bound on each sink's input buffer, in flits (in-flight included).
+    sink_capacity: usize,
+    /// Per-source injection FIFOs.
+    queued: Vec<VecDeque<Packet>>,
+    /// Flits waiting in each source FIFO.
+    queued_flits: Vec<usize>,
+    /// Per-sink transfers past arbitration, still traversing the network,
+    /// ordered by arrival cycle.
+    in_flight: Vec<VecDeque<Transfer>>,
+    /// Cycle at which each sink's link frees up (serialization occupancy,
+    /// separate from pipeline latency).
+    free_at: Vec<u64>,
+    /// Per-sink packets that have arrived and wait for their consumer.
+    arrived: Vec<VecDeque<Packet>>,
+    /// Flits occupying each sink's input buffer (in-flight included).
+    sink_flits: Vec<usize>,
+    /// Per-sink rotating arbitration pointer over sources.
+    rr: Vec<usize>,
+    /// Packets delivered to a sink since construction.
+    delivered: u64,
+}
+
+impl Channel {
+    fn new(
+        tag: &'static str,
+        sources: usize,
+        sinks: usize,
+        sink_capacity: usize,
+        cfg: &GpuConfig,
+    ) -> Self {
+        Self {
+            tag,
+            flits_per_cycle: cfg.icnt_flits_per_cycle,
+            latency: u64::from(cfg.icnt_latency),
+            sink_capacity,
+            queued: (0..sources).map(|_| VecDeque::new()).collect(),
+            queued_flits: vec![0; sources],
+            in_flight: (0..sinks).map(|_| VecDeque::new()).collect(),
+            free_at: vec![0; sinks],
+            arrived: (0..sinks).map(|_| VecDeque::new()).collect(),
+            sink_flits: vec![0; sinks],
+            rr: vec![0; sinks],
+            delivered: 0,
+        }
+    }
+
+    fn sinks(&self) -> usize {
+        self.arrived.len()
+    }
+
+    fn inject(&mut self, source: usize, packet: Packet) {
+        debug_assert!(packet.dest < self.sinks());
+        self.queued_flits[source] += packet.flits as usize;
+        self.queued[source].push_back(packet);
+    }
+
+    fn pop(&mut self, sink: usize) -> Option<Packet> {
+        let pkt = self.arrived[sink].pop_front()?;
+        self.sink_flits[sink] -= pkt.flits as usize;
+        Some(pkt)
+    }
+
+    /// Advances every sink by one cycle, drawing arbitration perturbations
+    /// from `ndet[sink]`.
+    fn tick(&mut self, cycle: u64, ndet: &mut [NdetSource]) {
+        let sources = self.queued.len();
+        for (sink, nd) in ndet.iter_mut().enumerate().take(self.sinks()) {
+            // Deliver transfers whose pipeline latency has elapsed.
+            while self.in_flight[sink]
+                .front()
+                .is_some_and(|t| t.arrive_cycle <= cycle)
+            {
+                let t = self.in_flight[sink].pop_front().expect("checked above");
+                self.arrived[sink].push_back(t.packet);
+                self.delivered += 1;
+            }
+            // Start new pulls while the link has serialization capacity
+            // this cycle. The arbitration draw happens only when some source
+            // queue holds a packet: the perturbation-stream cursor must
+            // advance identically whether or not the engine visits the
+            // (provably idle) cycles in between.
+            while self.free_at[sink] <= cycle && self.queued.iter().any(|q| !q.is_empty()) {
+                // The draw perturbs the rotation start by at most one slot;
+                // it is a branch point only when the two candidate starts
+                // would serve different sources (see `crate::oracle`).
+                let rr = self.rr[sink];
+                let eligible = nd.has_oracle()
+                    && self.candidate(sink, rr % sources)
+                        != self.candidate(sink, (rr + 1) % sources);
+                let draw = nd.tiebreak_hint(2, self.tag, eligible);
+                let Some(source) = self.candidate(sink, (rr + draw) % sources) else {
+                    break;
+                };
+                let packet = self.queued[source]
+                    .pop_front()
+                    .expect("candidate has a head");
+                let flits = packet.flits as usize;
+                self.queued_flits[source] -= flits;
+                self.sink_flits[sink] += flits;
+                let ser = flits.div_ceil(self.flits_per_cycle) as u64;
+                self.free_at[sink] = cycle + ser;
+                self.in_flight[sink].push_back(Transfer {
+                    packet,
+                    arrive_cycle: cycle + ser + self.latency,
+                });
+                self.rr[sink] = (source + 1) % sources;
+            }
+        }
+    }
+
+    /// The source the arbiter of `sink` serves when its scan starts at
+    /// `start`: the first source whose head packet is bound for `sink` and
+    /// fits the sink's input buffer. The arbiter picks with it, and the
+    /// oracle compares two starts with it to tell whether a draw is a
+    /// branch point.
+    fn candidate(&self, sink: usize, start: usize) -> Option<usize> {
+        let sources = self.queued.len();
+        (0..sources).map(|i| (start + i) % sources).find(|&s| {
+            self.queued[s].front().is_some_and(|head| {
+                head.dest == sink
+                    && self.sink_flits[sink] + head.flits as usize <= self.sink_capacity
+            })
+        })
+    }
+
+    /// See [`Interconnect::next_event_cycle`].
+    fn next_event_cycle(&self) -> Option<u64> {
+        if self
+            .queued
+            .iter()
+            .chain(&self.arrived)
+            .any(|q| !q.is_empty())
+        {
+            return Some(0);
+        }
+        self.in_flight
+            .iter()
+            .filter_map(VecDeque::front)
+            .map(|t| t.arrive_cycle)
+            .min()
+    }
+
+    fn in_flight_count(&self) -> usize {
+        self.in_flight.iter().map(VecDeque::len).sum()
+    }
+}
+
+/// `i:len` for every non-empty queue, or `-` when all are empty.
+fn occupied(qs: &[VecDeque<Packet>]) -> String {
+    let counts: Vec<String> = qs
+        .iter()
+        .enumerate()
+        .filter(|(_, q)| !q.is_empty())
+        .map(|(i, q)| format!("{i}:{}", q.len()))
+        .collect();
+    if counts.is_empty() {
+        "-".to_string()
+    } else {
+        counts.join(",")
+    }
 }
 
 /// The cluster↔partition interconnect.
@@ -36,46 +210,14 @@ struct Transfer {
 /// `pop_ejected` (per cluster), bounded by the cluster ejection buffer.
 #[derive(Debug)]
 pub struct Interconnect {
-    num_clusters: usize,
-    num_partitions: usize,
-    flits_per_cycle: usize,
-    latency: u32,
-    input_buffer_flits: usize,
-    ejection_buffer_flits: usize,
-
-    /// Per-cluster request injection FIFOs (toward memory).
-    cluster_out: Vec<VecDeque<Packet>>,
-    /// Per-partition pipelined transfers (packets past arbitration, still
-    /// traversing the network), ordered by arrival cycle.
-    mem_pull: Vec<VecDeque<Transfer>>,
-    /// Cycle at which each partition's input channel frees up
-    /// (serialization occupancy, separate from pipeline latency).
-    mem_free_at: Vec<u64>,
-    /// Per-partition arrived-request queues (the Table I "input buffer").
-    mem_in: Vec<VecDeque<Packet>>,
-    /// Flits currently occupying each partition input buffer (incl. in-flight).
-    mem_in_flits: Vec<usize>,
-    /// Per-partition rotating arbitration pointer over clusters.
-    mem_rr: Vec<usize>,
-
-    /// Per-partition response injection FIFOs (toward clusters).
-    part_out: Vec<VecDeque<Packet>>,
-    /// Per-cluster pipelined transfers toward the cluster.
-    cl_pull: Vec<VecDeque<Transfer>>,
-    /// Cycle at which each cluster's ejection channel frees up.
-    cl_free_at: Vec<u64>,
-    /// Per-cluster ejection buffers.
-    cl_in: Vec<VecDeque<Packet>>,
-    /// Flits occupying each cluster ejection buffer (incl. in-flight).
-    cl_in_flits: Vec<usize>,
-    /// Per-cluster rotating arbitration pointer over partitions.
-    cl_rr: Vec<usize>,
-
+    /// Clusters → memory partitions; each partition's input buffer is the
+    /// Table I "input buffer".
+    requests: Channel,
+    /// Memory partitions → clusters, bounded by each cluster's ejection
+    /// buffer.
+    responses: Channel,
     /// Soft bound on each cluster injection FIFO, in flits.
     injection_capacity_flits: usize,
-    cluster_out_flits: Vec<usize>,
-
-    packets_moved: u64,
 }
 
 impl Interconnect {
@@ -84,33 +226,15 @@ impl Interconnect {
         let nc = cfg.num_clusters;
         let np = cfg.num_mem_partitions;
         Self {
-            num_clusters: nc,
-            num_partitions: np,
-            flits_per_cycle: cfg.icnt_flits_per_cycle,
-            latency: cfg.icnt_latency,
-            input_buffer_flits: cfg.icnt_input_buffer,
-            ejection_buffer_flits: cfg.cluster_ejection_buffer,
-            cluster_out: (0..nc).map(|_| VecDeque::new()).collect(),
-            mem_pull: (0..np).map(|_| VecDeque::new()).collect(),
-            mem_free_at: vec![0; np],
-            mem_in: (0..np).map(|_| VecDeque::new()).collect(),
-            mem_in_flits: vec![0; np],
-            mem_rr: vec![0; np],
-            part_out: (0..np).map(|_| VecDeque::new()).collect(),
-            cl_pull: (0..nc).map(|_| VecDeque::new()).collect(),
-            cl_free_at: vec![0; nc],
-            cl_in: (0..nc).map(|_| VecDeque::new()).collect(),
-            cl_in_flits: vec![0; nc],
-            cl_rr: vec![0; nc],
+            requests: Channel::new(TAG_ICNT_MEM, nc, np, cfg.icnt_input_buffer, cfg),
+            responses: Channel::new(TAG_ICNT_CL, np, nc, cfg.cluster_ejection_buffer, cfg),
             injection_capacity_flits: cfg.icnt_input_buffer,
-            cluster_out_flits: vec![0; nc],
-            packets_moved: 0,
         }
     }
 
     /// Whether cluster `c` can inject a request of `flits` flits this cycle.
     pub fn can_inject_request(&self, cluster: usize, flits: u32) -> bool {
-        self.cluster_out_flits[cluster] + flits as usize <= self.injection_capacity_flits
+        self.requests.queued_flits[cluster] + flits as usize <= self.injection_capacity_flits
     }
 
     /// Remaining request-injection headroom (in flits) for `cluster`: the
@@ -120,7 +244,7 @@ impl Interconnect {
     pub fn request_injection_budget(&self, cluster: usize) -> u32 {
         let free = self
             .injection_capacity_flits
-            .saturating_sub(self.cluster_out_flits[cluster]);
+            .saturating_sub(self.requests.queued_flits[cluster]);
         u32::try_from(free).unwrap_or(u32::MAX)
     }
 
@@ -130,15 +254,12 @@ impl Interconnect {
     /// first; injection past the bound is allowed but counts as buffer
     /// over-occupancy that keeps blocking subsequent injections.
     pub fn inject_request(&mut self, cluster: usize, packet: Packet) {
-        debug_assert!(packet.dest < self.num_partitions);
-        self.cluster_out_flits[cluster] += packet.flits as usize;
-        self.cluster_out[cluster].push_back(packet);
+        self.requests.inject(cluster, packet);
     }
 
     /// Injects a response packet at partition `p`.
     pub fn inject_response(&mut self, partition: usize, packet: Packet) {
-        debug_assert!(packet.dest < self.num_clusters);
-        self.part_out[partition].push_back(packet);
+        self.responses.inject(partition, packet);
     }
 
     /// Whether any request has fully arrived at partition `p` (a
@@ -148,21 +269,17 @@ impl Interconnect {
     ///
     /// [`tick_partitions`]: crate::engine::GpuSim
     pub fn has_arrived_request(&self, partition: usize) -> bool {
-        !self.mem_in[partition].is_empty()
+        !self.requests.arrived[partition].is_empty()
     }
 
     /// Pops one request that has fully arrived at partition `p`, if any.
     pub fn pop_arrived_request(&mut self, partition: usize) -> Option<Packet> {
-        let pkt = self.mem_in[partition].pop_front()?;
-        self.mem_in_flits[partition] -= pkt.flits as usize;
-        Some(pkt)
+        self.requests.pop(partition)
     }
 
     /// Pops one response that has fully arrived at cluster `c`, if any.
     pub fn pop_ejected(&mut self, cluster: usize) -> Option<Packet> {
-        let pkt = self.cl_in[cluster].pop_front()?;
-        self.cl_in_flits[cluster] -= pkt.flits as usize;
-        Some(pkt)
+        self.responses.pop(cluster)
     }
 
     /// Registers the interconnect-owned metric family (`det.icnt.*`).
@@ -174,29 +291,24 @@ impl Interconnect {
         );
     }
 
-    /// Total packets delivered since construction.
+    /// Total packets delivered since construction, both directions.
     pub fn packets_moved(&self) -> u64 {
-        self.packets_moved
+        self.requests.delivered + self.responses.delivered
     }
 
     /// Flits currently queued at the cluster injection ports, waiting to
     /// enter the network — the backpressure signal sampled onto the
     /// observability time-series grid.
     pub fn queued_injection_flits(&self) -> u64 {
-        self.cluster_out_flits.iter().map(|&f| f as u64).sum()
+        self.requests.queued_flits.iter().map(|&f| f as u64).sum()
     }
 
     /// Whether any packet is buffered or in flight in either direction.
     pub fn is_busy(&self) -> bool {
-        self.cluster_out.iter().any(|q| !q.is_empty())
-            || self.part_out.iter().any(|q| !q.is_empty())
-            || self.mem_pull.iter().any(|t| !t.is_empty())
-            || self.cl_pull.iter().any(|t| !t.is_empty())
-            || self.mem_in.iter().any(|q| !q.is_empty())
-            || self.cl_in.iter().any(|q| !q.is_empty())
+        self.next_event_cycle().is_some()
     }
 
-    /// Advances the network by one cycle.
+    /// Advances the network by one cycle: requests first, then responses.
     ///
     /// `mem_ndet` holds one perturbation stream per memory partition and
     /// `cl_ndet` one per cluster: every arbitration point draws from its
@@ -209,228 +321,47 @@ impl Interconnect {
     /// Panics if a slice is shorter than the endpoint count.
     pub fn tick(&mut self, cycle: u64, mem_ndet: &mut [NdetSource], cl_ndet: &mut [NdetSource]) {
         assert!(
-            mem_ndet.len() >= self.num_partitions,
+            mem_ndet.len() >= self.requests.sinks(),
             "stream per partition"
         );
-        assert!(cl_ndet.len() >= self.num_clusters, "stream per cluster");
-        self.tick_direction_mem(cycle, mem_ndet);
-        self.tick_direction_cluster(cycle, cl_ndet);
-    }
-
-    fn tick_direction_mem(&mut self, cycle: u64, ndet: &mut [NdetSource]) {
-        for (p, nd) in ndet.iter_mut().enumerate().take(self.num_partitions) {
-            // Deliver transfers whose pipeline latency has elapsed
-            // (in-flight queue is ordered by arrival cycle).
-            while let Some(t) = self.mem_pull[p].front() {
-                if t.arrive_cycle <= cycle {
-                    let t = self.mem_pull[p].pop_front().expect("checked above");
-                    self.mem_in[p].push_back(t.packet);
-                    self.packets_moved += 1;
-                } else {
-                    break;
-                }
-            }
-            // Start new pulls while the channel has serialization capacity
-            // this cycle: occupancy is `flits / flits_per_cycle`, latency is
-            // pipelined on top. The arbitration draw happens only when some
-            // source queue could actually be served: the perturbation-stream
-            // cursor must advance identically whether or not the engine
-            // visits the (provably idle) cycles in between.
-            while self.mem_free_at[p] <= cycle {
-                if self.cluster_out.iter().all(|q| q.is_empty()) {
-                    break;
-                }
-                // The draw perturbs the rotation start by at most one slot;
-                // it is a branch point only when the two candidate starts
-                // would serve different clusters (see `crate::oracle`).
-                let eligible = nd.has_oracle()
-                    && self.mem_candidate(p, self.mem_rr[p] % self.num_clusters)
-                        != self.mem_candidate(p, (self.mem_rr[p] + 1) % self.num_clusters);
-                let draw = nd.tiebreak_hint(2, crate::oracle::TAG_ICNT_MEM, eligible);
-                let start = (self.mem_rr[p] + draw) % self.num_clusters;
-                let mut started = false;
-                for i in 0..self.num_clusters {
-                    let c = (start + i) % self.num_clusters;
-                    let Some(head) = self.cluster_out[c].front() else {
-                        continue;
-                    };
-                    if head.dest != p {
-                        continue;
-                    }
-                    let flits = head.flits as usize;
-                    if self.mem_in_flits[p] + flits > self.input_buffer_flits {
-                        // Input buffer full: backpressure this cluster.
-                        continue;
-                    }
-                    let packet = self.cluster_out[c].pop_front().expect("front was Some");
-                    self.cluster_out_flits[c] -= flits;
-                    self.mem_in_flits[p] += flits;
-                    let ser = flits.div_ceil(self.flits_per_cycle) as u64;
-                    let begin = self.mem_free_at[p].max(cycle);
-                    self.mem_free_at[p] = begin + ser;
-                    self.mem_pull[p].push_back(Transfer {
-                        packet,
-                        arrive_cycle: begin + ser + self.latency as u64,
-                    });
-                    self.mem_rr[p] = (c + 1) % self.num_clusters;
-                    started = true;
-                    break;
-                }
-                if !started {
-                    break;
-                }
-            }
-        }
-    }
-
-    fn tick_direction_cluster(&mut self, cycle: u64, ndet: &mut [NdetSource]) {
-        for (c, nd) in ndet.iter_mut().enumerate().take(self.num_clusters) {
-            while let Some(t) = self.cl_pull[c].front() {
-                if t.arrive_cycle <= cycle {
-                    let t = self.cl_pull[c].pop_front().expect("checked above");
-                    self.cl_in[c].push_back(t.packet);
-                    self.packets_moved += 1;
-                } else {
-                    break;
-                }
-            }
-            while self.cl_free_at[c] <= cycle {
-                // Same draw discipline as the memory direction: no source
-                // traffic, no arbitration draw.
-                if self.part_out.iter().all(|q| q.is_empty()) {
-                    break;
-                }
-                let eligible = nd.has_oracle()
-                    && self.cl_candidate(c, self.cl_rr[c] % self.num_partitions)
-                        != self.cl_candidate(c, (self.cl_rr[c] + 1) % self.num_partitions);
-                let draw = nd.tiebreak_hint(2, crate::oracle::TAG_ICNT_CL, eligible);
-                let start = (self.cl_rr[c] + draw) % self.num_partitions;
-                let mut started = false;
-                for i in 0..self.num_partitions {
-                    let p = (start + i) % self.num_partitions;
-                    let Some(head) = self.part_out[p].front() else {
-                        continue;
-                    };
-                    if head.dest != c {
-                        continue;
-                    }
-                    let flits = head.flits as usize;
-                    if self.cl_in_flits[c] + flits > self.ejection_buffer_flits {
-                        continue;
-                    }
-                    let packet = self.part_out[p].pop_front().expect("front was Some");
-                    self.cl_in_flits[c] += flits;
-                    let ser = flits.div_ceil(self.flits_per_cycle) as u64;
-                    let begin = self.cl_free_at[c].max(cycle);
-                    self.cl_free_at[c] = begin + ser;
-                    self.cl_pull[c].push_back(Transfer {
-                        packet,
-                        arrive_cycle: begin + ser + self.latency as u64,
-                    });
-                    self.cl_rr[c] = (p + 1) % self.num_partitions;
-                    started = true;
-                    break;
-                }
-                if !started {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// The cluster the memory-direction arbiter would serve for partition
-    /// `p` when scanning from `start` — the draw's *immediate effect*,
-    /// which decides whether an oracle decision is a branch point. Mirrors
-    /// the scan in [`Self::tick_direction_mem`] exactly (destination match
-    /// and input-buffer fit included).
-    fn mem_candidate(&self, p: usize, start: usize) -> Option<usize> {
-        for i in 0..self.num_clusters {
-            let c = (start + i) % self.num_clusters;
-            let Some(head) = self.cluster_out[c].front() else {
-                continue;
-            };
-            if head.dest != p {
-                continue;
-            }
-            if self.mem_in_flits[p] + head.flits as usize > self.input_buffer_flits {
-                continue;
-            }
-            return Some(c);
-        }
-        None
-    }
-
-    /// The partition the cluster-direction arbiter would serve for cluster
-    /// `c` when scanning from `start`; mirrors
-    /// [`Self::tick_direction_cluster`].
-    fn cl_candidate(&self, c: usize, start: usize) -> Option<usize> {
-        for i in 0..self.num_partitions {
-            let p = (start + i) % self.num_partitions;
-            let Some(head) = self.part_out[p].front() else {
-                continue;
-            };
-            if head.dest != c {
-                continue;
-            }
-            if self.cl_in_flits[c] + head.flits as usize > self.ejection_buffer_flits {
-                continue;
-            }
-            return Some(p);
-        }
-        None
+        assert!(
+            cl_ndet.len() >= self.responses.sinks(),
+            "stream per cluster"
+        );
+        self.requests.tick(cycle, mem_ndet);
+        self.responses.tick(cycle, cl_ndet);
     }
 
     /// One-line occupancy summary of every queue family, for diagnostics
     /// (matches the `lock.rs`/`dram.rs` panic-context style).
     pub fn queue_summary(&self) -> String {
-        let occupied = |qs: &[VecDeque<Packet>]| -> String {
-            let counts: Vec<String> = qs
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(i, q)| format!("{i}:{}", q.len()))
-                .collect();
-            if counts.is_empty() {
-                "-".to_string()
-            } else {
-                counts.join(",")
-            }
-        };
-        let in_flight = |ts: &[VecDeque<Transfer>]| -> usize { ts.iter().map(VecDeque::len).sum() };
+        let (req, resp) = (&self.requests, &self.responses);
         format!(
             "cluster_out[{}] mem_in_flight={} mem_in[{}] part_out[{}] cl_in_flight={} cl_in[{}] moved={}",
-            occupied(&self.cluster_out),
-            in_flight(&self.mem_pull),
-            occupied(&self.mem_in),
-            occupied(&self.part_out),
-            in_flight(&self.cl_pull),
-            occupied(&self.cl_in),
-            self.packets_moved,
+            occupied(&req.queued),
+            req.in_flight_count(),
+            occupied(&req.arrived),
+            occupied(&resp.queued),
+            resp.in_flight_count(),
+            occupied(&resp.arrived),
+            self.packets_moved(),
         )
     }
 
-    /// Whether any *queued* (not merely in-flight) packet needs per-cycle
-    /// service: injection FIFOs waiting for arbitration, or arrived packets
-    /// waiting for their consumer. The event engine must visit the very next
-    /// cycle while any of these is non-empty; in-flight transfers are
-    /// excluded — their completions are folded through
-    /// [`next_event_cycle`](Self::next_event_cycle) instead.
-    pub fn has_queued_work(&self) -> bool {
-        self.cluster_out.iter().any(|q| !q.is_empty())
-            || self.part_out.iter().any(|q| !q.is_empty())
-            || self.mem_in.iter().any(|q| !q.is_empty())
-            || self.cl_in.iter().any(|q| !q.is_empty())
-    }
-
-    /// Earliest cycle at which an in-flight transfer completes, if any.
-    /// Used by the event engine's cycle jumps.
+    /// Earliest cycle at which a [`tick`](Self::tick) can change anything,
+    /// or `None` when the network is empty. A packet waiting in an injection
+    /// FIFO or an input buffer needs a visit every cycle, reported as cycle
+    /// 0 (at or before any present); otherwise the earliest in-flight
+    /// arrival. Ticks at cycles before this value are no-ops that draw no
+    /// perturbation, so the event wheel may skip them.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        self.mem_pull
-            .iter()
-            .chain(self.cl_pull.iter())
-            .filter_map(|q| q.front())
-            .map(|t| t.arrive_cycle)
-            .min()
+        [
+            self.requests.next_event_cycle(),
+            self.responses.next_event_cycle(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 }
 

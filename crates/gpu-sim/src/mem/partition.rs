@@ -105,8 +105,6 @@ pub struct MemPartition {
     pending_responses: Vec<(u64, Packet)>,
     stats: PartitionStats,
     sector_size: u64,
-    /// Retired-ack notifications for the execution model (drained by engine).
-    retired_flush_acks: Vec<usize>,
 }
 
 impl MemPartition {
@@ -138,7 +136,6 @@ impl MemPartition {
             pending_responses: Vec::new(),
             stats: PartitionStats::default(),
             sector_size: cfg.sector_size as u64,
-            retired_flush_acks: Vec::new(),
         }
     }
 
@@ -430,7 +427,6 @@ impl MemPartition {
                 );
             }
             AckTarget::FlushSm { sm } => {
-                self.retired_flush_acks.push(sm);
                 self.schedule_response(
                     cycle + self.cfg_rop_latency as u64,
                     Packet::new(0, Payload::FlushAck { sm }, self.flit_size),
@@ -438,13 +434,6 @@ impl MemPartition {
             }
             AckTarget::None => {}
         }
-    }
-
-    /// Drains the list of SMs whose flush transactions retired this cycle
-    /// (consumed by the engine to notify the execution model immediately,
-    /// in addition to the FlushAck packets that travel the network).
-    pub fn take_retired_flush_acks(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.retired_flush_acks)
     }
 
     /// One-line occupancy summary for diagnostics, in the `lock.rs`/`dram.rs`
@@ -471,34 +460,26 @@ impl MemPartition {
             || self.dram.is_busy()
     }
 
-    /// Earliest future event cycle, for the event engine's cycle jumps.
+    /// Earliest cycle at which [`tick`](Self::tick) can act, or `None`
+    /// when the partition is idle. A queued retry or a ROP op that is not
+    /// fill-stalled can act on every visit, reported as cycle 0 (at or
+    /// before any present); otherwise the earliest DRAM issue or
+    /// completion, or the earliest response falling due.
+    ///
+    /// While this is after the current cycle and no request has arrived
+    /// from the interconnect, `tick` is a provable no-op, so the engine
+    /// skips the partition entirely — the "sleeping partition" fast path.
+    /// Skipped cycles draw no non-determinism: DRAM jitter is drawn only
+    /// when a burst issues, and bursts issue only on due cycles.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        let mut next = self.dram.next_event_cycle();
-        if !self.rop.queue.is_empty() && self.rop.wait_fill.is_none() {
-            next = Some(next.map_or(0, |_n| 0));
+        if !self.retry.is_empty() || (!self.rop.queue.is_empty() && self.rop.wait_fill.is_none()) {
+            return Some(0);
         }
-        if let Some(m) = self.pending_responses.iter().map(|(c, _)| *c).min() {
-            next = Some(next.map_or(m, |n| n.min(m)));
-        }
-        if !self.retry.is_empty() {
-            return Some(0); // retry every cycle
-        }
-        next
-    }
-
-    /// Whether the partition can make progress at `cycle`: a queued retry,
-    /// a ready ROP op, a DRAM issue/completion opportunity, or a response
-    /// falling due. When this is `false` and no request has arrived from
-    /// the interconnect, [`tick`](Self::tick) is a provable no-op (the ROP
-    /// is either empty or fill-stalled, DRAM has nothing due, and no
-    /// response is ready), so the engine skips the partition entirely —
-    /// the "sleeping partition" fast path. Skipped cycles draw no
-    /// non-determinism: DRAM jitter is drawn only when a burst issues, and
-    /// bursts issue only on due cycles.
-    pub fn due(&self, cycle: u64) -> bool {
-        // `next_event_cycle` mixes the relative sentinel `Some(0)` ("can
-        // act immediately") with absolute cycles; both satisfy `<= cycle`.
-        self.next_event_cycle().is_some_and(|t| t <= cycle)
+        let response = self.pending_responses.iter().map(|&(at, _)| at).min();
+        [self.dram.next_event_cycle(), response]
+            .into_iter()
+            .flatten()
+            .min()
     }
 }
 
@@ -585,16 +566,13 @@ mod tests {
             ops: vec![op(0, 1.0)],
             ack: AckTarget::FlushSm { sm: 5 },
         });
-        let mut ndet = NdetSource::disabled();
-        let mut acks = Vec::new();
-        for cycle in 0..100_000 {
-            p.tick(cycle, &mut values, &mut ndet);
-            acks.extend(p.take_retired_flush_acks());
-            if !p.is_busy() {
-                break;
-            }
-        }
-        assert_eq!(acks, vec![5]);
+        let acks: Vec<Payload> = run_until_idle(&mut p, &mut values)
+            .into_iter()
+            .map(|pkt| pkt.payload)
+            .filter(|payload| matches!(payload, Payload::FlushAck { .. }))
+            .collect();
+        assert_eq!(acks, vec![Payload::FlushAck { sm: 5 }]);
+        assert!(!p.is_busy(), "partition drained");
     }
 
     #[test]

@@ -6,7 +6,8 @@ use gpu_sim::config::GpuConfig;
 use gpu_sim::isa::{AtomicOp, Value};
 use gpu_sim::mem::cache::{Probe, Probed, SectoredCache};
 use gpu_sim::mem::icnt::Interconnect;
-use gpu_sim::mem::packet::{Packet, Payload, WarpRef};
+use gpu_sim::mem::packet::{AtomKind, Packet, Payload, RopOp, WarpRef};
+use gpu_sim::mem::partition::{AckTarget, MemPartition, PartitionStats, RopWork};
 use gpu_sim::mem::{partition_of, sector_align, PARTITION_INTERLEAVE};
 use gpu_sim::ndet::NdetSource;
 use gpu_sim::values::ValueMem;
@@ -155,79 +156,253 @@ proptest! {
         prop_assert_eq!(s % 32, 0);
     }
 
-    /// Every injected packet is delivered exactly once, and packets from
-    /// one cluster to one partition arrive in injection order.
+    /// Every injected packet is delivered exactly once, in both directions,
+    /// and packets of one flow (source, sink) arrive in injection order.
+    /// A second network fed the same traffic, ticked only on injection
+    /// cycles and on cycles its `next_event_cycle` declares due, delivers
+    /// the same packets on the same cycles and leaves every arbitration
+    /// stream at the same position: the cycles the event wheel skips are
+    /// no-ops.
     #[test]
     fn icnt_delivers_everything_in_per_flow_order(
-        flows in proptest::collection::vec((0usize..2, 0usize..2, 1u32..4), 1..60),
+        flows in proptest::collection::vec((0usize..2, 0usize..2, any::<bool>(), 1u32..4, 0u64..6), 1..60),
         seed in any::<u64>(),
     ) {
-        let cfg = GpuConfig::tiny();
-        let mut icnt = Interconnect::new(&cfg);
-        let root = NdetSource::seeded(seed);
-        let mut mem_ndet: Vec<NdetSource> = (0..cfg.num_mem_partitions)
-            .map(|p| root.split(p as u64))
-            .collect();
-        let mut cl_ndet: Vec<NdetSource> = (0..cfg.num_clusters)
-            .map(|c| root.split(0x100 + c as u64))
-            .collect();
-        // Tag packets by their per-flow sequence via the sector address.
-        let mut flow_seq = std::collections::HashMap::new();
-        let mut injected = 0usize;
-        let mut pending: Vec<(usize, Packet)> = Vec::new();
-        for (cluster, partition, _flits) in &flows {
-            let seq = flow_seq.entry((*cluster, *partition)).or_insert(0u64);
-            let pkt = Packet::new(
-                *partition,
-                Payload::LoadReq {
-                    sector_addr: (*cluster as u64) << 32 | *seq,
-                    warp: WarpRef { sm: *cluster, slot: 0 },
-                },
-                cfg.icnt_flit_size,
-            );
-            *seq += 1;
-            pending.push((*cluster, pkt));
-            injected += 1;
-        }
-        let mut received: Vec<Vec<u64>> = vec![Vec::new(); 2];
-        let mut delivered = 0usize;
-        let mut queue = pending.into_iter();
-        for cycle in 0..200_000u64 {
-            // Inject as capacity allows.
-            for _ in 0..4 {
-                if let Some((cluster, pkt)) = queue.next() {
-                    icnt.inject_request(cluster, pkt);
-                } else {
-                    break;
-                }
-            }
-            icnt.tick(cycle, &mut mem_ndet, &mut cl_ndet);
-            for (p, bucket) in received.iter_mut().enumerate() {
-                while let Some(pkt) = icnt.pop_arrived_request(p) {
-                    if let Payload::LoadReq { sector_addr, .. } = pkt.payload {
-                        bucket.push(sector_addr);
-                        delivered += 1;
-                    }
-                }
-            }
-            if delivered == injected && !icnt.is_busy() {
-                break;
-            }
-        }
-        prop_assert_eq!(delivered, injected, "all packets delivered");
-        // Per (cluster, partition) flow: sequence numbers strictly increase.
-        for bucket in &received {
-            let mut last: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-            for &tag in bucket {
-                let cluster = tag >> 32;
-                let seq = tag & 0xffff_ffff;
-                if let Some(&prev) = last.get(&cluster) {
-                    prop_assert!(seq > prev, "flow order violated");
-                }
-                last.insert(cluster, seq);
+        let (dense, dense_draws) = run_icnt(&flows, seed, false);
+        let (skipping, skipping_draws) = run_icnt(&flows, seed, true);
+        prop_assert_eq!(dense.len(), flows.len(), "all packets delivered");
+        prop_assert_eq!(&dense, &skipping, "skipping changed a delivery");
+        prop_assert_eq!(dense_draws, skipping_draws, "skipping moved a stream");
+        // Per flow: sequence numbers strictly increase.
+        let mut last = std::collections::HashMap::new();
+        for &(_, response, sink, tag) in &dense {
+            let (source, seq) = (tag >> 32, tag & 0xffff_ffff);
+            if let Some(prev) = last.insert((response, source, sink), seq) {
+                prop_assert!(seq > prev, "flow order violated");
             }
         }
     }
+
+    /// The partition counterpart: a partition ticked only on cycles a
+    /// request reaches it and on cycles its `next_event_cycle` declares
+    /// due emits the same responses on the same cycles, applies atomics
+    /// in the same order and counts the same statistics as one ticked
+    /// every cycle, DRAM jitter included.
+    #[test]
+    fn partition_skips_only_idle_cycles(
+        work in proptest::collection::vec((0u8..3, 0u64..48, 0u64..40), 1..80),
+        seed in any::<u64>(),
+    ) {
+        let dense = run_partition(&work, seed, false);
+        let skipping = run_partition(&work, seed, true);
+        prop_assert!(skipping.ticks < dense.ticks, "nothing was skipped");
+        prop_assert_eq!(&dense.responses, &skipping.responses);
+        prop_assert_eq!(dense.digest, skipping.digest);
+        prop_assert_eq!(dense.stats, skipping.stats);
+        prop_assert_eq!(dense.next_draw, skipping.next_draw);
+    }
+}
+
+/// One delivery: `(cycle, response?, sink, tag)`, the tag holding the
+/// source in its high half and the per-flow sequence number in its low.
+type Delivery = (u64, bool, usize, u64);
+
+/// Drives an interconnect with `flows` — `(cluster, partition, response?,
+/// flits, gap)`, each injected `gap` cycles after the one before — and
+/// returns every delivery plus the next draw of every arbitration stream.
+/// With `skip`, the network is ticked only on injection cycles and on
+/// cycles `next_event_cycle` declares due.
+fn run_icnt(
+    flows: &[(usize, usize, bool, u32, u64)],
+    seed: u64,
+    skip: bool,
+) -> (Vec<Delivery>, Vec<usize>) {
+    let mut cfg = GpuConfig::tiny();
+    // Small buffers, so full sinks hold back some heads.
+    cfg.icnt_input_buffer = 6;
+    cfg.cluster_ejection_buffer = 4;
+    let mut icnt = Interconnect::new(&cfg);
+    let root = NdetSource::seeded(seed);
+    let mut mem_ndet: Vec<NdetSource> = (0..cfg.num_mem_partitions)
+        .map(|p| root.split(p as u64))
+        .collect();
+    let mut cl_ndet: Vec<NdetSource> = (0..cfg.num_clusters)
+        .map(|c| root.split(0x100 + c as u64))
+        .collect();
+    let mut flow_seq = std::collections::HashMap::new();
+    let mut at = 0u64;
+    let mut schedule = Vec::new();
+    for &(cluster, partition, response, flits, gap) in flows {
+        at += gap;
+        let (source, sink) = if response {
+            (partition, cluster)
+        } else {
+            (cluster, partition)
+        };
+        let seq = flow_seq.entry((response, source, sink)).or_insert(0u64);
+        let sector_addr = (source as u64) << 32 | *seq;
+        *seq += 1;
+        let warp = WarpRef {
+            sm: cluster,
+            slot: 0,
+        };
+        let payload = if response {
+            Payload::LoadResp { sector_addr, warp }
+        } else {
+            Payload::LoadReq { sector_addr, warp }
+        };
+        let mut pkt = Packet::new(sink, payload, cfg.icnt_flit_size);
+        pkt.flits = flits;
+        schedule.push((at, response, source, pkt));
+    }
+    let mut schedule = schedule.into_iter().peekable();
+    let mut delivered = Vec::new();
+    for cycle in 0..200_000u64 {
+        let mut injected = false;
+        while let Some((_, response, source, pkt)) = schedule.next_if(|s| s.0 == cycle) {
+            if response {
+                icnt.inject_response(source, pkt);
+            } else {
+                icnt.inject_request(source, pkt);
+            }
+            injected = true;
+        }
+        if skip && !injected && icnt.next_event_cycle().is_none_or(|t| t > cycle) {
+            continue;
+        }
+        icnt.tick(cycle, &mut mem_ndet, &mut cl_ndet);
+        for sink in 0..2 {
+            while let Some(pkt) = icnt.pop_arrived_request(sink) {
+                if let Payload::LoadReq { sector_addr, .. } = pkt.payload {
+                    delivered.push((cycle, false, sink, sector_addr));
+                }
+            }
+            while let Some(pkt) = icnt.pop_ejected(sink) {
+                if let Payload::LoadResp { sector_addr, .. } = pkt.payload {
+                    delivered.push((cycle, true, sink, sector_addr));
+                }
+            }
+        }
+        if schedule.peek().is_none() && !icnt.is_busy() {
+            break;
+        }
+    }
+    let draws = mem_ndet
+        .iter_mut()
+        .chain(&mut cl_ndet)
+        .map(|nd| nd.arbitration_tiebreak(1 << 30))
+        .collect();
+    (delivered, draws)
+}
+
+/// What a partition run leaves behind, for [`run_partition`].
+struct PartitionRun {
+    responses: Vec<(u64, Vec<Payload>)>,
+    digest: u64,
+    stats: PartitionStats,
+    next_draw: u32,
+    ticks: u64,
+}
+
+/// Drives one memory partition with `work` — `(kind, sector, gap)`: a
+/// load, a store or a ROP transaction of two `f32` adds, each handed over
+/// `gap` cycles after the one before — under seeded DRAM jitter. With
+/// `skip`, the partition is ticked only on hand-over cycles and on cycles
+/// `next_event_cycle` declares due.
+fn run_partition(work: &[(u8, u64, u64)], seed: u64, skip: bool) -> PartitionRun {
+    let mut cfg = GpuConfig::tiny();
+    // Few MSHRs and a short DRAM queue, so requests stall and retry.
+    cfg.l2_mshrs = 2;
+    cfg.dram_queue_capacity = 2;
+    let mut part = MemPartition::new(0, &cfg, 12);
+    let mut ndet = NdetSource::seeded(seed);
+    let mut values = ValueMem::new();
+    let mut at = 0u64;
+    let mut schedule = Vec::new();
+    for (i, &(kind, sector, gap)) in work.iter().enumerate() {
+        at += gap;
+        schedule.push((at, i, kind, sector * 32));
+    }
+    let mut schedule = schedule.into_iter().peekable();
+    let mut run = PartitionRun {
+        responses: Vec::new(),
+        digest: 0,
+        stats: PartitionStats::default(),
+        next_draw: 0,
+        ticks: 0,
+    };
+    for cycle in 0..200_000u64 {
+        let mut arrived = false;
+        while let Some((_, i, kind, addr)) = schedule.next_if(|s| s.0 == cycle) {
+            let warp = WarpRef { sm: i % 2, slot: i };
+            match kind {
+                0 => part.handle_request(
+                    Packet::new(
+                        0,
+                        Payload::LoadReq {
+                            sector_addr: addr,
+                            warp,
+                        },
+                        cfg.icnt_flit_size,
+                    ),
+                    cycle,
+                ),
+                1 => part.handle_request(
+                    Packet::new(
+                        0,
+                        Payload::StoreReq {
+                            sector_addr: addr,
+                            warp,
+                        },
+                        cfg.icnt_flit_size,
+                    ),
+                    cycle,
+                ),
+                _ => {
+                    let add = |addr: u64, v: f32| RopOp {
+                        addr,
+                        op: AtomicOp::AddF32,
+                        arg: Value::F32(v),
+                    };
+                    let ack = match i % 3 {
+                        0 => AckTarget::Warp {
+                            warp,
+                            kind: AtomKind::Red,
+                            unique: i as u64,
+                        },
+                        1 => AckTarget::FlushSm { sm: i % 2 },
+                        _ => AckTarget::None,
+                    };
+                    part.enqueue_rop(RopWork {
+                        ops: vec![add(addr, 1.0e8), add(addr + 4, i as f32 + 0.5)],
+                        ack,
+                    });
+                }
+            }
+            arrived = true;
+        }
+        if skip && !arrived && part.next_event_cycle().is_none_or(|t| t > cycle) {
+            continue;
+        }
+        run.ticks += 1;
+        let out = part.tick(cycle, &mut values, &mut ndet);
+        if !out.is_empty() {
+            run.responses
+                .push((cycle, out.into_iter().map(|p| p.payload).collect()));
+        }
+        if schedule.peek().is_none() && !part.is_busy() {
+            break;
+        }
+    }
+    assert!(
+        !part.is_busy(),
+        "partition never drained: {}",
+        part.queue_summary()
+    );
+    run.digest = values.digest();
+    run.stats = part.stats();
+    run.next_draw = ndet.latency_jitter(1 << 20);
+    run
 }
 
 /// A reference cache: each set a vector of line records scanned in order,
