@@ -7,14 +7,43 @@
 //! demand the cycles and memory digest recorded in
 //! `results/fig10_overall.json`. `cnv2_3` releases barriers in the middle
 //! of an issue walk; `BC_1k` issues sparse atomics with long drains.
+//!
+//! The models' own counters are pinned too, since the models bump them
+//! from their hooks: the DAB runs must reproduce their
+//! `results/fig15_overheads.json` `main` rows, and the GPUDet runs their
+//! mode-cycle and quantum counts.
 
 use dab::DabConfig;
 use dab_bench::Runner;
 use dab_workloads::scale::Scale;
 use dab_workloads::suite::full_suite;
+use gpu_sim::engine::RunReport;
 use obs::json::Json;
 
 const FIG10: &str = include_str!("../../../results/fig10_overall.json");
+const FIG15: &str = include_str!("../../../results/fig15_overheads.json");
+
+/// The DAB counters fig15's `main` table reports, by column.
+const DAB_COUNTERS: [(&str, &str); 4] = [
+    ("flushes", "det.dab.flushes"),
+    ("flush cycles", "det.dab.flush_cycles"),
+    ("buffer-full stalls", "det.stall.atomic_buffer_full"),
+    ("fused ops", "det.dab.fused_ops"),
+];
+
+/// The GPUDet counters, and their values in the fig10 GPUDet runs. No
+/// committed file holds these counts (fig03 reports only the mode shares),
+/// so they are pinned here.
+const GPUDET_COUNTERS: [&str; 4] = [
+    "det.gpudet.parallel_cycles",
+    "det.gpudet.commit_cycles",
+    "det.gpudet.serial_cycles",
+    "det.gpudet.quanta",
+];
+const GPUDET_RUNS: [(&str, [u64; 4]); 2] = [
+    ("cnv2_3", [2949, 150, 14751, 3]),
+    ("BC_1k", [47547, 16750, 64284, 335]),
+];
 
 /// The committed `(seed, cycles, digest)` of the fig10 run `label`.
 fn committed(label: &str) -> (u64, u64, String) {
@@ -38,8 +67,59 @@ fn committed(label: &str) -> (u64, u64, String) {
     (num("seed"), num("cycles"), digest.to_string())
 }
 
+/// The committed fig15 `main` row of benchmark `name`: the value of each
+/// [`DAB_COUNTERS`] column.
+fn committed_fig15(name: &str) -> [u64; 4] {
+    let doc = Json::parse(FIG15).expect("results/fig15_overheads.json parses");
+    let main = doc
+        .get("tables")
+        .and_then(Json::as_arr)
+        .expect("fig15 has a tables array")
+        .iter()
+        .find(|t| t.get("title").and_then(Json::as_str) == Some("main"))
+        .expect("fig15 has a main table");
+    let cells = |v: &Json| -> Vec<String> {
+        v.as_arr()
+            .expect("a table row is an array")
+            .iter()
+            .map(|c| c.as_str().expect("table cells are strings").to_string())
+            .collect()
+    };
+    let header = cells(main.get("header").expect("fig15 main has a header"));
+    let row = main
+        .get("rows")
+        .and_then(Json::as_arr)
+        .expect("fig15 main has rows")
+        .iter()
+        .map(cells)
+        .find(|r| r[0] == name)
+        .unwrap_or_else(|| panic!("no fig15 main row {name:?}"));
+    DAB_COUNTERS.map(|(column, _)| {
+        let i = header.iter().position(|h| h == column).expect("column");
+        row[i].parse().expect("a count")
+    })
+}
+
+/// Checks the model counters of `report`, the `model` run of `name`.
+fn check_model_counters(name: &str, model: &str, report: &RunReport) {
+    let (keys, want) = match model {
+        "dab" => (DAB_COUNTERS.map(|(_, key)| key), committed_fig15(name)),
+        "gpudet" => {
+            let (_, pinned) = GPUDET_RUNS
+                .iter()
+                .find(|(run, _)| *run == name)
+                .expect("pinned GPUDet run");
+            (GPUDET_COUNTERS, *pinned)
+        }
+        _ => return,
+    };
+    let got = keys.map(|key| report.stats.counter(key));
+    assert_eq!(got, want, "{name}/{model}: counters {keys:?} drifted");
+}
+
 /// Runs benchmark `name` of the CI-scale suite under baseline, DAB
-/// (`paper_default`) and GPUDet, and checks each against fig10.
+/// (`paper_default`) and GPUDet, and checks each against fig10 and the
+/// model counters.
 fn check_against_fig10(name: &str) {
     let runner = Runner::at_scale(Scale::Ci);
     let suite = full_suite(Scale::Ci);
@@ -69,6 +149,7 @@ fn check_against_fig10(name: &str) {
             digest,
             "{label}: memory digest drifted from fig10"
         );
+        check_model_counters(name, model, &report);
     }
 }
 

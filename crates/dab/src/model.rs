@@ -31,7 +31,7 @@ use gpu_sim::exec::{
     AtomicIssue, AtomicRoute, BarrierRelease, ExecutionModel, FenceAction, ModelCtx, WarpId,
 };
 use gpu_sim::kernel::CtaDistribution;
-use gpu_sim::mem::packet::{AtomKind, Packet, Payload, RopOp, WarpRef};
+use gpu_sim::mem::packet::{AtomKind, Packet, Payload, RopOp};
 use gpu_sim::mem::partition::{AckTarget, MemPartition, RopWork};
 use gpu_sim::mem::{partition_of, sector_align};
 use gpu_sim::sched::SchedKind;
@@ -126,16 +126,6 @@ pub struct DabModel {
     /// Total entries currently buffered across all buffers.
     total_entries: u64,
     flush_busy_since: Option<u64>,
-    /// Deferred statistic increments, drained into `SimStats` each tick.
-    stat_deltas: Vec<(&'static str, u64)>,
-    /// Largest per-SM flush stream seen since the gauge was last drained
-    /// into `SimStats` (the `det.dab.flush_entries_max` high-watermark).
-    flush_entries_peak: u64,
-    /// Deferred trace events (buffer fills, flush phases, flush-traffic
-    /// injections), drained by the engine after each tick. Only populated
-    /// when `gpu.trace` is enabled — all hooks that push run in the
-    /// engine's fixed hook order, so the queue order is deterministic.
-    trace_events: Vec<obs::Event>,
     /// DAB is toggled off for the currently running kernel (Section IV-G).
     bypassed: bool,
 }
@@ -185,9 +175,6 @@ impl DabModel {
             preflush_delivered: 0,
             total_entries: 0,
             flush_busy_since: None,
-            stat_deltas: Vec::new(),
-            flush_entries_peak: 0,
-            trace_events: Vec::new(),
             bypassed: false,
             gpu: gpu.clone(),
             dab,
@@ -199,44 +186,12 @@ impl DabModel {
         &self.dab
     }
 
-    fn bump(&mut self, name: &'static str, n: u64) {
-        self.stat_deltas.push((name, n));
-    }
-
-    /// Whether summary-level (or deeper) tracing is on for this run.
-    fn trace_on(&self) -> bool {
-        self.gpu.trace.enabled()
-    }
-
-    /// Whether full-detail tracing is on for this run.
-    fn trace_full(&self) -> bool {
-        self.gpu.trace == obs::TraceMode::Full
-    }
-
-    /// Queues a flush-phase transition event (summary level).
-    fn trace_flush(&mut self, cycle: u64, phase: obs::FlushPhase) {
-        if self.trace_on() {
-            self.trace_events.push(obs::Event::Flush { cycle, phase });
-        }
-    }
-
-    /// Queues injection events for flush-protocol packets the model pushes
-    /// into the interconnect itself (the engine traces only the requests
-    /// its issue walk injects).
-    fn trace_inject(&mut self, cycle: u64, cluster: usize, pkt: &Packet) {
-        if self.trace_full() {
-            let kind = match pkt.payload {
-                Payload::PreFlush { .. } => obs::PacketKind::PreFlush,
-                Payload::FlushEntry { .. } => obs::PacketKind::FlushEntry,
-                ref other => unreachable!("model injects only flush traffic, got {other:?}"),
-            };
-            self.trace_events.push(obs::Event::IcntInject {
-                cycle,
-                cluster: cluster as u32,
-                dest: pkt.dest as u32,
-                kind,
-            });
-        }
+    /// Records a flush-phase transition (a summary-level event).
+    fn trace_flush(ctx: &mut ModelCtx<'_>, phase: obs::FlushPhase) {
+        ctx.trace(obs::Event::Flush {
+            cycle: ctx.cycle,
+            phase,
+        });
     }
 
     fn request_flush(&mut self, sm: usize) {
@@ -325,7 +280,12 @@ impl DabModel {
 
     /// Converts SM `sm`'s buffered entries into pre-flush + transaction
     /// packets. Returns `(pre-flush packets, transaction packets)`.
-    fn sm_flush_packets(&mut self, sm: usize, with_preflush: bool) -> (Vec<Packet>, Vec<Packet>) {
+    fn sm_flush_packets(
+        &mut self,
+        sm: usize,
+        with_preflush: bool,
+        ctx: &mut ModelCtx<'_>,
+    ) -> (Vec<Packet>, Vec<Packet>) {
         let parts = self.gpu.num_mem_partitions;
         let flit = self.gpu.icnt_flit_size;
         let stream = self.drain_sm_stream(sm);
@@ -354,25 +314,32 @@ impl DabModel {
                 preflush.push(Packet::new(p, Payload::PreFlush { sm, expected }, flit));
             }
             self.preflush_sent += parts as u64;
-            self.bump("det.dab.preflush_msgs", parts as u64);
+            ctx.stats.bump("det.dab.preflush_msgs", parts as u64);
         }
         let n = packets.len() as u64;
         self.sent += n;
-        self.bump("det.dab.flush_entries", entries);
-        self.bump("det.dab.flush_txs", n);
-        self.bump(FLUSH_ENTRIES_HIST.bucket_key(entries), 1);
-        self.flush_entries_peak = self.flush_entries_peak.max(entries);
+        ctx.stats.bump("det.dab.flush_entries", entries);
+        ctx.stats.bump("det.dab.flush_txs", n);
+        ctx.stats.bump(FLUSH_ENTRIES_HIST.bucket_key(entries), 1);
+        if entries > 0 {
+            ctx.stats.gauge_max("det.dab.flush_entries_max", entries);
+        }
         (preflush, packets)
     }
 
     /// Queues a cluster's flush traffic: all pre-flush messages, then its
     /// SMs' transaction streams *interleaved* round-robin (the SMs push
     /// through the shared injection port concurrently).
-    fn enqueue_cluster_flush(&mut self, cluster: usize, with_preflush: bool) {
+    fn enqueue_cluster_flush(
+        &mut self,
+        cluster: usize,
+        with_preflush: bool,
+        ctx: &mut ModelCtx<'_>,
+    ) {
         let spc = self.gpu.sms_per_cluster;
         let mut streams: Vec<std::collections::VecDeque<Packet>> = Vec::with_capacity(spc);
         for sm in cluster * spc..(cluster + 1) * spc {
-            let (pre, txs) = self.sm_flush_packets(sm, with_preflush);
+            let (pre, txs) = self.sm_flush_packets(sm, with_preflush, ctx);
             self.push_queues[cluster].extend(pre);
             streams.push(txs.into());
         }
@@ -400,10 +367,10 @@ impl DabModel {
             }
         }
         for cluster in 0..self.gpu.num_clusters {
-            self.enqueue_cluster_flush(cluster, with_preflush);
+            self.enqueue_cluster_flush(cluster, with_preflush, ctx);
         }
-        self.bump("det.dab.flushes", 1);
-        self.trace_flush(ctx.cycle, obs::FlushPhase::Start);
+        ctx.stats.bump("det.dab.flushes", 1);
+        Self::trace_flush(ctx, obs::FlushPhase::Start);
     }
 
     fn complete_epoch(&mut self, ctx: &mut ModelCtx<'_>) {
@@ -412,25 +379,30 @@ impl DabModel {
         }
         self.flush_requested.iter_mut().for_each(|f| *f = false);
         if let Some(since) = self.flush_busy_since.take() {
-            self.bump("det.dab.flush_cycles", ctx.cycle - since);
+            ctx.stats.bump("det.dab.flush_cycles", ctx.cycle - since);
         }
         self.phase = Phase::Idle;
-        self.trace_flush(ctx.cycle, obs::FlushPhase::Complete);
+        Self::trace_flush(ctx, obs::FlushPhase::Complete);
     }
 
+    /// Injects cluster `c`'s queued flush packets while its injection port
+    /// has room; returns whether the queue is now empty.
+    fn push_cluster(&mut self, c: usize, ctx: &mut ModelCtx<'_>) -> bool {
+        while let Some(head) = self.push_queues[c].front() {
+            if !ctx.can_inject_request(c, head.flits) {
+                return false;
+            }
+            let pkt = self.push_queues[c].pop_front().expect("front exists");
+            ctx.inject_request(c, pkt);
+        }
+        true
+    }
+
+    /// Pushes every cluster's queue; returns whether all are empty.
     fn push_packets(&mut self, ctx: &mut ModelCtx<'_>) -> bool {
         let mut all_empty = true;
         for c in 0..self.push_queues.len() {
-            while let Some(head) = self.push_queues[c].front() {
-                if ctx.icnt.can_inject_request(c, head.flits) {
-                    let pkt = self.push_queues[c].pop_front().expect("front exists");
-                    self.trace_inject(ctx.cycle, c, &pkt);
-                    ctx.icnt.inject_request(c, pkt);
-                } else {
-                    break;
-                }
-            }
-            all_empty &= self.push_queues[c].is_empty();
+            all_empty &= self.push_cluster(c, ctx);
         }
         all_empty
     }
@@ -458,7 +430,7 @@ impl DabModel {
                         self.complete_epoch(ctx);
                     } else {
                         self.phase = Phase::Drain;
-                        self.trace_flush(ctx.cycle, obs::FlushPhase::Drain);
+                        Self::trace_flush(ctx, obs::FlushPhase::Drain);
                     }
                 }
             }
@@ -477,19 +449,7 @@ impl DabModel {
             if self.cluster_active[c] {
                 // Push this cluster's packets; once pushed, release it
                 // (overlap is inherent to cluster-independent flushing).
-                let mut empty = true;
-                while let Some(head) = self.push_queues[c].front() {
-                    if ctx.icnt.can_inject_request(c, head.flits) {
-                        let pkt = self.push_queues[c].pop_front().expect("front exists");
-                        self.trace_inject(ctx.cycle, c, &pkt);
-                        ctx.icnt.inject_request(c, pkt);
-                    } else {
-                        empty = false;
-                        break;
-                    }
-                }
-                empty &= self.push_queues[c].is_empty();
-                if empty {
+                if self.push_cluster(c, ctx) {
                     for sm in sms.clone() {
                         ctx.wake_flush_waiters(sm);
                         self.flush_requested[sm] = false;
@@ -505,15 +465,15 @@ impl DabModel {
             if want && ctx.sealed(sms.clone()) {
                 self.cluster_active[c] = true;
                 self.flush_busy_since.get_or_insert(ctx.cycle);
-                self.enqueue_cluster_flush(c, false);
-                self.bump("det.dab.flushes", 1);
-                self.trace_flush(ctx.cycle, obs::FlushPhase::Start);
+                self.enqueue_cluster_flush(c, false, ctx);
+                ctx.stats.bump("det.dab.flushes", 1);
+                Self::trace_flush(ctx, obs::FlushPhase::Start);
             }
         }
         if self.cluster_active.iter().all(|&a| !a) {
             if let Some(since) = self.flush_busy_since.take() {
-                self.bump("det.dab.flush_cycles", ctx.cycle - since);
-                self.trace_flush(ctx.cycle, obs::FlushPhase::Complete);
+                ctx.stats.bump("det.dab.flush_cycles", ctx.cycle - since);
+                Self::trace_flush(ctx, obs::FlushPhase::Complete);
             }
         }
     }
@@ -607,11 +567,11 @@ impl ExecutionModel for DabModel {
         }
     }
 
-    fn on_kernel_start(&mut self, name: &str, _total_ctas: usize) {
+    fn on_kernel_start(&mut self, name: &str) {
         self.bypassed = self.dab.bypass_kernels.contains(name);
     }
 
-    fn on_atomic(&mut self, issue: AtomicIssue<'_>, cycle: u64) -> AtomicRoute {
+    fn on_atomic(&mut self, issue: AtomicIssue<'_>, ctx: &mut ModelCtx<'_>) -> AtomicRoute {
         if self.bypassed {
             return AtomicRoute::ToMemory;
         }
@@ -642,11 +602,11 @@ impl ExecutionModel for DabModel {
         self.total_entries += added;
         let fused = accesses.len() as u64 - added;
         if fused > 0 {
-            self.bump("det.dab.fused_ops", fused);
+            ctx.stats.bump("det.dab.fused_ops", fused);
         }
-        if self.trace_full() {
-            self.trace_events.push(obs::Event::BufFill {
-                cycle,
+        if ctx.trace_full() {
+            ctx.trace(obs::Event::BufFill {
+                cycle: ctx.cycle,
                 sm: sm as u32,
                 sched: issue.warp.sched.sched as u32,
                 len: after as u32,
@@ -657,7 +617,7 @@ impl ExecutionModel for DabModel {
         }
     }
 
-    fn on_fence(&mut self, warp: WarpId, _cycle: u64) -> FenceAction {
+    fn on_fence(&mut self, warp: WarpId, _ctx: &mut ModelCtx<'_>) -> FenceAction {
         if self.bypassed {
             return FenceAction::DrainWarp;
         }
@@ -665,7 +625,7 @@ impl ExecutionModel for DabModel {
         FenceAction::WaitFlush
     }
 
-    fn on_barrier_release(&mut self, sm: usize, _warps: &[WarpId], _cycle: u64) -> BarrierRelease {
+    fn on_barrier_release(&mut self, sm: usize, _ctx: &mut ModelCtx<'_>) -> BarrierRelease {
         if self.bypassed {
             return BarrierRelease::Immediate;
         }
@@ -675,7 +635,13 @@ impl ExecutionModel for DabModel {
         BarrierRelease::WaitFlush
     }
 
-    fn on_pre_flush(&mut self, part: &mut MemPartition, sm: usize, expected: u32, _cycle: u64) {
+    fn on_pre_flush(
+        &mut self,
+        part: &mut MemPartition,
+        sm: usize,
+        expected: u32,
+        _ctx: &mut ModelCtx<'_>,
+    ) {
         debug_assert_eq!(self.dab.relax, Relaxation::None);
         self.preflush_delivered += 1;
         self.reorders[part.id()].on_pre_flush(sm, expected, part);
@@ -687,7 +653,7 @@ impl ExecutionModel for DabModel {
         sm: usize,
         seq: u32,
         ops: Vec<RopOp>,
-        _cycle: u64,
+        _ctx: &mut ModelCtx<'_>,
     ) {
         match self.dab.relax {
             Relaxation::None => {
@@ -703,11 +669,9 @@ impl ExecutionModel for DabModel {
         }
     }
 
-    fn on_flush_ack(&mut self, _sm: usize, _cycle: u64) {
+    fn on_flush_ack(&mut self, _sm: usize, _ctx: &mut ModelCtx<'_>) {
         self.acked += 1;
     }
-
-    fn on_atomic_ack(&mut self, _warp: WarpRef, _kind: AtomKind, _remaining: u32, _cycle: u64) {}
 
     fn tick(&mut self, ctx: &mut ModelCtx<'_>) {
         if self.dab.relax == Relaxation::NrCif {
@@ -715,20 +679,6 @@ impl ExecutionModel for DabModel {
         } else {
             self.tick_global(ctx);
         }
-        for (name, n) in std::mem::take(&mut self.stat_deltas) {
-            ctx.stats.bump(name, n);
-        }
-        if self.flush_entries_peak > 0 {
-            ctx.stats
-                .gauge_max("det.dab.flush_entries_max", self.flush_entries_peak);
-            // The stats gauge keeps the max; reset so quiet ticks skip the
-            // map lookup.
-            self.flush_entries_peak = 0;
-        }
-    }
-
-    fn take_trace_events(&mut self) -> Vec<obs::Event> {
-        std::mem::take(&mut self.trace_events)
     }
 
     fn buffered_entries(&self) -> u64 {

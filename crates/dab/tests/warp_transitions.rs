@@ -12,6 +12,10 @@
 //! drain, flush wait, retire drain) and every wake site (barrier release,
 //! flush wake, atom ack, load response, store drain, lock grant) under the
 //! baseline and scheduler- and warp-level DAB, on both engines.
+//!
+//! DAB records a `BufFill` (`B`) event in its atomic hook, inside the issue
+//! walk, so each one must be followed directly by the `Issue` of its `red`
+//! at the same cycle, SM and scheduler.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -23,7 +27,7 @@ use gpu_sim::isa::{AtomicAccess, AtomicOp, Instr, LockKind, MemAccess, Value, Wa
 use gpu_sim::kernel::{CtaSpec, KernelGrid};
 use gpu_sim::ndet::NdetSource;
 use gpu_sim::sched::SchedKind;
-use obs::{Event, SleepReason, TraceMode, WakeSite};
+use obs::{Event, InstrKind, SleepReason, TraceMode, WakeSite};
 
 /// 8 CTAs of 4 warps. Each warp loads, blocks on an `atom`, issues
 /// enough `red`s to fill a 32-entry buffer, crosses a `bar`, stores,
@@ -130,6 +134,8 @@ struct Seen {
     wakes: BTreeSet<&'static str>,
     /// Barrier sleeps followed directly by a flush sleep.
     barrier_to_flush: u64,
+    /// `BufFill` events, each checked to precede its `red`'s issue.
+    buf_fills: u64,
 }
 
 /// Runs `grid` under `model` with full tracing and checks the
@@ -149,8 +155,20 @@ fn check(
     // Per slot, the sleep the warp is in (if any).
     let mut asleep: BTreeMap<(u32, u32), SleepReason> = BTreeMap::new();
     let (mut seen, mut wakes) = (Seen::default(), 0);
-    for ev in &trace.arch {
+    for (i, ev) in trace.arch.iter().enumerate() {
         match *ev {
+            Event::BufFill {
+                cycle, sm, sched, ..
+            } => {
+                let next = trace.arch.get(i + 1);
+                assert!(
+                    matches!(next, Some(&Event::Issue { cycle: c, sm: s, sched: q, kind, .. })
+                        if (c, s, q, kind) == (cycle, sm, sched, InstrKind::Red)),
+                    "{at}: buffer fill at cycle {cycle} SM {sm} scheduler {sched} is followed \
+                     by {next:?}, not by the issue of its red"
+                );
+                seen.buf_fills += 1;
+            }
             Event::Sleep {
                 cycle,
                 sm,
@@ -249,6 +267,9 @@ fn every_sleep_ends_in_its_wake_and_the_wakes_are_counted() {
             if label == "DAB mixed" {
                 // DAB releases every barrier into the flush epoch.
                 assert!(seen.barrier_to_flush > 0, "{label} on {engine:?}");
+            }
+            if label.ends_with("DAB mixed") {
+                assert!(seen.buf_fills > 0, "{label} on {engine:?} buffers no red");
             }
             sleeps.extend(seen.sleeps);
             wakes.extend(seen.wakes);

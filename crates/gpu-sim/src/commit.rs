@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use crate::config::EngineKind;
-use crate::engine::{pkt_kind, GpuSim};
+use crate::engine::GpuSim;
 use crate::exec::{
     AtomicIssue, AtomicRoute, BarrierRelease, FenceAction, SchedId, StoreRoute, WarpId,
 };
@@ -85,18 +85,14 @@ impl GpuSim {
         flits <= self.icnt.request_injection_budget(cluster)
     }
 
-    /// Injects an outbound request packet at SM `sm_idx`'s cluster.
+    /// Injects an outbound request packet at SM `sm_idx`'s cluster, on
+    /// the models' traced path ([`ModelCtx::inject_request`]).
+    ///
+    /// [`ModelCtx::inject_request`]: crate::exec::ModelCtx::inject_request
     fn send(&mut self, sm_idx: usize, pkt: Packet) {
         let cluster = sm_idx / self.cfg.sms_per_cluster;
-        if self.trace_full() {
-            self.trace_event(obs::Event::IcntInject {
-                cycle: self.cycle,
-                cluster: cluster as u32,
-                dest: pkt.dest as u32,
-                kind: pkt_kind(&pkt.payload),
-            });
-        }
-        self.icnt.inject_request(cluster, pkt);
+        let (_, _, mut ctx) = self.model_ctx();
+        ctx.inject_request(cluster, pkt);
     }
 
     /// Issues at most one instruction per warp scheduler, walking SMs and
@@ -197,14 +193,14 @@ impl GpuSim {
     /// so a refused warp is parked: its `bound_at` leaves the event
     /// engine's incremental `ready_bound` fold.
     fn apply_model_gating(&mut self, sm_idx: usize, sched: usize, views: &mut [WarpView]) {
-        let cycle = self.cycle;
+        let (model, _, mut ctx) = self.model_ctx();
         for v in views.iter_mut().filter(|v| v.ready) {
             let warp_id = WarpId {
                 sched: SchedId { sm: sm_idx, sched },
                 slot: v.slot,
                 unique: v.unique,
             };
-            if !self.model.can_issue(warp_id, v.next_is_atomic, cycle) {
+            if !model.can_issue(warp_id, v.next_is_atomic, &mut ctx) {
                 v.ready = false;
                 v.bound_at = u64::MAX;
             }
@@ -294,7 +290,8 @@ impl GpuSim {
             } else {
                 sctx.policy.on_issue(unique, false, cycle);
             }
-            self.model.on_issue(warp_id, was_atomic, cycle);
+            let (model, _, mut ctx) = self.model_ctx();
+            model.on_issue(warp_id, was_atomic, &mut ctx);
             self.try_retire(sm_idx, slot);
         }
     }
@@ -493,7 +490,8 @@ impl GpuSim {
         let cycle = self.cycle;
         let sm_idx = warp_id.sched.sm;
         let slot = warp_id.slot;
-        if self.model.on_store(warp_id, sectors.len(), cycle) == StoreRoute::Buffered {
+        let (model, _, mut ctx) = self.model_ctx();
+        if model.on_store(warp_id, sectors.len(), &mut ctx) == StoreRoute::Buffered {
             // Absorbed by a model-side store buffer: no traffic now.
             let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
             w.pc += 1;
@@ -539,15 +537,14 @@ impl GpuSim {
         let cycle = self.cycle;
         let sm_idx = warp_id.sched.sm;
         let slot = warp_id.slot;
-        let route = self.model.on_atomic(
-            AtomicIssue {
-                warp: warp_id,
-                op,
-                accesses,
-                kind,
-            },
-            cycle,
-        );
+        let (model, _, mut ctx) = self.model_ctx();
+        let issue = AtomicIssue {
+            warp: warp_id,
+            op,
+            accesses,
+            kind,
+        };
+        let route = model.on_atomic(issue, &mut ctx);
         match route {
             AtomicRoute::Buffered { cycles } => {
                 let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
@@ -613,26 +610,13 @@ impl GpuSim {
     }
 
     fn issue_barrier(&mut self, sm_idx: usize, slot: usize) {
-        let (cta_key, warp_id) = {
-            let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
-            w.pc += 1;
-            (
-                w.cta_key,
-                WarpId {
-                    sched: SchedId {
-                        sm: sm_idx,
-                        sched: w.sched,
-                    },
-                    slot,
-                    unique: w.unique,
-                },
-            )
-        };
+        let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
+        w.pc += 1;
+        let cta_key = w.cta_key;
         // The park hands the policy's token/turn on so atomic grants never
         // deadlock behind the barrier; the next holder may be a warp parked
         // as refused.
         self.park(sm_idx, slot, obs::SleepReason::Barrier);
-        self.model.on_barrier_wait(warp_id, self.cycle);
         let barrier = self.sms[sm_idx]
             .barriers
             .get_mut(&cta_key)
@@ -645,7 +629,6 @@ impl GpuSim {
     /// (warps that exited without reaching the barrier no longer count, as
     /// with CUDA's exited-threads semantics).
     fn try_release_barrier(&mut self, sm_idx: usize, cta_key: u64) {
-        let cycle = self.cycle;
         let waiting = {
             let sm = &mut self.sms[sm_idx];
             let Some(barrier) = sm.barriers.get_mut(&cta_key) else {
@@ -658,21 +641,8 @@ impl GpuSim {
             }
             std::mem::take(&mut barrier.waiting_slots)
         };
-        let waiting_ids: Vec<WarpId> = waiting
-            .iter()
-            .map(|&s| {
-                let w = self.sms[sm_idx].warps[s].as_ref().expect("at barrier");
-                WarpId {
-                    sched: SchedId {
-                        sm: sm_idx,
-                        sched: w.sched,
-                    },
-                    slot: s,
-                    unique: w.unique,
-                }
-            })
-            .collect();
-        match self.model.on_barrier_release(sm_idx, &waiting_ids, cycle) {
+        let (model, _, mut ctx) = self.model_ctx();
+        match model.on_barrier_release(sm_idx, &mut ctx) {
             BarrierRelease::Immediate => {
                 for s in waiting {
                     let woke = self.wake(sm_idx, s, obs::WakeSite::Barrier);
@@ -696,7 +666,8 @@ impl GpuSim {
         let cycle = self.cycle;
         let sm_idx = warp_id.sched.sm;
         let slot = warp_id.slot;
-        let action = self.model.on_fence(warp_id, cycle);
+        let (model, _, mut ctx) = self.model_ctx();
+        let action = model.on_fence(warp_id, &mut ctx);
         let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
         w.pc += 1;
         match action {

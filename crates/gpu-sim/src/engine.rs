@@ -244,6 +244,9 @@ pub struct GpuSim {
     pub(crate) locks: LockManager,
     pub(crate) stats: SimStats,
     pub(crate) cycle: u64,
+    /// Every CTA of the current kernel has been placed (updated at each
+    /// placement; [`ModelCtx::kernel_fully_dispatched`]).
+    all_dispatched: bool,
     wakes: Vec<WakeCmd>,
     /// Where the model's next seal query starts ([`ModelCtx::sealed`]).
     seal_witness: usize,
@@ -361,6 +364,7 @@ impl GpuSim {
             values: ValueMem::new(),
             stats: SimStats::default(),
             cycle: 0,
+            all_dispatched: false,
             wakes: Vec::new(),
             seal_witness: 0,
             views: Vec::new(),
@@ -565,7 +569,8 @@ impl GpuSim {
         self.locks.install_prescan(&statics.lock_prescan);
         let dist = self.model.cta_distribution(self.cfg.num_sms());
         let dispatcher = Dispatcher::new(grid, dist, self.cfg.num_sms(), statics);
-        self.model.on_kernel_start(&grid.name, grid.ctas.len());
+        self.all_dispatched = dispatcher.all_dispatched();
+        self.model.on_kernel_start(&grid.name);
         self.last_progress_cycle = self.cycle;
         dispatcher
     }
@@ -610,13 +615,13 @@ impl GpuSim {
             self.dispatch(grid, dispatcher);
             self.prof_record(obs::Phase::Dispatch, span);
             let span = self.prof_start();
-            self.model_tick(dispatcher.all_dispatched());
+            self.model_tick();
             self.prof_record(obs::Phase::ModelTick, span);
             let span = self.prof_start();
             self.apply_wakes();
             self.prof_record(obs::Phase::Wakes, span);
 
-            if self.kernel_done(dispatcher) {
+            if self.kernel_done() {
                 return true;
             }
             let span = self.prof_start();
@@ -677,10 +682,9 @@ impl GpuSim {
         false
     }
 
-    /// Kernel epilogue: model and scheduler boundary hooks, lock reset, and
-    /// the inter-kernel cycle gap.
+    /// Kernel epilogue: scheduler boundary hooks, lock reset, and the
+    /// inter-kernel cycle gap.
     fn end_kernel(&mut self) {
-        self.model.on_kernel_end();
         for sm in &mut self.sms {
             for sched in &mut sm.schedulers {
                 sched.on_kernel_boundary();
@@ -690,8 +694,8 @@ impl GpuSim {
         self.cycle += 1;
     }
 
-    fn kernel_done(&self, dispatcher: &Dispatcher) -> bool {
-        dispatcher.all_dispatched()
+    fn kernel_done(&self) -> bool {
+        self.all_dispatched
             && self.sms.iter().all(|sm| sm.live_warps() == 0)
             && !self.icnt.is_busy()
             && self.partitions.iter().all(|p| !p.is_busy())
@@ -882,17 +886,12 @@ impl GpuSim {
                 }
                 match pkt.payload {
                     Payload::PreFlush { sm, expected } => {
-                        self.model
-                            .on_pre_flush(&mut self.partitions[p], sm, expected, self.cycle);
+                        let (model, partitions, mut ctx) = self.model_ctx();
+                        model.on_pre_flush(&mut partitions[p], sm, expected, &mut ctx);
                     }
                     Payload::FlushEntry { sm, seq, ops } => {
-                        self.model.on_flush_entry(
-                            &mut self.partitions[p],
-                            sm,
-                            seq,
-                            ops,
-                            self.cycle,
-                        );
+                        let (model, partitions, mut ctx) = self.model_ctx();
+                        model.on_flush_entry(&mut partitions[p], sm, seq, ops, &mut ctx);
                     }
                     _ => self.partitions[p].handle_request(pkt, self.cycle),
                 }
@@ -960,14 +959,16 @@ impl GpuSim {
                     }
                     Payload::AtomicAck { warp, kind } => {
                         let remaining = self.complete_write(warp);
-                        self.model.on_atomic_ack(warp, kind, remaining, self.cycle);
+                        let (model, _, mut ctx) = self.model_ctx();
+                        model.on_atomic_ack(warp, kind, remaining, &mut ctx);
                         if kind == AtomKind::Atom {
                             self.wake(warp.sm, warp.slot, obs::WakeSite::AtomAck);
                         }
                         self.try_retire(warp.sm, warp.slot);
                     }
                     Payload::FlushAck { sm } => {
-                        self.model.on_flush_ack(sm, self.cycle);
+                        let (model, _, mut ctx) = self.model_ctx();
+                        model.on_flush_ack(sm, &mut ctx);
                     }
                     other => panic!(
                         "cluster {cluster} received non-response {kind} at cycle {cycle} \
@@ -1055,6 +1056,7 @@ impl GpuSim {
                 let cta = &grid.ctas[cta_idx];
                 if self.sms[sm_idx].can_accept(cta) {
                     dispatcher.static_queues[sm_idx].pop_front();
+                    self.all_dispatched = dispatcher.all_dispatched();
                     let base = dispatcher.statics.unique_bases[cta_idx];
                     let slots = self.sms[sm_idx].add_cta(
                         cta,
@@ -1107,6 +1109,7 @@ impl GpuSim {
                     let cta = &grid.ctas[cta_idx];
                     if self.sms[sm_idx].can_accept(cta) {
                         dispatcher.dynamic_queue.pop_front();
+                        self.all_dispatched = dispatcher.all_dispatched();
                         let base = dispatcher.statics.unique_bases[cta_idx];
                         let slots = self.sms[sm_idx].add_cta(
                             cta,
@@ -1142,10 +1145,29 @@ impl GpuSim {
         }
     }
 
-    /// Ticks the execution model. The context lends the live SMs, so the
-    /// model's seal query ([`ModelCtx::sealed`]) reads the machine only
-    /// when it asks, and stops at the first scheduler that is not sealed.
-    fn model_tick(&mut self, all_dispatched: bool) {
+    /// The execution model, the memory partitions and the context every
+    /// model hook takes, borrowed from disjoint fields: the one place a
+    /// [`ModelCtx`] is built.
+    pub(crate) fn model_ctx(
+        &mut self,
+    ) -> (&mut dyn ExecutionModel, &mut [MemPartition], ModelCtx<'_>) {
+        let ctx = ModelCtx {
+            cycle: self.cycle,
+            cfg: &self.cfg,
+            stats: &mut self.stats,
+            kernel_fully_dispatched: self.all_dispatched,
+            icnt: &mut self.icnt,
+            tracer: self.tracer.as_deref_mut(),
+            sms: &self.sms,
+            det_aware: self.sched_kind.is_determinism_aware(),
+            seal_witness: &mut self.seal_witness,
+            wakes: &mut self.wakes,
+        };
+        (&mut *self.model, &mut self.partitions, ctx)
+    }
+
+    /// Ticks the execution model.
+    fn model_tick(&mut self) {
         if self.sched_kind == SchedKind::Gtrr {
             // Per-cycle, not on demand: GTRR times its switch to round
             // robin by these reports (`WarpScheduler::notes_pending_atomics`;
@@ -1154,26 +1176,8 @@ impl GpuSim {
                 sm.note_pending_atomics();
             }
         }
-        let mut ctx = ModelCtx {
-            cycle: self.cycle,
-            cfg: &self.cfg,
-            icnt: &mut self.icnt,
-            stats: &mut self.stats,
-            sms: &self.sms,
-            det_aware: self.sched_kind.is_determinism_aware(),
-            seal_witness: &mut self.seal_witness,
-            kernel_fully_dispatched: all_dispatched,
-            wakes: &mut self.wakes,
-        };
-        self.model.tick(&mut ctx);
-        // Drain events the model queued while its hooks ran this cycle.
-        // Models only queue when tracing is on (they copy `cfg.trace`), so
-        // untraced runs skip the call entirely.
-        if self.tracer.is_some() {
-            for ev in self.model.take_trace_events() {
-                self.trace_event(ev);
-            }
-        }
+        let (model, _, mut ctx) = self.model_ctx();
+        model.tick(&mut ctx);
     }
 
     fn apply_wakes(&mut self) {
@@ -1647,7 +1651,7 @@ mod tests {
             "refuse-once".to_string()
         }
 
-        fn can_issue(&mut self, _warp: WarpId, _is_atomic: bool, _cycle: u64) -> bool {
+        fn can_issue(&mut self, _warp: WarpId, _is_atomic: bool, _ctx: &mut ModelCtx<'_>) -> bool {
             std::mem::replace(&mut self.refused, true)
         }
     }

@@ -11,20 +11,21 @@
 //!   determinism with store buffers, commit mode, and serialized atomics.
 //!
 //! The engine drives the model through lifecycle callbacks (warp spawn/exit,
-//! kernel boundaries), per-issue hooks (atomics, fences, barriers), packet
+//! kernel start), per-issue hooks (atomics, fences, barriers), packet
 //! delivery hooks (flush entries at partitions, acks at clusters), and a
-//! per-cycle [`tick`](ExecutionModel::tick) with a [`ModelCtx`] that lets
-//! the model inject packets, wake flush-waiting warps and ask whether the
-//! machine is sealed.
+//! per-cycle [`tick`](ExecutionModel::tick). Every hook that acts at a
+//! cycle gets the same [`ModelCtx`]: it lets the model bump counters,
+//! record trace events and inject packets where it acts, read warp state,
+//! wake flush-waiting warps and ask whether the machine is sealed.
 
 use crate::config::GpuConfig;
 use crate::isa::{AtomicAccess, AtomicOp};
 use crate::kernel::CtaDistribution;
 use crate::mem::icnt::Interconnect;
-use crate::mem::packet::{AtomKind, RopOp, WarpRef};
+use crate::mem::packet::{AtomKind, Packet, RopOp, WarpRef};
 use crate::mem::partition::MemPartition;
 use crate::sched::SchedKind;
-use crate::sm::Sm;
+use crate::sm::{Sm, WarpState};
 use crate::stats::SimStats;
 use std::ops::Range;
 
@@ -110,22 +111,29 @@ pub enum BarrierRelease {
     WaitFlush,
 }
 
-/// Mutable per-cycle context the engine lends to the model.
+/// Mutable context the engine lends to every model hook that acts at a
+/// cycle, built in one place (`GpuSim::model_ctx`).
 ///
 /// It borrows the live machine, so what the model asks about the warps
-/// ([`sealed`](Self::sealed), [`live_warps`](Self::live_warps)) is read
-/// when asked and costs nothing on ticks that do not ask.
+/// ([`sealed`](Self::sealed), [`live_warps`](Self::live_warps),
+/// [`warp_state`](Self::warp_state)) is read when asked and costs nothing
+/// on hooks that do not ask, and what it records (counters in
+/// [`stats`](Self::stats), events through [`trace`](Self::trace)) lands
+/// at the point it happens, in the engine's one hook order.
 pub struct ModelCtx<'a> {
     /// Current cycle.
     pub cycle: u64,
     /// Hardware configuration.
     pub cfg: &'a GpuConfig,
-    /// Interconnect, for injecting flush traffic from the cluster side.
-    pub icnt: &'a mut Interconnect,
     /// Run statistics (models add their own named counters).
     pub stats: &'a mut SimStats,
-    /// Every SM, in global index order: what [`sealed`](Self::sealed) and
-    /// [`live_warps`](Self::live_warps) read.
+    /// Every CTA of the current kernel has been dispatched to an SM.
+    pub kernel_fully_dispatched: bool,
+    /// Interconnect, entered through [`inject_request`](Self::inject_request).
+    pub(crate) icnt: &'a mut Interconnect,
+    /// The run's tracer, `None` when tracing is off.
+    pub(crate) tracer: Option<&'a mut obs::Tracer>,
+    /// Every SM, in global index order.
     pub(crate) sms: &'a [Sm],
     /// The machine's scheduling policy is determinism-aware (see
     /// [`Sm::sealed`]).
@@ -133,8 +141,6 @@ pub struct ModelCtx<'a> {
     /// Global index (`sm * num_schedulers_per_sm + sched`) of the scheduler
     /// that last answered "not sealed"; the next seal query starts there.
     pub(crate) seal_witness: &'a mut usize,
-    /// Every CTA of the current kernel has been dispatched to an SM.
-    pub kernel_fully_dispatched: bool,
     /// Wake commands collected this cycle, applied by the engine after the
     /// model's tick returns.
     pub(crate) wakes: &'a mut Vec<WakeCmd>,
@@ -186,9 +192,41 @@ impl ModelCtx<'_> {
             .sum()
     }
 
-    /// Cluster housing a given SM.
-    pub fn cluster_of_sm(&self, sm: usize) -> usize {
-        sm / self.cfg.sms_per_cluster
+    /// The engine state of the warp in `warp`'s slot (`None` if empty).
+    pub fn warp_state(&self, warp: WarpRef) -> Option<WarpState> {
+        self.sms[warp.sm].warps[warp.slot].as_ref().map(|w| w.state)
+    }
+
+    /// Records a trace event, if tracing is on at the event's level.
+    pub fn trace(&mut self, ev: obs::Event) {
+        if let Some(t) = self.tracer.as_deref_mut() {
+            t.record(ev);
+        }
+    }
+
+    /// Whether full-detail tracing is on (gate the construction of
+    /// full-level events on it).
+    pub fn trace_full(&self) -> bool {
+        self.tracer.as_deref().is_some_and(obs::Tracer::is_full)
+    }
+
+    /// Whether cluster `cluster` can inject a request of `flits` flits now.
+    pub fn can_inject_request(&self, cluster: usize, flits: u32) -> bool {
+        self.icnt.can_inject_request(cluster, flits)
+    }
+
+    /// Injects a request packet at cluster `cluster` and traces it: the
+    /// one injection path, which the issue walk's requests take too.
+    pub fn inject_request(&mut self, cluster: usize, pkt: Packet) {
+        if self.trace_full() {
+            self.trace(obs::Event::IcntInject {
+                cycle: self.cycle,
+                cluster: cluster as u32,
+                dest: pkt.dest as u32,
+                kind: crate::engine::pkt_kind(&pkt.payload),
+            });
+        }
+        self.icnt.inject_request(cluster, pkt);
     }
 
     /// Wakes every flush-waiting warp of SM `sm` (after a flush epoch
@@ -228,11 +266,13 @@ pub enum WakeCmd {
 /// # Threading contract
 ///
 /// Every hook on this trait runs on the one thread that drives the
-/// simulation, in the same fixed (cluster, SM, scheduler) order.
+/// simulation, in the same fixed (cluster, SM, scheduler) order, next to
+/// the live machine: a hook that acts at a cycle gets a [`ModelCtx`] and
+/// records its counters and trace events through it as it acts.
 /// Implementations may therefore keep plain mutable state and need no
-/// internal synchronization; the `Send` bound exists only because the
-/// engine itself may migrate between threads (e.g. when a sweep job runs
-/// on a `DAB_JOBS` worker).
+/// internal synchronization or deferral queues; the `Send` bound exists
+/// only because the engine itself may migrate between threads (e.g. when
+/// a sweep job runs on a `DAB_JOBS` worker).
 #[allow(unused_variables)]
 pub trait ExecutionModel: std::fmt::Debug + Send {
     /// Human-readable model name (used in experiment reports).
@@ -257,11 +297,8 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
         CtaDistribution::Dynamic
     }
 
-    /// A kernel is starting (`total_ctas` CTAs will be dispatched).
-    fn on_kernel_start(&mut self, name: &str, total_ctas: usize) {}
-
-    /// The current kernel fully drained (all warps exited, model quiescent).
-    fn on_kernel_end(&mut self) {}
+    /// Kernel `name` is starting.
+    fn on_kernel_start(&mut self, name: &str) {}
 
     /// A warp was placed in a hardware slot.
     fn on_warp_spawn(&mut self, warp: WarpId) {}
@@ -290,39 +327,43 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
     /// lapse on its own deadlocks there, and the dense engine, which asks
     /// again at every visit, panics on the broken skip rule.
     /// Only the first refusal may change model state.
-    fn can_issue(&mut self, warp: WarpId, is_atomic: bool, cycle: u64) -> bool {
+    fn can_issue(&mut self, warp: WarpId, is_atomic: bool, ctx: &mut ModelCtx<'_>) -> bool {
         true
     }
 
     /// An instruction was issued (after routing hooks).
-    fn on_issue(&mut self, warp: WarpId, is_atomic: bool, cycle: u64) {}
+    fn on_issue(&mut self, warp: WarpId, is_atomic: bool, ctx: &mut ModelCtx<'_>) {}
 
     /// Routes an atomic instruction.
-    fn on_atomic(&mut self, issue: AtomicIssue<'_>, cycle: u64) -> AtomicRoute {
+    fn on_atomic(&mut self, issue: AtomicIssue<'_>, ctx: &mut ModelCtx<'_>) -> AtomicRoute {
         AtomicRoute::ToMemory
     }
 
     /// Routes a global store of `sectors` write-through transactions.
-    fn on_store(&mut self, warp: WarpId, sectors: usize, cycle: u64) -> StoreRoute {
+    fn on_store(&mut self, warp: WarpId, sectors: usize, ctx: &mut ModelCtx<'_>) -> StoreRoute {
         StoreRoute::Direct
     }
 
-    /// A warp arrived at a CTA barrier and is now waiting.
-    fn on_barrier_wait(&mut self, warp: WarpId, cycle: u64) {}
-
     /// Handles a memory fence.
-    fn on_fence(&mut self, warp: WarpId, cycle: u64) -> FenceAction {
+    fn on_fence(&mut self, warp: WarpId, ctx: &mut ModelCtx<'_>) -> FenceAction {
         FenceAction::DrainWarp
     }
 
-    /// All warps of a CTA reached the barrier; how are they released?
-    /// `warps` lists the releasing warps (in slot order).
-    fn on_barrier_release(&mut self, sm: usize, warps: &[WarpId], cycle: u64) -> BarrierRelease {
+    /// All warps of a CTA on SM `sm` reached the barrier; how are they
+    /// released?
+    fn on_barrier_release(&mut self, sm: usize, ctx: &mut ModelCtx<'_>) -> BarrierRelease {
         BarrierRelease::Immediate
     }
 
     /// A DAB `PreFlush` packet arrived at a partition.
-    fn on_pre_flush(&mut self, part: &mut MemPartition, sm: usize, expected: u32, cycle: u64) {}
+    fn on_pre_flush(
+        &mut self,
+        part: &mut MemPartition,
+        sm: usize,
+        expected: u32,
+        ctx: &mut ModelCtx<'_>,
+    ) {
+    }
 
     /// A DAB `FlushEntry` packet arrived at a partition. The model decides
     /// when (and in what order) to [`MemPartition::enqueue_rop`] the ops.
@@ -332,17 +373,24 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
         sm: usize,
         seq: u32,
         ops: Vec<RopOp>,
-        cycle: u64,
+        ctx: &mut ModelCtx<'_>,
     ) {
     }
 
     /// A `FlushAck` packet was delivered back to SM `sm`'s cluster.
-    fn on_flush_ack(&mut self, sm: usize, cycle: u64) {}
+    fn on_flush_ack(&mut self, sm: usize, ctx: &mut ModelCtx<'_>) {}
 
     /// An `AtomicAck` was delivered back to the issuing warp's cluster.
     /// `remaining` is the warp's outstanding write/atomic transaction count
     /// after this ack (GPUDet's serial mode advances at zero).
-    fn on_atomic_ack(&mut self, warp: WarpRef, kind: AtomKind, remaining: u32, cycle: u64) {}
+    fn on_atomic_ack(
+        &mut self,
+        warp: WarpRef,
+        kind: AtomKind,
+        remaining: u32,
+        ctx: &mut ModelCtx<'_>,
+    ) {
+    }
 
     /// Per-cycle model work (flush controllers, quantum state machines).
     /// Runs after the cycle's issue and dispatch; `ctx` answers questions
@@ -370,18 +418,6 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
     /// whenever the model is not quiescent.
     fn needs_tick(&self) -> bool {
         !self.quiescent()
-    }
-
-    /// Drains trace events the model queued since the last call.
-    ///
-    /// Model hooks have no tracer access, so — like deferred stat deltas —
-    /// tracing models push [`obs::Event`]s onto an internal queue and hand
-    /// them to the engine here, right after [`tick`](Self::tick), keeping
-    /// the trace in commit order. Models that
-    /// do not trace keep the default (empty, allocation-free). Only called
-    /// when tracing is enabled.
-    fn take_trace_events(&mut self) -> Vec<obs::Event> {
-        Vec::new()
     }
 
     /// Total entries currently buffered by the model (DAB's atomic
@@ -421,7 +457,26 @@ mod tests {
     use super::*;
     use crate::isa::{Instr, Value, WarpProgram};
     use crate::kernel::CtaSpec;
-    use crate::sm::WarpState;
+    use crate::mem::packet::Payload;
+
+    /// Runs `f` with a context over no SMs at cycle 0.
+    fn with_ctx<R>(f: impl FnOnce(&mut ModelCtx<'_>) -> R) -> R {
+        let cfg = GpuConfig::tiny();
+        let (mut icnt, mut stats) = (Interconnect::new(&cfg), SimStats::default());
+        let (mut witness, mut wakes) = (0, Vec::new());
+        f(&mut ModelCtx {
+            cycle: 0,
+            cfg: &cfg,
+            stats: &mut stats,
+            kernel_fully_dispatched: false,
+            icnt: &mut icnt,
+            tracer: None,
+            sms: &[],
+            det_aware: false,
+            seal_witness: &mut witness,
+            wakes: &mut wakes,
+        })
+    }
 
     #[test]
     fn baseline_defaults() {
@@ -434,9 +489,11 @@ mod tests {
             slot: 0,
             unique: 0,
         };
-        assert!(m.can_issue(warp, true, 0));
-        assert_eq!(m.on_fence(warp, 0), FenceAction::DrainWarp);
-        assert_eq!(m.on_barrier_release(0, &[], 0), BarrierRelease::Immediate);
+        with_ctx(|ctx| {
+            assert!(m.can_issue(warp, true, ctx));
+            assert_eq!(m.on_fence(warp, ctx), FenceAction::DrainWarp);
+            assert_eq!(m.on_barrier_release(0, ctx), BarrierRelease::Immediate);
+        });
         assert!(m.quiescent());
         assert!(m.allow_dispatch());
     }
@@ -459,7 +516,10 @@ mod tests {
             accesses: &accesses,
             kind: AtomKind::Red,
         };
-        assert_eq!(m.on_atomic(issue, 0), AtomicRoute::ToMemory);
+        assert_eq!(
+            with_ctx(|ctx| m.on_atomic(issue, ctx)),
+            AtomicRoute::ToMemory
+        );
     }
 
     #[test]
@@ -485,19 +545,35 @@ mod tests {
         let slots = sms[1].add_cta(&cta, 0, 0, &metas);
         let mut wakes = Vec::new();
         let mut witness = 0;
+        let mut tracer = obs::Tracer::new(obs::TraceMode::Full, 1024);
         let mut ctx = ModelCtx {
             cycle: 5,
             cfg: &cfg,
             icnt: &mut icnt,
             stats: &mut stats,
+            tracer: Some(&mut tracer),
             sms: &sms,
             det_aware: true,
             seal_witness: &mut witness,
             kernel_fully_dispatched: false,
             wakes: &mut wakes,
         };
-        assert_eq!(ctx.cluster_of_sm(1), 1); // tiny: 1 SM per cluster
         assert_eq!(ctx.live_warps(), 5);
+        let warp = WarpRef {
+            sm: 1,
+            slot: slots[0],
+        };
+        assert_eq!(ctx.warp_state(warp), Some(WarpState::Ready));
+        assert_eq!(ctx.warp_state(WarpRef { sm: 0, slot: 0 }), None);
+        // The one injection path queues the packet and traces it.
+        assert!(ctx.trace_full() && ctx.can_inject_request(1, 1));
+        let pkt = Packet::new(
+            0,
+            Payload::PreFlush { sm: 1, expected: 0 },
+            cfg.icnt_flit_size,
+        );
+        ctx.inject_request(1, pkt);
+        assert_eq!(ctx.icnt.queued_injection_flits(), 1);
         // SM 0 is empty and sealed; SM 1's scheduler 0 (global 4) is the
         // first that is not, and the query leaves its witness there.
         assert!(ctx.sealed(0..1));
@@ -514,11 +590,13 @@ mod tests {
         for &slot in &slots[..4] {
             sms[1].park(slot, WarpState::WaitFlush, 6);
         }
+        assert_eq!(tracer.event_count(), 1);
         let mut ctx = ModelCtx {
             cycle: 6,
             cfg: &cfg,
             icnt: &mut icnt,
             stats: &mut stats,
+            tracer: None,
             sms: &sms,
             det_aware: true,
             seal_witness: &mut witness,

@@ -458,7 +458,6 @@ enum GtrrPhase {
 pub struct Gtrr {
     phase: GtrrPhase,
     reached: BTreeSet<u64>,
-    live: BTreeSet<u64>,
     gto: Gto,
     srr: Srr,
 }
@@ -469,7 +468,6 @@ impl Gtrr {
         Self {
             phase: GtrrPhase::Greedy,
             reached: BTreeSet::new(),
-            live: BTreeSet::new(),
             gto: Gto::new(),
             srr: Srr::new(),
         }
@@ -493,12 +491,10 @@ impl WarpScheduler for Gtrr {
     }
 
     fn on_warp_arrive(&mut self, unique: u64) {
-        self.live.insert(unique);
         self.srr.on_warp_arrive(unique);
     }
 
     fn on_warp_exit(&mut self, unique: u64) {
-        self.live.remove(&unique);
         self.reached.remove(&unique);
         self.gto.on_warp_exit(unique);
         self.srr.on_warp_exit(unique);
@@ -520,7 +516,7 @@ impl WarpScheduler for Gtrr {
             }
             // The switch point is reached deterministically: every live warp
             // is parked at its first atomic (or has exited).
-            if self.live.iter().all(|u| self.reached.contains(u)) {
+            if self.srr.live.iter().all(|u| self.reached.contains(u)) {
                 self.phase = GtrrPhase::RoundRobin;
             }
         }
@@ -544,7 +540,7 @@ impl WarpScheduler for Gtrr {
     fn note_atomic_pending(&mut self, unique: u64) {
         if self.phase == GtrrPhase::Greedy {
             self.reached.insert(unique);
-            if self.live.iter().all(|u| self.reached.contains(u)) {
+            if self.srr.live.iter().all(|u| self.reached.contains(u)) {
                 self.phase = GtrrPhase::RoundRobin;
             }
         }
@@ -573,44 +569,121 @@ impl WarpScheduler for Gtrr {
     }
 }
 
-/// Greedy-Then-Atomic-Round-Robin: atomics execute one at a time per
-/// scheduler, in round-robin warp order (each atomic is a scheduler-level
-/// barrier); non-atomic instructions schedule greedily around them
-/// (Fig. 7c).
+/// The atomic token ring GTAR and GWAT share: a cursor cycles through the
+/// live warps in `unique` order, and the *effective holder* — the first
+/// live warp at or after the cursor that is not parked at a CTA barrier —
+/// is the only warp whose atomic may issue. Non-atomic instructions
+/// schedule greedily ([`Gto`]) around it.
 ///
-/// Warps parked at CTA barriers are transparent to the turn rotation:
-/// parking is a program-order event and un-parking happens at flush
-/// boundaries, so the grant sequence stays deterministic while barrier
-/// dependencies can never deadlock the rotation.
-#[derive(Debug)]
-pub struct Gtar {
+/// Warps parked at CTA barriers are transparent to the rotation: parking
+/// is a program-order event and un-parking happens at flush boundaries, so
+/// the grant sequence stays deterministic while barrier dependencies can
+/// never deadlock it.
+#[derive(Debug, Default)]
+struct TokenRing {
     live: BTreeSet<u64>,
     /// Warps currently waiting at a CTA barrier.
     parked: BTreeSet<u64>,
-    /// Rotation cursor; the effective turn-holder is the first non-parked
-    /// live warp at or after it.
+    /// Rotation cursor.
     cursor: Option<u64>,
+    gto: Gto,
+}
+
+impl TokenRing {
+    /// First non-parked live warp at or after the cursor (cyclic), if any.
+    fn holder(&self) -> Option<u64> {
+        let cur = self.cursor?;
+        let mut u = if self.live.contains(&cur) {
+            cur
+        } else {
+            next_in_set_after(&self.live, cur)?
+        };
+        for _ in 0..self.live.len() {
+            if !self.parked.contains(&u) {
+                return Some(u);
+            }
+            u = next_in_set_after(&self.live, u)?;
+        }
+        None
+    }
+
+    fn arrive(&mut self, unique: u64) {
+        self.live.insert(unique);
+        if self.cursor.is_none() {
+            // At kernel launch the smallest warp id holds the token.
+            self.cursor = self.live.iter().next().copied();
+        }
+    }
+
+    fn exit(&mut self, unique: u64) {
+        self.live.remove(&unique);
+        self.parked.remove(&unique);
+        if self.cursor == Some(unique) {
+            self.cursor = if self.live.is_empty() {
+                None
+            } else {
+                next_in_set_after(&self.live, unique)
+            };
+        }
+        self.gto.on_warp_exit(unique);
+    }
+
+    fn kernel_boundary(&mut self) {
+        self.cursor = self.live.iter().next().copied();
+        self.parked.clear();
+        self.gto.on_kernel_boundary();
+    }
+
+    /// The holder's ready atomic if `atomics_open`, else the greedy pick
+    /// among non-atomics: warps wanting an atomic without the token stall.
+    fn pick(&self, views: &[WarpView], atomics_open: bool) -> Option<usize> {
+        if atomics_open {
+            if let Some(token) = self.holder() {
+                if let Some(v) = views
+                    .iter()
+                    .find(|v| v.unique == token && v.ready && v.next_is_atomic)
+                {
+                    return Some(v.slot);
+                }
+            }
+        }
+        self.gto.pick_among(views, |v| !v.next_is_atomic)
+    }
+
+    /// Holder `unique` issued its atomic: the token moves past it.
+    fn pass(&mut self, unique: u64) {
+        debug_assert_eq!(Some(unique), self.holder(), "atomic without the token");
+        self.cursor = next_in_set_after(&self.live, unique);
+    }
+
+    fn grant(&self) -> AtomicGrant {
+        // Only the holder may issue an atomic; its own pending atomic
+        // resolves by itself.
+        self.holder().map_or(AtomicGrant::Nobody, AtomicGrant::Only)
+    }
+}
+
+/// Greedy-Then-Atomic-Round-Robin: atomics execute one at a time per
+/// scheduler, in round-robin warp order (each atomic is a scheduler-level
+/// barrier); non-atomic instructions schedule greedily around them
+/// (Fig. 7c). The turn rotates on a `TokenRing`; an atomic issue also
+/// closes the atomic path for the serialization interval.
+#[derive(Debug)]
+pub struct Gtar {
+    ring: TokenRing,
     /// Serialization: no second atomic may issue before this cycle.
     atomic_busy_until: u64,
     atomic_exec_latency: u32,
-    gto: Gto,
 }
 
 impl Gtar {
     /// Creates a GTAR scheduler with the given atomic serialization latency.
     pub fn new(atomic_exec_latency: u32) -> Self {
         Self {
-            live: BTreeSet::new(),
-            parked: BTreeSet::new(),
-            cursor: None,
+            ring: TokenRing::default(),
             atomic_busy_until: 0,
             atomic_exec_latency,
-            gto: Gto::new(),
         }
-    }
-
-    fn effective_holder(&self) -> Option<u64> {
-        effective_holder(&self.live, &self.parked, self.cursor)
     }
 }
 
@@ -620,114 +693,63 @@ impl WarpScheduler for Gtar {
     }
 
     fn on_warp_arrive(&mut self, unique: u64) {
-        self.live.insert(unique);
-        if self.cursor.is_none() {
-            self.cursor = self.live.iter().next().copied();
-        }
+        self.ring.arrive(unique);
     }
 
     fn on_warp_exit(&mut self, unique: u64) {
-        self.live.remove(&unique);
-        self.parked.remove(&unique);
-        if self.cursor == Some(unique) {
-            self.cursor = if self.live.is_empty() {
-                None
-            } else {
-                next_in_set_after(&self.live, unique)
-            };
-        }
-        self.gto.on_warp_exit(unique);
+        self.ring.exit(unique);
     }
 
     fn on_kernel_boundary(&mut self) {
-        self.cursor = self.live.iter().next().copied();
-        self.parked.clear();
+        self.ring.kernel_boundary();
         self.atomic_busy_until = 0;
-        self.gto.on_kernel_boundary();
     }
 
     fn pick(&mut self, views: &[WarpView], cycle: u64) -> Option<usize> {
-        // Atomic path: only the effective turn-holder, only when the
-        // previous atomic has drained.
-        if cycle >= self.atomic_busy_until {
-            if let Some(turn) = self.effective_holder() {
-                if let Some(v) = views
-                    .iter()
-                    .find(|v| v.unique == turn && v.ready && v.next_is_atomic)
-                {
-                    return Some(v.slot);
-                }
-            }
-        }
-        // Greedy path for non-atomics.
-        self.gto.pick_among(views, |v| !v.next_is_atomic)
+        self.ring.pick(views, cycle >= self.atomic_busy_until)
     }
 
     fn on_issue(&mut self, unique: u64, was_atomic: bool, cycle: u64) {
         if was_atomic {
-            debug_assert_eq!(Some(unique), self.effective_holder(), "atomic out of turn");
             self.atomic_busy_until = cycle + self.atomic_exec_latency as u64;
-            self.cursor = next_in_set_after(&self.live, unique);
+            self.ring.pass(unique);
         } else {
-            self.gto.on_issue(unique, false, cycle);
+            self.ring.gto.on_issue(unique, false, cycle);
         }
     }
 
     fn on_barrier_arrival(&mut self, unique: u64) {
-        self.parked.insert(unique);
+        self.ring.parked.insert(unique);
     }
 
     fn on_barrier_released(&mut self, unique: u64) {
-        self.parked.remove(&unique);
+        self.ring.parked.remove(&unique);
     }
 
     fn atomic_grant(&self) -> AtomicGrant {
-        // Only the effective turn-holder may issue; its own pending atomic
-        // resolves by itself (after the serialization interval).
-        self.effective_holder()
-            .map_or(AtomicGrant::Nobody, AtomicGrant::Only)
+        self.ring.grant()
     }
 }
 
-/// Greedy-With-Atomic-Token: a token cycles through warps in `unique` order;
-/// only the holder may *issue* an atomic (passing the token on issue or
-/// exit), while non-atomic instructions schedule greedily (Fig. 7d). The
-/// paper's best performing determinism-aware policy.
-///
-/// As with [`Gtar`], warps parked at CTA barriers are transparent to the
-/// token rotation, keeping the atomic grant sequence deterministic without
-/// deadlocking on barrier dependencies.
-#[derive(Debug)]
+/// Greedy-With-Atomic-Token: a token cycles through warps in `unique` order
+/// on a `TokenRing`; only the holder may *issue* an atomic (passing the
+/// token on issue or exit), while non-atomic instructions schedule
+/// greedily (Fig. 7d). The paper's best performing determinism-aware
+/// policy.
+#[derive(Debug, Default)]
 pub struct Gwat {
-    live: BTreeSet<u64>,
-    /// Warps currently waiting at a CTA barrier.
-    parked: BTreeSet<u64>,
-    /// Rotation cursor; the effective holder is the first non-parked live
-    /// warp at or after it.
-    cursor: Option<u64>,
-    gto: Gto,
+    ring: TokenRing,
 }
 
 impl Gwat {
     /// Creates a GWAT scheduler.
     pub fn new() -> Self {
-        Self {
-            live: BTreeSet::new(),
-            parked: BTreeSet::new(),
-            cursor: None,
-            gto: Gto::new(),
-        }
+        Self::default()
     }
 
     /// Current effective token holder, if any (for tests and tracing).
     pub fn token_holder(&self) -> Option<u64> {
-        effective_holder(&self.live, &self.parked, self.cursor)
-    }
-}
-
-impl Default for Gwat {
-    fn default() -> Self {
-        Self::new()
+        self.ring.holder()
     }
 }
 
@@ -737,89 +759,39 @@ impl WarpScheduler for Gwat {
     }
 
     fn on_warp_arrive(&mut self, unique: u64) {
-        self.live.insert(unique);
-        if self.cursor.is_none() {
-            // At kernel launch the smallest warp id holds the token.
-            self.cursor = self.live.iter().next().copied();
-        }
+        self.ring.arrive(unique);
     }
 
     fn on_warp_exit(&mut self, unique: u64) {
-        self.live.remove(&unique);
-        self.parked.remove(&unique);
-        if self.cursor == Some(unique) {
-            self.cursor = if self.live.is_empty() {
-                None
-            } else {
-                next_in_set_after(&self.live, unique)
-            };
-        }
-        self.gto.on_warp_exit(unique);
+        self.ring.exit(unique);
     }
 
     fn on_kernel_boundary(&mut self) {
-        self.cursor = self.live.iter().next().copied();
-        self.parked.clear();
-        self.gto.on_kernel_boundary();
+        self.ring.kernel_boundary();
     }
 
     fn pick(&mut self, views: &[WarpView], _cycle: u64) -> Option<usize> {
-        // The token holder's pending atomic has priority.
-        if let Some(token) = self.token_holder() {
-            if let Some(v) = views
-                .iter()
-                .find(|v| v.unique == token && v.ready && v.next_is_atomic)
-            {
-                return Some(v.slot);
-            }
-        }
-        // Warps wanting an atomic without the token stall; others are greedy.
-        self.gto.pick_among(views, |v| !v.next_is_atomic)
+        self.ring.pick(views, true)
     }
 
     fn on_issue(&mut self, unique: u64, was_atomic: bool, cycle: u64) {
         if was_atomic {
-            debug_assert_eq!(Some(unique), self.token_holder(), "atomic without token");
-            self.cursor = next_in_set_after(&self.live, unique);
+            self.ring.pass(unique);
         }
-        self.gto.on_issue(unique, was_atomic, cycle);
+        self.ring.gto.on_issue(unique, was_atomic, cycle);
     }
 
     fn on_barrier_arrival(&mut self, unique: u64) {
-        self.parked.insert(unique);
+        self.ring.parked.insert(unique);
     }
 
     fn on_barrier_released(&mut self, unique: u64) {
-        self.parked.remove(&unique);
+        self.ring.parked.remove(&unique);
     }
 
     fn atomic_grant(&self) -> AtomicGrant {
-        // Warps without the token stall on atomics; the holder's pending
-        // atomic issues by itself.
-        self.token_holder()
-            .map_or(AtomicGrant::Nobody, AtomicGrant::Only)
+        self.ring.grant()
     }
-}
-
-/// First non-parked live warp at or after `cursor` (cyclic), if any.
-fn effective_holder(
-    live: &BTreeSet<u64>,
-    parked: &BTreeSet<u64>,
-    cursor: Option<u64>,
-) -> Option<u64> {
-    let cur = cursor?;
-    let mut u = if live.contains(&cur) {
-        cur
-    } else {
-        next_in_set_after(live, cur)?
-    };
-    for _ in 0..live.len() {
-        if !parked.contains(&u) {
-            return Some(u);
-        }
-        u = next_in_set_after(live, u)?;
-    }
-    None
 }
 
 #[cfg(test)]

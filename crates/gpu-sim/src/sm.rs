@@ -1364,6 +1364,7 @@ mod tests {
                                 cfg: &cfg,
                                 icnt: &mut icnt,
                                 stats: &mut stats,
+                                tracer: None,
                                 sms: &sms,
                                 det_aware,
                                 seal_witness: &mut witness,

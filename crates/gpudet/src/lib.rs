@@ -22,9 +22,11 @@
 //!   atomic-intensive workloads (Fig. 3).
 //!
 //! The per-mode cycle breakdown is exported through the statistics counters
-//! `gpudet.parallel_cycles`, `gpudet.commit_cycles` and
-//! `gpudet.serial_cycles`, which the `fig03_gpudet_breakdown` bench target
-//! turns back into the paper's Fig. 3.
+//! `det.gpudet.parallel_cycles`, `det.gpudet.commit_cycles` and
+//! `det.gpudet.serial_cycles` (next to `det.gpudet.quanta`), which the
+//! `fig03_gpudet_breakdown` bench target turns back into the paper's Fig. 3.
+//! The model bumps them, and traces its mode changes, through the
+//! [`ModelCtx`] of the tick that changes mode.
 //!
 //! # Examples
 //!
@@ -56,7 +58,7 @@ use gpu_sim::config::GpuConfig;
 use gpu_sim::exec::{AtomicIssue, AtomicRoute, ExecutionModel, ModelCtx, StoreRoute, WarpId};
 use gpu_sim::kernel::CtaDistribution;
 use gpu_sim::mem::packet::{AtomKind, WarpRef};
-use gpu_sim::sched::SchedKind;
+use gpu_sim::sm::WarpState;
 
 /// GPUDet tuning parameters.
 ///
@@ -97,8 +99,6 @@ struct WarpInfo {
     done: bool,
     /// Stopped at an atomic; must run in serial mode.
     pending_atomic: bool,
-    /// Waiting at a CTA barrier.
-    at_barrier: bool,
 }
 
 /// The GPUDet execution model.
@@ -109,6 +109,7 @@ pub struct GpuDetModel {
     /// Live warps keyed by deterministic unique id (the serial-mode order).
     warps: BTreeMap<u64, WarpInfo>,
     mode: Mode,
+    /// Cycle up to which the mode's cycle counter has been charged.
     mode_entered: u64,
     /// Store-buffer entries accumulated this quantum (whole GPU).
     store_entries: u64,
@@ -117,16 +118,6 @@ pub struct GpuDetModel {
     serial_current: Option<u64>,
     /// The current serial warp has issued and awaits its last write-back.
     awaiting_ack: bool,
-    parallel_cycles: u64,
-    commit_cycles: u64,
-    serial_cycles: u64,
-    quanta: u64,
-    reported: [u64; 4],
-    /// Trace mode copied from the GPU config; gates mode-change events.
-    trace: obs::TraceMode,
-    /// Deferred mode-transition trace events, drained by the engine after
-    /// each tick (all pushes happen in the engine's fixed hook order).
-    trace_events: Vec<obs::Event>,
 }
 
 impl GpuDetModel {
@@ -147,13 +138,6 @@ impl GpuDetModel {
             commit_until: 0,
             serial_current: None,
             awaiting_ack: false,
-            parallel_cycles: 0,
-            commit_cycles: 0,
-            serial_cycles: 0,
-            quanta: 0,
-            reported: [0; 4],
-            trace: gpu.trace,
-            trace_events: Vec::new(),
         }
     }
 
@@ -162,21 +146,25 @@ impl GpuDetModel {
         &self.cfg
     }
 
-    fn account_mode(&mut self, now: u64) {
-        let elapsed = now.saturating_sub(self.mode_entered);
-        match self.mode {
-            Mode::Parallel => self.parallel_cycles += elapsed,
-            Mode::Commit => self.commit_cycles += elapsed,
-            Mode::Serial => self.serial_cycles += elapsed,
+    /// Charges the cycles since the last charge to the current mode.
+    fn account_mode(&mut self, ctx: &mut ModelCtx<'_>) {
+        let elapsed = ctx.cycle.saturating_sub(self.mode_entered);
+        if elapsed > 0 {
+            let counter = match self.mode {
+                Mode::Parallel => "det.gpudet.parallel_cycles",
+                Mode::Commit => "det.gpudet.commit_cycles",
+                Mode::Serial => "det.gpudet.serial_cycles",
+            };
+            ctx.stats.bump(counter, elapsed);
         }
-        self.mode_entered = now;
+        self.mode_entered = ctx.cycle;
     }
 
-    fn enter_mode(&mut self, mode: Mode, now: u64) {
-        self.account_mode(now);
-        if self.trace.enabled() && mode != self.mode {
-            self.trace_events.push(obs::Event::ModeChange {
-                cycle: now,
+    fn enter_mode(&mut self, mode: Mode, ctx: &mut ModelCtx<'_>) {
+        self.account_mode(ctx);
+        if mode != self.mode {
+            ctx.trace(obs::Event::ModeChange {
+                cycle: ctx.cycle,
                 mode: match mode {
                     Mode::Parallel => obs::DetMode::Parallel,
                     Mode::Commit => obs::DetMode::Commit,
@@ -187,12 +175,13 @@ impl GpuDetModel {
         self.mode = mode;
     }
 
-    fn quantum_complete(&self) -> bool {
+    /// Every live warp has used its quantum, stopped at an atomic, or
+    /// waits at a CTA barrier (read from the engine's warp state).
+    fn quantum_complete(&self, ctx: &ModelCtx<'_>) -> bool {
         !self.warps.is_empty()
-            && self
-                .warps
-                .values()
-                .all(|w| w.done || w.pending_atomic || w.at_barrier)
+            && self.warps.values().all(|w| {
+                w.done || w.pending_atomic || ctx.warp_state(w.warp) == Some(WarpState::WaitBarrier)
+            })
     }
 
     fn commit_duration(&self) -> u64 {
@@ -200,11 +189,11 @@ impl GpuDetModel {
         self.cfg.commit_base_cycles as u64 + self.store_entries.div_ceil(bw)
     }
 
-    fn start_commit(&mut self, now: u64) {
-        self.enter_mode(Mode::Commit, now);
-        self.commit_until = now + self.commit_duration();
+    fn start_commit(&mut self, ctx: &mut ModelCtx<'_>) {
+        self.enter_mode(Mode::Commit, ctx);
+        self.commit_until = ctx.cycle + self.commit_duration();
         self.store_entries = 0;
-        self.quanta += 1;
+        ctx.stats.bump("det.gpudet.quanta", 1);
     }
 
     fn next_serial_warp(&self) -> Option<u64> {
@@ -214,8 +203,8 @@ impl GpuDetModel {
             .map(|(&u, _)| u)
     }
 
-    fn start_new_quantum(&mut self, now: u64) {
-        self.enter_mode(Mode::Parallel, now);
+    fn start_new_quantum(&mut self, ctx: &mut ModelCtx<'_>) {
+        self.enter_mode(Mode::Parallel, ctx);
         for w in self.warps.values_mut() {
             w.issued = 0;
             w.done = false;
@@ -228,10 +217,6 @@ impl GpuDetModel {
 impl ExecutionModel for GpuDetModel {
     fn name(&self) -> String {
         format!("gpudet-q{}", self.cfg.quantum)
-    }
-
-    fn scheduler_kind(&self) -> SchedKind {
-        SchedKind::Gto
     }
 
     fn register_metrics(&self, registry: &mut obs::MetricsRegistry) {
@@ -262,7 +247,6 @@ impl ExecutionModel for GpuDetModel {
                 issued: 0,
                 done: false,
                 pending_atomic: false,
-                at_barrier: false,
             },
         );
     }
@@ -275,7 +259,7 @@ impl ExecutionModel for GpuDetModel {
         }
     }
 
-    fn can_issue(&mut self, warp: WarpId, is_atomic: bool, _cycle: u64) -> bool {
+    fn can_issue(&mut self, warp: WarpId, is_atomic: bool, _ctx: &mut ModelCtx<'_>) -> bool {
         match self.mode {
             Mode::Parallel => {
                 let Some(w) = self.warps.get_mut(&warp.unique) else {
@@ -300,7 +284,7 @@ impl ExecutionModel for GpuDetModel {
         }
     }
 
-    fn on_issue(&mut self, warp: WarpId, is_atomic: bool, _cycle: u64) {
+    fn on_issue(&mut self, warp: WarpId, is_atomic: bool, _ctx: &mut ModelCtx<'_>) {
         let mode = self.mode;
         let quantum = self.cfg.quantum;
         let Some(w) = self.warps.get_mut(&warp.unique) else {
@@ -315,13 +299,13 @@ impl ExecutionModel for GpuDetModel {
         }
     }
 
-    fn on_atomic(&mut self, issue: AtomicIssue<'_>, _cycle: u64) -> AtomicRoute {
+    fn on_atomic(&mut self, issue: AtomicIssue<'_>, _ctx: &mut ModelCtx<'_>) -> AtomicRoute {
         debug_assert_eq!(self.mode, Mode::Serial, "atomics only issue in serial mode");
         debug_assert_eq!(self.serial_current, Some(issue.warp.unique));
         AtomicRoute::ToMemory
     }
 
-    fn on_store(&mut self, _warp: WarpId, sectors: usize, _cycle: u64) -> StoreRoute {
+    fn on_store(&mut self, _warp: WarpId, sectors: usize, _ctx: &mut ModelCtx<'_>) -> StoreRoute {
         if self.mode == Mode::Parallel {
             self.store_entries += sectors as u64;
             StoreRoute::Buffered
@@ -330,27 +314,13 @@ impl ExecutionModel for GpuDetModel {
         }
     }
 
-    fn on_barrier_wait(&mut self, warp: WarpId, _cycle: u64) {
-        if let Some(w) = self.warps.get_mut(&warp.unique) {
-            w.at_barrier = true;
-        }
-    }
-
-    fn on_barrier_release(
+    fn on_atomic_ack(
         &mut self,
-        _sm: usize,
-        warps: &[WarpId],
-        _cycle: u64,
-    ) -> gpu_sim::exec::BarrierRelease {
-        for id in warps {
-            if let Some(w) = self.warps.get_mut(&id.unique) {
-                w.at_barrier = false;
-            }
-        }
-        gpu_sim::exec::BarrierRelease::Immediate
-    }
-
-    fn on_atomic_ack(&mut self, warp: WarpRef, _kind: AtomKind, remaining: u32, _cycle: u64) {
+        warp: WarpRef,
+        _kind: AtomKind,
+        remaining: u32,
+        _ctx: &mut ModelCtx<'_>,
+    ) {
         if self.mode == Mode::Serial && self.awaiting_ack && remaining == 0 {
             if let Some(current) = self.serial_current {
                 if self.warps.get(&current).map(|w| w.warp) == Some(warp) {
@@ -372,9 +342,9 @@ impl ExecutionModel for GpuDetModel {
             Mode::Parallel => {
                 if ctx.kernel_fully_dispatched && self.warps.is_empty() && self.store_entries > 0 {
                     // Kernel drained with uncommitted stores: final commit.
-                    self.start_commit(ctx.cycle);
-                } else if self.quantum_complete() {
-                    self.start_commit(ctx.cycle);
+                    self.start_commit(ctx);
+                } else if self.quantum_complete(ctx) {
+                    self.start_commit(ctx);
                 }
             }
             // Every issue gate `can_issue` closes opens here, and only
@@ -385,9 +355,9 @@ impl ExecutionModel for GpuDetModel {
                     if let Some(next) = self.next_serial_warp() {
                         self.serial_current = Some(next);
                         self.awaiting_ack = false;
-                        self.enter_mode(Mode::Serial, ctx.cycle);
+                        self.enter_mode(Mode::Serial, ctx);
                     } else {
-                        self.start_new_quantum(ctx.cycle);
+                        self.start_new_quantum(ctx);
                     }
                     ctx.reopen_issue();
                 }
@@ -396,37 +366,13 @@ impl ExecutionModel for GpuDetModel {
                 if self.serial_current.is_none() {
                     match self.next_serial_warp() {
                         Some(next) => self.serial_current = Some(next),
-                        None => self.start_new_quantum(ctx.cycle),
+                        None => self.start_new_quantum(ctx),
                     }
                     ctx.reopen_issue();
                 }
             }
         }
-        self.account_mode(ctx.cycle);
-        // Report counter deltas.
-        let totals = [
-            self.parallel_cycles,
-            self.commit_cycles,
-            self.serial_cycles,
-            self.quanta,
-        ];
-        let names = [
-            "det.gpudet.parallel_cycles",
-            "det.gpudet.commit_cycles",
-            "det.gpudet.serial_cycles",
-            "det.gpudet.quanta",
-        ];
-        for i in 0..4 {
-            let delta = totals[i] - self.reported[i];
-            if delta > 0 {
-                ctx.stats.bump(names[i], delta);
-                self.reported[i] = totals[i];
-            }
-        }
-    }
-
-    fn take_trace_events(&mut self) -> Vec<obs::Event> {
-        std::mem::take(&mut self.trace_events)
+        self.account_mode(ctx);
     }
 
     fn buffered_entries(&self) -> u64 {
