@@ -709,7 +709,7 @@ impl ExecutionModel for DabModel {
             && self.total_entries == 0
     }
 
-    fn needs_tick(&self) -> bool {
+    fn next_event_cycle(&self) -> Option<u64> {
         // While idle with no cluster flushing, `tick` only probes the
         // flush-start conditions, and every input to those (flush requests,
         // scheduler seals, dispatch status, buffered-entry counts) changes
@@ -717,7 +717,8 @@ impl ExecutionModel for DabModel {
         // skipping the probe on idle cycles cannot change when a flush
         // starts. Buffered entries or in-flight acks alone keep the model
         // non-quiescent but do not require ticking.
-        self.phase != Phase::Idle || self.cluster_active.iter().any(|&a| a)
+        let flushing = self.phase != Phase::Idle || self.cluster_active.iter().any(|&a| a);
+        flushing.then_some(0)
     }
 }
 

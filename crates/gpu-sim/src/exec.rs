@@ -409,15 +409,23 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
         true
     }
 
-    /// `true` while skipping a [`tick`](Self::tick) could change behavior.
+    /// The earliest cycle at which [`tick`](Self::tick) may act on its own
+    /// clock, or `None` if every change it makes follows an input that
+    /// changes only on cycles the engine visits anyway (an issue, an ack,
+    /// a seal, a dispatch). A cycle at or before the present means "tick
+    /// on every cycle". The event wheel folds this like every other
+    /// component's next event, and the model ticks on every visited cycle;
+    /// on a cycle the event engine would skip, the dense engine panics if
+    /// the tick pushes a wake or changes this answer, [`quiescent`] or
+    /// [`allow_dispatch`].
     ///
-    /// The event engine only elides cycles on which `needs_tick` is
-    /// `false`; models whose `tick` is a provable no-op whenever their
-    /// externally-driven inputs are unchanged may override this to admit
-    /// cycle-skipping. The default is maximally conservative: tick
-    /// whenever the model is not quiescent.
-    fn needs_tick(&self) -> bool {
-        !self.quiescent()
+    /// The default is the most conservative answer: every cycle while the
+    /// model is not quiescent.
+    ///
+    /// [`quiescent`]: Self::quiescent
+    /// [`allow_dispatch`]: Self::allow_dispatch
+    fn next_event_cycle(&self) -> Option<u64> {
+        (!self.quiescent()).then_some(0)
     }
 
     /// Total entries currently buffered by the model (DAB's atomic

@@ -42,6 +42,9 @@ struct InFlight {
 pub struct Dram {
     queue: VecDeque<DramUse>,
     in_flight: Vec<InFlight>,
+    /// The earliest `done_cycle` in `in_flight` (`u64::MAX` when empty),
+    /// kept so [`next_event_cycle`](Self::next_event_cycle) scans nothing.
+    next_done: u64,
     capacity: usize,
     latency: u32,
     burst_interval: u32,
@@ -59,6 +62,7 @@ impl Dram {
         Self {
             queue: VecDeque::new(),
             in_flight: Vec::new(),
+            next_done: u64::MAX,
             capacity: cfg.dram_queue_capacity,
             latency: cfg.dram_latency,
             burst_interval: cfg.dram_burst_interval,
@@ -71,6 +75,11 @@ impl Dram {
     /// Whether the request queue has room.
     pub fn can_accept(&self) -> bool {
         self.queue.len() < self.capacity
+    }
+
+    /// Requests queued and not yet issued.
+    pub fn queue_len(&self) -> usize {
+        self.queue.len()
     }
 
     /// Enqueues a request. Returns `false` (dropping nothing) if full;
@@ -89,20 +98,24 @@ impl Dram {
         if cycle >= self.next_issue_cycle {
             if let Some(usage) = self.queue.pop_front() {
                 let jitter = ndet.latency_jitter(self.max_jitter);
-                self.in_flight.push(InFlight {
-                    done_cycle: cycle + self.latency as u64 + jitter as u64,
-                    usage,
-                });
+                let done_cycle = cycle + self.latency as u64 + jitter as u64;
+                self.in_flight.push(InFlight { done_cycle, usage });
+                self.next_done = self.next_done.min(done_cycle);
                 self.next_issue_cycle = cycle + self.burst_interval as u64;
             }
         }
         let mut done = Vec::new();
+        if self.next_done > cycle {
+            return done;
+        }
+        self.next_done = u64::MAX;
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].done_cycle <= cycle {
                 done.push(self.in_flight.swap_remove(i).usage);
                 self.serviced += 1;
             } else {
+                self.next_done = self.next_done.min(self.in_flight[i].done_cycle);
                 i += 1;
             }
         }
@@ -134,7 +147,11 @@ impl Dram {
 
     /// Earliest future completion or issue opportunity, for fast-forwarding.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        let fill = self.in_flight.iter().map(|f| f.done_cycle).min();
+        debug_assert_eq!(
+            self.in_flight.iter().map(|f| f.done_cycle).min(),
+            (self.next_done != u64::MAX).then_some(self.next_done)
+        );
+        let fill = (self.next_done != u64::MAX).then_some(self.next_done);
         let issue = if self.queue.is_empty() {
             None
         } else {

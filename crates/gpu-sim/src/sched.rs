@@ -158,6 +158,18 @@ pub trait WarpScheduler: std::fmt::Debug + Send {
     /// must have `ready == true`.
     fn pick(&mut self, views: &[WarpView], cycle: u64) -> Option<usize>;
 
+    /// The earliest cycle after `cycle` at which this policy's pick may
+    /// differ from its pick at `cycle` with the views and the policy's
+    /// own state unchanged, or `u64::MAX` if it never does. Every pick is
+    /// a function of the views and the policy state except GTAR's, which
+    /// also reads the clock: an atomic serialization interval that ends
+    /// lets its token holder's ready atomic be picked over the greedy
+    /// non-atomic pick. A scheduler sleeping on a refused pick wakes here.
+    fn pick_changes_at(&self, cycle: u64) -> u64 {
+        let _ = cycle;
+        u64::MAX
+    }
+
     /// The engine issued an instruction from warp `unique`.
     fn on_issue(&mut self, unique: u64, was_atomic: bool, cycle: u64) {
         let _ = (unique, was_atomic, cycle);
@@ -707,6 +719,14 @@ impl WarpScheduler for Gtar {
 
     fn pick(&mut self, views: &[WarpView], cycle: u64) -> Option<usize> {
         self.ring.pick(views, cycle >= self.atomic_busy_until)
+    }
+
+    fn pick_changes_at(&self, cycle: u64) -> u64 {
+        if self.atomic_busy_until > cycle {
+            self.atomic_busy_until
+        } else {
+            u64::MAX
+        }
     }
 
     fn on_issue(&mut self, unique: u64, was_atomic: bool, cycle: u64) {

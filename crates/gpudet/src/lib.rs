@@ -387,14 +387,20 @@ impl ExecutionModel for GpuDetModel {
         self.mode == Mode::Parallel && self.store_entries == 0 && self.serial_current.is_none()
     }
 
-    fn needs_tick(&self) -> bool {
+    fn next_event_cycle(&self) -> Option<u64> {
         // In parallel mode `tick` only checks quantum completion, whose
         // inputs (per-warp issue counts, warp arrivals/retirements, dispatch
         // status) change only on engine-visited cycles and are re-checked
-        // the same cycle; the mode-accounting totals telescope across a
-        // gap. Commit and serial modes advance on their own clock and must
-        // tick every cycle.
-        self.mode != Mode::Parallel
+        // the same cycle. A commit ends on its own clock, at
+        // `commit_until`. In serial mode a holder's turn ends with its
+        // last ack or its exit, both on visited cycles; without a holder
+        // the next tick picks one. The mode-accounting totals telescope
+        // across any gap.
+        match self.mode {
+            Mode::Parallel => None,
+            Mode::Commit => Some(self.commit_until),
+            Mode::Serial => self.serial_current.is_none().then_some(0),
+        }
     }
 }
 

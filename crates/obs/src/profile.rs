@@ -7,9 +7,10 @@
 //! When profiling is off (`DAB_PROFILE` unset) the engine holds no
 //! profiler at all and takes none of the `Instant` reads, so the off
 //! cost is a handful of pointer null-checks per cycle: not measurable.
-//! When on, the cost is ~2 clock reads per instrumented phase per
-//! visited cycle, well under the 2% overhead budget on `engine_hot_loop`
-//! (the CI bench records the measured ratio in `BENCH_engine.json`).
+//! When on, the cost is ~2 clock reads per instrumented phase on each
+//! sampled step (one visited cycle in 16). The repository benchmark's
+//! traced pass reports what that costs end to end as `trace.overhead`
+//! (`crates/bench/examples/dab_benchmark/README.md`).
 //!
 //! All profile data lives in the `wall.*` namespace
 //! ([`Phase::metric_name`]) and is excluded from every determinism
