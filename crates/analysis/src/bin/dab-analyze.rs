@@ -174,7 +174,7 @@ fn main() -> ExitCode {
     }
 
     if json {
-        let dir = json::results_dir("results");
+        let dir = json::results_dir();
         match json::write(&dir, "dab_analyze.json", &report.to_json(&allow)) {
             Ok(path) => println!("results: {}", path.display()),
             Err(e) => {

@@ -46,6 +46,10 @@
 //! deterministic; everything else is bit-stable for a given scale/seed
 //! regardless of `DAB_JOBS`. The CI equivalence diffs strip exactly those
 //! fields.
+//!
+//! `icnt_stall_cycles` counts refused issue attempts, not cycles: one per
+//! scheduler visit whose pick the interconnect refuses, so it can exceed
+//! `cycles` (see `SimStats::icnt_stall_cycles`).
 
 use obs::json::{self, Json};
 
@@ -170,7 +174,7 @@ impl ResultsSink {
     /// written; the message names the path.
     pub fn write(&self) {
         let file = format!("{}.json", self.target);
-        match json::write(&json::results_dir("results"), &file, &self.to_json()) {
+        match json::write(&json::results_dir(), &file, &self.to_json()) {
             Ok(path) => println!("results: {}", path.display()),
             Err(e) => panic!("{e}"),
         }

@@ -12,16 +12,29 @@
 //! from their hooks: the DAB runs must reproduce their
 //! `results/fig15_overheads.json` `main` rows, and the GPUDet runs their
 //! mode-cycle and quantum counts.
+//!
+//! Two idle-heavy DAB kernels pin the engine's own activity counters to
+//! the `det` blocks of `BENCH_engine.json`: how many cycles the event
+//! wheel skipped, how many SMs, schedulers and partitions it visited, and
+//! how many events a full trace records. The dense engine, both trace
+//! levels and the span profiler must reproduce their cycles and digest.
 
-use dab::DabConfig;
+use dab::{DabConfig, DabModel};
 use dab_bench::Runner;
+use dab_workloads::bc::bc_trace;
+use dab_workloads::graph::Graph;
+use dab_workloads::microbench::{atomic_sum_grid, OUTPUT_ADDR};
 use dab_workloads::scale::Scale;
 use dab_workloads::suite::full_suite;
-use gpu_sim::engine::RunReport;
+use gpu_sim::config::{EngineKind, GpuConfig};
+use gpu_sim::engine::{GpuSim, RunReport};
+use gpu_sim::kernel::KernelGrid;
+use gpu_sim::ndet::NdetSource;
 use obs::json::Json;
 
 const FIG10: &str = include_str!("../../../results/fig10_overall.json");
 const FIG15: &str = include_str!("../../../results/fig15_overheads.json");
+const BENCH_ENGINE: &str = include_str!("../../../BENCH_engine.json");
 
 /// The DAB counters fig15's `main` table reports, by column.
 const DAB_COUNTERS: [(&str, &str); 4] = [
@@ -161,4 +174,78 @@ fn cnv2_3_matches_committed_fig10() {
 #[test]
 fn bc_1k_matches_committed_fig10() {
     check_against_fig10("BC_1k");
+}
+
+/// Runs `kernels` under DAB `paper_default` on the CI machine at seed 1,
+/// with `setup` applied to the configuration.
+fn run_dab(kernels: &[KernelGrid], setup: impl FnOnce(&mut GpuConfig)) -> RunReport {
+    let mut cfg = Scale::Ci.gpu();
+    setup(&mut cfg);
+    let model = DabModel::new(&cfg, DabConfig::paper_default());
+    GpuSim::new(cfg, Box::new(model), NdetSource::seeded(1)).run(kernels)
+}
+
+/// The committed `det` block of `BENCH_engine.json` workload `name`.
+fn committed_engine_det(name: &str) -> Vec<(String, Json)> {
+    let doc = Json::parse(BENCH_ENGINE).expect("BENCH_engine.json parses");
+    let workload = doc
+        .get("workloads")
+        .and_then(Json::as_arr)
+        .expect("BENCH_engine.json has a workloads array")
+        .iter()
+        .find(|w| w.get("name").and_then(Json::as_str) == Some(name))
+        .unwrap_or_else(|| panic!("no workload {name:?} in BENCH_engine.json"));
+    match workload.get("det") {
+        Some(Json::Obj(fields)) => fields.clone(),
+        _ => panic!("{name}: no det object in BENCH_engine.json"),
+    }
+}
+
+/// Runs `kernels` on the event engine untraced, traced at both levels and
+/// profiled, and on the dense engine; checks that all five agree on cycles
+/// and digest and that the counters match `name`'s committed `det` block.
+fn check_against_bench_engine(name: &str, kernels: &[KernelGrid]) {
+    let event = run_dab(kernels, |cfg| cfg.engine = EngineKind::Event);
+    let outcome = |r: &RunReport| (r.cycles(), r.digest());
+    let dense = run_dab(kernels, |cfg| cfg.engine = EngineKind::Dense);
+    assert_eq!(outcome(&dense), outcome(&event), "{name}: dense vs event");
+    let summary = run_dab(kernels, |cfg| cfg.trace = obs::TraceMode::Summary);
+    assert_eq!(outcome(&summary), outcome(&event), "{name}: summary trace");
+    let full = run_dab(kernels, |cfg| cfg.trace = obs::TraceMode::Full);
+    assert_eq!(outcome(&full), outcome(&event), "{name}: full trace");
+    let profiled = run_dab(kernels, |cfg| cfg.profile = true);
+    assert_eq!(outcome(&profiled), outcome(&event), "{name}: profiler");
+    assert!(profiled.profile.is_some(), "{name}: no phase profile");
+
+    let engine = |key: &str| Json::from(event.stats.counter(&format!("det.engine.{key}")));
+    let traced = |key: &str| Json::from(full.stats.counter(&format!("det.obs.{key}")));
+    let got = [
+        ("cycles", Json::from(event.cycles())),
+        ("digest", Json::from(format!("0x{:016x}", event.digest()))),
+        ("cycles_skipped", engine("cycles_skipped")),
+        ("wakeup_events", engine("wakeup_events")),
+        ("sms_ticked", engine("sms_ticked")),
+        ("scheduler_scans", engine("scheduler_scans")),
+        ("partitions_ticked", engine("partitions_ticked")),
+        ("trace_events_full", traced("trace_events")),
+        ("trace_samples_full", traced("samples")),
+    ]
+    .map(|(key, value)| (key.to_string(), value));
+    assert_eq!(
+        got.as_slice(),
+        committed_engine_det(name),
+        "{name}: det block drifted from BENCH_engine.json"
+    );
+}
+
+#[test]
+fn atomic_sum_64k_matches_committed_bench_engine() {
+    let kernels = [atomic_sum_grid(65536, OUTPUT_ADDR)];
+    check_against_bench_engine("atomic_sum_64k", &kernels);
+}
+
+#[test]
+fn bc_uniform_96_matches_committed_bench_engine() {
+    let (kernels, _) = bc_trace(&Graph::uniform(96, 256, 7), "u96", 20.0);
+    check_against_bench_engine("bc_uniform_96", &kernels);
 }

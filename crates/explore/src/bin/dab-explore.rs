@@ -186,7 +186,7 @@ fn main() -> ExitCode {
     }
 
     if json {
-        let dir = json::results_dir("results");
+        let dir = json::results_dir();
         match json::write(&dir, "dab_explore.json", &result.to_json()) {
             Ok(path) => {
                 if !quiet {

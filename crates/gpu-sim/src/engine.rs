@@ -281,9 +281,9 @@ pub struct GpuSim {
     /// is pure `wall.*` host timing and never touches [`SimStats`].
     ///
     /// The profiler *samples*: per-cycle spans are timed on one engine
-    /// step in [`PROFILE_SAMPLE_INTERVAL`] and scaled back up, keeping the
-    /// clock-read overhead well under the 2% budget even on hosts with
-    /// slow monotonic clocks (see [`Self::prof_start`]).
+    /// step in [`PROFILE_SAMPLE_INTERVAL`] and scaled back up, so the
+    /// clock is read on few steps even on hosts where a read is slow (see
+    /// [`Self::prof_start`]).
     profile: Option<Box<obs::PhaseProfile>>,
     /// True when the current engine step is a profiler sample step
     /// (recomputed at the top of [`Self::kernel_step`]; always false with
@@ -324,8 +324,8 @@ const DEADLOCK_HORIZON: u64 = 5_000_000;
 /// the sampled durations back up (see [`GpuSim::prof_start`]): with ~15
 /// span boundaries per step and monotonic-clock reads costing hundreds of
 /// nanoseconds on some hosts, timing every step would cost more than the
-/// step itself. 16 keeps measured overhead under the 2% budget while
-/// still sampling every phase thousands of times on real workloads.
+/// step itself. At 16, every phase is still sampled thousands of times on
+/// real workloads.
 const PROFILE_SAMPLE_INTERVAL: u32 = 16;
 
 impl GpuSim {
@@ -450,7 +450,7 @@ impl GpuSim {
     /// step, which would dwarf a microsecond-scale simulated cycle.
     /// Timing one step in [`PROFILE_SAMPLE_INTERVAL`] and scaling the
     /// elapsed time back up keeps the per-phase totals an unbiased
-    /// estimate while bounding the overhead to well under the 2% budget.
+    /// estimate while reading the clock on few steps.
     /// The sampling clock counts *executed steps* (`prof_steps`), never
     /// cycle numbers, and the profiler reads no simulated state — results
     /// are bit-identical with profiling on or off.

@@ -66,8 +66,11 @@ pub struct SimStats {
     pub l2_accesses: u64,
     /// L2 misses.
     pub l2_misses: u64,
-    /// Cycles in which at least one scheduler had a ready warp but could not
-    /// issue because of interconnect backpressure.
+    /// Issue attempts refused for interconnect injection room: one per
+    /// scheduler visit whose picked load, store or atomic cannot send its
+    /// flits (a visit makes at most one attempt). The refused warp retries
+    /// on its scheduler's next visit, so a stall counts once per cycle per
+    /// stalled scheduler, and the total can exceed the run's cycles.
     pub icnt_stall_cycles: u64,
     /// Named `det.*` counters and histogram buckets (deterministically
     /// ordered; merged by sum).

@@ -2,11 +2,10 @@
 //! the compact and pretty renderers, and the results-document writer.
 //!
 //! The repo has no serde dependency. Every results document (figure
-//! results, analyzer and explorer reports, happens-before graphs,
-//! `BENCH_engine.json`) is built as a [`Json`] value and written through
-//! [`Json::pretty`], so they all share one layout; `dab-perf` reads them
-//! back with [`Json::parse`] and writes history lines with
-//! [`Json::render`]. The Perfetto exporter streams its events by hand and
+//! results, analyzer and explorer reports, happens-before graphs) is
+//! built as a [`Json`] value and written through [`Json::pretty`], so
+//! they all share one layout; `dab-perf` reads them back with
+//! [`Json::parse`]. The Perfetto exporter streams its events by hand and
 //! shares only the string escaper ([`quote`]).
 //!
 //! Objects preserve insertion order (`Vec` of pairs, not a map), so a
@@ -169,8 +168,8 @@ impl Json {
         }
     }
 
-    /// Compact single-line rendering (`{"k": v}`, `[a, b]`; used for
-    /// history records; round-trips through [`Json::parse`]).
+    /// Compact single-line rendering (`{"k": v}`, `[a, b]`; round-trips
+    /// through [`Json::parse`]).
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write_into(&mut out, None);
@@ -289,15 +288,11 @@ pub fn quote(s: &str) -> String {
 }
 
 /// The directory results documents are written to: `$DAB_RESULTS_DIR`
-/// when set, else `home` under the repository root (`"results"` for the
-/// figure, analyzer and explorer documents, `""` for the engine
-/// benchmark's `BENCH_engine.json`).
-pub fn results_dir(home: &str) -> PathBuf {
+/// when set, else the repository's `results/`.
+pub fn results_dir() -> PathBuf {
     match std::env::var_os(RESULTS_DIR_VAR) {
         Some(dir) => PathBuf::from(dir),
-        None => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(home),
+        None => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"),
     }
 }
 
@@ -596,24 +591,20 @@ mod tests {
     fn parses_the_real_results_schema() {
         let doc = Json::parse(
             r#"{
-  "target": "engine_hot_loop",
-  "host": { "nproc": 1, "min_reps": 3 },
-  "workloads": [
-    { "name": "w",
-      "det": { "cycles": 3269, "digest": "0xe88d0f3e5effc624" },
-      "wall": { "event_secs": 0.165340, "speedup": 1.0451 } }
+  "target": "fig10_overall",
+  "host": { "nproc": 1 },
+  "runs": [
+    { "label": "atomic_sum_64k/dab", "seed": 1,
+      "cycles": 3269, "digest": "0xe88d0f3e5effc624", "wall_secs": 0.165340 }
   ],
-  "geomean_speedup": 1.2373
+  "metrics": { "geomean_dab": 1.2373 }
 }"#,
         )
         .unwrap();
-        let w = &doc.get("workloads").unwrap().as_arr().unwrap()[0];
+        let run = &doc.get("runs").unwrap().as_arr().unwrap()[0];
+        assert_eq!(run.get("cycles").unwrap().as_f64(), Some(3269.0));
         assert_eq!(
-            w.get("det").unwrap().get("cycles").unwrap().as_f64(),
-            Some(3269.0)
-        );
-        assert_eq!(
-            w.get("det").unwrap().get("digest").unwrap().as_str(),
+            run.get("digest").unwrap().as_str(),
             Some("0xe88d0f3e5effc624")
         );
     }
@@ -621,12 +612,9 @@ mod tests {
     #[test]
     fn results_dir_override() {
         std::env::set_var(RESULTS_DIR_VAR, "/tmp/dab-results-test");
-        assert_eq!(
-            results_dir("results"),
-            PathBuf::from("/tmp/dab-results-test")
-        );
+        assert_eq!(results_dir(), PathBuf::from("/tmp/dab-results-test"));
         std::env::remove_var(RESULTS_DIR_VAR);
-        assert!(results_dir("results").ends_with("results"));
+        assert!(results_dir().ends_with("results"));
     }
 
     #[test]

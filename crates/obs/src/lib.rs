@@ -9,8 +9,7 @@
 //! span profiler ([`profile`]), and the workspace's one JSON module
 //! ([`json`]): the ordered value type, its parser, the compact and
 //! pretty renderers, and the results-document writer that every results
-//! file (figures, analyzer and explorer reports, `BENCH_engine.json`)
-//! goes through. The simulator crates (`gpu-sim`, `dab`, `gpudet`,
+//! file (figures, analyzer and explorer reports) goes through. The simulator crates (`gpu-sim`, `dab`, `gpudet`,
 //! `bench`) and the tools (`analysis`, `dab-explore`, `dab-perf`) depend
 //! on it; the `dab-trace` binary ships from here.
 //!
@@ -36,8 +35,8 @@
 //!   profiler. A throughput knob only — results are bit-identical either
 //!   way; all profile data lives in the `wall.*` namespace.
 //! * `DAB_RESULTS_DIR` — when set, every results document is written
-//!   there instead of the repository's `results/` (or, for
-//!   `BENCH_engine.json`, its root); see [`json::results_dir`].
+//!   there instead of the repository's `results/`; see
+//!   [`json::results_dir`].
 
 pub mod diff;
 pub mod event;

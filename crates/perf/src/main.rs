@@ -3,8 +3,6 @@
 //! ```text
 //! dab-perf report <results.json>...
 //! dab-perf compare <baseline> <candidate> [--wall-tolerance F] [--verbose]
-//! dab-perf history [--file <path>]
-//! dab-perf history append <results.json> [--file <path>] [--sha <sha>]
 //! ```
 //!
 //! `compare` accepts two files or two directories (directories pair up
@@ -13,7 +11,6 @@
 //! got slower" from "the gate itself is broken".
 
 use dab_perf::compare::{compare, render, Comparison, DEFAULT_WALL_TOLERANCE};
-use dab_perf::history;
 use dab_perf::metrics::flatten;
 use obs::json::Json;
 use std::path::{Path, PathBuf};
@@ -30,14 +27,6 @@ commands:
       Diff two results files (or two directories of *.json files).
       det metrics must match exactly; wall metrics may degrade up to
       the relative tolerance (default 0.5). Exits 1 on regression.
-
-  history [--file <path>]
-      Print the performance trajectory stored in the history file
-      (default results/bench_history.jsonl).
-
-  history append <results.json> [--file <path>] [--sha <sha>]
-      Distill a results file into one history line and append it.
-      The SHA defaults to `git rev-parse --short=12 HEAD`.
 ";
 
 fn main() -> ExitCode {
@@ -45,7 +34,6 @@ fn main() -> ExitCode {
     let code = match args.first().map(String::as_str) {
         Some("report") => cmd_report(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("history") => cmd_history(&args[1..]),
         Some("--help" | "-h" | "help") => {
             print!("{USAGE}");
             Ok(ExitCode::SUCCESS)
@@ -202,54 +190,4 @@ fn json_names(dir: &Path) -> Result<Vec<String>, String> {
         return Err(format!("no *.json files in {}", dir.display()));
     }
     Ok(names)
-}
-
-fn cmd_history(args: &[String]) -> Result<ExitCode, String> {
-    let mut file = PathBuf::from(history::HISTORY_FILE);
-    let mut sha: Option<String> = None;
-    let mut append_source: Option<PathBuf> = None;
-    let mut appending = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "append" if !appending => appending = true,
-            "--file" => {
-                file = PathBuf::from(it.next().ok_or("--file needs a path")?);
-            }
-            "--sha" => {
-                sha = Some(it.next().ok_or("--sha needs a value")?.clone());
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown history flag {other:?}"));
-            }
-            _ if appending && append_source.is_none() => {
-                append_source = Some(PathBuf::from(arg));
-            }
-            other => return Err(format!("unexpected history argument {other:?}")),
-        }
-    }
-    if appending {
-        let source = append_source.ok_or("history append needs a results file")?;
-        let doc = load_json(&source)?;
-        let unix_secs = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_err(|e| format!("system clock is before the epoch: {e}"))?
-            .as_secs();
-        let record =
-            history::Record::from_results(&doc, sha.unwrap_or_else(history::git_sha), unix_secs);
-        history::append(&file, &record)?;
-        println!(
-            "appended {} @ {} to {}",
-            source.display(),
-            record.sha,
-            file.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-    let (records, errors) = history::load(&file)?;
-    for error in &errors {
-        eprintln!("dab-perf: warning: {}: {error}", file.display());
-    }
-    print!("{}", history::render(&records));
-    Ok(ExitCode::SUCCESS)
 }

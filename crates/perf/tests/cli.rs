@@ -1,5 +1,5 @@
 //! End-to-end tests for the `dab-perf` binary: exit codes and output
-//! for report/compare/history against synthetic results files.
+//! for report/compare against synthetic and committed results files.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -24,7 +24,7 @@ fn write(dir: &Path, name: &str, contents: &str) -> PathBuf {
 fn results(cycles: u64, digest: &str, event_secs: f64, speedup: f64) -> String {
     format!(
         r#"{{
-  "target": "engine_hot_loop",
+  "target": "synthetic",
   "host": {{ "nproc": 4 }},
   "workloads": [
     {{ "name": "w",
@@ -149,40 +149,6 @@ fn report_prints_classified_metrics() {
 }
 
 #[test]
-fn history_append_then_render() {
-    let dir = scratch("history");
-    let a = write(&dir, "a.json", &results(100, "0xabc", 1.0, 1.5));
-    let b = write(&dir, "b.json", &results(100, "0xabc", 0.9, 1.7));
-    let hist = dir.join("hist.jsonl");
-
-    for (file, sha) in [(&a, "aaa111"), (&b, "bbb222")] {
-        let out = bin()
-            .args(["history", "append"])
-            .arg(file)
-            .arg("--file")
-            .arg(&hist)
-            .args(["--sha", sha])
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
-    }
-
-    let out = bin()
-        .args(["history", "--file"])
-        .arg(&hist)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let text = stdout(&out);
-    assert!(text.contains("aaa111"), "{text}");
-    assert!(text.contains("bbb222"), "{text}");
-    assert!(text.contains("1.500x"), "{text}");
-    assert!(text.contains("1.700x"), "{text}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn bad_usage_exits_2() {
     let out = bin().args(["compare", "only-one.json"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -197,14 +163,28 @@ fn bad_usage_exits_2() {
 
 #[test]
 fn compare_works_against_the_committed_baseline() {
-    // The committed BENCH_engine.json must compare clean against itself
-    // — guards the classifier against schema drift in the bench writer.
-    let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
+    // A committed figure document must compare clean against itself, and
+    // its host timings and host block must classify as wall and info —
+    // guards the classifier against schema drift in the results writer.
+    let fig10 = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/fig10_overall.json");
     let out = bin()
         .args(["compare"])
-        .arg(&baseline)
-        .arg(&baseline)
+        .arg(&fig10)
+        .arg(&fig10)
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    let out = bin().args(["report"]).arg(&fig10).output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let text = stdout(&out);
+    for line in [
+        "det   runs.0.cycles",
+        "det   runs.0.digest",
+        "wall  wall_secs",
+        "wall  runs.0.wall_secs",
+        "wall  runs.0.cycles_per_sec",
+        "info  host.nproc",
+    ] {
+        assert!(text.contains(line), "{line:?} missing from\n{text}");
+    }
 }

@@ -1,8 +1,8 @@
 //! Every committed JSON document is a fixed point of the one layout:
 //! results documents (`results/*.json`, `BENCH_engine.json`, the analyzer
-//! goldens) re-render through `Json::pretty`, and each history line through
-//! `Json::render`, to the same bytes. A hand-edited or stale-layout file
-//! fails here instead of in a byte-for-byte CI diff.
+//! goldens) re-render through `Json::pretty` to the same bytes. A
+//! hand-edited or stale-layout file fails here instead of in a
+//! byte-for-byte CI diff.
 
 use std::path::{Path, PathBuf};
 
@@ -38,15 +38,5 @@ fn committed_documents_are_pretty_fixed_points() {
             "{} is not in the Json::pretty layout; re-render it through Json::parse",
             path.display()
         );
-    }
-}
-
-#[test]
-fn history_lines_are_render_fixed_points() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/bench_history.jsonl");
-    let text = read(&path);
-    assert!(text.lines().count() > 0, "{} is empty", path.display());
-    for line in text.lines() {
-        assert_eq!(parse(&path, line).render(), line, "{}", path.display());
     }
 }
