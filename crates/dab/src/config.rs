@@ -363,9 +363,10 @@ mod tests {
         assert!(err.to_string().contains("determinism-aware"), "{err}");
         // Warp-level buffers tolerate any scheduler (contents are
         // deterministic from program order alone)...
-        let mut warp = DabConfig::warp_level();
-        warp.scheduler = SchedKind::Lrr;
-        warp.validate().unwrap();
+        DabConfig::warp_level()
+            .with_scheduler(SchedKind::Gto)
+            .validate()
+            .unwrap();
         // ...and explicitly relaxed variants opt out of the guarantee.
         DabConfig::paper_default()
             .with_scheduler(SchedKind::Gto)

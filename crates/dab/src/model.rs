@@ -488,38 +488,6 @@ impl ExecutionModel for DabModel {
         self.dab.scheduler
     }
 
-    fn register_metrics(&self, registry: &mut obs::MetricsRegistry) {
-        registry.counter("det.dab.flushes", "global flush epochs started");
-        registry.counter(
-            "det.dab.flush_cycles",
-            "cycles some flush epoch was in progress",
-        );
-        registry.counter(
-            "det.dab.flush_entries",
-            "buffer entries drained across all flushes",
-        );
-        registry.counter(
-            "det.dab.flush_txs",
-            "flush transactions sent (post-coalescing packet count)",
-        );
-        registry.counter(
-            "det.dab.preflush_msgs",
-            "pre-flush protocol messages sent (strict ordering mode)",
-        );
-        registry.counter(
-            "det.dab.fused_ops",
-            "atomic operations absorbed by in-buffer fusion",
-        );
-        registry.histogram(
-            &FLUSH_ENTRIES_HIST,
-            "per-SM flush stream size distribution (entries per epoch)",
-        );
-        registry.gauge(
-            "det.dab.flush_entries_max",
-            "largest single per-SM flush stream of the run",
-        );
-    }
-
     fn cta_distribution(&self, num_sms: usize) -> CtaDistribution {
         CtaDistribution::Static {
             active_sms: self.dab.active_sms.unwrap_or(num_sms),
@@ -777,6 +745,31 @@ mod tests {
         let report = GpuSim::new(gpu, Box::new(model), NdetSource::seeded(seed))
             .run(&[order_sensitive_grid(ctas)]);
         (report.digest(), report.cycles())
+    }
+
+    #[test]
+    fn flush_entries_hist_spec_is_well_formed() {
+        let h = &FLUSH_ENTRIES_HIST;
+        assert!(
+            h.bounds.windows(2).all(|w| w[0] < w[1]),
+            "{}: bounds must be strictly increasing",
+            h.name
+        );
+        assert_eq!(
+            h.buckets.len(),
+            h.bounds.len() + 1,
+            "{}: one bucket key per bound plus le_inf",
+            h.name
+        );
+        let expect = h
+            .bounds
+            .iter()
+            .map(|b| format!("{}.le{b}", h.name))
+            .chain([format!("{}.le_inf", h.name)]);
+        for (&key, want) in h.buckets.iter().zip(expect) {
+            assert_eq!(key, want, "{}: misspelt bucket key", h.name);
+            assert!(obs::metrics::validate_name(key).is_ok(), "{key}");
+        }
     }
 
     #[test]

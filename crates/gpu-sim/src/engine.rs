@@ -293,13 +293,6 @@ pub struct GpuSim {
     /// on executed steps, not cycle numbers, so the event engine's cycle
     /// skipping cannot alias with the sample interval.
     prof_steps: u64,
-    /// The run's metric schema: every `det.*` name this run is allowed to
-    /// emit, registered at construction by the engine, the interconnect,
-    /// the memory partitions, and the execution model. The end of
-    /// [`run`](Self::run) checks the final stats maps against it, so
-    /// typo'd or unregistered bump sites fail the run instead of silently
-    /// minting a new key.
-    registry: obs::MetricsRegistry,
 }
 
 /// Flattens a packet payload to its trace event class.
@@ -356,11 +349,6 @@ impl GpuSim {
         let icnt_cl_ndet = (0..cfg.num_clusters)
             .map(|c| ndet.split(0x3000_0000 + c as u64))
             .collect();
-        let mut registry = obs::MetricsRegistry::new();
-        Self::register_engine_metrics(&mut registry);
-        Interconnect::register_metrics(&mut registry);
-        MemPartition::register_metrics(&mut registry);
-        model.register_metrics(&mut registry);
         Self {
             icnt: Interconnect::new(&cfg),
             locks: LockManager::new(&cfg),
@@ -389,55 +377,12 @@ impl GpuSim {
             profile: cfg.profile.then(Box::default),
             prof_sample: false,
             prof_steps: 0,
-            registry,
             cfg,
             last_progress_cycle: 0,
             event_target: 0,
             deadlock_horizon: DEADLOCK_HORIZON,
             activity: ActivityCounters::default(),
         }
-    }
-
-    /// Registers the engine-owned metric families: the engine-level
-    /// `det.engine.*` activity counters and `det.obs.*` trace counts, plus
-    /// the `det.stall.*` issue-stall counters charged by the issue walk.
-    fn register_engine_metrics(registry: &mut obs::MetricsRegistry) {
-        registry.counter(
-            "det.engine.cycles_skipped",
-            "cycles the engine never visited (event-wheel jumps; 0 on the dense engine)",
-        );
-        registry.counter(
-            "det.engine.wakeup_events",
-            "warp sleep-to-ready transitions that re-armed a scheduler",
-        );
-        registry.counter(
-            "det.engine.sms_ticked",
-            "SMs entered by an issue phase (not skipped by the active-set walk)",
-        );
-        registry.counter(
-            "det.engine.scheduler_scans",
-            "full warp-array ready-bound rescans",
-        );
-        registry.counter(
-            "det.engine.partitions_ticked",
-            "partitions entered by tick_partitions (not skipped as sleeping)",
-        );
-        registry.counter(
-            "det.obs.trace_events",
-            "structured trace events recorded (tracing runs only)",
-        );
-        registry.counter(
-            "det.obs.samples",
-            "time-series sample rows recorded (tracing runs only)",
-        );
-        registry.counter(
-            "det.stall.l1_mshr",
-            "loads refused for L1 MSHR room, once per load",
-        );
-        registry.counter(
-            "det.stall.atomic_buffer_full",
-            "issue stalls on a full model-side atomic buffer",
-        );
     }
 
     /// Starts a profiler span: the current instant when profiling is on
@@ -548,13 +493,6 @@ impl GpuSim {
         if let (Some(t), Some(p)) = (span, self.profile.as_deref_mut()) {
             p.record(obs::Phase::TraceFinish, t.elapsed());
         }
-        // Fail fast on any key that reached the stats maps without a
-        // matching registration (typo'd bump site or a model missing its
-        // register_metrics override).
-        self.registry
-            .assert_covers(self.stats.counters.keys().copied(), "run counters");
-        self.registry
-            .assert_covers(self.stats.gauges.keys().copied(), "run gauges");
         RunReport {
             model: self.model.name(),
             stats: self.stats,

@@ -261,7 +261,9 @@ pub enum WakeCmd {
 ///
 /// All methods have neutral defaults matching the baseline GPU, so a model
 /// only overrides the hooks it cares about. See the crate-level docs of
-/// `dab` and `gpudet` for the two non-trivial implementations.
+/// `dab` and `gpudet` for the two non-trivial implementations. A model
+/// names each counter only where it bumps it; it declares no metric schema
+/// up front.
 ///
 /// # Threading contract
 ///
@@ -281,15 +283,6 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
     /// Which warp-scheduling policy SMs should use under this model.
     fn scheduler_kind(&self) -> SchedKind {
         SchedKind::Gto
-    }
-
-    /// Registers every metric name this model may bump, called once at
-    /// simulator construction. A key bumped during the run that no
-    /// component registered makes `GpuSim::run` panic at the end of the
-    /// run, so models with counters must override this; models that bump
-    /// nothing keep the default no-op.
-    fn register_metrics(&self, registry: &mut obs::MetricsRegistry) {
-        let _ = registry;
     }
 
     /// How CTAs are distributed to SMs under this model.

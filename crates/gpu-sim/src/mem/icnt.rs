@@ -282,15 +282,6 @@ impl Interconnect {
         self.responses.pop(cluster)
     }
 
-    /// Registers the interconnect-owned metric family (`det.icnt.*`).
-    /// Called once per run at simulator construction.
-    pub fn register_metrics(registry: &mut obs::MetricsRegistry) {
-        registry.counter(
-            "det.icnt.packets_routed",
-            "packets delivered end-to-end by the interconnect (both directions)",
-        );
-    }
-
     /// Total packets delivered since construction, both directions.
     pub fn packets_moved(&self) -> u64 {
         self.requests.delivered + self.responses.delivered

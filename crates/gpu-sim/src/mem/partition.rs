@@ -204,23 +204,6 @@ impl MemPartition {
         }
     }
 
-    /// Registers the partition-owned metric families (`det.rop.*`,
-    /// `det.dram.*`). Called once per run (the families are shared by
-    /// every partition instance, so this is an associated function, not
-    /// per-instance).
-    pub fn register_metrics(registry: &mut obs::MetricsRegistry) {
-        registry.counter("det.rop.ops", "atomic operations retired by ROP units");
-        registry.counter(
-            "det.rop.fill_stall_cycles",
-            "cycles ROP units stalled waiting on DRAM fills",
-        );
-        registry.counter("det.dram.accesses", "DRAM accesses performed");
-        registry.counter(
-            "det.l2.reservation_fails",
-            "L2 requests refused for an L2 MSHR or a DRAM queue slot, once per request",
-        );
-    }
-
     /// This partition's index.
     pub fn id(&self) -> usize {
         self.id

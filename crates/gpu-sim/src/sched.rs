@@ -26,8 +26,6 @@ use std::collections::BTreeSet;
 pub enum SchedKind {
     /// Greedy-Then-Oldest (the non-deterministic baseline).
     Gto,
-    /// Loose round robin over ready warps.
-    Lrr,
     /// Strict Round Robin (deterministic).
     Srr,
     /// Greedy Then Round Robin (deterministic).
@@ -41,14 +39,13 @@ pub enum SchedKind {
 impl SchedKind {
     /// Whether this policy makes the order of atomic issue deterministic.
     pub fn is_determinism_aware(self) -> bool {
-        !matches!(self, SchedKind::Gto | SchedKind::Lrr)
+        self != SchedKind::Gto
     }
 
     /// Short display name as used in the paper's figures.
     pub fn label(self) -> &'static str {
         match self {
             SchedKind::Gto => "GTO",
-            SchedKind::Lrr => "LRR",
             SchedKind::Srr => "SRR",
             SchedKind::Gtrr => "GTRR",
             SchedKind::Gtar => "GTAR",
@@ -226,7 +223,7 @@ pub trait WarpScheduler: std::fmt::Debug + Send {
     ///   callbacks that also wake a warp (arrival, barrier release).
     ///
     /// Policies that eventually grant every attempted atomic on their own
-    /// (GTO, LRR, SRR) return [`AtomicGrant::Any`].
+    /// (GTO, SRR) return [`AtomicGrant::Any`].
     fn atomic_grant(&self) -> AtomicGrant {
         AtomicGrant::Any
     }
@@ -263,7 +260,6 @@ impl AtomicGrant {
 pub fn make_scheduler(kind: SchedKind, atomic_exec_latency: u32) -> Box<dyn WarpScheduler> {
     match kind {
         SchedKind::Gto => Box::new(Gto::new()),
-        SchedKind::Lrr => Box::new(Lrr::new()),
         SchedKind::Srr => Box::new(Srr::new()),
         SchedKind::Gtrr => Box::new(Gtrr::new()),
         SchedKind::Gtar => Box::new(Gtar::new(atomic_exec_latency)),
@@ -326,49 +322,6 @@ impl WarpScheduler for Gto {
         if self.last == Some(unique) {
             self.last = None;
         }
-    }
-
-    fn on_kernel_boundary(&mut self) {
-        self.last = None;
-    }
-}
-
-/// Loose round robin: the next ready warp after the last issued one, in
-/// cyclic `unique` order. Non-deterministic for shared buffers (readiness is
-/// timing-dependent) but fair.
-#[derive(Debug, Default)]
-pub struct Lrr {
-    last: Option<u64>,
-}
-
-impl Lrr {
-    /// Creates an LRR scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl WarpScheduler for Lrr {
-    fn kind(&self) -> SchedKind {
-        SchedKind::Lrr
-    }
-
-    fn pick(&mut self, views: &[WarpView], _cycle: u64) -> Option<usize> {
-        if views.is_empty() {
-            return None;
-        }
-        let start = self.last.unwrap_or(0);
-        // Views are sorted by unique; rotate to start after `start`.
-        let split = views.partition_point(|v| v.unique <= start);
-        views[split..]
-            .iter()
-            .chain(views[..split].iter())
-            .find(|v| v.ready)
-            .map(|v| v.slot)
-    }
-
-    fn on_issue(&mut self, unique: u64, _was_atomic: bool, _cycle: u64) {
-        self.last = Some(unique);
     }
 
     fn on_kernel_boundary(&mut self) {
@@ -854,19 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn lrr_rotates() {
-        let mut s = Lrr::new();
-        let views = [ready(0, 10), ready(1, 11), ready(2, 12)];
-        assert_eq!(s.pick(&views, 0), Some(0));
-        s.on_issue(10, false, 0);
-        assert_eq!(s.pick(&views, 1), Some(1));
-        s.on_issue(11, false, 1);
-        assert_eq!(s.pick(&views, 2), Some(2));
-        s.on_issue(12, false, 2);
-        assert_eq!(s.pick(&views, 3), Some(0));
-    }
-
-    #[test]
     fn srr_stalls_on_blocked_warp() {
         let mut s = Srr::new();
         s.on_warp_arrive(10);
@@ -1121,11 +1061,8 @@ mod tests {
     fn atomic_grant_per_policy() {
         // Greedy and round-robin policies never refuse an atomic on their
         // own, whatever the warp set.
-        let mut free: Vec<Box<dyn WarpScheduler>> = vec![
-            Box::new(Gto::new()),
-            Box::new(Lrr::new()),
-            Box::new(Srr::new()),
-        ];
+        let mut free: Vec<Box<dyn WarpScheduler>> =
+            vec![Box::new(Gto::new()), Box::new(Srr::new())];
         for s in &mut free {
             assert_eq!(s.atomic_grant(), AtomicGrant::Any, "{:?}", s.kind());
             s.on_warp_arrive(10);
@@ -1191,7 +1128,6 @@ mod tests {
     fn factory_produces_all_kinds() {
         for kind in [
             SchedKind::Gto,
-            SchedKind::Lrr,
             SchedKind::Srr,
             SchedKind::Gtrr,
             SchedKind::Gtar,
@@ -1205,7 +1141,6 @@ mod tests {
     #[test]
     fn determinism_awareness_flags() {
         assert!(!SchedKind::Gto.is_determinism_aware());
-        assert!(!SchedKind::Lrr.is_determinism_aware());
         for k in [
             SchedKind::Srr,
             SchedKind::Gtrr,

@@ -13,22 +13,14 @@
 //!
 //! # Counter namespaces
 //!
-//! Every named metric lives in the `det.*` namespace of the
-//! [`obs::metrics`] registry — the full contract (namespace classes,
-//! merge rules, coordinator-only families) is documented there and
-//! enforced here:
-//!
-//! * [`bump`](SimStats::bump), [`gauge_max`](SimStats::gauge_max) and
-//!   [`observe`](SimStats::observe) panic — naming the offending key and
-//!   call site — on any key outside `det.*`. `wall.*` keys are rejected
-//!   outright, which is what guarantees host-timing data can never leak
-//!   into a results digest.
-//! * `GpuSim::run` checks every key that reached the maps against the
-//!   run's [`obs::MetricsRegistry`] at the end of the run, so a typo'd
-//!   or unregistered key fails fast. Direct string-key insertion without
-//!   a matching registration is deprecated; register new families at
-//!   component construction (`ExecutionModel::register_metrics` for
-//!   models).
+//! Every named metric lives in the `det.*` namespace and is named once,
+//! where it is bumped. The full contract (namespace classes, merge rules,
+//! coordinator-only families) is documented in [`obs::metrics`] and
+//! enforced here: [`bump`](SimStats::bump),
+//! [`gauge_max`](SimStats::gauge_max) and [`observe`](SimStats::observe)
+//! panic — naming the offending key and call site — on any key outside
+//! `det.*`. `wall.*` keys are rejected outright, which is what guarantees
+//! host-timing data can never leak into a results digest.
 //!
 //! # Examples
 //!
@@ -91,7 +83,7 @@ fn check_det_key(name: &str) {
         Ok(_) => {}
         Err(e) => panic!(
             "SimStats rejects {name:?}: {e}; every stats key must be a \
-             registered det.* metric (see obs::metrics)"
+             valid det.* metric name (see obs::metrics)"
         ),
     }
 }

@@ -12,105 +12,17 @@
 //! `scheduler_scans`): the event engine exists to make those differ, so
 //! the comparison strips them and checks everything else.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::{build_grid, LANES};
 use gpu_sim::config::{EngineKind, GpuConfig};
 use gpu_sim::engine::GpuSim;
 use gpu_sim::exec::BaselineModel;
-use gpu_sim::isa::{AtomicAccess, AtomicOp, Instr, MemAccess, Value, WarpProgram};
+use gpu_sim::isa::{Instr, MemAccess, WarpProgram};
 use gpu_sim::kernel::{CtaSpec, KernelGrid};
 use gpu_sim::ndet::NdetSource;
-
-const LANES: usize = 8;
-
-/// Decodes one drawn `(opcode, operand, count)` triple into an instruction.
-/// Addresses stay in a small window so warps genuinely collide on sectors,
-/// partitions, and atomic cells.
-fn decode(opcode: u32, operand: u64, count: u32) -> Instr {
-    match opcode {
-        0 => Instr::Alu {
-            cycles: 1 + count % 3,
-            count: 1 + count % 4,
-        },
-        1 => Instr::Load {
-            accesses: vec![MemAccess::per_lane_f32(
-                0x1_0000 + (operand % 4) * 0x100,
-                LANES,
-            )],
-        },
-        2 => Instr::Store {
-            accesses: vec![MemAccess::per_lane_f32(
-                0x2_0000 + (operand % 4) * 0x100,
-                LANES,
-            )],
-        },
-        3 => Instr::Red {
-            op: AtomicOp::AddU32,
-            accesses: (0..LANES)
-                .map(|l| AtomicAccess::new(l, 0x3_0000 + (operand % 4) * 4, Value::U32(1)))
-                .collect(),
-        },
-        4 => Instr::Atom {
-            op: AtomicOp::AddU32,
-            accesses: vec![AtomicAccess::new(
-                0,
-                0x4_0000 + (operand % 2) * 4,
-                Value::U32(3),
-            )],
-        },
-        5 => Instr::Bar,
-        _ => Instr::Fence,
-    }
-}
-
-/// Raw drawn shape: CTAs → warps → instruction triples.
-type RawGrid = Vec<Vec<Vec<(u32, u64, u32)>>>;
-
-/// Builds a grid from the raw draw. Every warp of a CTA is trimmed to the
-/// same barrier count (the minimum across its warps), so barriers always
-/// release.
-fn build_grid(raw: RawGrid) -> KernelGrid {
-    let ctas = raw
-        .into_iter()
-        .enumerate()
-        .map(|(i, warps)| {
-            let decoded: Vec<Vec<Instr>> = warps
-                .into_iter()
-                .map(|instrs| {
-                    instrs
-                        .into_iter()
-                        .map(|(op, operand, count)| decode(op, operand, count))
-                        .collect()
-                })
-                .collect();
-            let min_bars = decoded
-                .iter()
-                .map(|p| p.iter().filter(|x| matches!(x, Instr::Bar)).count())
-                .min()
-                .unwrap_or(0);
-            let programs = decoded
-                .into_iter()
-                .map(|instrs| {
-                    let mut kept = 0usize;
-                    let body: Vec<Instr> = instrs
-                        .into_iter()
-                        .filter(|x| {
-                            if matches!(x, Instr::Bar) {
-                                kept += 1;
-                                kept <= min_bars
-                            } else {
-                                true
-                            }
-                        })
-                        .collect();
-                    WarpProgram::new(body, LANES)
-                })
-                .collect();
-            CtaSpec::new(i, programs)
-        })
-        .collect();
-    KernelGrid::new("random", ctas)
-}
 
 /// Runs `grid` under the requested engine and returns the determinism
 /// triple: final cycle count, memory digest, and the statistics rendered

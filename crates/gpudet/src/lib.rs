@@ -219,16 +219,6 @@ impl ExecutionModel for GpuDetModel {
         format!("gpudet-q{}", self.cfg.quantum)
     }
 
-    fn register_metrics(&self, registry: &mut obs::MetricsRegistry) {
-        registry.counter(
-            "det.gpudet.parallel_cycles",
-            "cycles spent in parallel mode",
-        );
-        registry.counter("det.gpudet.commit_cycles", "cycles spent in commit mode");
-        registry.counter("det.gpudet.serial_cycles", "cycles spent in serial mode");
-        registry.counter("det.gpudet.quanta", "quantum rounds completed");
-    }
-
     fn cta_distribution(&self, num_sms: usize) -> CtaDistribution {
         // GPUDet requires deterministic CTA distribution.
         CtaDistribution::Static {

@@ -5,7 +5,7 @@
 //! ([`Sample`]), the trace container and its byte-stable text format
 //! ([`Trace`]), the recording side ([`Tracer`]), the first-divergence
 //! bisector ([`diff`]), the Chrome trace-event / Perfetto exporter
-//! ([`perfetto`]), the typed metrics registry ([`metrics`]), the engine
+//! ([`perfetto`]), the metric namespace contract ([`metrics`]), the engine
 //! span profiler ([`profile`]), and the workspace's one JSON module
 //! ([`json`]): the ordered value type, its parser, the compact and
 //! pretty renderers, and the results-document writer that every results
@@ -51,7 +51,7 @@ pub use event::{
     DetMode, Event, FlushPhase, InstrKind, PacketKind, Sample, SkipSpan, SleepReason, WakeSite,
 };
 pub use filter::TraceFilter;
-pub use metrics::{HistSpec, MetricClass, MetricsRegistry};
+pub use metrics::{HistSpec, MetricClass};
 pub use profile::{profile_from_env, Phase, PhaseProfile};
 pub use trace::{ParseError, Trace, Tracer};
 
