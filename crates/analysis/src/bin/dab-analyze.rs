@@ -16,8 +16,10 @@
 //! - `--quiet` — print totals and violations only
 //!
 //! Environment: `DAB_SCALE=ci|paper` picks the workload scale,
-//! `DAB_JOBS` the analysis worker count, `DAB_RESULTS_DIR` the JSON
-//! output directory. Output is byte-identical across runs and worker
+//! `DAB_JOBS` the analysis worker count (a positive integer; default the
+//! machine's parallelism), `DAB_RESULTS_DIR` the JSON output directory.
+//! A knob value that is not accepted stops the run before any work,
+//! naming the variable. Output is byte-identical across runs and worker
 //! counts.
 //!
 //! Exit codes: `0` clean; `1` at least one non-allowlisted hazard or
@@ -33,24 +35,13 @@ use std::process::ExitCode;
 use analysis::hbgraph::HbGraph;
 use analysis::report::glob_match;
 use analysis::{analyze_suite_with_jobs, Allowlist};
-use dab_workloads::scale::Scale;
+use dab_workloads::scale::{SCALES, SCALE_VAR};
 use dab_workloads::suite::analyze_all;
 use obs::json;
 
 fn usage() -> &'static str {
     "usage: dab-analyze (--suite | --bench <glob>...) \
      [--allowlist <path>] [--json] [--emit-hb <dir>] [--quiet]"
-}
-
-fn jobs_from_env() -> usize {
-    if let Ok(s) = std::env::var("DAB_JOBS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 fn default_allowlist_path() -> PathBuf {
@@ -107,7 +98,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let scale = Scale::from_env();
+    let scale = obs::env::choice(SCALE_VAR, &SCALES).unwrap_or_default();
+    let jobs = obs::env::count("DAB_JOBS").unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
+    let results_dir = json::results_dir();
+
     let mut benches = analyze_all(scale);
     if !bench_globs.is_empty() {
         benches.retain(|b| bench_globs.iter().any(|g| glob_match(g, &b.name)));
@@ -160,7 +156,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = analyze_suite_with_jobs(&benches, scale.label(), jobs_from_env());
+    let report = analyze_suite_with_jobs(&benches, scale.label(), jobs);
 
     let text = report.render_text(&allow);
     if quiet {
@@ -174,8 +170,7 @@ fn main() -> ExitCode {
     }
 
     if json {
-        let dir = json::results_dir();
-        match json::write(&dir, "dab_analyze.json", &report.to_json(&allow)) {
+        match json::write(&results_dir, "dab_analyze.json", &report.to_json(&allow)) {
             Ok(path) => println!("results: {}", path.display()),
             Err(e) => {
                 eprintln!("{e}");

@@ -53,7 +53,7 @@ fn subset_report() -> SuiteReport {
 
 fn check(fixture: &str, got: &str) {
     let path = fixture_path(fixture);
-    if std::env::var("DAB_BLESS").is_ok() {
+    if obs::env::flag("DAB_BLESS") {
         std::fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden");
         std::fs::write(&path, got).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         return;

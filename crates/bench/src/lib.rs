@@ -21,19 +21,20 @@ mod results;
 mod sweep;
 
 pub use results::ResultsSink;
-pub use sweep::{
-    jobs_from_env, progress_from_env, JobId, Sweep, SweepJob, SweepResults, SweepRun, JOBS_VAR,
-    PROGRESS_VAR,
-};
+pub use sweep::{jobs_from_env, JobId, Sweep, SweepJob, SweepResults, SweepRun, JOBS_VAR};
 
 use dab::{DabConfig, DabModel};
-use dab_workloads::scale::Scale;
+use dab_workloads::scale::{Scale, SCALES, SCALE_VAR};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::{GpuSim, RunReport};
 use gpu_sim::exec::{BaselineModel, ExecutionModel};
 use gpu_sim::kernel::KernelGrid;
 use gpu_sim::ndet::NdetSource;
 use gpudet::{GpuDetConfig, GpuDetModel};
+
+/// Environment variable silencing the per-simulation progress lines
+/// (`DAB_QUIET=1`).
+const QUIET_VAR: &str = "DAB_QUIET";
 
 /// Shared experiment context: scale, machine, seed.
 #[derive(Debug, Clone)]
@@ -49,30 +50,33 @@ pub struct Runner {
 
 impl Runner {
     /// Builds a runner from the environment (`DAB_SCALE`, `DAB_ENGINE`,
-    /// `DAB_TRACE`, `DAB_TRACE_SAMPLE`, `DAB_PROFILE`, and the retired
-    /// `DAB_SIM_THREADS` / `DAB_COMMIT_SHARD`).
+    /// `DAB_TRACE`, `DAB_TRACE_SAMPLE`, `DAB_PROFILE`, `DAB_QUIET`, and the
+    /// retired `DAB_SIM_THREADS` / `DAB_COMMIT_SHARD`), each read through
+    /// [`obs::env`].
     ///
     /// # Panics
     ///
-    /// Panics when a retired knob (`DAB_SIM_THREADS`, `DAB_COMMIT_SHARD`)
-    /// is set to anything but `1`, `DAB_ENGINE` to anything but
-    /// `dense`/`event`, `DAB_TRACE` to anything but
-    /// `off`/`summary`/`full`, `DAB_TRACE_SAMPLE` to anything but a
-    /// positive integer, or `DAB_PROFILE` to anything but `0`/`1`.
+    /// Panics naming the variable and the value when a knob holds a value
+    /// it does not accept: `DAB_SCALE` takes `ci`/`paper`, `DAB_ENGINE`
+    /// `dense`/`event`, `DAB_TRACE` `off`/`summary`/`full`,
+    /// `DAB_TRACE_SAMPLE` a positive integer, `DAB_PROFILE` and
+    /// `DAB_QUIET` `0`/`1`, and the retired knobs only `1`.
     pub fn from_env() -> Self {
-        let scale = Scale::from_env();
+        let scale = obs::env::choice(SCALE_VAR, &SCALES).unwrap_or_default();
         let mut gpu = scale.gpu();
         gpu.sim_threads = gpu_sim::par::sim_threads_from_env();
         gpu.commit_shard = gpu_sim::par::commit_shard_from_env();
-        gpu.engine = gpu_sim::par::engine_from_env();
-        gpu.trace = obs::trace_mode_from_env();
-        gpu.trace_sample_interval = obs::sample_interval_from_env();
-        gpu.profile = obs::profile_from_env();
+        gpu.engine =
+            obs::env::choice(gpu_sim::par::ENGINE_VAR, &gpu_sim::par::ENGINES).unwrap_or_default();
+        gpu.trace = obs::env::choice(obs::TRACE_VAR, &obs::TRACE_MODES).unwrap_or_default();
+        gpu.trace_sample_interval =
+            obs::env::count(obs::SAMPLE_VAR).map_or(obs::DEFAULT_SAMPLE_INTERVAL, |n| n as u64);
+        gpu.profile = obs::env::flag(obs::profile::PROFILE_VAR);
         Self {
             gpu,
             scale,
             seed: 1,
-            verbose: std::env::var("DAB_QUIET").is_err(),
+            verbose: !obs::env::flag(QUIET_VAR),
         }
     }
 
@@ -137,7 +141,10 @@ impl Default for Runner {
 /// flat directory. Labels are unique within a target, so concurrent sweep
 /// workers never write the same file.
 pub fn maybe_write_trace(label: &str, report: &RunReport) {
-    let (Some(dir), Some(trace)) = (obs::trace_dir_from_env(), report.trace.as_ref()) else {
+    let Some(trace) = report.trace.as_ref() else {
+        return;
+    };
+    let Some(dir) = obs::env::dir(obs::TRACE_DIR_VAR) else {
         return;
     };
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -331,6 +338,151 @@ mod tests {
         assert_eq!(r.gpu.num_sms(), 16);
         assert_eq!(r.seed, 1);
         assert_eq!(ratio(1.234), "1.23x");
+    }
+
+    /// One environment knob: the setting it controls, read back as text,
+    /// and what each value must give.
+    struct Knob {
+        var: &'static str,
+        read: fn() -> String,
+        unset: String,
+        accepted: &'static [(&'static str, &'static str)],
+        garbage: &'static [&'static str],
+    }
+
+    /// Every knob the repository reads. Retired knobs accept only `1`.
+    fn knobs() -> Vec<Knob> {
+        let retired = |var, read| Knob {
+            var,
+            read,
+            unset: "1".into(),
+            accepted: &[("1", "1"), (" 1 ", "1")],
+            garbage: &["0", "2", "", "on"],
+        };
+        vec![
+            Knob {
+                var: "DAB_SCALE",
+                read: || format!("{:?}", Runner::from_env().scale),
+                unset: "Ci".into(),
+                accepted: &[("ci", "Ci"), (" paper\n", "Paper")],
+                garbage: &["papr", "PAPER", "", "1"],
+            },
+            Knob {
+                var: "DAB_ENGINE",
+                read: || format!("{:?}", Runner::from_env().gpu.engine),
+                unset: "Event".into(),
+                accepted: &[("dense", "Dense"), (" event ", "Event")],
+                garbage: &["Dense", "EVENT", "fast", "dense,event", ""],
+            },
+            Knob {
+                var: "DAB_TRACE",
+                read: || format!("{:?}", Runner::from_env().gpu.trace),
+                unset: "Off".into(),
+                accepted: &[("off", "Off"), (" summary ", "Summary"), ("full", "Full")],
+                garbage: &["Full", "on", "1", "verbose", ""],
+            },
+            Knob {
+                var: "DAB_TRACE_SAMPLE",
+                read: || Runner::from_env().gpu.trace_sample_interval.to_string(),
+                unset: "1024".into(),
+                accepted: &[("512", "512"), (" 7\n", "7")],
+                garbage: &["0", "-3", "many", "1.5", ""],
+            },
+            Knob {
+                var: "DAB_PROFILE",
+                read: || Runner::from_env().gpu.profile.to_string(),
+                unset: "false".into(),
+                accepted: &[("0", "false"), (" 1 ", "true")],
+                garbage: &["on", "true", "2", ""],
+            },
+            Knob {
+                var: "DAB_QUIET",
+                read: || Runner::from_env().verbose.to_string(),
+                unset: "true".into(),
+                accepted: &[("0", "true"), ("1", "false")],
+                garbage: &["yes", "true", ""],
+            },
+            Knob {
+                var: JOBS_VAR,
+                read: || jobs_from_env().to_string(),
+                unset: std::thread::available_parallelism()
+                    .map_or(1, std::num::NonZeroUsize::get)
+                    .to_string(),
+                accepted: &[("1", "1"), (" 6 ", "6"), ("64", "64")],
+                garbage: &["0", "O8", "abc", "", "-3", "1.5", "0x8"],
+            },
+            Knob {
+                var: obs::TRACE_DIR_VAR,
+                read: || format!("{:?}", obs::env::dir(obs::TRACE_DIR_VAR)),
+                unset: "None".into(),
+                accepted: &[("traces", "Some(\"traces\")"), ("", "None"), ("  ", "None")],
+                garbage: &[],
+            },
+            Knob {
+                var: obs::json::RESULTS_DIR_VAR,
+                // The default is the repository's `results/`, reached from
+                // the `obs` crate's directory.
+                read: || match obs::json::results_dir() {
+                    d if d.ends_with("../../results") => "results/".into(),
+                    d => d.display().to_string(),
+                },
+                unset: "results/".into(),
+                accepted: &[("out", "out"), (" /tmp/r ", "/tmp/r"), ("", "results/")],
+                garbage: &[],
+            },
+            Knob {
+                var: "DAB_BLESS",
+                read: || obs::env::flag("DAB_BLESS").to_string(),
+                unset: "false".into(),
+                accepted: &[("0", "false"), ("1", "true")],
+                garbage: &["yes", ""],
+            },
+            retired(gpu_sim::par::SIM_THREADS_VAR, || {
+                gpu_sim::par::sim_threads_from_env().to_string()
+            }),
+            retired(gpu_sim::par::COMMIT_SHARD_VAR, || {
+                u8::from(gpu_sim::par::commit_shard_from_env()).to_string()
+            }),
+            retired(gpu_sim::par::REPLICATIONS_VAR, || {
+                gpu_sim::par::replications_from_env().to_string()
+            }),
+        ]
+    }
+
+    /// The panic message of `f`, or `None` when it returns.
+    fn panic_message(f: fn() -> String) -> Option<String> {
+        let payload = std::panic::catch_unwind(f).err()?;
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn every_knob_reads_strictly() {
+        for knob in knobs() {
+            let var = knob.var;
+            let saved = std::env::var_os(var);
+            std::env::remove_var(var);
+            assert_eq!((knob.read)(), knob.unset, "{var} unset");
+            for &(value, want) in knob.accepted {
+                std::env::set_var(var, value);
+                assert_eq!((knob.read)(), want, "{var}={value:?}");
+            }
+            for &bad in knob.garbage {
+                std::env::set_var(var, bad);
+                let msg = panic_message(knob.read)
+                    .unwrap_or_else(|| panic!("{var}={bad:?} must panic, not be read"));
+                assert!(
+                    msg.contains(var) && msg.contains(&format!("{bad:?}")),
+                    "{var}={bad:?} panicked without naming the variable and value: {msg}"
+                );
+            }
+            match saved {
+                Some(v) => std::env::set_var(var, v),
+                None => std::env::remove_var(var),
+            }
+        }
     }
 
     #[test]

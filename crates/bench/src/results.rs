@@ -33,8 +33,8 @@
 //! }
 //! ```
 //!
-//! `digest` is the run's [`gpu_sim::mem::value::ValueMem`] digest — the
-//! determinism criterion — rendered as a hex string so 64-bit values
+//! `digest` is the run's [`gpu_sim::mem::value::ValueMem`] digest — what
+//! determinism is judged by — rendered as a hex string so 64-bit values
 //! survive JSON readers that parse numbers as doubles. Numbers follow the
 //! one `obs::json` rule: integer-valued numbers print without a fraction,
 //! others in their shortest round-trip form, and non-finite ones as

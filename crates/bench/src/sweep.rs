@@ -12,10 +12,10 @@
 //! Worker count comes from `DAB_JOBS` (default: available parallelism);
 //! tests that must not race on the environment use
 //! [`Runner::run_many_with_workers`] / [`Sweep::run_with_workers`].
-//! `DAB_PROGRESS=1` adds a per-job heartbeat line (completion count and a
-//! linear ETA) so long sweeps are observable from CI logs. Each
-//! simulation itself runs on one thread; the worker count changes no
-//! result bit.
+//! Unless `DAB_QUIET=1`, every finished job prints one stderr line with
+//! the completion count, its cycles and wall time, and a linear ETA, so
+//! long sweeps are observable from CI logs. Each simulation itself runs
+//! on one thread; the worker count changes no result bit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -33,38 +33,14 @@ use crate::Runner;
 /// Environment variable selecting how many sweep jobs run concurrently.
 pub const JOBS_VAR: &str = "DAB_JOBS";
 
-/// Environment variable enabling the sweep progress heartbeat
-/// (`DAB_PROGRESS=1`): one line per completed job with the running
-/// completion count and an ETA for the rest of the sweep.
-pub const PROGRESS_VAR: &str = "DAB_PROGRESS";
-
-/// Resolves the sweep progress heartbeat: `DAB_PROGRESS=1` turns it on,
-/// `0` or unset leaves it off.
-///
-/// # Panics
-///
-/// Panics when `DAB_PROGRESS` is set to anything other than `0` or `1` —
-/// a typo'd value must stop the run, not silently disable the heartbeat
-/// someone asked for.
-pub fn progress_from_env() -> bool {
-    match std::env::var(PROGRESS_VAR) {
-        Ok(raw) => match raw.as_str() {
-            "1" => true,
-            "0" => false,
-            other => panic!("{PROGRESS_VAR} must be `0` or `1`, got {other:?}"),
-        },
-        Err(std::env::VarError::NotPresent) => false,
-        Err(e) => panic!("{PROGRESS_VAR} is not valid unicode: {e}"),
-    }
-}
-
-/// Formats one progress heartbeat line: completion count, the job that
-/// just finished (with its own wall time), sweep elapsed, and a linear
+/// Formats one finished job's progress line: completion count, the job
+/// (with its cycles and its own wall time), sweep elapsed, and a linear
 /// ETA extrapolated from the per-job completion rate so far.
 fn progress_line(
     finished: usize,
     total: usize,
     label: &str,
+    cycles: u64,
     job_wall: Duration,
     sweep_elapsed: Duration,
 ) -> String {
@@ -75,7 +51,7 @@ fn progress_line(
         sweep_elapsed.mul_f64(remaining as f64 / finished as f64)
     };
     format!(
-        "    [{finished}/{total}] {label} done in {job_wall:.1?} \
+        "    [{finished:>3}/{total} {label}] {cycles} cycles, {job_wall:.1?} \
          (sweep {sweep_elapsed:.1?}, eta {eta:.1?})"
     )
 }
@@ -85,21 +61,13 @@ fn progress_line(
 ///
 /// # Panics
 ///
-/// Panics when `DAB_JOBS` is set to anything other than a positive integer
-/// (`0`, empty, or garbage). A typo'd worker count used to fall back to the
-/// default silently, turning an intended `DAB_JOBS=16` sweep into a slow
-/// serial one with no warning; an invalid value now stops the run instead.
+/// Panics naming the variable and the value when `DAB_JOBS` is set to
+/// anything other than a positive integer (`0`, empty, or garbage), so an
+/// intended `DAB_JOBS=16` sweep never silently runs on the default.
 pub fn jobs_from_env() -> usize {
-    match std::env::var(JOBS_VAR) {
-        Ok(raw) => match gpu_sim::par::parse_count(JOBS_VAR, &raw) {
-            Ok(n) => n,
-            Err(e) => panic!("{e}"),
-        },
-        Err(std::env::VarError::NotPresent) => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        Err(e) => panic!("{JOBS_VAR} is not valid unicode: {e}"),
-    }
+    obs::env::count(JOBS_VAR).unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
 }
 
 /// One simulation in a sweep: a model, the kernels to run it on, a label
@@ -337,7 +305,6 @@ impl Runner {
         let total = jobs.len();
         let workers = workers.max(1).min(total.max(1));
         let next = AtomicUsize::new(0);
-        let progress = progress_from_env();
         let done = AtomicUsize::new(0);
         let sweep_started = Instant::now();
         let job_slots: Vec<Mutex<Option<SweepJob<'_>>>> =
@@ -362,22 +329,15 @@ impl Runner {
                     let report = sim.run(job.kernels);
                     let elapsed = started.elapsed();
                     let label = job.label;
-                    if self.verbose {
-                        eprintln!(
-                            "    [{:>3}/{total} {label}] {} cycles, {:.1?}",
-                            i + 1,
-                            report.cycles(),
-                            elapsed
-                        );
-                    }
                     let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if progress {
+                    if self.verbose {
                         eprintln!(
                             "{}",
                             progress_line(
                                 finished,
                                 total,
                                 &label,
+                                report.cycles(),
                                 elapsed,
                                 sweep_started.elapsed()
                             )
@@ -502,17 +462,19 @@ mod tests {
             2,
             6,
             "BC_1k/dab",
+            1234,
             Duration::from_secs(1),
             Duration::from_secs(4),
         );
-        assert!(line.contains("[2/6]"), "{line}");
-        assert!(line.contains("BC_1k/dab"), "{line}");
+        assert!(line.contains("[  2/6 BC_1k/dab]"), "{line}");
+        assert!(line.contains("1234 cycles"), "{line}");
         assert!(line.contains("eta 8.0s"), "{line}");
         // Everything done: eta hits zero.
         let last = progress_line(
             6,
             6,
             "tail",
+            1,
             Duration::from_secs(1),
             Duration::from_secs(12),
         );

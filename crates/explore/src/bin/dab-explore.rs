@@ -9,10 +9,9 @@
 //! - `--suite` — explore every micro-suite benchmark
 //! - `--bench <glob>` — explore matching benchmarks only (repeatable)
 //! - `--model dab|baseline` — execution model (default `dab`)
-//! - `--budget <n>` — simulator runs per racy benchmark (default 24, or
-//!   `DAB_EXPLORE_BUDGET`)
+//! - `--budget <n>` — simulator runs per racy benchmark (default 24)
 //! - `--verify <n>` — record-mode cross-checks per statically-pruned
-//!   benchmark (default 8, or `DAB_EXPLORE_VERIFY`)
+//!   benchmark (default 8)
 //! - `--json` — also write `results/dab_explore.json`
 //! - `--witness-traces <dir>` — write each multi-class benchmark's
 //!   per-class witness traces (`dab-trace diff` input)
@@ -22,10 +21,10 @@
 //!   at least two outcome classes
 //! - `--quiet` — print gate failures only
 //!
-//! Environment: `DAB_SCALE`, `DAB_ENGINE`, `DAB_RESULTS_DIR`,
-//! `DAB_EXPLORE_BUDGET`, `DAB_EXPLORE_VERIFY`; the retired
-//! `DAB_SIM_THREADS` and `DAB_COMMIT_SHARD` accept only `1`. All output
-//! is byte-identical across runs.
+//! Environment: `DAB_SCALE`, `DAB_ENGINE`, `DAB_RESULTS_DIR`; the retired
+//! `DAB_SIM_THREADS` and `DAB_COMMIT_SHARD` accept only `1`. A knob value
+//! that is not accepted stops the run before any work, naming the
+//! variable. All output is byte-identical across runs.
 //!
 //! Exit codes: `0` all gates hold; `1` a gate failed (a statically
 //! single-class benchmark explored to more than one class, a walk failed
@@ -38,9 +37,9 @@ use std::process::ExitCode;
 
 use analysis::report::glob_match;
 use dab_explore::{ExploreConfig, ModelKind, SuiteExploration};
-use dab_workloads::scale::Scale;
+use dab_workloads::scale::{SCALES, SCALE_VAR};
 use dab_workloads::suite::micro_suite;
-use gpu_sim::par::parse_count;
+use gpu_sim::par::{ENGINES, ENGINE_VAR};
 use obs::json;
 
 fn usage() -> &'static str {
@@ -53,8 +52,8 @@ fn main() -> ExitCode {
     let mut suite = false;
     let mut bench_globs: Vec<String> = Vec::new();
     let mut model = ModelKind::Dab;
-    let mut budget: Option<usize> = None;
-    let mut verify: Option<usize> = None;
+    let mut budget = dab_explore::DEFAULT_BUDGET;
+    let mut verify = dab_explore::DEFAULT_VERIFY;
     let mut json = false;
     let mut witness_dir: Option<PathBuf> = None;
     let mut static_prune = true;
@@ -86,21 +85,12 @@ fn main() -> ExitCode {
                 },
                 Err(e) => return e,
             },
-            "--budget" => match take("--budget") {
-                Ok(n) => match parse_count("--budget", &n) {
-                    Ok(n) => budget = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}\n{}", usage());
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(e) => return e,
-            },
-            "--verify" => match take("--verify") {
-                Ok(n) => match parse_count("--verify", &n) {
-                    Ok(n) => verify = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}\n{}", usage());
+            "--budget" | "--verify" => match take(&arg) {
+                Ok(v) => match obs::env::parse_count(v.trim()) {
+                    Some(n) if arg == "--budget" => budget = n,
+                    Some(n) => verify = n,
+                    None => {
+                        eprintln!("{arg} must be a positive integer, got {v:?}\n{}", usage());
                         return ExitCode::from(2);
                     }
                 },
@@ -132,7 +122,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let scale = Scale::from_env();
+    let scale = obs::env::choice(SCALE_VAR, &SCALES).unwrap_or_default();
+    let mut gpu = scale.gpu();
+    gpu.sim_threads = gpu_sim::par::sim_threads_from_env();
+    gpu.commit_shard = gpu_sim::par::commit_shard_from_env();
+    gpu.engine = obs::env::choice(ENGINE_VAR, &ENGINES).unwrap_or_default();
+    let results_dir = json::results_dir();
+
     let mut benches = micro_suite(scale);
     if !bench_globs.is_empty() {
         benches.retain(|b| bench_globs.iter().any(|g| glob_match(g, &b.name)));
@@ -142,19 +138,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut gpu = scale.gpu();
-    gpu.sim_threads = gpu_sim::par::sim_threads_from_env();
-    gpu.commit_shard = gpu_sim::par::commit_shard_from_env();
-    gpu.engine = gpu_sim::par::engine_from_env();
-    let mut cfg = ExploreConfig::new(gpu).with_env_knobs();
-    cfg.model = model;
-    cfg.static_prune = static_prune;
-    if let Some(n) = budget {
-        cfg.budget = n;
-    }
-    if let Some(n) = verify {
-        cfg.verify = n;
-    }
+    let cfg = ExploreConfig {
+        gpu,
+        model,
+        budget,
+        verify,
+        static_prune,
+    };
 
     let result = SuiteExploration::run(&cfg, scale.label(), &benches);
 
@@ -186,8 +176,7 @@ fn main() -> ExitCode {
     }
 
     if json {
-        let dir = json::results_dir();
-        match json::write(&dir, "dab_explore.json", &result.to_json()) {
+        match json::write(&results_dir, "dab_explore.json", &result.to_json()) {
             Ok(path) => {
                 if !quiet {
                     println!("results: {}", path.display());

@@ -50,14 +50,7 @@ use gpu_sim::exec::{BaselineModel, ExecutionModel};
 use gpu_sim::kernel::KernelGrid;
 use gpu_sim::ndet::NdetSource;
 use gpu_sim::oracle::{Decision, ScheduleOracle};
-use gpu_sim::par::parse_count;
 use obs::json::Json;
-
-/// Environment variable bounding simulator runs per racy benchmark.
-pub const BUDGET_VAR: &str = "DAB_EXPLORE_BUDGET";
-/// Environment variable setting record-mode cross-check runs per
-/// statically-single-class benchmark.
-pub const VERIFY_VAR: &str = "DAB_EXPLORE_VERIFY";
 
 /// Default DFS budget (simulator runs) per racy benchmark.
 pub const DEFAULT_BUDGET: usize = 24;
@@ -134,24 +127,6 @@ impl ExploreConfig {
             verify: DEFAULT_VERIFY,
             static_prune: true,
         }
-    }
-
-    /// Applies the `DAB_EXPLORE_BUDGET` / `DAB_EXPLORE_VERIFY`
-    /// environment knobs, strictly parsed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either variable is set to anything but a positive
-    /// integer (same contract as `DAB_JOBS`; see
-    /// [`gpu_sim::par::parse_count`]).
-    pub fn with_env_knobs(mut self) -> Self {
-        if let Ok(raw) = std::env::var(BUDGET_VAR) {
-            self.budget = parse_count(BUDGET_VAR, &raw).unwrap_or_else(|e| panic!("{e}"));
-        }
-        if let Ok(raw) = std::env::var(VERIFY_VAR) {
-            self.verify = parse_count(VERIFY_VAR, &raw).unwrap_or_else(|e| panic!("{e}"));
-        }
-        self
     }
 }
 
@@ -597,19 +572,5 @@ mod tests {
         assert_eq!(minimal_prefix(&[0, 1, 0, 0]), vec![0, 1]);
         assert_eq!(minimal_prefix(&[0, 0]), Vec::<u32>::new());
         assert_eq!(minimal_prefix(&[2]), vec![2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "DAB_EXPLORE_BUDGET")]
-    fn malformed_budget_knob_is_rejected() {
-        // Env mutation is process-global; keep this the only test that
-        // sets the variable, and restore before the assert unwinds.
-        std::env::set_var(BUDGET_VAR, "lots");
-        let result =
-            std::panic::catch_unwind(|| ExploreConfig::new(GpuConfig::tiny()).with_env_knobs());
-        std::env::remove_var(BUDGET_VAR);
-        if let Err(p) = result {
-            std::panic::resume_unwind(p);
-        }
     }
 }

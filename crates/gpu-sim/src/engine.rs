@@ -19,8 +19,8 @@
 //!
 //! A run executes a sequence of [`KernelGrid`]s back to back and returns a
 //! [`RunReport`] with statistics and the final memory contents, whose
-//! [`digest`](crate::values::ValueMem::digest) is the determinism criterion
-//! used throughout the test-suite and benchmarks.
+//! [`digest`](crate::values::ValueMem::digest) is what determinism is
+//! judged by throughout the test-suite and benchmarks.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;

@@ -9,9 +9,8 @@
 //!   including the coordinator-only `det.engine.*` family;
 //! - across dense vs. event engines, everything *except* the
 //!   engine-variant `det.engine.*` / `det.obs.*` families agrees
-//!   exactly (those two families are what
-//!   [`obs::metrics::is_coordinator_only`] names, and differing across
-//!   engines is their documented purpose);
+//!   exactly (those two families are what [`is_coordinator_only`]
+//!   names, and differing across engines is their documented purpose);
 //! - no `wall.*` key ever appears in the stats maps, and every key that
 //!   does appear validates under [`obs::metrics::validate_name`] — the
 //!   run-time panic in `SimStats::bump` is exercised here from the
@@ -66,15 +65,28 @@ fn assert_keys_are_det(stats: &SimStats) {
     }
 }
 
+/// Whether a key names a coordinator-only family: counted by the engine
+/// once per run (`det.engine.*`, `det.obs.*`) or host timing (`wall.*`).
+fn is_coordinator_only(name: &str) -> bool {
+    name.starts_with("det.engine.") || name.starts_with("det.obs.") || name.starts_with("wall.")
+}
+
+#[test]
+fn coordinator_only_families() {
+    assert!(is_coordinator_only("det.engine.sms_ticked"));
+    assert!(is_coordinator_only("det.obs.samples"));
+    assert!(is_coordinator_only("wall.phase.merge"));
+    assert!(!is_coordinator_only("det.dab.flushes"));
+    assert!(!is_coordinator_only("det.stall.l1_mshr"));
+}
+
 /// Strips the engine-variant coordinator families (`det.engine.*`,
 /// `det.obs.*`) so two *different* engines can be compared on the
 /// metrics that must agree.
 fn engine_invariant(stats: &SimStats) -> SimStats {
     let mut s = stats.clone();
-    s.counters
-        .retain(|k, _| !obs::metrics::is_coordinator_only(k));
-    s.gauges
-        .retain(|k, _| !obs::metrics::is_coordinator_only(k));
+    s.counters.retain(|k, _| !is_coordinator_only(k));
+    s.gauges.retain(|k, _| !is_coordinator_only(k));
     s
 }
 

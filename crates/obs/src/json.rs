@@ -288,12 +288,10 @@ pub fn quote(s: &str) -> String {
 }
 
 /// The directory results documents are written to: `$DAB_RESULTS_DIR`
-/// when set, else the repository's `results/`.
+/// when set and not empty, else the repository's `results/`.
 pub fn results_dir() -> PathBuf {
-    match std::env::var_os(RESULTS_DIR_VAR) {
-        Some(dir) => PathBuf::from(dir),
-        None => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"),
-    }
+    crate::env::dir(RESULTS_DIR_VAR)
+        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"))
 }
 
 /// Writes `doc` in the [`Json::pretty`] layout to `dir/file`, creating

@@ -6,7 +6,8 @@
 //! ([`Trace`]), the recording side ([`Tracer`]), the first-divergence
 //! bisector ([`diff`]), the Chrome trace-event / Perfetto exporter
 //! ([`perfetto`]), the metric namespace contract ([`metrics`]), the engine
-//! span profiler ([`profile`]), and the workspace's one JSON module
+//! span profiler ([`profile`]), the one reader of the `DAB_*` environment
+//! knobs ([`env`](mod@env)), and the workspace's one JSON module
 //! ([`json`]): the ordered value type, its parser, the compact and
 //! pretty renderers, and the results-document writer that every results
 //! file (figures, analyzer and explorer reports) goes through. The simulator crates (`gpu-sim`, `dab`, `gpudet`,
@@ -25,20 +26,24 @@
 //!
 //! # Environment knobs
 //!
-//! * `DAB_TRACE` — `off` (default) | `summary` | `full`. Parsed strictly:
-//!   anything else panics naming the variable, like `DAB_ENGINE`.
+//! Every knob is read through [`env`](mod@env): unset means the
+//! default, and a value the knob does not accept panics naming the
+//! variable and the value.
+//!
+//! * `DAB_TRACE` — `off` (default) | `summary` | `full`.
 //! * `DAB_TRACE_SAMPLE` — sampling grid interval in cycles (default 1024,
 //!   must be a positive integer).
-//! * `DAB_TRACE_DIR` — when set, bench runners write one `<label>.trace`
-//!   file per run into this directory.
+//! * `DAB_TRACE_DIR` — when set and not empty, bench runners write one
+//!   `<label>.trace` file per run into this directory.
 //! * `DAB_PROFILE` — `0` (default) | `1`: enable the engine span
 //!   profiler. A throughput knob only — results are bit-identical either
 //!   way; all profile data lives in the `wall.*` namespace.
-//! * `DAB_RESULTS_DIR` — when set, every results document is written
-//!   there instead of the repository's `results/`; see
+//! * `DAB_RESULTS_DIR` — when set and not empty, every results document
+//!   is written there instead of the repository's `results/`; see
 //!   [`json::results_dir`].
 
 pub mod diff;
+pub mod env;
 pub mod event;
 pub mod filter;
 pub mod json;
@@ -52,7 +57,7 @@ pub use event::{
 };
 pub use filter::TraceFilter;
 pub use metrics::{HistSpec, MetricClass};
-pub use profile::{profile_from_env, Phase, PhaseProfile};
+pub use profile::{Phase, PhaseProfile};
 pub use trace::{ParseError, Trace, Tracer};
 
 use std::fmt;
@@ -81,13 +86,9 @@ pub enum TraceMode {
 }
 
 impl TraceMode {
-    /// Canonical lowercase token, as accepted by [`parse_trace_mode`].
+    /// Canonical lowercase token, from [`TRACE_MODES`].
     pub fn as_str(self) -> &'static str {
-        match self {
-            TraceMode::Off => "off",
-            TraceMode::Summary => "summary",
-            TraceMode::Full => "full",
-        }
+        TRACE_MODES[self as usize].0
     }
 
     /// True when any recording happens at all.
@@ -102,129 +103,55 @@ impl fmt::Display for TraceMode {
     }
 }
 
-/// Why a `DAB_TRACE` value was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceModeError {
-    message: String,
-}
-
-impl fmt::Display for TraceModeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for TraceModeError {}
-
-/// Strictly parses a `DAB_TRACE` value. Only (whitespace-trimmed) `off`,
-/// `summary`, and `full` are accepted; anything else is an error naming
-/// the variable, mirroring `par::parse_count`.
-pub fn parse_trace_mode(raw: &str) -> Result<TraceMode, TraceModeError> {
-    match raw.trim() {
-        "off" => Ok(TraceMode::Off),
-        "summary" => Ok(TraceMode::Summary),
-        "full" => Ok(TraceMode::Full),
-        other => Err(TraceModeError {
-            message: format!(
-                "{TRACE_VAR} must be \"off\", \"summary\", or \"full\", got {other:?}; \
-                 unset it to use the default"
-            ),
-        }),
-    }
-}
-
-/// Reads `DAB_TRACE` from the environment. Absent means [`TraceMode::Off`];
-/// present-but-invalid panics loudly rather than silently tracing the wrong
-/// amount.
-pub fn trace_mode_from_env() -> TraceMode {
-    match std::env::var(TRACE_VAR) {
-        Ok(raw) => match parse_trace_mode(&raw) {
-            Ok(mode) => mode,
-            Err(e) => panic!("{e}"),
-        },
-        Err(std::env::VarError::NotPresent) => TraceMode::Off,
-        Err(e) => panic!("{TRACE_VAR} is not valid unicode: {e}"),
-    }
-}
+/// Every trace mode, in declaration order, by the token `DAB_TRACE` and
+/// the trace-file header spell it with.
+pub const TRACE_MODES: [(&str, TraceMode); 3] = [
+    ("off", TraceMode::Off),
+    ("summary", TraceMode::Summary),
+    ("full", TraceMode::Full),
+];
 
 /// Default sampling grid interval in cycles.
 pub const DEFAULT_SAMPLE_INTERVAL: u64 = 1024;
-
-/// Why a `DAB_TRACE_SAMPLE` value was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampleIntervalError {
-    message: String,
-}
-
-impl fmt::Display for SampleIntervalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for SampleIntervalError {}
-
-/// Strictly parses a `DAB_TRACE_SAMPLE` value: a positive integer number
-/// of cycles between sample-grid points.
-pub fn parse_sample_interval(raw: &str) -> Result<u64, SampleIntervalError> {
-    let trimmed = raw.trim();
-    match trimmed.parse::<u64>() {
-        Ok(0) => Err(SampleIntervalError {
-            message: format!(
-                "{SAMPLE_VAR} is 0, but a zero-cycle sampling grid is meaningless; \
-                 unset it to use the default of {DEFAULT_SAMPLE_INTERVAL}"
-            ),
-        }),
-        Ok(n) => Ok(n),
-        Err(_) => Err(SampleIntervalError {
-            message: format!(
-                "{SAMPLE_VAR} is {trimmed:?}, not an unsigned integer; \
-                 unset it to use the default of {DEFAULT_SAMPLE_INTERVAL}"
-            ),
-        }),
-    }
-}
-
-/// Reads `DAB_TRACE_SAMPLE` from the environment. Absent means
-/// [`DEFAULT_SAMPLE_INTERVAL`]; present-but-invalid panics loudly.
-pub fn sample_interval_from_env() -> u64 {
-    match std::env::var(SAMPLE_VAR) {
-        Ok(raw) => match parse_sample_interval(&raw) {
-            Ok(n) => n,
-            Err(e) => panic!("{e}"),
-        },
-        Err(std::env::VarError::NotPresent) => DEFAULT_SAMPLE_INTERVAL,
-        Err(e) => panic!("{SAMPLE_VAR} is not valid unicode: {e}"),
-    }
-}
-
-/// Reads `DAB_TRACE_DIR`: the directory bench runners write per-run
-/// `.trace` files into, or `None` when unset.
-pub fn trace_dir_from_env() -> Option<std::path::PathBuf> {
-    match std::env::var(TRACE_DIR_VAR) {
-        Ok(raw) if raw.trim().is_empty() => None,
-        Ok(raw) => Some(std::path::PathBuf::from(raw)),
-        Err(std::env::VarError::NotPresent) => None,
-        Err(e) => panic!("{TRACE_DIR_VAR} is not valid unicode: {e}"),
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses a trace whose header carries `mode_line` and
+    /// `interval_line`; `None` when the header is refused.
+    fn parse_header(mode_line: &str, interval_line: &str) -> Option<Trace> {
+        let text = Tracer::new(TraceMode::Summary, 16)
+            .finish()
+            .to_text()
+            .replacen("mode summary\n", &format!("{mode_line}\n"), 1)
+            .replacen("interval 16\n", &format!("{interval_line}\n"), 1);
+        Trace::parse(&text).ok()
+    }
+
     #[test]
     fn mode_parse_accepts_exact_tokens() {
-        assert_eq!(parse_trace_mode("off"), Ok(TraceMode::Off));
-        assert_eq!(parse_trace_mode(" summary "), Ok(TraceMode::Summary));
-        assert_eq!(parse_trace_mode("full"), Ok(TraceMode::Full));
+        for (token, mode) in TRACE_MODES {
+            let trace = parse_header(&format!("mode {token}"), "interval 16");
+            assert_eq!(trace.map(|t| t.mode), Some(mode), "{token}");
+            assert_eq!(mode.as_str(), token);
+        }
     }
 
     #[test]
     fn mode_parse_rejects_garbage() {
         for bad in ["", "Full", "on", "1", "verbose"] {
-            let err = parse_trace_mode(bad).unwrap_err();
-            assert!(err.to_string().contains(TRACE_VAR), "{err}");
+            let trace = parse_header(&format!("mode {bad}"), "interval 16");
+            assert!(trace.is_none(), "mode {bad:?} must be refused");
+        }
+    }
+
+    #[test]
+    fn sample_interval_rejects_zero_and_garbage() {
+        let interval = |v: &str| parse_header("mode summary", &format!("interval {v}"));
+        assert_eq!(interval("512").map(|t| t.sample_interval), Some(512));
+        for bad in ["0", "many", "-3"] {
+            assert!(interval(bad).is_none(), "interval {bad:?} must be refused");
         }
     }
 
@@ -234,13 +161,5 @@ mod tests {
         assert!(TraceMode::Summary < TraceMode::Full);
         assert!(!TraceMode::Off.enabled());
         assert!(TraceMode::Summary.enabled());
-    }
-
-    #[test]
-    fn sample_interval_rejects_zero_and_garbage() {
-        assert_eq!(parse_sample_interval("512"), Ok(512));
-        assert!(parse_sample_interval("0").is_err());
-        assert!(parse_sample_interval("many").is_err());
-        assert!(parse_sample_interval("-3").is_err());
     }
 }

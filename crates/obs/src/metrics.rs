@@ -70,17 +70,6 @@ pub enum MetricClass {
     Wall,
 }
 
-impl MetricClass {
-    /// Canonical short label (`det`, `det.engine`, `wall`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MetricClass::DetArch => "det",
-            MetricClass::DetEngine => "det.engine",
-            MetricClass::Wall => "wall",
-        }
-    }
-}
-
 /// A fixed-bucket histogram schema: cumulative-style `le` buckets plus an
 /// overflow bucket, each materialized as an ordinary counter key so the
 /// existing sum-merge machinery applies unchanged.
@@ -187,12 +176,6 @@ pub fn validate_name(name: &str) -> Result<MetricClass, NameError> {
     }
 }
 
-/// Whether a key names a coordinator-only family: counted by the engine
-/// once per run (`det.engine.*`, `det.obs.*`) or host timing (`wall.*`).
-pub fn is_coordinator_only(name: &str) -> bool {
-    name.starts_with("det.engine.") || name.starts_with("det.obs.") || name.starts_with("wall.")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,15 +205,6 @@ mod tests {
         ] {
             assert!(validate_name(bad).is_err(), "{bad:?} should be invalid");
         }
-    }
-
-    #[test]
-    fn coordinator_only_families() {
-        assert!(is_coordinator_only("det.engine.sms_ticked"));
-        assert!(is_coordinator_only("det.obs.samples"));
-        assert!(is_coordinator_only("wall.phase.merge"));
-        assert!(!is_coordinator_only("det.dab.flushes"));
-        assert!(!is_coordinator_only("det.stall.l1_mshr"));
     }
 
     static HIST: HistSpec = HistSpec {

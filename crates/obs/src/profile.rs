@@ -247,35 +247,6 @@ pub fn parse_collapsed(text: &str) -> Result<Vec<(String, u64)>, String> {
 /// Environment variable enabling the span profiler.
 pub const PROFILE_VAR: &str = "DAB_PROFILE";
 
-/// Strictly parses a `DAB_PROFILE` value: `0` (off) or `1` (on).
-///
-/// # Errors
-///
-/// Anything else is an error naming the variable, mirroring the other
-/// `DAB_*` knobs.
-pub fn parse_profile(raw: &str) -> Result<bool, String> {
-    match raw.trim() {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        other => Err(format!(
-            "{PROFILE_VAR} must be \"0\" or \"1\", got {other:?}; unset it to disable profiling"
-        )),
-    }
-}
-
-/// Reads `DAB_PROFILE` from the environment. Absent means off;
-/// present-but-invalid panics loudly.
-pub fn profile_from_env() -> bool {
-    match std::env::var(PROFILE_VAR) {
-        Ok(raw) => match parse_profile(&raw) {
-            Ok(on) => on,
-            Err(e) => panic!("{e}"),
-        },
-        Err(std::env::VarError::NotPresent) => false,
-        Err(e) => panic!("{PROFILE_VAR} is not valid unicode: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,15 +324,5 @@ mod tests {
         assert_eq!(a.total(Phase::Icnt), Duration::from_micros(11));
         assert_eq!(a.count(Phase::Icnt), 2);
         assert_eq!(a.count(Phase::Dispatch), 1);
-    }
-
-    #[test]
-    fn profile_knob_parses_strictly() {
-        assert_eq!(parse_profile("0"), Ok(false));
-        assert_eq!(parse_profile(" 1 "), Ok(true));
-        for bad in ["", "on", "true", "2"] {
-            let err = parse_profile(bad).unwrap_err();
-            assert!(err.contains(PROFILE_VAR), "{err}");
-        }
     }
 }

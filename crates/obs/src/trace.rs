@@ -103,7 +103,12 @@ impl Trace {
         let (ln, mode_line) = next("mode line")?;
         let mode = mode_line
             .strip_prefix("mode ")
-            .and_then(|m| crate::parse_trace_mode(m).ok())
+            .and_then(|m| {
+                crate::TRACE_MODES
+                    .iter()
+                    .find(|(token, _)| *token == m.trim())
+            })
+            .map(|&(_, mode)| mode)
             .ok_or_else(|| ParseError::at(ln, "bad mode line"))?;
 
         let (ln, interval_line) = next("interval line")?;

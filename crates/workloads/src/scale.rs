@@ -8,10 +8,16 @@
 //! interconnect occupancy). [`Scale::Paper`] restores Table I and the
 //! full-size workloads.
 //!
-//! Every bench target honors the `DAB_SCALE` environment variable
-//! (`ci` or `paper`).
+//! Every bench target and tool reads the `DAB_SCALE` environment variable
+//! ([`SCALE_VAR`]) through [`SCALES`]: `ci` or `paper`, nothing else.
 
 use gpu_sim::config::GpuConfig;
+
+/// Environment variable selecting the scale.
+pub const SCALE_VAR: &str = "DAB_SCALE";
+
+/// Every scale by its `DAB_SCALE` token.
+pub const SCALES: [(&str, Scale); 2] = [("ci", Scale::Ci), ("paper", Scale::Paper)];
 
 /// Workload and machine scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,14 +30,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `DAB_SCALE` (`ci` / `paper`), defaulting to [`Scale::Ci`].
-    pub fn from_env() -> Self {
-        match std::env::var("DAB_SCALE").as_deref() {
-            Ok("paper") | Ok("PAPER") => Scale::Paper,
-            _ => Scale::Ci,
-        }
-    }
-
     /// The GPU configuration for this scale.
     pub fn gpu(self) -> GpuConfig {
         match self {
