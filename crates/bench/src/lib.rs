@@ -341,23 +341,27 @@ mod tests {
     }
 
     /// One environment knob: the setting it controls, read back as text,
-    /// and what each value must give.
+    /// and what each value must give. A garbage value's panic names the
+    /// variable, the quoted value and `says`.
     struct Knob {
         var: &'static str,
         read: fn() -> String,
         unset: String,
         accepted: &'static [(&'static str, &'static str)],
         garbage: &'static [&'static str],
+        says: &'static str,
     }
 
-    /// Every knob the repository reads. Retired knobs accept only `1`.
+    /// Every knob the repository reads. Retired knobs accept only `1` and
+    /// call themselves retired; `Runner::from_env` reads two of them.
     fn knobs() -> Vec<Knob> {
         let retired = |var, read| Knob {
             var,
             read,
             unset: "1".into(),
             accepted: &[("1", "1"), (" 1 ", "1")],
-            garbage: &["0", "2", "", "on"],
+            garbage: &["0", "2", "4", "", "on", "abc"],
+            says: "retired",
         };
         vec![
             Knob {
@@ -366,6 +370,7 @@ mod tests {
                 unset: "Ci".into(),
                 accepted: &[("ci", "Ci"), (" paper\n", "Paper")],
                 garbage: &["papr", "PAPER", "", "1"],
+                says: "",
             },
             Knob {
                 var: "DAB_ENGINE",
@@ -373,6 +378,7 @@ mod tests {
                 unset: "Event".into(),
                 accepted: &[("dense", "Dense"), (" event ", "Event")],
                 garbage: &["Dense", "EVENT", "fast", "dense,event", ""],
+                says: "",
             },
             Knob {
                 var: "DAB_TRACE",
@@ -380,6 +386,7 @@ mod tests {
                 unset: "Off".into(),
                 accepted: &[("off", "Off"), (" summary ", "Summary"), ("full", "Full")],
                 garbage: &["Full", "on", "1", "verbose", ""],
+                says: "",
             },
             Knob {
                 var: "DAB_TRACE_SAMPLE",
@@ -387,6 +394,7 @@ mod tests {
                 unset: "1024".into(),
                 accepted: &[("512", "512"), (" 7\n", "7")],
                 garbage: &["0", "-3", "many", "1.5", ""],
+                says: "",
             },
             Knob {
                 var: "DAB_PROFILE",
@@ -394,6 +402,7 @@ mod tests {
                 unset: "false".into(),
                 accepted: &[("0", "false"), (" 1 ", "true")],
                 garbage: &["on", "true", "2", ""],
+                says: "",
             },
             Knob {
                 var: "DAB_QUIET",
@@ -401,6 +410,7 @@ mod tests {
                 unset: "true".into(),
                 accepted: &[("0", "true"), ("1", "false")],
                 garbage: &["yes", "true", ""],
+                says: "",
             },
             Knob {
                 var: JOBS_VAR,
@@ -410,6 +420,7 @@ mod tests {
                     .to_string(),
                 accepted: &[("1", "1"), (" 6 ", "6"), ("64", "64")],
                 garbage: &["0", "O8", "abc", "", "-3", "1.5", "0x8"],
+                says: "positive integer",
             },
             Knob {
                 var: obs::TRACE_DIR_VAR,
@@ -417,6 +428,7 @@ mod tests {
                 unset: "None".into(),
                 accepted: &[("traces", "Some(\"traces\")"), ("", "None"), ("  ", "None")],
                 garbage: &[],
+                says: "",
             },
             Knob {
                 var: obs::json::RESULTS_DIR_VAR,
@@ -429,6 +441,7 @@ mod tests {
                 unset: "results/".into(),
                 accepted: &[("out", "out"), (" /tmp/r ", "/tmp/r"), ("", "results/")],
                 garbage: &[],
+                says: "",
             },
             Knob {
                 var: "DAB_BLESS",
@@ -436,12 +449,13 @@ mod tests {
                 unset: "false".into(),
                 accepted: &[("0", "false"), ("1", "true")],
                 garbage: &["yes", ""],
+                says: "",
             },
             retired(gpu_sim::par::SIM_THREADS_VAR, || {
-                gpu_sim::par::sim_threads_from_env().to_string()
+                Runner::from_env().gpu.sim_threads.to_string()
             }),
             retired(gpu_sim::par::COMMIT_SHARD_VAR, || {
-                u8::from(gpu_sim::par::commit_shard_from_env()).to_string()
+                u8::from(Runner::from_env().gpu.commit_shard).to_string()
             }),
             retired(gpu_sim::par::REPLICATIONS_VAR, || {
                 gpu_sim::par::replications_from_env().to_string()
@@ -474,8 +488,11 @@ mod tests {
                 let msg = panic_message(knob.read)
                     .unwrap_or_else(|| panic!("{var}={bad:?} must panic, not be read"));
                 assert!(
-                    msg.contains(var) && msg.contains(&format!("{bad:?}")),
-                    "{var}={bad:?} panicked without naming the variable and value: {msg}"
+                    msg.contains(var)
+                        && msg.contains(&format!("{bad:?}"))
+                        && msg.contains(knob.says),
+                    "{var}={bad:?} panicked without naming the variable, the value and {:?}: {msg}",
+                    knob.says
                 );
             }
             match saved {

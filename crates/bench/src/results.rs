@@ -47,9 +47,9 @@
 //! regardless of `DAB_JOBS`. The CI equivalence diffs strip exactly those
 //! fields.
 //!
-//! `icnt_stall_cycles` counts refused issue attempts, not cycles: one per
-//! scheduler visit whose pick the interconnect refuses, so it can exceed
-//! `cycles` (see `SimStats::icnt_stall_cycles`).
+//! `icnt_stall_cycles` counts requests, not cycles: one per load, store or
+//! atomic the interconnect refuses, at its first refusal (see
+//! `SimStats::icnt_stall_cycles`).
 
 use obs::json::{self, Json};
 

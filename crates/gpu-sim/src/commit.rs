@@ -27,7 +27,20 @@ use crate::mem::cache::Probe;
 use crate::mem::packet::{AtomKind, Packet, Payload, WarpRef};
 use crate::mem::partition_of;
 use crate::sched::{SchedKind, WarpView};
-use crate::sm::WarpState;
+use crate::sm::{Sleeper, WarpState};
+
+/// What one issue attempt did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Attempt {
+    /// The instruction issued.
+    Issued,
+    /// Not issued: refused, to be tried again at a later visit (or once
+    /// the model wakes the warp it parked).
+    Retry,
+    /// Refused, and every visit repeats the refusal with no effect until
+    /// the scheduler wakes (see `SchedulerCtx::sleeper`).
+    Sleep(Sleeper),
+}
 
 /// The state a warp parks in for `reason`.
 fn parked_state(reason: obs::SleepReason) -> WarpState {
@@ -118,6 +131,9 @@ impl GpuSim {
     /// barrier release earlier in the walk is already reflected in them.
     pub(crate) fn issue(&mut self, skip: bool) {
         let cycle = self.cycle;
+        if self.icnt_sleeps {
+            self.wake_icnt_sleepers();
+        }
         let (det_aware, srr_like) = self.gate_flags();
         let mut views = std::mem::take(&mut self.views);
         for sm_idx in 0..self.sms.len() {
@@ -135,7 +151,7 @@ impl GpuSim {
                     // this SM's walk) to every remaining cycle; a later CTA
                     // placement re-lowers it on arrival.
                     sctx.ready_bound = u64::MAX;
-                    sctx.l1_sleeper = None;
+                    sctx.sleeper = None;
                     continue;
                 }
                 let bound = sctx.ready_bound;
@@ -143,9 +159,9 @@ impl GpuSim {
                     continue;
                 }
                 // A visit the event engine would skip may still find a
-                // ready warp if the scheduler sleeps on an L1-refused load;
-                // the pick must then be that warp, refused again.
-                let sleeper = sctx.l1_sleeper.take().filter(|_| bound > cycle);
+                // ready warp if the scheduler sleeps on a refused pick; the
+                // pick must then be that warp, refused the same way.
+                let sleeper = sctx.sleeper.take().filter(|_| bound > cycle);
                 let agg_bound =
                     self.sms[sm_idx].build_views(sched, cycle, det_aware, srr_like, &mut views);
                 // Re-arm before the pick: wakes triggered by this visit
@@ -154,7 +170,7 @@ impl GpuSim {
                 // min-folds below.
                 self.sms[sm_idx].schedulers[sched].ready_bound = u64::MAX;
                 let (picked, sleeps) = if views.is_empty() {
-                    (None, false)
+                    (None, None)
                 } else {
                     self.apply_model_gating(sm_idx, sched, &mut views);
                     if bound > cycle && sleeper.is_none() && views.iter().any(|v| v.ready) {
@@ -163,16 +179,17 @@ impl GpuSim {
                     self.pick_and_issue(sm_idx, sched, &views, bound, sleeper)
                 };
                 let sm = &mut self.sms[sm_idx];
-                if let Some(slot) = picked.filter(|_| sleeps) {
-                    // The pick was refused for L1 MSHR room with no effect,
-                    // and so would every visit be until a view changes:
-                    // sleep (see `SchedulerCtx::l1_sleeper`).
+                if let Some(sleeper) = sleeps {
+                    // The pick was refused with no effect, and so would
+                    // every visit be until a view changes or the refusal's
+                    // resource frees: sleep (see `SchedulerCtx::sleeper`).
                     let sctx = &mut sm.schedulers[sched];
                     for v in views.iter().filter(|v| v.bound_at > cycle) {
                         sctx.note_ready(v.bound_at);
                     }
                     sctx.note_ready(sctx.policy.pick_changes_at(cycle));
-                    sctx.l1_sleeper = Some(slot);
+                    sctx.sleeper = Some(sleeper);
+                    self.icnt_sleeps |= matches!(sleeper, Sleeper::Icnt { .. });
                     continue;
                 }
                 for v in &views {
@@ -227,47 +244,50 @@ impl GpuSim {
     /// Runs the policy pick and issues the chosen warp. Returns the picked
     /// slot (whether or not the issue succeeded) so the event engine can
     /// exclude its pre-issue view bound from the incremental fold, and
-    /// whether the pick was a load refused for L1 MSHR room with a record
-    /// that stamps no line, on which the scheduler can sleep.
+    /// what the scheduler can sleep on if the pick was refused with no
+    /// effect.
     ///
     /// `sleeper` is set only on a dense-engine visit the event engine
-    /// would skip (its `bound` is past the cycle) to a scheduler sleeping
-    /// on an L1-refused load: the pick must be that warp, still holding a
-    /// record that stamps no line, or the visit breaks the skip rule.
+    /// would skip (its `bound` is past the cycle) to a sleeping scheduler:
+    /// the pick must be that warp, refused the same way (an L1 refusal
+    /// whose record stamps no line, or an interconnect refusal of the same
+    /// flits), or the visit breaks the skip rule.
     fn pick_and_issue(
         &mut self,
         sm_idx: usize,
         sched: usize,
         views: &[WarpView],
         bound: u64,
-        sleeper: Option<usize>,
-    ) -> (Option<usize>, bool) {
+        sleeper: Option<Sleeper>,
+    ) -> (Option<usize>, Option<Sleeper>) {
         let cycle = self.cycle;
         let picked = self.sms[sm_idx].schedulers[sched].policy.pick(views, cycle);
         let Some(slot) = picked else {
-            return (None, false);
+            return (None, None);
         };
         debug_assert!(
             views.iter().any(|v| v.slot == slot && v.ready),
             "scheduler picked a non-ready warp"
         );
-        if sleeper.is_some() && (sleeper != picked || !self.sms[sm_idx].refused_without_stamp(slot))
-        {
+        if sleeper.is_some_and(|s| s.slot() != slot) {
             self.skip_rule_broken(sm_idx, sched, bound);
         }
-        let issued = self.issue_one(sm_idx, sched, slot);
-        (
-            picked,
-            !issued && self.sms[sm_idx].refused_without_stamp(slot),
-        )
+        let sleeps = match self.issue_one(sm_idx, sched, slot) {
+            Attempt::Sleep(s) => Some(s),
+            Attempt::Issued | Attempt::Retry => None,
+        };
+        if sleeper.is_some() && sleeps != sleeper {
+            self.skip_rule_broken(sm_idx, sched, bound);
+        }
+        (picked, sleeps)
     }
 
     /// Issues the next instruction of the warp in `slot`. An `Alu` updates
     /// the warp in place; every other kind goes through
     /// [`issue_other`](Self::issue_other). Both share the post-issue tail:
-    /// trace, stats, the `on_issue` hooks and retirement. Returns whether
-    /// the instruction issued.
-    fn issue_one(&mut self, sm_idx: usize, sched: usize, slot: usize) -> bool {
+    /// trace, stats, the `on_issue` hooks and retirement. Returns what the
+    /// attempt did.
+    fn issue_one(&mut self, sm_idx: usize, sched: usize, slot: usize) -> Attempt {
         let cycle = self.cycle;
         let sm = &mut self.sms[sm_idx];
         let l1_generation = sm.l1.generation();
@@ -281,7 +301,7 @@ impl GpuSim {
             slot,
             unique,
         };
-        let (issued, thread_instrs) = if let Instr::Alu { cycles, count } = *instr {
+        let (attempt, thread_instrs) = if let Instr::Alu { cycles, count } = *instr {
             if w.alu_rem == 0 {
                 w.alu_rem = count.max(1);
             }
@@ -294,20 +314,19 @@ impl GpuSim {
                 // Back-to-back issue within the burst.
                 w.next_ready = cycle + 1;
             }
-            (true, lanes as u64)
+            (Attempt::Issued, lanes as u64)
         } else if w.refused_load.holds(pc, l1_generation) {
-            self.replay_refused_load(sm_idx, slot, pc);
-            (false, 0)
+            (self.replay_refused_load(sm_idx, slot, pc), 0)
         } else {
             let thread_instrs = instr.thread_instr_count(lanes);
             // The other kinds call back into `self` while they read the
             // instruction and its metadata, so they hold their own handles.
             let (program, meta) = (Arc::clone(&w.program), Arc::clone(&w.meta));
-            let issued = self.issue_other(warp_id, &program.instrs[pc], meta.at(pc));
-            (issued, thread_instrs)
+            let attempt = self.issue_other(warp_id, &program.instrs[pc], meta.at(pc));
+            (attempt, thread_instrs)
         };
 
-        if issued {
+        if attempt == Attempt::Issued {
             self.progress();
             if self.trace_full() {
                 self.trace_event(obs::Event::Issue {
@@ -334,12 +353,12 @@ impl GpuSim {
             model.on_issue(warp_id, was_atomic, &mut ctx);
             self.try_retire(sm_idx, slot);
         }
-        issued
+        attempt
     }
 
     /// Issues a non-ALU instruction `instr` (with its metadata `meta`) for
-    /// `warp_id`; returns whether it issued or must be retried.
-    fn issue_other(&mut self, warp_id: WarpId, instr: &Instr, meta: &InstrMeta) -> bool {
+    /// `warp_id`; returns what the attempt did.
+    fn issue_other(&mut self, warp_id: WarpId, instr: &Instr, meta: &InstrMeta) -> Attempt {
         let (sm_idx, slot) = (warp_id.sched.sm, warp_id.slot);
         match instr {
             Instr::Alu { .. } => unreachable!("ALU instructions issue in place"),
@@ -363,11 +382,11 @@ impl GpuSim {
             }
             Instr::Bar => {
                 self.issue_barrier(sm_idx, slot);
-                true
+                Attempt::Issued
             }
             Instr::Fence => {
                 self.issue_fence(warp_id);
-                true
+                Attempt::Issued
             }
             Instr::LockedSection {
                 kind,
@@ -395,12 +414,52 @@ impl GpuSim {
                     .expect("picked warp")
                     .pc += 1;
                 self.park(sm_idx, slot, obs::SleepReason::Lock);
-                true
+                Attempt::Issued
             }
         }
     }
 
-    fn issue_load(&mut self, sm_idx: usize, slot: usize, sectors: &[u64]) -> bool {
+    /// Charges the interconnect's refusal of the request of the warp in
+    /// `slot`, which needs `need` flits: one `icnt_stall_cycles` per
+    /// request, at its first refusal, however often it retries. With
+    /// `sleeps` set the retries would have no effect but the refusal, so
+    /// the scheduler may sleep until its cluster's budget reaches `need`.
+    fn icnt_refused(&mut self, sm_idx: usize, slot: usize, need: u32, sleeps: bool) -> Attempt {
+        let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
+        self.stats.icnt_stall_cycles += u64::from(w.icnt_refused_pc.replace(w.pc) != Some(w.pc));
+        if sleeps {
+            Attempt::Sleep(Sleeper::Icnt { slot, need })
+        } else {
+            Attempt::Retry
+        }
+    }
+
+    /// Wakes, at the current cycle, every scheduler sleeping on an
+    /// interconnect refusal whose request now fits its cluster's injection
+    /// budget. The budget grows only in the interconnect's tick, before
+    /// the issue walk, and the walk's injections only shrink it, so a
+    /// sleeper that does not fit now is refused at every visit this cycle.
+    /// Runs while `icnt_sleeps` is set, and clears it once none sleeps.
+    fn wake_icnt_sleepers(&mut self) {
+        let cycle = self.cycle;
+        let mut asleep = false;
+        for sm in &mut self.sms {
+            let budget = self.icnt.request_injection_budget(sm.cluster);
+            for sctx in &mut sm.schedulers {
+                if let Some(Sleeper::Icnt { need, .. }) = sctx.sleeper {
+                    if need <= budget {
+                        sctx.sleeper = None;
+                        sctx.note_ready(cycle);
+                    } else {
+                        asleep = true;
+                    }
+                }
+            }
+        }
+        self.icnt_sleeps = asleep;
+    }
+
+    fn issue_load(&mut self, sm_idx: usize, slot: usize, sectors: &[u64]) -> Attempt {
         let cycle = self.cycle;
         // Probe L1 for each precomputed sector; the probes collect in one
         // buffer every load reuses.
@@ -416,14 +475,14 @@ impl GpuSim {
                 .filter(|(_, p)| p.outcome != Probe::Hit)
                 .map(|(&s, _)| s)
         };
-        let issued = 'issue: {
+        let attempt = 'issue: {
             if misses == 0 {
                 self.stats.l1_accesses += sectors.len() as u64;
                 let l1_hit_latency = self.cfg.l1_hit_latency as u64;
                 let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
                 w.pc += 1;
                 w.next_ready = cycle + l1_hit_latency;
-                break 'issue true;
+                break 'issue Attempt::Issued;
             }
             // Structural checks: MSHR space for new sectors, interconnect
             // room.
@@ -431,9 +490,10 @@ impl GpuSim {
             let new_sectors = missing().filter(|s| !sm.l1_mshrs.contains_key(s)).count();
             let demand = sm.l1_mshrs.len() + new_sectors;
             if demand > sm.l1_mshr_capacity {
-                // The warp retries every cycle; until the L1's residency
-                // changes, each retry replays these probes. The load counts
-                // one reservation failure, at its first refusal.
+                // Until the L1's residency changes, each retry replays
+                // these probes; a replay that stamps no line has no effect,
+                // so the scheduler sleeps. The load counts one reservation
+                // failure, at its first refusal.
                 let generation = sm.l1.generation();
                 let w = sm.warps[slot].as_mut().expect("picked warp");
                 let record = &mut w.refused_load;
@@ -442,15 +502,22 @@ impl GpuSim {
                 record.generation = generation;
                 record.probes.clone_from(&probes);
                 record.excess = demand - sm.l1_mshr_capacity;
-                break 'issue false;
+                break 'issue if record.stamps_nothing() {
+                    Attempt::Sleep(Sleeper::L1 { slot })
+                } else {
+                    Attempt::Retry
+                };
             }
             if !self.can_send(sm_idx, new_sectors as u32) {
-                self.stats.icnt_stall_cycles += 1;
-                break 'issue false;
+                // A retry probes again: it has no effect only if no probe
+                // stamped a line.
+                let sleeps = probes.iter().all(|p| p.line.is_none());
+                break 'issue self.icnt_refused(sm_idx, slot, new_sectors as u32, sleeps);
             }
             self.stats.l1_accesses += sectors.len() as u64;
             self.stats.l1_misses += misses;
             let warp_ref = WarpRef { sm: sm_idx, slot };
+            let mut new_keys = false;
             for s in missing() {
                 let is_new = {
                     let sm = &mut self.sms[sm_idx];
@@ -458,6 +525,7 @@ impl GpuSim {
                     sm.l1_mshrs.entry(s).or_default().push(slot);
                     is_new
                 };
+                new_keys |= is_new;
                 if is_new {
                     let pkt = Packet::new(
                         partition_of(s, self.cfg.num_mem_partitions),
@@ -471,14 +539,17 @@ impl GpuSim {
                     self.send(sm_idx, pkt);
                 }
             }
+            if new_keys {
+                self.sms[sm_idx].wake_icnt_loads(cycle);
+            }
             let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
             w.outstanding_loads += misses as u32;
             w.pc += 1;
             self.park(sm_idx, slot, obs::SleepReason::Mem);
-            true
+            Attempt::Issued
         };
         self.load_probes = probes;
-        issued
+        attempt
     }
 
     /// Retries the load at `pc` that the MSHR table refused, while the
@@ -486,7 +557,7 @@ impl GpuSim {
     /// sees the same probes and the warp is refused again, with no tag
     /// scan, no MSHR lookup and no counter charged. The dense engine first
     /// checks the record against the live cache and MSHR table.
-    fn replay_refused_load(&mut self, sm_idx: usize, slot: usize, pc: usize) {
+    fn replay_refused_load(&mut self, sm_idx: usize, slot: usize, pc: usize) -> Attempt {
         if self.cfg.engine == EngineKind::Dense {
             if let Some(what) = self.stale_refused_load(sm_idx, slot) {
                 panic!(
@@ -498,6 +569,11 @@ impl GpuSim {
         let sm = &mut self.sms[sm_idx];
         let record = &sm.warps[slot].as_ref().expect("picked warp").refused_load;
         sm.l1.replay(&record.probes);
+        if record.stamps_nothing() {
+            Attempt::Sleep(Sleeper::L1 { slot })
+        } else {
+            Attempt::Retry
+        }
     }
 
     /// The dense engine's check of a replay: what, if anything, makes the
@@ -527,7 +603,7 @@ impl GpuSim {
             .then(|| format!("the MSHR table has room for its {new_sectors} new sectors"))
     }
 
-    fn issue_store(&mut self, warp_id: WarpId, sectors: &[u64]) -> bool {
+    fn issue_store(&mut self, warp_id: WarpId, sectors: &[u64]) -> Attempt {
         let cycle = self.cycle;
         let sm_idx = warp_id.sched.sm;
         let slot = warp_id.slot;
@@ -537,11 +613,11 @@ impl GpuSim {
             let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
             w.pc += 1;
             w.next_ready = cycle + 1;
-            return true;
+            return Attempt::Issued;
         }
-        if !self.can_send(sm_idx, 2 * sectors.len() as u32) {
-            self.stats.icnt_stall_cycles += 1;
-            return false;
+        let need = 2 * sectors.len() as u32;
+        if !self.can_send(sm_idx, need) {
+            return self.icnt_refused(sm_idx, slot, need, true);
         }
         // Store *data* is not modeled: the timing model only needs sector
         // addresses, and reduction outputs are written by atomics.
@@ -568,7 +644,7 @@ impl GpuSim {
         w.outstanding_writes += sectors.len() as u32;
         w.pc += 1;
         w.next_ready = cycle + 1;
-        true
+        Attempt::Issued
     }
 
     fn issue_atomic(
@@ -578,7 +654,7 @@ impl GpuSim {
         accesses: &[AtomicAccess],
         kind: AtomKind,
         meta: &InstrMeta,
-    ) -> bool {
+    ) -> Attempt {
         let cycle = self.cycle;
         let sm_idx = warp_id.sched.sm;
         let slot = warp_id.slot;
@@ -595,20 +671,14 @@ impl GpuSim {
                 let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
                 w.pc += 1;
                 w.next_ready = cycle + cycles.max(1) as u64;
-                true
+                Attempt::Issued
             }
             AtomicRoute::StallFlush => {
                 self.park(sm_idx, slot, obs::SleepReason::Flush);
                 self.atomic_buffer_full_stalls += 1;
-                false
+                Attempt::Retry
             }
             AtomicRoute::ToMemory => {
-                // Fast-fail when the injection queue is jammed, before
-                // touching the precomputed groups (retried every cycle).
-                if !self.can_send(sm_idx, 1) {
-                    self.stats.icnt_stall_cycles += 1;
-                    return false;
-                }
                 // Per-sector coalescing groups and the flit total are
                 // precomputed in the shared [`WarpMeta`] table.
                 let InstrMeta::Atomic {
@@ -618,9 +688,13 @@ impl GpuSim {
                 else {
                     unreachable!("atomic without coalescing metadata")
                 };
-                if !self.can_send(sm_idx, *total_flits) {
-                    self.stats.icnt_stall_cycles += 1;
-                    return false;
+                let need = (*total_flits).max(1);
+                if !self.can_send(sm_idx, need) {
+                    // An `atom`'s route may depend on the model's global
+                    // state, which other schedulers change (DAB sends it
+                    // to memory only while every buffer is empty and no
+                    // flush runs), so a refused `atom` retries every cycle.
+                    return self.icnt_refused(sm_idx, slot, need, kind == AtomKind::Red);
                 }
                 let warp_ref = WarpRef { sm: sm_idx, slot };
                 let unique = self.sms[sm_idx].warps[slot]
@@ -649,7 +723,7 @@ impl GpuSim {
                     AtomKind::Red => w.next_ready = cycle + 1,
                     AtomKind::Atom => self.park(sm_idx, slot, obs::SleepReason::Atom),
                 }
-                true
+                Attempt::Issued
             }
         }
     }
@@ -799,6 +873,8 @@ impl GpuSim {
         let gate_before = self.sms[sm_idx].schedulers[sched].completed_batches;
         let warp = self.sms[sm_idx].retire_warp(slot, cycle);
         debug_assert_eq!(warp.unique, unique);
+        // The freed slot may fit a CTA a placement scan refused.
+        self.dispatch_idle = false;
         if self.sms[sm_idx].schedulers[sched].completed_batches != gate_before {
             // The batch gate opened: warps this scheduler had parked with
             // no timer bound (gated atomics) may now be pickable, so the
@@ -1141,6 +1217,269 @@ mod tests {
         let alu_warp = sim.sms[0].warps[slots[1]].as_ref().expect("warp").unique;
         sim.sms[0].schedulers[0].policy.on_issue(alu_warp, false, 4);
         step(&mut sim);
+    }
+
+    /// Fills cluster 0's injection queue with load requests the issue walk
+    /// never drains (the tests step the walk alone): every request from
+    /// SM 0 is refused by the interconnect.
+    fn jam_cluster_0(sim: &mut GpuSim) {
+        while sim.icnt.request_injection_budget(0) > 0 {
+            let pkt = Packet::new(
+                0,
+                Payload::LoadReq {
+                    sector_addr: 0,
+                    warp: WarpRef { sm: 1, slot: 0 },
+                },
+                sim.cfg.icnt_flit_size,
+            );
+            sim.icnt.inject_request(0, pkt);
+        }
+    }
+
+    /// SM 0 of the tiny machine running `model`, with one program on each
+    /// of its first schedulers (the others' warps retire at once), cluster
+    /// 0's injection queue jammed, and the walk's cycle at 0. Returns the
+    /// simulator and the programs' slots.
+    fn jammed_sim(
+        engine: EngineKind,
+        model: Box<dyn crate::exec::ExecutionModel>,
+        programs: Vec<Vec<Instr>>,
+    ) -> (GpuSim, Vec<usize>) {
+        let mut cfg = GpuConfig::tiny();
+        cfg.engine = engine;
+        let mut sim = GpuSim::new(cfg, model, NdetSource::disabled());
+        let (n, ns) = (programs.len(), sim.cfg.num_schedulers_per_sm);
+        let mut warps: Vec<WarpProgram> = programs
+            .into_iter()
+            .map(|p| WarpProgram::new(p, 32))
+            .collect();
+        warps.extend((n..ns).map(|_| WarpProgram::empty(32)));
+        let metas: Vec<_> = warps.iter().map(|p| warp_meta(p, &sim.cfg)).collect();
+        let slots = sim.sms[0].add_cta(&CtaSpec::new(0, warps), 0, 0, &metas);
+        for &slot in &slots[n..] {
+            sim.try_retire(0, slot);
+        }
+        jam_cluster_0(&mut sim);
+        (sim, slots[..n].to_vec())
+    }
+
+    /// Disabled arbitration streams, to drain the interconnect by hand.
+    fn drain_streams(sim: &GpuSim) -> (Vec<NdetSource>, Vec<NdetSource>) {
+        (
+            vec![NdetSource::disabled(); sim.cfg.num_mem_partitions],
+            vec![NdetSource::disabled(); sim.cfg.num_clusters],
+        )
+    }
+
+    fn red(addr: u64) -> Instr {
+        Instr::Red {
+            op: AtomicOp::AddU32,
+            accesses: vec![AtomicAccess::new(0, addr, crate::isa::Value::U32(1))],
+        }
+    }
+
+    #[test]
+    fn icnt_refused_red_sleeps_and_counts_once() {
+        // The `red` is refused at every attempt. The event engine visits
+        // SM 0 once and sleeps on the cluster's budget; dense visits every
+        // cycle and checks the refusal. Both count one stall.
+        let mut runs = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let (mut sim, slots) = sleep_sim(
+                engine,
+                Box::new(BaselineModel::new()),
+                vec![vec![red(0x80)]],
+            );
+            jam_cluster_0(&mut sim);
+            let run = run_sleep(&mut sim, &slots, 20, u64::MAX);
+            assert_eq!(sim.stats.icnt_stall_cycles, 1, "{engine:?}");
+            assert!(sim.icnt_sleeps, "{engine:?}");
+            runs.push(run);
+        }
+        assert_eq!(runs[0].0, vec![u64::MAX]);
+        assert_eq!(runs[1].0, runs[0].0);
+        assert_eq!(runs[0].1, 20 * GpuConfig::tiny().num_sms() as u64);
+        assert_eq!(runs[1].1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "skip rule broken: SM 0 scheduler 0 has a ready warp at cycle 1")]
+    fn dense_engine_names_an_icnt_sleep_on_other_flits() {
+        // The record of the sleep no longer matches the refusal: the dense
+        // visit is refused for other flits than the scheduler sleeps on.
+        let (mut sim, slots) = sleep_sim(
+            EngineKind::Dense,
+            Box::new(BaselineModel::new()),
+            vec![vec![red(0x80)]],
+        );
+        jam_cluster_0(&mut sim);
+        step(&mut sim);
+        let sctx = &mut sim.sms[0].schedulers[0];
+        assert_eq!(
+            sctx.sleeper,
+            Some(Sleeper::Icnt {
+                slot: slots[0],
+                need: 1
+            })
+        );
+        sctx.sleeper = Some(Sleeper::Icnt {
+            slot: slots[0],
+            need: 2,
+        });
+        step(&mut sim);
+    }
+
+    #[test]
+    fn icnt_refused_load_wakes_on_a_new_mshr_key() {
+        // Scheduler 0's load of two absent lines needs 2 flits and finds 1:
+        // it sleeps. Scheduler 1's load of one of those sectors fits and
+        // takes its MSHR, so the first load now needs 1 flit: the new key
+        // wakes it, and it sleeps again on the smaller need. Once the
+        // interconnect drains a flit it issues, on both engines at once.
+        let far = ABSENT + 4 * SET_STRIDE;
+        let mut issued_at = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let programs = vec![vec![load(&[ABSENT, far])], vec![alu(), load(&[ABSENT])]];
+            let (mut sim, slots) = jammed_sim(engine, Box::new(BaselineModel::new()), programs);
+            let mut drain = drain_streams(&sim);
+            // One flit of room: the first load's two do not fit.
+            sim.icnt.tick(0, &mut drain.0, &mut drain.1);
+            let mut issued = None;
+            while sim.cycle < 12 {
+                if sim.cycle == 8 {
+                    sim.icnt.tick(8, &mut drain.0, &mut drain.1);
+                }
+                let cycle = sim.cycle;
+                step(&mut sim);
+                if issued.is_none() && pc(&sim, slots[0]) != 0 {
+                    issued = Some(cycle);
+                }
+                if cycle == 2 && engine == EngineKind::Event {
+                    assert_eq!(
+                        sim.sms[0].schedulers[0].sleeper,
+                        Some(Sleeper::Icnt {
+                            slot: slots[0],
+                            need: 1
+                        })
+                    );
+                }
+            }
+            issued_at.push(issued);
+        }
+        assert_eq!(issued_at, vec![Some(8), Some(8)]);
+    }
+
+    #[test]
+    fn icnt_refused_load_wakes_on_a_fill() {
+        // The load of an absent line sleeps on the jammed interconnect; a
+        // response fills its sector at cycle 5, so its next attempt hits
+        // and issues with no flit to send, on both engines at once.
+        let mut issued_at = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let programs = vec![vec![load(&[ABSENT])]];
+            let (mut sim, slots) = jammed_sim(engine, Box::new(BaselineModel::new()), programs);
+            let mut issued = None;
+            while sim.cycle < 10 {
+                if sim.cycle == 5 {
+                    sim.handle_load_resp(ABSENT, WarpRef { sm: 0, slot: 0 });
+                }
+                let cycle = sim.cycle;
+                step(&mut sim);
+                if issued.is_none() && pc(&sim, slots[0]) != 0 {
+                    issued = Some(cycle);
+                }
+            }
+            issued_at.push((issued, sim.stats.icnt_stall_cycles));
+        }
+        assert_eq!(issued_at, vec![(Some(5), 1), (Some(5), 1)]);
+    }
+
+    #[test]
+    fn icnt_refused_load_that_stamps_retries_every_cycle() {
+        // One of the load's probes finds its line resident (a sector miss)
+        // and stamps it at every attempt, so the scheduler never sleeps:
+        // both engines stamp the line on every cycle and end with the same
+        // cache.
+        let mut caches = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let programs = vec![vec![load(&[SECTOR_MISS, ABSENT])]];
+            let (mut sim, _) = jammed_sim(engine, Box::new(BaselineModel::new()), programs);
+            sim.sms[0].l1.fill(HIT);
+            while sim.cycle < 6 {
+                step(&mut sim);
+                assert_eq!(sim.sms[0].schedulers[0].sleeper, None, "{engine:?}");
+            }
+            assert_eq!(
+                sim.activity.sms_ticked,
+                6 * (1 + u64::from(engine == EngineKind::Dense))
+            );
+            caches.push(format!("{:?}", sim.sms[0].l1));
+        }
+        assert_eq!(caches[0], caches[1]);
+    }
+
+    /// DAB's `atom` route in miniature: an `atom` goes to memory only
+    /// while no `red` is buffered, and stalls for a flush behind one.
+    #[derive(Debug, Default)]
+    struct AtomBehindRed {
+        buffered: bool,
+    }
+
+    impl crate::exec::ExecutionModel for AtomBehindRed {
+        fn name(&self) -> String {
+            "atom-behind-red".to_string()
+        }
+
+        fn on_atomic(
+            &mut self,
+            issue: AtomicIssue<'_>,
+            _ctx: &mut crate::exec::ModelCtx<'_>,
+        ) -> AtomicRoute {
+            match issue.kind {
+                AtomKind::Red => {
+                    self.buffered = true;
+                    AtomicRoute::Buffered { cycles: 1 }
+                }
+                AtomKind::Atom if self.buffered => AtomicRoute::StallFlush,
+                AtomKind::Atom => AtomicRoute::ToMemory,
+            }
+        }
+    }
+
+    #[test]
+    fn icnt_refused_atom_sees_a_red_buffered_meanwhile() {
+        // Scheduler 0's `atom` is refused by the interconnect from cycle 0.
+        // Scheduler 1's warp buffers a `red` after its ALU burst, so the
+        // `atom`'s next attempt stalls for a flush instead: it must not
+        // sleep through that on the event engine, and the dense engine
+        // must not find a broken sleep.
+        let atom = Instr::Atom {
+            op: AtomicOp::AddU32,
+            accesses: vec![AtomicAccess::new(0, 0x80, crate::isa::Value::U32(1))],
+        };
+        let alu_burst = Instr::Alu {
+            cycles: 1,
+            count: 3,
+        };
+        let mut parked_at = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let programs = vec![vec![atom.clone()], vec![alu_burst.clone(), red(0x100)]];
+            let (mut sim, slots) = jammed_sim(engine, Box::new(AtomBehindRed::default()), programs);
+            let atom_slot = slots[0];
+            let mut parked = None;
+            while sim.cycle < 10 {
+                let cycle = sim.cycle;
+                step(&mut sim);
+                let state = sim.sms[0].warps[atom_slot].as_ref().expect("warp").state;
+                if parked.is_none() && state == WarpState::WaitFlush {
+                    parked = Some(cycle);
+                }
+            }
+            assert_eq!(sim.stats.icnt_stall_cycles, 1, "{engine:?}");
+            parked_at.push(parked);
+        }
+        // The burst issues at cycles 0-2 and the `red` at 3.
+        assert_eq!(parked_at, vec![Some(4), Some(4)]);
     }
 
     #[test]

@@ -261,6 +261,16 @@ pub struct GpuSim {
     /// Atomics stalled on a full model-side buffer
     /// (`det.stall.atomic_buffer_full`).
     pub(crate) atomic_buffer_full_stalls: u64,
+    /// Some scheduler may sleep on an interconnect refusal: the issue walk
+    /// first wakes those whose request now fits (`wake_icnt_sleepers`).
+    /// Set with such a sleep, cleared by the wake pass once none is left,
+    /// so the pass costs nothing while no scheduler sleeps that way.
+    pub(crate) icnt_sleeps: bool,
+    /// The last CTA placement scan placed nothing and no warp has retired
+    /// since. Placement capacity (`Sm::can_accept`) changes only at a
+    /// placement or a retirement, and a scan that places nothing draws no
+    /// perturbation, so `dispatch` skips its scan while this holds.
+    pub(crate) dispatch_idle: bool,
     pub(crate) sched_kind: SchedKind,
     last_progress_cycle: u64,
     /// Dense engine only: the cycle the event engine would have advanced
@@ -364,6 +374,8 @@ impl GpuSim {
             load_probes: Vec::new(),
             l1_mshr_stalls: 0,
             atomic_buffer_full_stalls: 0,
+            icnt_sleeps: false,
+            dispatch_idle: false,
             sched_kind,
             model,
             ndet,
@@ -521,6 +533,7 @@ impl GpuSim {
         let dist = self.model.cta_distribution(self.cfg.num_sms());
         let dispatcher = Dispatcher::new(grid, dist, self.cfg.num_sms(), statics);
         self.all_dispatched = dispatcher.all_dispatched();
+        self.dispatch_idle = false;
         self.model.on_kernel_start(&grid.name);
         self.last_progress_cycle = self.cycle;
         dispatcher
@@ -1006,10 +1019,11 @@ impl GpuSim {
     // ------------------------------------------------------------------
 
     fn dispatch(&mut self, grid: &KernelGrid, dispatcher: &mut Dispatcher) {
-        if !self.model.allow_dispatch() {
+        if self.dispatch_idle || !self.model.allow_dispatch() {
             return;
         }
         let cycle = self.cycle;
+        let mut placed = false;
         if dispatcher.is_static {
             for sm_idx in 0..self.cfg.num_sms() {
                 let Some(&cta_idx) = dispatcher.static_queues[sm_idx].front() else {
@@ -1028,6 +1042,7 @@ impl GpuSim {
                     );
                     self.notify_spawns(sm_idx, &slots);
                     self.progress();
+                    placed = true;
                 }
             }
         } else {
@@ -1087,8 +1102,10 @@ impl GpuSim {
                 if assigned > 0 {
                     dispatcher.rr = (dispatcher.rr + 1) % n;
                 }
+                placed = assigned > 0;
             }
         }
+        self.dispatch_idle = !placed;
     }
 
     fn notify_spawns(&mut self, sm_idx: usize, slots: &[usize]) {
@@ -1623,15 +1640,99 @@ mod tests {
     #[test]
     fn icnt_backpressure_counts_stalls() {
         // A machine with a starved interconnect accumulates issue stalls
-        // instead of deadlocking.
-        let mut cfg = GpuConfig::tiny();
-        cfg.icnt_input_buffer = 8;
-        cfg.icnt_flits_per_cycle = 1;
-        let grid = sum_grid(64, 32, 0x0);
-        let sim = GpuSim::new(cfg, Box::new(BaselineModel::new()), NdetSource::disabled());
-        let r = sim.run(&[grid]);
-        assert_eq!(r.values.read_f32(0x0), 64.0 * 32.0);
-        assert!(r.stats.icnt_stall_cycles > 0);
+        // instead of deadlocking: one per refused request, however often
+        // it retries. The refused schedulers sleep on the event engine.
+        let runs: Vec<RunReport> = [EngineKind::Dense, EngineKind::Event]
+            .into_iter()
+            .map(|engine| {
+                let mut cfg = GpuConfig::tiny();
+                cfg.icnt_input_buffer = 8;
+                cfg.icnt_flits_per_cycle = 1;
+                cfg.engine = engine;
+                let grid = sum_grid(64, 32, 0x0);
+                let sim = GpuSim::new(cfg, Box::new(BaselineModel::new()), NdetSource::disabled());
+                sim.run(&[grid])
+            })
+            .collect();
+        let (dense, event) = (&runs[0], &runs[1]);
+        assert_eq!(event.values.read_f32(0x0), 64.0 * 32.0);
+        assert!((1..=64).contains(&event.stats.icnt_stall_cycles));
+        assert_eq!(
+            (
+                event.cycles(),
+                event.digest(),
+                event.stats.icnt_stall_cycles
+            ),
+            (
+                dense.cycles(),
+                dense.digest(),
+                dense.stats.icnt_stall_cycles
+            )
+        );
+        let ticked = |r: &RunReport| r.stats.counters["det.engine.sms_ticked"];
+        assert!(
+            ticked(event) < ticked(dense),
+            "{} vs {}",
+            ticked(event),
+            ticked(dense)
+        );
+    }
+
+    #[test]
+    fn refused_cta_is_placed_at_the_retirement() {
+        // One CTA fits per SM, so the third CTA's placement is refused
+        // until the shorter first CTA's warp retires; the scans between
+        // are skipped. On both engines it is placed in the very step the
+        // warp retires (the live count holds while arrivals grow).
+        let alu = |count| WarpProgram::new(vec![Instr::Alu { cycles: 4, count }], 32);
+        let grid = KernelGrid::new(
+            "refill",
+            [5, 30, 1]
+                .into_iter()
+                .enumerate()
+                .map(|(i, count)| CtaSpec::new(i, vec![alu(count)]))
+                .collect(),
+        );
+        let placed: Vec<u64> = [EngineKind::Dense, EngineKind::Event]
+            .into_iter()
+            .map(|engine| {
+                let mut cfg = GpuConfig::tiny();
+                cfg.max_ctas_per_sm = 1;
+                cfg.engine = engine;
+                let skip = engine == EngineKind::Event;
+                let mut sim =
+                    GpuSim::new(cfg, Box::new(BaselineModel::new()), NdetSource::disabled());
+                let statics = KernelStatics::build(&sim.cfg, &grid);
+                let mut dispatcher = sim.begin_kernel(&grid, statics);
+                let census = |sim: &GpuSim| -> (u64, usize) {
+                    let sms = sim.sms.iter();
+                    let arrivals = sms
+                        .clone()
+                        .flat_map(|sm| &sm.schedulers)
+                        .map(|s| s.arrivals)
+                        .sum();
+                    (arrivals, sms.map(Sm::live_warps).sum())
+                };
+                let mut idle_seen = false;
+                let mut placed = None;
+                loop {
+                    let (cycle, before) = (sim.cycle, census(&sim));
+                    let done = sim.kernel_step(&grid, &mut dispatcher, skip);
+                    let after = census(&sim);
+                    if before.0 == 2 && after.0 == 3 {
+                        assert_eq!(after.1, before.1, "{engine:?}: placed without a retirement");
+                        placed = Some(cycle);
+                    }
+                    idle_seen |= sim.dispatch_idle && placed.is_none();
+                    if done {
+                        break;
+                    }
+                }
+                assert!(idle_seen, "{engine:?}: the refused scan was never skipped");
+                placed.expect("third CTA placed")
+            })
+            .collect();
+        assert_eq!(placed[0], placed[1]);
     }
 
     #[test]

@@ -248,10 +248,10 @@ impl MemPartition {
     ///
     /// Panics on response payloads or DAB flush payloads.
     pub fn handle_request(&mut self, pkt: Packet, cycle: u64) {
-        match &pkt.payload {
+        match pkt.payload {
             Payload::LoadReq { sector_addr, warp } | Payload::StoreReq { sector_addr, warp } => {
                 let store = matches!(pkt.payload, Payload::StoreReq { .. });
-                if let Some(refused) = self.try_mem_request(store, *sector_addr, *warp, cycle) {
+                if let Some(refused) = self.try_mem_request(store, sector_addr, warp, cycle) {
                     self.stats.l2_reservation_fails += 1;
                     self.retry_resident += usize::from(!refused.waits);
                     self.retry.push_back(refused);
@@ -264,12 +264,8 @@ impl MemPartition {
                 unique,
             } => {
                 self.enqueue_rop(RopWork {
-                    ops: ops.clone(),
-                    ack: AckTarget::Warp {
-                        warp: *warp,
-                        kind: *kind,
-                        unique: *unique,
-                    },
+                    ops,
+                    ack: AckTarget::Warp { warp, kind, unique },
                 });
             }
             other => panic!("partition cannot handle payload {other:?}"),

@@ -80,6 +80,9 @@ pub struct WarpCtx {
     pub lock_occurrences: Vec<(u64, u32)>,
     /// The L1 probes of this warp's last load the MSHR table refused.
     pub refused_load: RefusedLoad,
+    /// The pc of this warp's last request the interconnect refused, so
+    /// `SimStats::icnt_stall_cycles` counts each request once.
+    pub icnt_refused_pc: Option<usize>,
 }
 
 /// The L1 probes of a load the SM's MSHR table refused, kept so the warp's
@@ -113,6 +116,45 @@ impl RefusedLoad {
     #[inline]
     pub fn holds(&self, pc: usize, generation: u64) -> bool {
         self.pc == Some(pc) && self.generation == generation
+    }
+
+    /// Whether replaying the record stamps no line: every recorded probe
+    /// found its line absent. Retrying such a load has no effect at all,
+    /// which is what lets its scheduler sleep.
+    #[inline]
+    pub fn stamps_nothing(&self) -> bool {
+        self.probes.iter().all(|p| p.line.is_none())
+    }
+}
+
+/// The refused pick a scheduler sleeps on ([`SchedulerCtx::sleeper`]):
+/// the warp in `slot` would be picked and refused the same way, with no
+/// effect, at every visit until the scheduler wakes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sleeper {
+    /// A load the L1 MSHR table refused, whose [`RefusedLoad`] record
+    /// stamps no line.
+    L1 {
+        /// The refused warp's slot.
+        slot: usize,
+    },
+    /// A load, store or `red` the interconnect refused: it needs `need`
+    /// request flits and its cluster's injection budget is smaller. A load
+    /// sleeps only if its L1 probes stamped no line.
+    Icnt {
+        /// The refused warp's slot.
+        slot: usize,
+        /// The request's flits: the budget at which it fits.
+        need: u32,
+    },
+}
+
+impl Sleeper {
+    /// The slot of the warp the scheduler sleeps on.
+    pub(crate) fn slot(self) -> usize {
+        match self {
+            Self::L1 { slot } | Self::Icnt { slot, .. } => slot,
+        }
     }
 }
 
@@ -187,31 +229,33 @@ pub struct SchedulerCtx {
     /// not pickable until the model reopens issue, which lowers the bound
     /// of every scheduler with live warps.
     ///
-    /// A scheduler sleeping on an L1-refused load (`l1_sleeper`) may hold
-    /// a bound above a pickable warp's cycle: every visit before a wake
-    /// would pick that warp and be refused again with no effect.
+    /// A scheduler that sleeps (`sleeper`) may hold a bound above a
+    /// pickable warp's cycle: every visit before a wake would pick that
+    /// warp and be refused again with no effect.
     pub ready_bound: u64,
-    /// The slot of the warp this scheduler sleeps on, if any. Set after a
-    /// visit whose pick was a load the L1 MSHR table refused, with a
-    /// [`RefusedLoad`] record that stamps no line; taken by the next
-    /// visit. Until one of its views changes, the policy makes the same
-    /// pick (a pick is a function of the views and the policy state, and
-    /// a repeated pick writes the same state) and the load is refused the
-    /// same way, stamping nothing and counting nothing. So the visit's
-    /// bound fold leaves out every view that was already due, and the
-    /// scheduler wakes on:
+    /// What this scheduler sleeps on, if anything. Set after a visit whose
+    /// pick was refused in a way every later visit repeats with no effect
+    /// (see [`Sleeper`]); taken by the next visit. Until one of its views
+    /// changes, the policy makes the same pick (a pick is a function of
+    /// the views and the policy state, and a repeated pick writes the same
+    /// state) and the request is refused the same way, stamping nothing
+    /// and counting nothing. So the visit's bound fold leaves out every
+    /// view that was already due, and the scheduler wakes on:
     /// - a view that was not yet due falling due;
     /// - every `note_ready` site (a wake, a gate opening, a token move, a
     ///   CTA arrival) and a warp exit, which change the views;
     /// - the policy's [`pick_changes_at`] cycle;
-    /// - an L1 residency change after which the record no longer holds
-    ///   (`Sm::recheck_l1_sleepers`).
+    /// - what the refusal waits for: an L1 residency change after which
+    ///   the record no longer holds, or for an interconnect refusal, room
+    ///   in the cluster's injection queue (`GpuSim::wake_icnt_sleepers`)
+    ///   and, for a load, any fill or new MSHR key on its SM
+    ///   (`Sm::recheck_l1_sleepers`, `Sm::wake_icnt_loads`).
     ///
     /// The warp stays `Ready` and visible to the pick: it is not parked,
     /// since parking it would let the policy pick another warp.
     ///
     /// [`pick_changes_at`]: crate::sched::WarpScheduler::pick_changes_at
-    pub(crate) l1_sleeper: Option<usize>,
+    pub(crate) sleeper: Option<Sleeper>,
 }
 
 impl SchedulerCtx {
@@ -227,7 +271,7 @@ impl SchedulerCtx {
             flush_wait: 0,
             barrier_wait: 0,
             ready_bound: u64::MAX,
-            l1_sleeper: None,
+            sleeper: None,
         }
     }
 
@@ -296,7 +340,7 @@ impl SchedulerCtx {
             "kernel boundary with parked warps"
         );
         self.ready_bound = u64::MAX;
-        self.l1_sleeper = None;
+        self.sleeper = None;
         self.policy.on_kernel_boundary();
     }
 }
@@ -455,6 +499,7 @@ impl Sm {
                 outstanding_writes: 0,
                 lock_occurrences: Vec::new(),
                 refused_load: RefusedLoad::default(),
+                icnt_refused_pc: None,
             });
             slots.push(slot);
         }
@@ -466,12 +511,11 @@ impl Sm {
     ///
     /// The exit may pass an atomic token to a warp parked as refused, which
     /// could then issue this very cycle, so it is a token event at `cycle`.
-    /// It also removes a view, so it wakes a scheduler sleeping on an
-    /// L1-refused load.
+    /// It also removes a view, so it wakes a sleeping scheduler.
     pub fn retire_warp(&mut self, slot: usize, cycle: u64) -> WarpCtx {
         let warp = self.warps[slot].take().expect("slot occupied");
         let sched = &mut self.schedulers[warp.sched];
-        if sched.l1_sleeper.take().is_some() {
+        if sched.sleeper.take().is_some() {
             sched.note_ready(cycle);
         }
         sched.token_event(cycle, |p| p.on_warp_exit(warp.unique));
@@ -557,35 +601,35 @@ impl Sm {
         true
     }
 
-    /// Whether the warp in `slot` holds a [`RefusedLoad`] record for its
-    /// current pc and the L1's current generation that stamps no line:
-    /// every recorded probe found its line absent. Retrying such a load
-    /// has no effect at all, which is what lets its scheduler sleep.
-    pub(crate) fn refused_without_stamp(&self, slot: usize) -> bool {
-        self.warps[slot].as_ref().is_some_and(|w| {
-            let r = &w.refused_load;
-            r.holds(w.pc, self.l1.generation()) && r.probes.iter().all(|p| p.line.is_none())
-        })
-    }
-
-    /// Re-checks every scheduler sleeping on an L1-refused load after the
+    /// Re-checks every scheduler sleeping on a refused load after the
     /// L1's residency generation moved: a fill of the sector `filled`
     /// (`freed` if its response freed that sector's MSHR), or, with
-    /// `None`, a store's write-evict. A sleeper's record stamps no line:
-    /// every probe found its line absent. An eviction keeps absent lines
-    /// absent, and a fill makes only its own line present, so the probes
-    /// still hold unless the fill hit one of the record's lines. The
-    /// refusal still holds while the MSHR table lacks room for the load's
-    /// sectors: a freed key the load does not need lowers the record's
-    /// `excess` by one, and once that bound reaches zero the live table is
-    /// counted. If both hold, the record moves to the new generation and
-    /// the scheduler sleeps on; otherwise it wakes at `cycle`, since its
-    /// pick's next attempt would differ.
+    /// `None`, a store's write-evict.
+    ///
+    /// An L1 sleeper's record stamps no line: every probe found its line
+    /// absent. An eviction keeps absent lines absent, and a fill makes
+    /// only its own line present, so the probes still hold unless the fill
+    /// hit one of the record's lines. The refusal still holds while the
+    /// MSHR table lacks room for the load's sectors: a freed key the load
+    /// does not need lowers the record's `excess` by one, and once that
+    /// bound reaches zero the live table is counted. If both hold, the
+    /// record moves to the new generation and the scheduler sleeps on;
+    /// otherwise it wakes at `cycle`, since its pick's next attempt would
+    /// differ.
+    ///
+    /// A load the interconnect refused has no record: its probes, like an
+    /// L1 sleeper's, found every line absent, which an eviction keeps so.
+    /// A fill wakes it (see [`wake_icnt_loads`](Self::wake_icnt_loads)).
     pub(crate) fn recheck_l1_sleepers(&mut self, filled: Option<u64>, freed: bool, cycle: u64) {
         let generation = self.l1.generation();
         for sched in 0..self.num_schedulers {
-            let Some(slot) = self.schedulers[sched].l1_sleeper else {
-                continue;
+            let slot = match self.schedulers[sched].sleeper {
+                Some(Sleeper::L1 { slot }) => slot,
+                Some(Sleeper::Icnt { .. }) if filled.is_some() => {
+                    self.wake_icnt_load(sched, cycle);
+                    continue;
+                }
+                _ => continue,
             };
             let w = self.warps[slot].as_mut().expect("sleeper is resident");
             let InstrMeta::Sectors(sectors) = w.meta.at(w.pc) else {
@@ -615,9 +659,37 @@ impl Sm {
                 record.generation = generation;
             } else {
                 let sctx = &mut self.schedulers[sched];
-                sctx.l1_sleeper = None;
+                sctx.sleeper = None;
                 sctx.note_ready(cycle);
             }
+        }
+    }
+
+    /// Wakes, at `cycle`, every scheduler of this SM sleeping on a load
+    /// the interconnect refused, after a fill or a new MSHR key. Either
+    /// can change what the load's next attempt does: a fill of one of its
+    /// lines makes a probe stamp or hit, and a key changes the load's new
+    /// sectors (the flits it needs) or the table's room (an MSHR refusal,
+    /// with its own record and counter).
+    pub(crate) fn wake_icnt_loads(&mut self, cycle: u64) {
+        for sched in 0..self.num_schedulers {
+            if matches!(self.schedulers[sched].sleeper, Some(Sleeper::Icnt { .. })) {
+                self.wake_icnt_load(sched, cycle);
+            }
+        }
+    }
+
+    /// Wakes scheduler `sched`, sleeping on an interconnect refusal, if
+    /// the refused request is a load.
+    fn wake_icnt_load(&mut self, sched: usize, cycle: u64) {
+        let sctx = &mut self.schedulers[sched];
+        let Some(sleeper) = sctx.sleeper else { return };
+        let w = self.warps[sleeper.slot()]
+            .as_ref()
+            .expect("sleeper is resident");
+        if matches!(w.next_instr(), Some(Instr::Load { .. })) {
+            sctx.sleeper = None;
+            sctx.note_ready(cycle);
         }
     }
 

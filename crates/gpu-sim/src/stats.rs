@@ -58,11 +58,10 @@ pub struct SimStats {
     pub l2_accesses: u64,
     /// L2 misses.
     pub l2_misses: u64,
-    /// Issue attempts refused for interconnect injection room: one per
-    /// scheduler visit whose picked load, store or atomic cannot send its
-    /// flits (a visit makes at most one attempt). The refused warp retries
-    /// on its scheduler's next visit, so a stall counts once per cycle per
-    /// stalled scheduler, and the total can exceed the run's cycles.
+    /// Requests refused for interconnect injection room: a load, store or
+    /// atomic counts once, at its first refusal, however many visits
+    /// retry it (as `det.stall.l1_mshr` counts L1 MSHR refusals). The name
+    /// predates that rule: it counts requests, not cycles.
     pub icnt_stall_cycles: u64,
     /// Named `det.*` counters and histogram buckets (deterministically
     /// ordered; merged by sum).
