@@ -171,7 +171,7 @@ fn main() -> ExitCode {
 
     if json {
         match json::write(&results_dir, "dab_analyze.json", &report.to_json(&allow)) {
-            Ok(path) => println!("results: {}", path.display()),
+            Ok(path) => eprintln!("results: {}", path.display()),
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::from(2);

@@ -166,7 +166,7 @@ impl ResultsSink {
     }
 
     /// Writes `results/<target>.json` (directory overridable with
-    /// `DAB_RESULTS_DIR`) and prints the path.
+    /// `DAB_RESULTS_DIR`) and prints its path on stderr.
     ///
     /// # Panics
     ///
@@ -175,7 +175,7 @@ impl ResultsSink {
     pub fn write(&self) {
         let file = format!("{}.json", self.target);
         match json::write(&json::results_dir(), &file, &self.to_json()) {
-            Ok(path) => println!("results: {}", path.display()),
+            Ok(path) => eprintln!("results: {}", path.display()),
             Err(e) => panic!("{e}"),
         }
     }

@@ -179,7 +179,7 @@ fn main() -> ExitCode {
         match json::write(&results_dir, "dab_explore.json", &result.to_json()) {
             Ok(path) => {
                 if !quiet {
-                    println!("results: {}", path.display());
+                    eprintln!("results: {}", path.display());
                 }
             }
             Err(e) => {

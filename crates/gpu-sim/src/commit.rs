@@ -250,8 +250,8 @@ impl GpuSim {
     /// `sleeper` is set only on a dense-engine visit the event engine
     /// would skip (its `bound` is past the cycle) to a sleeping scheduler:
     /// the pick must be that warp, refused the same way (an L1 refusal
-    /// whose record stamps no line, or an interconnect refusal of the same
-    /// flits), or the visit breaks the skip rule.
+    /// whose record stamps no line, or an interconnect refusal of a store
+    /// or `red` of the same flits), or the visit breaks the skip rule.
     fn pick_and_issue(
         &mut self,
         sm_idx: usize,
@@ -509,15 +509,14 @@ impl GpuSim {
                 };
             }
             if !self.can_send(sm_idx, new_sectors as u32) {
-                // A retry probes again: it has no effect only if no probe
-                // stamped a line.
-                let sleeps = probes.iter().all(|p| p.line.is_none());
-                break 'issue self.icnt_refused(sm_idx, slot, new_sectors as u32, sleeps);
+                // A retry probes again, and a fill or a new MSHR key can
+                // change what it finds, so a refused load retries every
+                // cycle.
+                break 'issue self.icnt_refused(sm_idx, slot, new_sectors as u32, false);
             }
             self.stats.l1_accesses += sectors.len() as u64;
             self.stats.l1_misses += misses;
             let warp_ref = WarpRef { sm: sm_idx, slot };
-            let mut new_keys = false;
             for s in missing() {
                 let is_new = {
                     let sm = &mut self.sms[sm_idx];
@@ -525,7 +524,6 @@ impl GpuSim {
                     sm.l1_mshrs.entry(s).or_default().push(slot);
                     is_new
                 };
-                new_keys |= is_new;
                 if is_new {
                     let pkt = Packet::new(
                         partition_of(s, self.cfg.num_mem_partitions),
@@ -538,9 +536,6 @@ impl GpuSim {
                     self.stats.mem_transactions += 1;
                     self.send(sm_idx, pkt);
                 }
-            }
-            if new_keys {
-                self.sms[sm_idx].wake_icnt_loads(cycle);
             }
             let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
             w.outstanding_loads += misses as u32;
@@ -622,7 +617,6 @@ impl GpuSim {
         // Store *data* is not modeled: the timing model only needs sector
         // addresses, and reduction outputs are written by atomics.
         let warp_ref = WarpRef { sm: sm_idx, slot };
-        let generation = self.sms[sm_idx].l1.generation();
         for &s in sectors {
             // Write-through, write-evict at the L1.
             self.sms[sm_idx].l1.evict_sector(s);
@@ -636,9 +630,6 @@ impl GpuSim {
             );
             self.stats.mem_transactions += 1;
             self.send(sm_idx, pkt);
-        }
-        if self.sms[sm_idx].l1.generation() != generation {
-            self.sms[sm_idx].recheck_l1_sleepers(None, false, cycle);
         }
         let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
         w.outstanding_writes += sectors.len() as u32;
@@ -1237,10 +1228,9 @@ mod tests {
     }
 
     /// SM 0 of the tiny machine running `model`, with one program on each
-    /// of its first schedulers (the others' warps retire at once), cluster
-    /// 0's injection queue jammed, and the walk's cycle at 0. Returns the
-    /// simulator and the programs' slots.
-    fn jammed_sim(
+    /// of its first schedulers (the others' warps retire at once), and the
+    /// walk's cycle at 0. Returns the simulator and the programs' slots.
+    fn split_sim(
         engine: EngineKind,
         model: Box<dyn crate::exec::ExecutionModel>,
         programs: Vec<Vec<Instr>>,
@@ -1259,8 +1249,57 @@ mod tests {
         for &slot in &slots[n..] {
             sim.try_retire(0, slot);
         }
-        jam_cluster_0(&mut sim);
         (sim, slots[..n].to_vec())
+    }
+
+    /// [`split_sim`] with cluster 0's injection queue jammed.
+    fn jammed_sim(
+        engine: EngineKind,
+        model: Box<dyn crate::exec::ExecutionModel>,
+        programs: Vec<Vec<Instr>>,
+    ) -> (GpuSim, Vec<usize>) {
+        let (mut sim, slots) = split_sim(engine, model, programs);
+        jam_cluster_0(&mut sim);
+        (sim, slots)
+    }
+
+    #[test]
+    fn l1_sleep_outlasts_a_store_write_evict() {
+        // Scheduler 0's load of an absent line finds the MSHR table full
+        // and sleeps. Scheduler 1's store write-evicts a resident line
+        // after its ALU op, which moves the L1's generation but re-checks
+        // nothing: the load's line stays absent, so the event engine
+        // sleeps on, and the dense engine, re-probing in full, finds the
+        // same refusal. Freeing an MSHR at cycle 8 issues the load on both.
+        let mut runs = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let store = Instr::Store {
+                accesses: vec![MemAccess { addrs: vec![HIT] }],
+            };
+            let programs = vec![vec![load(&[ABSENT])], vec![alu(), store]];
+            let (mut sim, slots) = split_sim(engine, Box::new(BaselineModel::new()), programs);
+            let sm = &mut sim.sms[0];
+            sm.l1.fill(HIT);
+            for i in 0..sm.l1_mshr_capacity as u64 {
+                sm.l1_mshrs.insert(0x100_0000 + 32 * i, Vec::new());
+            }
+            let generation = sim.sms[0].l1.generation();
+            let (issued, _) = run_sleep(&mut sim, &slots[..1], 8, u64::MAX);
+            assert_eq!(issued, vec![u64::MAX], "{engine:?}");
+            assert_ne!(sim.sms[0].l1.generation(), generation, "{engine:?}");
+            assert_ne!(sim.sms[0].l1.peek_line(HIT).outcome, Probe::Hit);
+            if engine == EngineKind::Event {
+                let sleeper = sim.sms[0].schedulers[0].sleeper;
+                assert_eq!(sleeper, Some(Sleeper::L1 { slot: slots[0] }));
+            }
+            runs.push(run_sleep(&mut sim, &slots[..1], 12, 8));
+        }
+        assert_eq!(runs[0].0, vec![8]);
+        assert_eq!(runs[1].0, runs[0].0);
+        // Dense visits every SM every cycle; the event engine visits SM 0
+        // at cycle 0, for the store (4) and at the wake (8).
+        assert_eq!(runs[0].1, 12 * GpuConfig::tiny().num_sms() as u64);
+        assert_eq!(runs[1].1, 3);
     }
 
     /// Disabled arbitration streams, to drain the interconnect by hand.
@@ -1330,12 +1369,12 @@ mod tests {
     }
 
     #[test]
-    fn icnt_refused_load_wakes_on_a_new_mshr_key() {
+    fn icnt_refused_load_retries_past_a_new_mshr_key() {
         // Scheduler 0's load of two absent lines needs 2 flits and finds 1:
-        // it sleeps. Scheduler 1's load of one of those sectors fits and
-        // takes its MSHR, so the first load now needs 1 flit: the new key
-        // wakes it, and it sleeps again on the smaller need. Once the
-        // interconnect drains a flit it issues, on both engines at once.
+        // it is refused and retries every cycle, never sleeping. Scheduler
+        // 1's load of one of those sectors fits and takes its MSHR, so the
+        // first load now needs 1 flit. Once the interconnect drains a flit
+        // it issues, on both engines at once.
         let far = ABSENT + 4 * SET_STRIDE;
         let mut issued_at = Vec::new();
         for engine in [EngineKind::Dense, EngineKind::Event] {
@@ -1354,15 +1393,7 @@ mod tests {
                 if issued.is_none() && pc(&sim, slots[0]) != 0 {
                     issued = Some(cycle);
                 }
-                if cycle == 2 && engine == EngineKind::Event {
-                    assert_eq!(
-                        sim.sms[0].schedulers[0].sleeper,
-                        Some(Sleeper::Icnt {
-                            slot: slots[0],
-                            need: 1
-                        })
-                    );
-                }
+                assert_eq!(sim.sms[0].schedulers[0].sleeper, None, "{engine:?}");
             }
             issued_at.push(issued);
         }
@@ -1370,10 +1401,11 @@ mod tests {
     }
 
     #[test]
-    fn icnt_refused_load_wakes_on_a_fill() {
-        // The load of an absent line sleeps on the jammed interconnect; a
-        // response fills its sector at cycle 5, so its next attempt hits
-        // and issues with no flit to send, on both engines at once.
+    fn icnt_refused_load_retries_into_a_fill() {
+        // The load of an absent line is refused by the jammed interconnect
+        // and retries every cycle, never sleeping; a response fills its
+        // sector at cycle 5, so its next attempt hits and issues with no
+        // flit to send, on both engines at once.
         let mut issued_at = Vec::new();
         for engine in [EngineKind::Dense, EngineKind::Event] {
             let programs = vec![vec![load(&[ABSENT])]];
@@ -1388,6 +1420,7 @@ mod tests {
                 if issued.is_none() && pc(&sim, slots[0]) != 0 {
                     issued = Some(cycle);
                 }
+                assert_eq!(sim.sms[0].schedulers[0].sleeper, None, "{engine:?}");
             }
             issued_at.push((issued, sim.stats.icnt_stall_cycles));
         }
@@ -1396,10 +1429,10 @@ mod tests {
 
     #[test]
     fn icnt_refused_load_that_stamps_retries_every_cycle() {
-        // One of the load's probes finds its line resident (a sector miss)
-        // and stamps it at every attempt, so the scheduler never sleeps:
-        // both engines stamp the line on every cycle and end with the same
-        // cache.
+        // Like every interconnect-refused load, it retries every cycle, and
+        // one of its probes finds its line resident (a sector miss) and
+        // stamps it at every attempt: both engines stamp the line on every
+        // cycle and end with the same cache.
         let mut caches = Vec::new();
         for engine in [EngineKind::Dense, EngineKind::Event] {
             let programs = vec![vec![load(&[SECTOR_MISS, ABSENT])]];

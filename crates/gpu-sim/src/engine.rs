@@ -961,7 +961,7 @@ impl GpuSim {
         sm.l1.fill(sector_addr);
         let waiters = sm.l1_mshrs.remove(&sector_addr);
         // The fill (and a freed MSHR) may end a refused load's sleep.
-        sm.recheck_l1_sleepers(Some(sector_addr), waiters.is_some(), self.cycle);
+        sm.recheck_l1_sleepers(sector_addr, waiters.is_some(), self.cycle);
         let Some(waiters) = waiters else {
             return;
         };

@@ -194,15 +194,6 @@ impl NdetSource {
         }
         self.arbitration_tiebreak(n)
     }
-
-    /// Returns `true` with probability `num/denom`; used to occasionally
-    /// reorder otherwise-FIFO queue service.
-    pub fn chance(&mut self, num: u32, denom: u32) -> bool {
-        if !self.enabled || denom == 0 {
-            return false;
-        }
-        (self.next() % denom as u64) < num as u64
-    }
 }
 
 /// The splitmix64 mixer (also behind [`NdetSource::seeded`]'s multiplier):
@@ -245,7 +236,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(s.latency_jitter(100), 0);
             assert_eq!(s.arbitration_tiebreak(5), 0);
-            assert!(!s.chance(1, 2));
         }
     }
 

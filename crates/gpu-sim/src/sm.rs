@@ -138,9 +138,9 @@ pub(crate) enum Sleeper {
         /// The refused warp's slot.
         slot: usize,
     },
-    /// A load, store or `red` the interconnect refused: it needs `need`
-    /// request flits and its cluster's injection budget is smaller. A load
-    /// sleeps only if its L1 probes stamped no line.
+    /// A store or `red` the interconnect refused: it needs `need` request
+    /// flits and its cluster's injection budget is smaller. A refused load
+    /// never sleeps here: it retries every cycle.
     Icnt {
         /// The refused warp's slot.
         slot: usize,
@@ -245,11 +245,11 @@ pub struct SchedulerCtx {
     /// - every `note_ready` site (a wake, a gate opening, a token move, a
     ///   CTA arrival) and a warp exit, which change the views;
     /// - the policy's [`pick_changes_at`] cycle;
-    /// - what the refusal waits for: an L1 residency change after which
-    ///   the record no longer holds, or for an interconnect refusal, room
-    ///   in the cluster's injection queue (`GpuSim::wake_icnt_sleepers`)
-    ///   and, for a load, any fill or new MSHR key on its SM
-    ///   (`Sm::recheck_l1_sleepers`, `Sm::wake_icnt_loads`).
+    /// - what the refusal waits for, one resource per sleeper kind: for
+    ///   an MSHR refusal, an L1 fill after which the record no longer
+    ///   holds (`Sm::recheck_l1_sleepers`); for an interconnect refusal,
+    ///   room in the cluster's injection queue
+    ///   (`GpuSim::wake_icnt_sleepers`).
     ///
     /// The warp stays `Ready` and visible to the pick: it is not parked,
     /// since parking it would let the policy pick another warp.
@@ -601,60 +601,44 @@ impl Sm {
         true
     }
 
-    /// Re-checks every scheduler sleeping on a refused load after the
-    /// L1's residency generation moved: a fill of the sector `filled`
-    /// (`freed` if its response freed that sector's MSHR), or, with
-    /// `None`, a store's write-evict.
+    /// Re-checks every scheduler sleeping on an MSHR-refused load after a
+    /// fill of the sector `filled` moved the L1's residency generation;
+    /// `freed` if the fill's response freed that sector's MSHR.
     ///
-    /// An L1 sleeper's record stamps no line: every probe found its line
-    /// absent. An eviction keeps absent lines absent, and a fill makes
-    /// only its own line present, so the probes still hold unless the fill
-    /// hit one of the record's lines. The refusal still holds while the
-    /// MSHR table lacks room for the load's sectors: a freed key the load
-    /// does not need lowers the record's `excess` by one, and once that
-    /// bound reaches zero the live table is counted. If both hold, the
-    /// record moves to the new generation and the scheduler sleeps on;
-    /// otherwise it wakes at `cycle`, since its pick's next attempt would
-    /// differ.
-    ///
-    /// A load the interconnect refused has no record: its probes, like an
-    /// L1 sleeper's, found every line absent, which an eviction keeps so.
-    /// A fill wakes it (see [`wake_icnt_loads`](Self::wake_icnt_loads)).
-    pub(crate) fn recheck_l1_sleepers(&mut self, filled: Option<u64>, freed: bool, cycle: u64) {
+    /// A sleeper's record stamps no line: every probe found its line
+    /// absent. A fill makes only its own line present, so the probes still
+    /// hold unless the fill hit one of the record's lines. The refusal
+    /// still holds while the MSHR table lacks room for the load's sectors:
+    /// a freed key the load does not need lowers the record's `excess` by
+    /// one, and once that bound reaches zero the live table is counted. If
+    /// both hold, the record moves to the new generation and the scheduler
+    /// sleeps on; otherwise it wakes at `cycle`, since its pick's next
+    /// attempt would differ.
+    pub(crate) fn recheck_l1_sleepers(&mut self, filled: u64, freed: bool, cycle: u64) {
         let generation = self.l1.generation();
+        let line = self.l1.line_of(filled);
         for sched in 0..self.num_schedulers {
-            let slot = match self.schedulers[sched].sleeper {
-                Some(Sleeper::L1 { slot }) => slot,
-                Some(Sleeper::Icnt { .. }) if filled.is_some() => {
-                    self.wake_icnt_load(sched, cycle);
-                    continue;
-                }
-                _ => continue,
+            let Some(Sleeper::L1 { slot }) = self.schedulers[sched].sleeper else {
+                continue;
             };
             let w = self.warps[slot].as_mut().expect("sleeper is resident");
             let InstrMeta::Sectors(sectors) = w.meta.at(w.pc) else {
                 unreachable!("refused load without sector metadata")
             };
             let record = &mut w.refused_load;
-            let holds = match filled {
-                None => true,
-                Some(f) => {
-                    let line = self.l1.line_of(f);
-                    sectors.iter().all(|&s| self.l1.line_of(s) != line)
-                        && (!freed || {
-                            if record.excess <= 1 {
-                                let new_sectors = sectors
-                                    .iter()
-                                    .filter(|s| !self.l1_mshrs.contains_key(s))
-                                    .count();
-                                let demand = self.l1_mshrs.len() + new_sectors;
-                                record.excess = demand.saturating_sub(self.l1_mshr_capacity) + 1;
-                            }
-                            record.excess -= 1;
-                            record.excess > 0
-                        })
-                }
-            };
+            let holds = sectors.iter().all(|&s| self.l1.line_of(s) != line)
+                && (!freed || {
+                    if record.excess <= 1 {
+                        let new_sectors = sectors
+                            .iter()
+                            .filter(|s| !self.l1_mshrs.contains_key(s))
+                            .count();
+                        let demand = self.l1_mshrs.len() + new_sectors;
+                        record.excess = demand.saturating_sub(self.l1_mshr_capacity) + 1;
+                    }
+                    record.excess -= 1;
+                    record.excess > 0
+                });
             if holds {
                 record.generation = generation;
             } else {
@@ -662,34 +646,6 @@ impl Sm {
                 sctx.sleeper = None;
                 sctx.note_ready(cycle);
             }
-        }
-    }
-
-    /// Wakes, at `cycle`, every scheduler of this SM sleeping on a load
-    /// the interconnect refused, after a fill or a new MSHR key. Either
-    /// can change what the load's next attempt does: a fill of one of its
-    /// lines makes a probe stamp or hit, and a key changes the load's new
-    /// sectors (the flits it needs) or the table's room (an MSHR refusal,
-    /// with its own record and counter).
-    pub(crate) fn wake_icnt_loads(&mut self, cycle: u64) {
-        for sched in 0..self.num_schedulers {
-            if matches!(self.schedulers[sched].sleeper, Some(Sleeper::Icnt { .. })) {
-                self.wake_icnt_load(sched, cycle);
-            }
-        }
-    }
-
-    /// Wakes scheduler `sched`, sleeping on an interconnect refusal, if
-    /// the refused request is a load.
-    fn wake_icnt_load(&mut self, sched: usize, cycle: u64) {
-        let sctx = &mut self.schedulers[sched];
-        let Some(sleeper) = sctx.sleeper else { return };
-        let w = self.warps[sleeper.slot()]
-            .as_ref()
-            .expect("sleeper is resident");
-        if matches!(w.next_instr(), Some(Instr::Load { .. })) {
-            sctx.sleeper = None;
-            sctx.note_ready(cycle);
         }
     }
 

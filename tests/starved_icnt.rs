@@ -3,14 +3,14 @@
 //!
 //! With an 8-flit injection queue drained one flit per cycle (the machine
 //! of `icnt_backpressure_counts_stalls`), most memory picks are refused
-//! by the interconnect, so schedulers sleep until their cluster's
-//! injection budget fits the refused request, and CTA placements wait for
-//! retirements. The dense engine visits every one of those sleeps and
-//! panics if a visit it makes would not be refused the same way. Random
-//! grids of the gpu-sim generator (loads, stores, `red`, `atom`, barriers
-//! and fences) must give identical cycles, digest and statistics on both
-//! engines under the baseline, DAB and GPUDet; only the `det.engine.*`
-//! activity counters may differ.
+//! by the interconnect: a refused store or `red` sleeps until its
+//! cluster's injection budget fits it, a refused load retries every cycle,
+//! and CTA placements wait for retirements. The dense engine visits every
+//! one of those sleeps and panics if a visit it makes would not be refused
+//! the same way. Random grids of the gpu-sim generator (loads, stores,
+//! `red`, `atom`, barriers and fences) must give identical cycles, digest
+//! and statistics on both engines under the baseline, DAB and GPUDet; only
+//! the `det.engine.*` activity counters may differ.
 //!
 //! The draw leaves out the generator's ticket-lock sections, as
 //! `engine_equivalence` does: with them, DAB and GPUDet deadlock on some
@@ -26,7 +26,8 @@ use dab::{DabConfig, DabModel};
 use gpu_sim::config::{EngineKind, GpuConfig};
 use gpu_sim::engine::GpuSim;
 use gpu_sim::exec::{BaselineModel, ExecutionModel};
-use gpu_sim::kernel::KernelGrid;
+use gpu_sim::isa::{Instr, MemAccess, WarpProgram};
+use gpu_sim::kernel::{CtaSpec, KernelGrid};
 use gpu_sim::ndet::NdetSource;
 use gpudet::{GpuDetConfig, GpuDetModel};
 
@@ -105,5 +106,50 @@ fn starved_interconnect_refuses_requests() {
         let model = model(which, &gpu);
         let r = GpuSim::new(gpu, model, NdetSource::seeded(1)).run(std::slice::from_ref(&grid));
         assert!(r.stats.icnt_stall_cycles > 0, "model {which}");
+    }
+}
+
+/// A loads-only grid of 8 CTAs × 4 warps × 12 loads of 32 lanes, each load
+/// four sectors from `base(warp, load)` on.
+fn loads_grid(base: impl Fn(u64, u64) -> u64) -> KernelGrid {
+    let warp = |w: u64| {
+        let loads = (0..12)
+            .map(|i| Instr::Load {
+                accesses: vec![MemAccess::per_lane_f32(base(w, i), 32)],
+            })
+            .collect();
+        WarpProgram::new(loads, 32)
+    };
+    let ctas = (0..8)
+        .map(|c| CtaSpec::new(c, (0..4).map(|w| warp(c as u64 * 4 + w)).collect()))
+        .collect();
+    KernelGrid::new("loads", ctas)
+}
+
+/// Interconnect-refused loads at kernel scale. The generator's loads share
+/// four sectors, so its grids seldom see one refused. In the first grid
+/// every warp loads lines no other warp touches; in the second, each load
+/// shares two sectors with the next warp's, so a fill or a new MSHR key
+/// of one warp changes what another's retry finds. A load the interconnect
+/// refuses retries every cycle, and both engines must agree under every
+/// model.
+#[test]
+fn starved_interconnect_refused_loads_are_engine_invariant() {
+    let grids = [
+        loads_grid(|w, i| 0x10_0000 + (w * 12 + i) * 0x400),
+        loads_grid(|w, i| 0x10_0000 + (i * 7 + w) * 0x40),
+    ];
+    for grid in &grids {
+        for (which, name) in ["baseline", "dab", "gpudet"].into_iter().enumerate() {
+            let gpu = starved(EngineKind::Event);
+            let model = model(which, &gpu);
+            let r = GpuSim::new(gpu, model, NdetSource::seeded(1)).run(std::slice::from_ref(grid));
+            assert!(r.stats.icnt_stall_cycles > 0, "model {name}");
+            assert_eq!(
+                run(grid, which, EngineKind::Dense, 1),
+                run(grid, which, EngineKind::Event, 1),
+                "model {name}"
+            );
+        }
     }
 }
