@@ -37,8 +37,9 @@ enum Attempt {
     /// Not issued: refused, to be tried again at a later visit (or once
     /// the model wakes the warp it parked).
     Retry,
-    /// Refused, and every visit repeats the refusal with no effect until
-    /// the scheduler wakes (see `SchedulerCtx::sleeper`).
+    /// Every visit until the scheduler wakes repeats this one's pick (see
+    /// `SchedulerCtx::sleeper`): refused with no effect, or, for an ALU
+    /// instruction that issued, the next instruction of its burst.
     Sleep(Sleeper),
 }
 
@@ -117,10 +118,14 @@ impl GpuSim {
     /// because `ready_bound > cycle` guarantees `build_views` would return
     /// empty or only warps the model refuses again (the bound is never
     /// stale-high; a repeated refusal has no side effect), and either is a
-    /// visit that issues nothing. Without `skip` (the dense engine) every
-    /// scheduler is visited and that rule is checked instead: a visit to a
-    /// scheduler with `ready_bound > cycle` that finds a ready view after
-    /// model gating panics.
+    /// visit that issues nothing. A sleeping scheduler is the exception
+    /// (`SchedulerCtx::sleeper`): each visit it skips would repeat its last
+    /// pick, refused with no effect or issuing the next ALU instruction of
+    /// a burst, whose issues its next visit credits first. Without `skip`
+    /// (the dense engine) every scheduler is visited and that rule is
+    /// checked instead: a visit to a scheduler with `ready_bound > cycle`
+    /// that finds a ready view after model gating panics, unless the
+    /// scheduler sleeps and the visit repeats the pick it sleeps on.
     ///
     /// Every visited scheduler maintains its bound *incrementally* instead
     /// of rescanning warps: the bound is re-armed to `u64::MAX` before the
@@ -158,10 +163,14 @@ impl GpuSim {
                 if skip && bound > cycle {
                     continue;
                 }
+                let sleeper = sctx.sleeper.take();
+                if let Some(Sleeper::Burst { slot, from, .. }) = sleeper {
+                    self.credit_burst(sm_idx, slot, from);
+                }
                 // A visit the event engine would skip may still find a
-                // ready warp if the scheduler sleeps on a refused pick; the
-                // pick must then be that warp, refused the same way.
-                let sleeper = sctx.sleeper.take().filter(|_| bound > cycle);
+                // ready warp if the scheduler sleeps; the pick must then be
+                // that warp, refused the same way or continuing its burst.
+                let sleeper = sleeper.filter(|_| bound > cycle);
                 let agg_bound =
                     self.sms[sm_idx].build_views(sched, cycle, det_aware, srr_like, &mut views);
                 // Re-arm before the pick: wakes triggered by this visit
@@ -178,16 +187,22 @@ impl GpuSim {
                     }
                     self.pick_and_issue(sm_idx, sched, &views, bound, sleeper)
                 };
+                if let (None, Some(Sleeper::Burst { slot, .. })) = (picked, sleeper) {
+                    self.burst_broken(sm_idx, sched, slot);
+                }
                 let sm = &mut self.sms[sm_idx];
                 if let Some(sleeper) = sleeps {
-                    // The pick was refused with no effect, and so would
-                    // every visit be until a view changes or the refusal's
-                    // resource frees: sleep (see `SchedulerCtx::sleeper`).
+                    // Every visit would repeat this pick until a view
+                    // changes, the refusal's resource frees or the burst
+                    // ends: sleep (see `SchedulerCtx::sleeper`).
                     let sctx = &mut sm.schedulers[sched];
                     for v in views.iter().filter(|v| v.bound_at > cycle) {
                         sctx.note_ready(v.bound_at);
                     }
                     sctx.note_ready(sctx.policy.pick_changes_at(cycle));
+                    if let Sleeper::Burst { until, .. } = sleeper {
+                        sctx.note_ready(until);
+                    }
                     sctx.sleeper = Some(sleeper);
                     self.icnt_sleeps |= matches!(sleeper, Sleeper::Icnt { .. });
                     continue;
@@ -222,6 +237,55 @@ impl GpuSim {
         );
     }
 
+    /// The dense engine's check of a burst sleep failed: a visit the event
+    /// engine would have skipped did not issue the next ALU instruction of
+    /// the burst the scheduler sleeps on, so its credit would be wrong.
+    #[cold]
+    fn burst_broken(&self, sm_idx: usize, sched: usize, slot: usize) -> ! {
+        panic!(
+            "skip rule broken: SM {sm_idx} scheduler {sched} sleeps on the ALU burst of slot \
+             {slot} at cycle {}, but the visit does not issue the burst's next instruction \
+             (model {})",
+            self.cycle,
+            self.model.name()
+        );
+    }
+
+    /// Credits the issues the warp in `slot` owes for the cycles its
+    /// scheduler slept through on its ALU burst (`Sleeper::Burst`): at
+    /// every cycle after `from` and before this visit it would have been
+    /// picked and issued the burst's next instruction. Those issues write
+    /// the policy's and the model's state again unchanged
+    /// (`WarpScheduler::greedy_warp`, `ExecutionModel::counts_issues`) and
+    /// end no burst, so only the warp, the issue counters and the watchdog
+    /// move.
+    fn credit_burst(&mut self, sm_idx: usize, slot: usize, from: u64) {
+        let cycle = self.cycle;
+        let owed = cycle - from - 1;
+        if owed == 0 {
+            return;
+        }
+        let w = self.sms[sm_idx].warps[slot].as_mut().expect("burst warp");
+        debug_assert!(
+            u64::from(w.alu_rem) > owed,
+            "burst credited past its last issue"
+        );
+        w.alu_rem -= owed as u32;
+        w.next_ready = cycle;
+        self.stats.warp_instrs += owed;
+        self.stats.thread_instrs += owed * w.program.active_lanes as u64;
+        self.progress_at(cycle - 1);
+    }
+
+    /// Whether the warp in `slot` is in an ALU burst whose last issue is
+    /// at `until`: what every visit to its burst sleeper before then
+    /// issues.
+    fn burst_continues(&self, sm_idx: usize, slot: usize, until: u64) -> bool {
+        let w = self.sms[sm_idx].warps[slot].as_ref().expect("burst warp");
+        matches!(w.program.instrs[w.pc], Instr::Alu { .. })
+            && (until + 1).checked_sub(self.cycle) == Some(u64::from(w.alu_rem))
+    }
+
     /// Model gating (GPUDet quanta / serial mode) applied to ready views.
     /// A refusal is steady until the model calls `ModelCtx::reopen_issue`,
     /// so a refused warp is parked: its `bound_at` leaves the event
@@ -251,7 +315,8 @@ impl GpuSim {
     /// would skip (its `bound` is past the cycle) to a sleeping scheduler:
     /// the pick must be that warp, refused the same way (an L1 refusal
     /// whose record stamps no line, or an interconnect refusal of a store
-    /// or `red` of the same flits), or the visit breaks the skip rule.
+    /// or `red` of the same flits) or issuing its burst's next ALU
+    /// instruction, or the visit breaks the skip rule.
     fn pick_and_issue(
         &mut self,
         sm_idx: usize,
@@ -269,14 +334,21 @@ impl GpuSim {
             views.iter().any(|v| v.slot == slot && v.ready),
             "scheduler picked a non-ready warp"
         );
-        if sleeper.is_some_and(|s| s.slot() != slot) {
-            self.skip_rule_broken(sm_idx, sched, bound);
-        }
+        let refused = match sleeper {
+            Some(Sleeper::Burst { slot: s, until, .. }) => {
+                if s != slot || !self.burst_continues(sm_idx, slot, until) {
+                    self.burst_broken(sm_idx, sched, s);
+                }
+                None
+            }
+            Some(s) if s.slot() != slot => self.skip_rule_broken(sm_idx, sched, bound),
+            refused => refused,
+        };
         let sleeps = match self.issue_one(sm_idx, sched, slot) {
             Attempt::Sleep(s) => Some(s),
             Attempt::Issued | Attempt::Retry => None,
         };
-        if sleeper.is_some() && sleeps != sleeper {
+        if refused.is_some() && sleeps != refused {
             self.skip_rule_broken(sm_idx, sched, bound);
         }
         (picked, sleeps)
@@ -286,7 +358,9 @@ impl GpuSim {
     /// the warp in place; every other kind goes through
     /// [`issue_other`](Self::issue_other). Both share the post-issue tail:
     /// trace, stats, the `on_issue` hooks and retirement. Returns what the
-    /// attempt did.
+    /// attempt did: an `Alu` that leaves its burst two or more issues, by
+    /// the policy's greedy warp, returns a burst sleep unless
+    /// `burst_sleeps` is off.
     fn issue_one(&mut self, sm_idx: usize, sched: usize, slot: usize) -> Attempt {
         let cycle = self.cycle;
         let sm = &mut self.sms[sm_idx];
@@ -301,7 +375,7 @@ impl GpuSim {
             slot,
             unique,
         };
-        let (attempt, thread_instrs) = if let Instr::Alu { cycles, count } = *instr {
+        let (attempt, thread_instrs, burst_left) = if let Instr::Alu { cycles, count } = *instr {
             if w.alu_rem == 0 {
                 w.alu_rem = count.max(1);
             }
@@ -314,16 +388,16 @@ impl GpuSim {
                 // Back-to-back issue within the burst.
                 w.next_ready = cycle + 1;
             }
-            (Attempt::Issued, lanes as u64)
+            (Attempt::Issued, lanes as u64, w.alu_rem)
         } else if w.refused_load.holds(pc, l1_generation) {
-            (self.replay_refused_load(sm_idx, slot, pc), 0)
+            (self.replay_refused_load(sm_idx, slot, pc), 0, 0)
         } else {
             let thread_instrs = instr.thread_instr_count(lanes);
             // The other kinds call back into `self` while they read the
             // instruction and its metadata, so they hold their own handles.
             let (program, meta) = (Arc::clone(&w.program), Arc::clone(&w.meta));
             let attempt = self.issue_other(warp_id, &program.instrs[pc], meta.at(pc));
-            (attempt, thread_instrs)
+            (attempt, thread_instrs, 0)
         };
 
         if attempt == Attempt::Issued {
@@ -352,6 +426,18 @@ impl GpuSim {
             let (model, _, mut ctx) = self.model_ctx();
             model.on_issue(warp_id, was_atomic, &mut ctx);
             self.try_retire(sm_idx, slot);
+            // Until a view changes, the policy picks this warp again for
+            // every issue left in its burst: sleep through all but the last.
+            if burst_left >= 2
+                && self.burst_sleeps
+                && self.sms[sm_idx].schedulers[sched].policy.greedy_warp() == Some(unique)
+            {
+                return Attempt::Sleep(Sleeper::Burst {
+                    slot,
+                    from: cycle,
+                    until: cycle + u64::from(burst_left),
+                });
+            }
         }
         attempt
     }
@@ -1066,6 +1152,13 @@ mod tests {
     /// A fresh line the tiny machine's L1 never holds.
     const ABSENT: u64 = 0x40_000;
 
+    /// The tiny machine on `engine`.
+    fn tiny(engine: EngineKind) -> GpuConfig {
+        let mut cfg = GpuConfig::tiny();
+        cfg.engine = engine;
+        cfg
+    }
+
     /// SM 0 of the tiny machine behind a full MSHR table, holding one warp
     /// per program on scheduler 0 (slots 0, 4, 8, … in program order) and
     /// running under `model`. Returns the simulator and the slots.
@@ -1074,8 +1167,22 @@ mod tests {
         model: Box<dyn crate::exec::ExecutionModel>,
         programs: Vec<Vec<Instr>>,
     ) -> (GpuSim, Vec<usize>) {
-        let mut cfg = GpuConfig::tiny();
-        cfg.engine = engine;
+        let (mut sim, slots) = sched0_sim(tiny(engine), model, programs);
+        let sm = &mut sim.sms[0];
+        for i in 0..sm.l1_mshr_capacity as u64 {
+            sm.l1_mshrs.insert(0x100_0000 + 32 * i, Vec::new());
+        }
+        (sim, slots)
+    }
+
+    /// SM 0 of the machine `cfg` holding one warp per program on scheduler
+    /// 0 (slots 0, 4, 8, … and unique ids 0, 4, 8, … in program order) and
+    /// running under `model`. Returns the simulator and the slots.
+    fn sched0_sim(
+        cfg: GpuConfig,
+        model: Box<dyn crate::exec::ExecutionModel>,
+        programs: Vec<Vec<Instr>>,
+    ) -> (GpuSim, Vec<usize>) {
         let mut sim = GpuSim::new(cfg, model, NdetSource::disabled());
         let ns = sim.cfg.num_schedulers_per_sm;
         let warps: Vec<WarpProgram> = programs
@@ -1090,11 +1197,7 @@ mod tests {
             .collect();
         let metas: Vec<_> = warps.iter().map(|p| warp_meta(p, &sim.cfg)).collect();
         let cta = CtaSpec::new(0, warps);
-        let sm = &mut sim.sms[0];
-        let slots = sm.add_cta(&cta, 0, 0, &metas);
-        for i in 0..sm.l1_mshr_capacity as u64 {
-            sm.l1_mshrs.insert(0x100_0000 + 32 * i, Vec::new());
-        }
+        let slots = sim.sms[0].add_cta(&cta, 0, 0, &metas);
         for &slot in slots.iter().filter(|&&s| s % ns != 0) {
             sim.try_retire(0, slot);
         }
@@ -1158,17 +1261,17 @@ mod tests {
         assert_eq!(event.1, 3);
     }
 
-    /// The baseline GPU under GTAR, whose pick reads the clock.
+    /// The baseline GPU under another policy.
     #[derive(Debug)]
-    struct GtarModel;
+    struct PolicyModel(SchedKind);
 
-    impl crate::exec::ExecutionModel for GtarModel {
+    impl crate::exec::ExecutionModel for PolicyModel {
         fn name(&self) -> String {
-            "gtar".to_string()
+            self.0.label().to_lowercase()
         }
 
         fn scheduler_kind(&self) -> SchedKind {
-            SchedKind::Gtar
+            self.0
         }
     }
 
@@ -1186,7 +1289,8 @@ mod tests {
         let programs = || vec![vec![red()], vec![red()], vec![load(&[ABSENT])]];
         let mut runs = Vec::new();
         for engine in [EngineKind::Dense, EngineKind::Event] {
-            let (mut sim, slots) = sleep_sim(engine, Box::new(GtarModel), programs());
+            let (mut sim, slots) =
+                sleep_sim(engine, Box::new(PolicyModel(SchedKind::Gtar)), programs());
             runs.push(run_sleep(&mut sim, &slots, 12, u64::MAX));
         }
         let (dense, event) = (&runs[0], &runs[1]);
@@ -1235,9 +1339,7 @@ mod tests {
         model: Box<dyn crate::exec::ExecutionModel>,
         programs: Vec<Vec<Instr>>,
     ) -> (GpuSim, Vec<usize>) {
-        let mut cfg = GpuConfig::tiny();
-        cfg.engine = engine;
-        let mut sim = GpuSim::new(cfg, model, NdetSource::disabled());
+        let mut sim = GpuSim::new(tiny(engine), model, NdetSource::disabled());
         let (n, ns) = (programs.len(), sim.cfg.num_schedulers_per_sm);
         let mut warps: Vec<WarpProgram> = programs
             .into_iter()
@@ -1529,5 +1631,261 @@ mod tests {
         step(&mut sim);
         assert_eq!(format!("{:?}", sim.sms[0].l1), format!("{replayed:?}"));
         assert_eq!(counts(&sim), (0, 0, 1));
+    }
+
+    fn burst(count: u32) -> Instr {
+        Instr::Alu { cycles: 1, count }
+    }
+
+    fn burst_sleeper(sim: &GpuSim) -> Option<Sleeper> {
+        sim.sms[0].schedulers[0]
+            .sleeper
+            .filter(|s| matches!(s, Sleeper::Burst { .. }))
+    }
+
+    /// Steps the walk to cycle `cycles`, calling `before` ahead of each
+    /// cycle's walk; returns the cycle each watched slot first left pc `0`.
+    fn run_burst(
+        sim: &mut GpuSim,
+        watch: &[usize],
+        cycles: u64,
+        mut before: impl FnMut(&mut GpuSim),
+    ) -> Vec<u64> {
+        let mut left = vec![u64::MAX; watch.len()];
+        while sim.cycle < cycles {
+            before(sim);
+            let cycle = sim.cycle;
+            step(sim);
+            for (i, &slot) in watch.iter().enumerate() {
+                if left[i] == u64::MAX && pc(sim, slot) != 0 {
+                    left[i] = cycle;
+                }
+            }
+        }
+        left
+    }
+
+    /// The issue counters of the run so far.
+    fn issued(sim: &GpuSim) -> (u64, u64) {
+        (sim.stats.warp_instrs, sim.stats.thread_instrs)
+    }
+
+    #[test]
+    fn lone_burst_is_visited_at_its_first_and_last_issue() {
+        // An 8-issue burst issues at cycles 0-7 on both engines. The event
+        // engine visits SM 0 at the first issue, sleeps, and is visited
+        // again for the last, crediting the six issues in between.
+        let mut runs = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let model = Box::new(BaselineModel::new());
+            let (mut sim, slots) = split_sim(engine, model, vec![vec![burst(8)]]);
+            step(&mut sim);
+            assert_eq!(
+                burst_sleeper(&sim),
+                Some(Sleeper::Burst {
+                    slot: slots[0],
+                    from: 0,
+                    until: 7
+                }),
+                "{engine:?}"
+            );
+            let left = run_burst(&mut sim, &slots, 12, |_| {});
+            runs.push((left, issued(&sim), sim.activity.sms_ticked));
+        }
+        assert_eq!(runs[0].0, vec![7], "the burst's last issue");
+        assert_eq!(runs[1].0, runs[0].0);
+        assert_eq!(runs[0].1, (8, 8 * 32));
+        assert_eq!(runs[1].1, runs[0].1);
+        assert_eq!(runs[0].2, 12 * GpuConfig::tiny().num_sms() as u64);
+        assert_eq!(runs[1].2, 2);
+    }
+
+    #[test]
+    fn sibling_response_mid_burst_wakes_and_credits_the_burst() {
+        // The load warp issues at cycle 0 and the burst from cycle 1 on;
+        // the event engine sleeps on the burst. The response at cycle 5
+        // wakes the load warp for cycle 6, and with it the scheduler: the
+        // visit credits the burst's issues at cycles 2-5, then GTO picks
+        // the burst again. Counters, `next_ready` and `alu_rem` after that
+        // visit equal dense's, which issued at every cycle.
+        let mut after_wake = Vec::new();
+        let mut runs = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let programs = vec![vec![load(&[ABSENT]), alu()], vec![burst(16)]];
+            let model = Box::new(BaselineModel::new());
+            let (mut sim, slots) = sched0_sim(tiny(engine), model, programs);
+            let load_slot = slots[0];
+            run_burst(&mut sim, &slots, 5, |_| {});
+            if engine == EngineKind::Event {
+                assert_eq!(issued(&sim), (2, 2 * 32), "credited at the next visit");
+            }
+            sim.handle_load_resp(
+                ABSENT,
+                WarpRef {
+                    sm: 0,
+                    slot: load_slot,
+                },
+            );
+            step(&mut sim);
+            step(&mut sim);
+            let w = sim.sms[0].warps[slots[1]].as_ref().expect("burst warp");
+            after_wake.push((issued(&sim), w.next_ready, w.alu_rem));
+            let left = run_burst(&mut sim, &slots[1..], 20, |_| {});
+            runs.push((left, pc(&sim, load_slot), issued(&sim)));
+        }
+        assert_eq!(after_wake[0], ((7, 7 * 32), 7, 10));
+        assert_eq!(after_wake[1], after_wake[0]);
+        // The burst's last issue at 16, then the load warp's ALU at 17.
+        assert_eq!(runs[0], (vec![16], usize::MAX, (18, 18 * 32)));
+        assert_eq!(runs[1], runs[0]);
+    }
+
+    #[test]
+    fn gwat_holder_red_falling_due_mid_burst_issues_on_time() {
+        // Under GWAT the token holder issues an ALU op with a 5-cycle tail
+        // at cycle 0; its `red` falls due at 5. The other warp's burst
+        // issues from cycle 1 and its scheduler sleeps on it, with the
+        // holder's bound in the fold: the `red` preempts the burst at
+        // cycle 5 on both engines, and the burst ends a cycle later. The
+        // burst warp, passed over at 5, holds the credited issues of
+        // cycles 2-4 then: its `alu_rem` and `next_ready` equal dense's.
+        let red_warp = vec![
+            Instr::Alu {
+                cycles: 5,
+                count: 1,
+            },
+            red(0x80),
+        ];
+        let mut runs = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let model = Box::new(PolicyModel(SchedKind::Gwat));
+            let programs = vec![red_warp.clone(), vec![burst(16)]];
+            let (mut sim, slots) = sched0_sim(tiny(engine), model, programs);
+            let (mut red_at, mut passed_over) = (None, None);
+            let left = run_burst(&mut sim, &slots[1..], 20, |sim| {
+                if red_at.is_none() && pc(sim, slots[0]) == 2 {
+                    red_at = Some(sim.cycle - 1);
+                    let w = sim.sms[0].warps[slots[1]].as_ref().expect("burst warp");
+                    passed_over = Some((w.alu_rem, w.next_ready));
+                }
+            });
+            runs.push((red_at, passed_over, left, issued(&sim)));
+        }
+        // The one-lane `red` counts one thread instruction.
+        assert_eq!(
+            runs[0],
+            (Some(5), Some((12, 5)), vec![17], (18, 17 * 32 + 1))
+        );
+        assert_eq!(runs[1], runs[0]);
+    }
+
+    #[test]
+    fn sibling_retiring_mid_burst_keeps_the_owed_issues() {
+        // The load warp's response at cycle 5 retires it: the exit wakes
+        // the scheduler sleeping on the burst but keeps the sleeper, so the
+        // visit at cycle 5 still credits the issues at cycles 2-4.
+        let mut runs = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let programs = vec![vec![load(&[ABSENT])], vec![burst(16)]];
+            let model = Box::new(BaselineModel::new());
+            let (mut sim, slots) = sched0_sim(tiny(engine), model, programs);
+            let left = run_burst(&mut sim, &slots[1..], 20, |sim| {
+                if sim.cycle == 5 {
+                    sim.handle_load_resp(ABSENT, WarpRef { sm: 0, slot: 0 });
+                    assert_eq!(pc(sim, slots[0]), usize::MAX, "retired");
+                    if sim.cfg.engine == EngineKind::Event {
+                        assert!(burst_sleeper(sim).is_some(), "the sleeper stays");
+                    }
+                }
+            });
+            runs.push((left, issued(&sim)));
+        }
+        assert_eq!(runs[0], (vec![16], (17, 17 * 32)));
+        assert_eq!(runs[1], runs[0]);
+    }
+
+    /// Picks the ready warps in turn, but answers `greedy_warp` as GTO
+    /// would: the answer is wrong whenever two warps are ready.
+    #[derive(Debug, Default)]
+    struct FalselyGreedy {
+        last: Option<u64>,
+    }
+
+    impl crate::sched::WarpScheduler for FalselyGreedy {
+        fn kind(&self) -> SchedKind {
+            SchedKind::Gto
+        }
+
+        fn pick(&mut self, views: &[WarpView], _cycle: u64) -> Option<usize> {
+            let mut ready = views.iter().filter(|v| v.ready);
+            let next = ready.clone().find(|v| Some(v.unique) > self.last);
+            next.or_else(|| ready.next()).map(|v| v.slot)
+        }
+
+        fn greedy_warp(&self) -> Option<u64> {
+            self.last
+        }
+
+        fn on_issue(&mut self, unique: u64, _was_atomic: bool, _cycle: u64) {
+            self.last = Some(unique);
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "skip rule broken: SM 0 scheduler 0 sleeps on the ALU burst of \
+                               slot 0 at cycle 1, but the visit does not issue"
+    )]
+    fn dense_engine_names_a_wrong_greedy_answer() {
+        let programs = vec![vec![burst(4)], vec![burst(4)]];
+        let model = Box::new(BaselineModel::new());
+        let (mut sim, _) = sched0_sim(tiny(EngineKind::Dense), model, programs);
+        sim.sms[0].schedulers[0].policy = Box::new(FalselyGreedy::default());
+        step(&mut sim);
+        step(&mut sim);
+    }
+
+    /// A model whose state follows every issue, as GPUDet's quantum does.
+    #[derive(Debug)]
+    struct CountsIssues;
+
+    impl crate::exec::ExecutionModel for CountsIssues {
+        fn name(&self) -> String {
+            "counts-issues".to_string()
+        }
+
+        fn counts_issues(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn full_trace_and_issue_counting_models_take_no_burst_sleep() {
+        // The event engine visits the burst at every issue: under full
+        // tracing, which records each issue, and under a model that
+        // counts them. The baseline without a trace sleeps.
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let mut traced = tiny(engine);
+            traced.trace = obs::TraceMode::Full;
+            let cases: [(GpuConfig, Box<dyn crate::exec::ExecutionModel>, bool); 3] = [
+                (traced, Box::new(BaselineModel::new()), false),
+                (tiny(engine), Box::new(CountsIssues), false),
+                (tiny(engine), Box::new(BaselineModel::new()), true),
+            ];
+            for (cfg, model, sleeps) in cases {
+                let name = model.name();
+                let (mut sim, slots) = sched0_sim(cfg, model, vec![vec![burst(8)]]);
+                assert_eq!(sim.burst_sleeps, sleeps, "{engine:?} {name}");
+                step(&mut sim);
+                assert_eq!(burst_sleeper(&sim).is_some(), sleeps, "{engine:?} {name}");
+                let left = run_burst(&mut sim, &slots, 10, |_| {});
+                assert_eq!(left, vec![7], "{engine:?} {name}");
+                assert_eq!(issued(&sim), (8, 8 * 32), "{engine:?} {name}");
+                if engine == EngineKind::Event {
+                    let visits = if sleeps { 2 } else { 8 };
+                    assert_eq!(sim.activity.sms_ticked, visits, "{name}");
+                }
+            }
+        }
     }
 }

@@ -36,7 +36,7 @@ use crate::mem::packet::{AtomKind, Payload, WarpRef};
 use crate::mem::partition::MemPartition;
 use crate::ndet::NdetSource;
 use crate::sched::{SchedKind, WarpView};
-use crate::sm::{Sm, WarpState};
+use crate::sm::{Sleeper, Sm, WarpState};
 use crate::stats::SimStats;
 use crate::values::ValueMem;
 
@@ -266,6 +266,11 @@ pub struct GpuSim {
     /// Set with such a sleep, cleared by the wake pass once none is left,
     /// so the pass costs nothing while no scheduler sleeps that way.
     pub(crate) icnt_sleeps: bool,
+    /// Whether a scheduler may sleep through its greedy warp's ALU burst
+    /// (`Sleeper::Burst`): off under full tracing, which records one
+    /// `Issue` event per issue, and under a model that counts issues
+    /// (`ExecutionModel::counts_issues`).
+    pub(crate) burst_sleeps: bool,
     /// The last CTA placement scan placed nothing and no warp has retired
     /// since. Placement capacity (`Sm::can_accept`) changes only at a
     /// placement or a retirement, and a scan that places nothing draws no
@@ -359,6 +364,7 @@ impl GpuSim {
         let icnt_cl_ndet = (0..cfg.num_clusters)
             .map(|c| ndet.split(0x3000_0000 + c as u64))
             .collect();
+        let burst_sleeps = cfg.trace != obs::TraceMode::Full && !model.counts_issues();
         Self {
             icnt: Interconnect::new(&cfg),
             locks: LockManager::new(&cfg),
@@ -375,6 +381,7 @@ impl GpuSim {
             l1_mshr_stalls: 0,
             atomic_buffer_full_stalls: 0,
             icnt_sleeps: false,
+            burst_sleeps,
             dispatch_idle: false,
             sched_kind,
             model,
@@ -591,7 +598,11 @@ impl GpuSim {
             let span = self.prof_start();
             self.advance_cycle(skip);
             self.prof_record(obs::Phase::Wheel, span);
-            if self.cycle - self.last_progress_cycle >= self.deadlock_horizon {
+            // The recorded progress first: the scan for burst sleepers,
+            // whose owed issues are progress too, runs only when it trips.
+            if self.cycle - self.last_progress_cycle >= self.deadlock_horizon
+                && self.cycle - self.last_progress() >= self.deadlock_horizon
+            {
                 let mut dump = String::new();
                 for (sm_idx, sm) in self.sms.iter().enumerate() {
                     for (slot, warp) in sm.warps.iter().enumerate() {
@@ -730,6 +741,24 @@ impl GpuSim {
 
     pub(crate) fn progress(&mut self) {
         self.last_progress_cycle = self.cycle;
+    }
+
+    /// Records progress made at `cycle`, no later than the present.
+    pub(crate) fn progress_at(&mut self, cycle: u64) {
+        self.last_progress_cycle = self.last_progress_cycle.max(cycle);
+    }
+
+    /// The last cycle a warp made progress, counting the issues that burst
+    /// sleepers owe but have not been credited yet: each one's warp issued
+    /// at every cycle before the present and before its burst's last
+    /// issue, which its scheduler is visited for.
+    fn last_progress(&self) -> u64 {
+        let owed = self.sms.iter().flat_map(|sm| &sm.schedulers);
+        let owed = owed.filter_map(|s| match s.sleeper {
+            Some(Sleeper::Burst { until, .. }) => Some(until.min(self.cycle) - 1),
+            _ => None,
+        });
+        owed.fold(self.last_progress_cycle, u64::max)
     }
 
     // ------------------------------------------------------------------
@@ -1740,6 +1769,28 @@ mod tests {
         let grid = KernelGrid::new("empty", vec![CtaSpec::new(0, vec![WarpProgram::empty(32)])]);
         let report = run_baseline(grid);
         assert_eq!(report.stats.warp_instrs, 0);
+    }
+
+    #[test]
+    fn burst_longer_than_the_deadlock_horizon_is_progress() {
+        // The event engine visits the lone warp's scheduler at the burst's
+        // first and last issue only, 99 cycles apart; a watchdog lowered to
+        // 16 cycles must count the issues slept through as progress.
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let mut cfg = GpuConfig::tiny();
+            cfg.engine = engine;
+            let burst = Instr::Alu {
+                cycles: 1,
+                count: 100,
+            };
+            let program = WarpProgram::new(vec![burst], 32);
+            let grid = KernelGrid::new("burst", vec![CtaSpec::new(0, vec![program])]);
+            let model = Box::new(BaselineModel::new());
+            let mut sim = GpuSim::new(cfg, model, NdetSource::disabled());
+            sim.deadlock_horizon = 16;
+            let report = sim.run(&[grid]);
+            assert_eq!(report.stats.warp_instrs, 100, "{engine:?}");
+        }
     }
 
     /// Breaks the `can_issue` contract: refuses its first query once, then

@@ -327,6 +327,18 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
     /// An instruction was issued (after routing hooks).
     fn on_issue(&mut self, warp: WarpId, is_atomic: bool, ctx: &mut ModelCtx<'_>) {}
 
+    /// Whether the model's state follows every issue, so that
+    /// [`on_issue`](Self::on_issue) and [`can_issue`](Self::can_issue) must
+    /// see each ALU instruction of a burst. With `false`, the event engine
+    /// may let a scheduler sleep through its greedy warp's ALU burst and
+    /// credit the skipped issues at its next visit, calling neither hook
+    /// for them; the dense engine calls both and panics on the broken skip
+    /// rule if a skipped visit would have picked another warp. GPUDet
+    /// returns `true`: its quantum counts every issue.
+    fn counts_issues(&self) -> bool {
+        false
+    }
+
     /// Routes an atomic instruction.
     fn on_atomic(&mut self, issue: AtomicIssue<'_>, ctx: &mut ModelCtx<'_>) -> AtomicRoute {
         AtomicRoute::ToMemory

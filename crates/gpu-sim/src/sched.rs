@@ -126,11 +126,15 @@ impl WarpView {
 /// [`pick`](Self::pick) and every callback run on the engine's one thread
 /// (see DESIGN.md "The issue cycle"): the issue walk visits schedulers in
 /// the fixed (cluster, SM, scheduler) order, so policies never observe
-/// concurrent calls. `pick` is invoked every cycle a
-/// scheduler has a warp that is ready after the batch gate and token
-/// refusal — even when model gating then cleared all ready flags — so
-/// stateful policies (token rotation, round-robin cursors) advance
-/// identically under the dense and event engines.
+/// concurrent calls. `pick` is invoked at every visit to a scheduler that
+/// has a warp ready after the batch gate and token refusal, even when
+/// model gating then cleared all ready flags. The event engine leaves out
+/// only visits whose pick would repeat the last one on the same views and
+/// write the same policy state again: while the scheduler sleeps on a
+/// refused pick, or on its greedy warp's ALU burst
+/// ([`greedy_warp`](Self::greedy_warp)). So stateful policies (token
+/// rotation, round-robin cursors) advance identically under the dense and
+/// event engines.
 pub trait WarpScheduler: std::fmt::Debug + Send {
     /// The policy's kind tag.
     fn kind(&self) -> SchedKind;
@@ -165,6 +169,19 @@ pub trait WarpScheduler: std::fmt::Debug + Send {
     fn pick_changes_at(&self, cycle: u64) -> u64 {
         let _ = cycle;
         u64::MAX
+    }
+
+    /// The warp this policy picks again at every later cycle while its
+    /// views and its clock ([`pick_changes_at`](Self::pick_changes_at)) do
+    /// not change, asked right after that warp's non-atomic instruction
+    /// issued ([`on_issue`](Self::on_issue)), or `None` if the next pick
+    /// may differ even then. Greedy policies answer their greedy warp,
+    /// whose repeated pick and non-atomic issue write the same state
+    /// again. A scheduler whose answer is the warp that just issued an ALU
+    /// instruction of a burst sleeps through the rest of the burst (see
+    /// `SchedulerCtx::sleeper`), so a wrong answer breaks the skip rule.
+    fn greedy_warp(&self) -> Option<u64> {
+        None
     }
 
     /// The engine issued an instruction from warp `unique`.
@@ -312,6 +329,10 @@ impl WarpScheduler for Gto {
 
     fn pick(&mut self, views: &[WarpView], _cycle: u64) -> Option<usize> {
         self.pick_among(views, |_| true)
+    }
+
+    fn greedy_warp(&self) -> Option<u64> {
+        self.last
     }
 
     fn on_issue(&mut self, unique: u64, _was_atomic: bool, _cycle: u64) {
@@ -488,6 +509,13 @@ impl WarpScheduler for Gtrr {
         match self.phase {
             GtrrPhase::Greedy => self.gto.pick_among(views, |v| !v.next_is_atomic),
             GtrrPhase::RoundRobin => self.srr.pick(views, cycle),
+        }
+    }
+
+    fn greedy_warp(&self) -> Option<u64> {
+        match self.phase {
+            GtrrPhase::Greedy => self.gto.greedy_warp(),
+            GtrrPhase::RoundRobin => None,
         }
     }
 
@@ -682,6 +710,10 @@ impl WarpScheduler for Gtar {
         }
     }
 
+    fn greedy_warp(&self) -> Option<u64> {
+        self.ring.gto.greedy_warp()
+    }
+
     fn on_issue(&mut self, unique: u64, was_atomic: bool, cycle: u64) {
         if was_atomic {
             self.atomic_busy_until = cycle + self.atomic_exec_latency as u64;
@@ -745,6 +777,10 @@ impl WarpScheduler for Gwat {
 
     fn pick(&mut self, views: &[WarpView], _cycle: u64) -> Option<usize> {
         self.ring.pick(views, true)
+    }
+
+    fn greedy_warp(&self) -> Option<u64> {
+        self.ring.gto.greedy_warp()
     }
 
     fn on_issue(&mut self, unique: u64, was_atomic: bool, cycle: u64) {

@@ -127,9 +127,10 @@ impl RefusedLoad {
     }
 }
 
-/// The refused pick a scheduler sleeps on ([`SchedulerCtx::sleeper`]):
-/// the warp in `slot` would be picked and refused the same way, with no
-/// effect, at every visit until the scheduler wakes.
+/// What a scheduler sleeps on ([`SchedulerCtx::sleeper`]): the warp in
+/// `slot` would be picked at every visit until the scheduler wakes, and
+/// each of those visits is known in advance. A refused pick is refused the
+/// same way, with no effect; a burst issues its next ALU instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Sleeper {
     /// A load the L1 MSHR table refused, whose [`RefusedLoad`] record
@@ -147,13 +148,26 @@ pub(crate) enum Sleeper {
         /// The request's flits: the budget at which it fits.
         need: u32,
     },
+    /// The policy's greedy warp in the middle of an ALU burst: it issued
+    /// at cycle `from` and issues again at every cycle up to `until`, the
+    /// burst's last issue, which the scheduler is visited for. A visit
+    /// before then first credits the issues the warp owes for the cycles
+    /// in between (`GpuSim::credit_burst`).
+    Burst {
+        /// The bursting warp's slot.
+        slot: usize,
+        /// The cycle of the issue the scheduler fell asleep after.
+        from: u64,
+        /// The cycle of the burst's last issue.
+        until: u64,
+    },
 }
 
 impl Sleeper {
     /// The slot of the warp the scheduler sleeps on.
     pub(crate) fn slot(self) -> usize {
         match self {
-            Self::L1 { slot } | Self::Icnt { slot, .. } => slot,
+            Self::L1 { slot } | Self::Icnt { slot, .. } | Self::Burst { slot, .. } => slot,
         }
     }
 }
@@ -231,29 +245,35 @@ pub struct SchedulerCtx {
     ///
     /// A scheduler that sleeps (`sleeper`) may hold a bound above a
     /// pickable warp's cycle: every visit before a wake would pick that
-    /// warp and be refused again with no effect.
+    /// warp, and either be refused again with no effect or issue the next
+    /// ALU instruction of its burst.
     pub ready_bound: u64,
-    /// What this scheduler sleeps on, if anything. Set after a visit whose
-    /// pick was refused in a way every later visit repeats with no effect
-    /// (see [`Sleeper`]); taken by the next visit. Until one of its views
-    /// changes, the policy makes the same pick (a pick is a function of
-    /// the views and the policy state, and a repeated pick writes the same
-    /// state) and the request is refused the same way, stamping nothing
-    /// and counting nothing. So the visit's bound fold leaves out every
-    /// view that was already due, and the scheduler wakes on:
+    /// What this scheduler sleeps on, if anything (see [`Sleeper`]). Set
+    /// after a visit whose pick every later visit repeats: a pick refused
+    /// with no effect, or an ALU issue of a burst with at least two issues
+    /// left by the policy's [`greedy_warp`]. Taken by the next visit. Until
+    /// one of its views changes, the policy makes the same pick (a pick is
+    /// a function of the views and the policy state, and a repeated pick
+    /// writes the same state); a refused request is refused the same way,
+    /// stamping nothing and counting nothing, and a burst issues its next
+    /// ALU instruction. So the visit's bound fold leaves out every view
+    /// that was already due, and the scheduler wakes on:
     /// - a view that was not yet due falling due;
     /// - every `note_ready` site (a wake, a gate opening, a token move, a
     ///   CTA arrival) and a warp exit, which change the views;
     /// - the policy's [`pick_changes_at`] cycle;
-    /// - what the refusal waits for, one resource per sleeper kind: for
-    ///   an MSHR refusal, an L1 fill after which the record no longer
-    ///   holds (`Sm::recheck_l1_sleepers`); for an interconnect refusal,
-    ///   room in the cluster's injection queue
-    ///   (`GpuSim::wake_icnt_sleepers`).
+    /// - what the sleep waits for, one per sleeper kind: for an MSHR
+    ///   refusal, an L1 fill after which the record no longer holds
+    ///   (`Sm::recheck_l1_sleepers`); for an interconnect refusal, room in
+    ///   the cluster's injection queue (`GpuSim::wake_icnt_sleepers`); for
+    ///   a burst, the cycle of its last issue.
     ///
     /// The warp stays `Ready` and visible to the pick: it is not parked,
-    /// since parking it would let the policy pick another warp.
+    /// since parking it would let the policy pick another warp. A burst
+    /// sleeper outlives a warp exit, which wakes it: its warp still owes
+    /// the issues of the cycles it slept through.
     ///
+    /// [`greedy_warp`]: crate::sched::WarpScheduler::greedy_warp
     /// [`pick_changes_at`]: crate::sched::WarpScheduler::pick_changes_at
     pub(crate) sleeper: Option<Sleeper>,
 }
@@ -511,11 +531,15 @@ impl Sm {
     ///
     /// The exit may pass an atomic token to a warp parked as refused, which
     /// could then issue this very cycle, so it is a token event at `cycle`.
-    /// It also removes a view, so it wakes a sleeping scheduler.
+    /// It also removes a view, so it wakes a sleeping scheduler. A burst
+    /// sleeper stays: the visit it wakes for credits the issues it owes.
     pub fn retire_warp(&mut self, slot: usize, cycle: u64) -> WarpCtx {
         let warp = self.warps[slot].take().expect("slot occupied");
         let sched = &mut self.schedulers[warp.sched];
-        if sched.sleeper.take().is_some() {
+        if let Some(sleeper) = sched.sleeper {
+            if !matches!(sleeper, Sleeper::Burst { .. }) {
+                sched.sleeper = None;
+            }
             sched.note_ready(cycle);
         }
         sched.token_event(cycle, |p| p.on_warp_exit(warp.unique));

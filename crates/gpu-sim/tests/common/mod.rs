@@ -11,7 +11,7 @@ pub const LANES: usize = 8;
 /// Decodes one drawn `(opcode, operand, count)` triple into an instruction.
 /// Addresses stay in a small window so warps genuinely collide on sectors,
 /// partitions, and atomic cells.
-fn decode(opcode: u32, operand: u64, count: u32) -> Instr {
+pub fn decode(opcode: u32, operand: u64, count: u32) -> Instr {
     match opcode {
         0 => Instr::Alu {
             cycles: 1 + count % 3,
@@ -67,9 +67,10 @@ fn decode(opcode: u32, operand: u64, count: u32) -> Instr {
 /// Raw drawn shape: CTAs → warps → instruction triples.
 pub type RawGrid = Vec<Vec<Vec<(u32, u64, u32)>>>;
 
-/// Builds a grid from the raw draw, trimming every warp of a CTA to the
-/// same barrier count so barriers always release.
-pub fn build_grid(raw: RawGrid) -> KernelGrid {
+/// Builds a grid from the raw draw, each triple decoded by `decode` (this
+/// module's [`decode`], or a suite's own), trimming every warp of a CTA to
+/// the same barrier count so barriers always release.
+pub fn build_grid(raw: RawGrid, decode: impl Fn(u32, u64, u32) -> Instr) -> KernelGrid {
     let ctas = raw
         .into_iter()
         .enumerate()

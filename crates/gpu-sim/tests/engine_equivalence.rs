@@ -16,7 +16,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{build_grid, LANES};
+use common::{build_grid, decode, LANES};
 use gpu_sim::config::{EngineKind, GpuConfig};
 use gpu_sim::engine::GpuSim;
 use gpu_sim::exec::BaselineModel;
@@ -51,7 +51,7 @@ proptest! {
         ),
         seed in any::<u64>(),
     ) {
-        let grid = build_grid(raw);
+        let grid = build_grid(raw, decode);
         prop_assert_eq!(
             &run(&grid, EngineKind::Dense, NdetSource::disabled()),
             &run(&grid, EngineKind::Event, NdetSource::disabled()),

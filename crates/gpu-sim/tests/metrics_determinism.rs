@@ -24,7 +24,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{build_grid, LANES};
+use common::{build_grid, decode, LANES};
 use gpu_sim::config::{EngineKind, GpuConfig};
 use gpu_sim::engine::{GpuSim, RunReport};
 use gpu_sim::exec::BaselineModel;
@@ -104,7 +104,7 @@ proptest! {
         ),
         seed in any::<u64>(),
     ) {
-        let grid = build_grid(raw);
+        let grid = build_grid(raw, decode);
         let mut per_engine: Vec<RunReport> = Vec::new();
         for engine in [EngineKind::Dense, EngineKind::Event] {
             let base = run(&grid, engine, false, seed);
@@ -148,7 +148,7 @@ proptest! {
         ),
         seed in any::<u64>(),
     ) {
-        let grid = build_grid(raw);
+        let grid = build_grid(raw, decode);
         for engine in [EngineKind::Dense, EngineKind::Event] {
             let off = run(&grid, engine, false, seed);
             let on = run(&grid, engine, true, seed);

@@ -17,7 +17,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{build_grid, LANES};
+use common::{build_grid, decode, LANES};
 use gpu_sim::config::{EngineKind, GpuConfig};
 use gpu_sim::engine::GpuSim;
 use gpu_sim::exec::BaselineModel;
@@ -69,7 +69,7 @@ proptest! {
         ),
         seed in any::<u64>(),
     ) {
-        let grid = build_grid(raw);
+        let grid = build_grid(raw, decode);
         let mut per_engine = Vec::new();
         for engine in [EngineKind::Dense, EngineKind::Event] {
             let (c1, d1, t1) = run_traced(&grid, engine, seed);

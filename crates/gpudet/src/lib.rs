@@ -289,6 +289,11 @@ impl ExecutionModel for GpuDetModel {
         }
     }
 
+    fn counts_issues(&self) -> bool {
+        // The quantum counts every issue, ALU ones included.
+        true
+    }
+
     fn on_atomic(&mut self, issue: AtomicIssue<'_>, _ctx: &mut ModelCtx<'_>) -> AtomicRoute {
         debug_assert_eq!(self.mode, Mode::Serial, "atomics only issue in serial mode");
         debug_assert_eq!(self.serial_current, Some(issue.warp.unique));
@@ -580,6 +585,8 @@ mod tests {
             )],
         );
         let model = GpuDetModel::new(&gpu, cfg);
+        // So the event engine never sleeps through an ALU burst under it.
+        assert!(model.counts_issues());
         let report = GpuSim::new(gpu, Box::new(model), NdetSource::seeded(1)).run(&[grid]);
         // 35 instructions at quantum 10 -> at least 4 quanta.
         assert!(report.stats.counter("det.gpudet.quanta") >= 3);

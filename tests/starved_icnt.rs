@@ -21,7 +21,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::build_grid;
+use common::{build_grid, decode};
 use dab::{DabConfig, DabModel};
 use gpu_sim::config::{EngineKind, GpuConfig};
 use gpu_sim::engine::GpuSim;
@@ -74,7 +74,7 @@ proptest! {
         ),
         seed in any::<u64>(),
     ) {
-        let grid = build_grid(raw);
+        let grid = build_grid(raw, decode);
         for (which, name) in ["baseline", "dab", "gpudet"].into_iter().enumerate() {
             prop_assert_eq!(
                 &run(&grid, which, EngineKind::Dense, seed),
@@ -100,6 +100,7 @@ fn starved_interconnect_refuses_requests() {
         (0..8)
             .map(|c| (0..4).map(|w| warp(c + w)).collect())
             .collect(),
+        decode,
     );
     for which in 0..2 {
         let gpu = starved(EngineKind::Event);
