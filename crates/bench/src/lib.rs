@@ -50,7 +50,7 @@ pub struct Runner {
 
 impl Runner {
     /// Builds a runner from the environment (`DAB_SCALE`, `DAB_ENGINE`,
-    /// `DAB_TRACE`, `DAB_TRACE_SAMPLE`, `DAB_PROFILE`, `DAB_QUIET`, and the
+    /// `DAB_TRACE`, `DAB_TRACE_SAMPLE`, `DAB_QUIET`, and the
     /// retired `DAB_SIM_THREADS` / `DAB_COMMIT_SHARD`), each read through
     /// [`obs::env`].
     ///
@@ -59,8 +59,8 @@ impl Runner {
     /// Panics naming the variable and the value when a knob holds a value
     /// it does not accept: `DAB_SCALE` takes `ci`/`paper`, `DAB_ENGINE`
     /// `dense`/`event`, `DAB_TRACE` `off`/`summary`/`full`,
-    /// `DAB_TRACE_SAMPLE` a positive integer, `DAB_PROFILE` and
-    /// `DAB_QUIET` `0`/`1`, and the retired knobs only `1`.
+    /// `DAB_TRACE_SAMPLE` a positive integer, `DAB_QUIET` `0`/`1`, and
+    /// the retired knobs only `1`.
     pub fn from_env() -> Self {
         let scale = obs::env::choice(SCALE_VAR, &SCALES).unwrap_or_default();
         let mut gpu = scale.gpu();
@@ -71,7 +71,6 @@ impl Runner {
         gpu.trace = obs::env::choice(obs::TRACE_VAR, &obs::TRACE_MODES).unwrap_or_default();
         gpu.trace_sample_interval =
             obs::env::count(obs::SAMPLE_VAR).map_or(obs::DEFAULT_SAMPLE_INTERVAL, |n| n as u64);
-        gpu.profile = obs::env::flag(obs::profile::PROFILE_VAR);
         Self {
             gpu,
             scale,
@@ -394,14 +393,6 @@ mod tests {
                 unset: "1024".into(),
                 accepted: &[("512", "512"), (" 7\n", "7")],
                 garbage: &["0", "-3", "many", "1.5", ""],
-                says: "",
-            },
-            Knob {
-                var: "DAB_PROFILE",
-                read: || Runner::from_env().gpu.profile.to_string(),
-                unset: "false".into(),
-                accepted: &[("0", "false"), (" 1 ", "true")],
-                garbage: &["on", "true", "2", ""],
                 says: "",
             },
             Knob {

@@ -141,136 +141,3 @@ proptest! {
         prop_assert_eq!(values.atomics_applied(), canonical.len() as u64);
     }
 }
-
-mod end_to_end_determinism {
-    use super::*;
-    use dab::{DabConfig, DabModel};
-    use gpu_sim::config::EngineKind;
-    use gpu_sim::engine::GpuSim;
-    use gpu_sim::isa::{Instr, MemAccess, WarpProgram};
-    use gpu_sim::kernel::{CtaSpec, KernelGrid};
-    use gpu_sim::sched::SchedKind;
-
-    /// A random mix of compute, memory, barriers, and same/distinct-address
-    /// atomic reductions.
-    fn arb_warp_program() -> impl Strategy<Value = Vec<u8>> {
-        proptest::collection::vec(0u8..8, 1..10)
-    }
-
-    fn build_program(codes: &[u8], cta: usize, warp: usize) -> WarpProgram {
-        let mut instrs = Vec::new();
-        for (k, &code) in codes.iter().enumerate() {
-            let instr = match code {
-                0 => Instr::Alu {
-                    cycles: 2,
-                    count: 5,
-                },
-                1 => Instr::Load {
-                    accesses: vec![MemAccess::per_lane_f32(
-                        0x10_0000 + (cta * 64 + warp * 8 + k) as u64 * 128,
-                        32,
-                    )],
-                },
-                2 => Instr::Store {
-                    accesses: vec![MemAccess::per_lane_f32(0x20_0000 + k as u64 * 128, 32)],
-                },
-                // Shared hot cell: maximal ordering sensitivity.
-                3 | 4 => Instr::Red {
-                    op: AtomicOp::AddF32,
-                    accesses: (0..32)
-                        .map(|l| {
-                            let v = 0.1f32 * ((cta * 31 + warp * 7 + l + k) % 97 + 1) as f32;
-                            AtomicAccess::new(l, 0x40, Value::F32(v))
-                        })
-                        .collect(),
-                },
-                // Strided cells.
-                5 | 6 => Instr::Red {
-                    op: AtomicOp::AddF32,
-                    accesses: (0..32)
-                        .map(|l| {
-                            AtomicAccess::new(
-                                l,
-                                0x1000 + 4 * ((l + k) as u64 % 64),
-                                Value::F32(0.3 + k as f32 * 0.01),
-                            )
-                        })
-                        .collect(),
-                },
-                _ => Instr::Bar,
-            };
-            instrs.push(instr);
-        }
-        WarpProgram::new(instrs, 32)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// THE paper's claim, fuzzed: for random kernels and random DAB
-        /// design points, two runs under different hardware-timing seeds
-        /// produce bitwise identical memory.
-        ///
-        /// Each design point also runs on the dense engine, the oracle for
-        /// the event engine under every determinism-aware policy: cycles,
-        /// digest and statistics (minus the `det.engine.*` activity
-        /// counters, which differ by design) must match. This covers the
-        /// event engine's parking of token-refused warps and DAB's
-        /// on-demand seal census, which `BaselineModel` (GTO) never reaches.
-        #[test]
-        fn random_kernels_are_bitwise_deterministic_under_dab(
-            warp_codes in proptest::collection::vec(
-                proptest::collection::vec(arb_warp_program(), 1..4), // warps per cta
-                1..6 // ctas
-            ),
-            sched_pick in 0usize..4,
-            capacity_pick in 0usize..2,
-            fusion in any::<bool>(),
-            coalescing in any::<bool>(),
-            seeds in (0u64..1000, 1000u64..2000),
-        ) {
-            let scheds = [SchedKind::Srr, SchedKind::Gtrr, SchedKind::Gtar, SchedKind::Gwat];
-            let cfg = DabConfig::paper_default()
-                .with_scheduler(scheds[sched_pick])
-                .with_capacity([32, 96][capacity_pick])
-                .with_fusion(fusion)
-                .with_coalescing(coalescing);
-            let ctas: Vec<CtaSpec> = warp_codes
-                .iter()
-                .enumerate()
-                .map(|(c, warps)| {
-                    CtaSpec::new(
-                        c,
-                        warps
-                            .iter()
-                            .enumerate()
-                            .map(|(w, codes)| build_program(codes, c, w))
-                            .collect(),
-                    )
-                })
-                .collect();
-            let grid = KernelGrid::new("fuzz", ctas);
-            let run = |seed: u64, engine: EngineKind| {
-                let mut gpu = GpuConfig::tiny();
-                gpu.engine = engine;
-                let model = DabModel::new(&gpu, cfg.clone());
-                let r = GpuSim::new(gpu, Box::new(model), NdetSource::seeded(seed))
-                    .run(std::slice::from_ref(&grid));
-                let mut stats = r.stats.clone();
-                stats.counters.retain(|k, _| !k.starts_with("det.engine."));
-                (r.cycles(), r.digest(), format!("{stats:?}"))
-            };
-            let event = run(seeds.0, EngineKind::Event);
-            prop_assert_eq!(
-                &event,
-                &run(seeds.0, EngineKind::Dense),
-                "dense vs event, config {}", cfg.label()
-            );
-            prop_assert_eq!(
-                event.1,
-                run(seeds.1, EngineKind::Event).1,
-                "config {}", cfg.label()
-            );
-        }
-    }
-}

@@ -11,64 +11,21 @@
 //! two runs under different hardware-timing seeds produce bitwise
 //! identical memory under DAB.
 
+#[path = "../../gpu-sim/tests/common/mod.rs"]
+mod common;
+
+use common::{build_grid, run, Barriers, Op};
 use dab::{DabConfig, DabModel};
-use gpu_sim::config::GpuConfig;
-use gpu_sim::engine::GpuSim;
-use gpu_sim::isa::{AtomicAccess, AtomicOp, Instr, MemAccess, Value, WarpProgram};
-use gpu_sim::kernel::{CtaSpec, KernelGrid};
+use gpu_sim::config::{EngineKind::Event, GpuConfig};
 use gpu_sim::ndet::NdetSource;
-use gpu_sim::sched::SchedKind;
+use gpu_sim::sched::SchedKind::*;
 
-/// Instruction encoding used by the fuzzer in `properties.rs` (same table,
-/// same addresses, so the regression inputs reproduce bit-for-bit).
-fn build_program(codes: &[u8], cta: usize, warp: usize) -> WarpProgram {
-    let mut instrs = Vec::new();
-    for (k, &code) in codes.iter().enumerate() {
-        let instr = match code {
-            0 => Instr::Alu {
-                cycles: 2,
-                count: 5,
-            },
-            1 => Instr::Load {
-                accesses: vec![MemAccess::per_lane_f32(
-                    0x10_0000 + (cta * 64 + warp * 8 + k) as u64 * 128,
-                    32,
-                )],
-            },
-            2 => Instr::Store {
-                accesses: vec![MemAccess::per_lane_f32(0x20_0000 + k as u64 * 128, 32)],
-            },
-            3 | 4 => Instr::Red {
-                op: AtomicOp::AddF32,
-                accesses: (0..32)
-                    .map(|l| {
-                        let v = 0.1f32 * ((cta * 31 + warp * 7 + l + k) % 97 + 1) as f32;
-                        AtomicAccess::new(l, 0x40, Value::F32(v))
-                    })
-                    .collect(),
-            },
-            5 | 6 => Instr::Red {
-                op: AtomicOp::AddF32,
-                accesses: (0..32)
-                    .map(|l| {
-                        AtomicAccess::new(
-                            l,
-                            0x1000 + 4 * ((l + k) as u64 % 64),
-                            Value::F32(0.3 + k as f32 * 0.01),
-                        )
-                    })
-                    .collect(),
-            },
-            _ => Instr::Bar,
-        };
-        instrs.push(instr);
-    }
-    WarpProgram::new(instrs, 32)
-}
-
-/// Replays one recorded case: same config table as the fuzzer
-/// (`sched_pick` into [Srr, Gtrr, Gtar, Gwat], `capacity_pick` into
-/// [32, 96]) and the recorded seed pair.
+/// Replays one recorded case through the shared generator. The fuzzer drew
+/// codes 0-7 (ALU, load, store, two hot-cell `red`s, two strided `red`s,
+/// barrier) for 32-lane warps with per-warp barrier counts; its config
+/// table maps `sched_pick` into [Srr, Gtrr, Gtar, Gwat] and
+/// `capacity_pick` into [32, 96]. Two runs under the recorded seed pair
+/// must leave the same digest.
 fn check_case(
     warp_codes: &[&[&[u8]]],
     sched_pick: usize,
@@ -77,38 +34,36 @@ fn check_case(
     coalescing: bool,
     seeds: (u64, u64),
 ) {
-    let scheds = [
-        SchedKind::Srr,
-        SchedKind::Gtrr,
-        SchedKind::Gtar,
-        SchedKind::Gwat,
-    ];
     let cfg = DabConfig::paper_default()
-        .with_scheduler(scheds[sched_pick])
+        .with_scheduler([Srr, Gtrr, Gtar, Gwat][sched_pick])
         .with_capacity([32, 96][capacity_pick])
         .with_fusion(fusion)
         .with_coalescing(coalescing);
-    let ctas: Vec<CtaSpec> = warp_codes
+    let raw = warp_codes
         .iter()
         .enumerate()
         .map(|(c, warps)| {
-            CtaSpec::new(
-                c,
-                warps
-                    .iter()
-                    .enumerate()
-                    .map(|(w, codes)| build_program(codes, c, w))
-                    .collect(),
-            )
+            (warps.iter().enumerate())
+                .map(|(w, codes)| {
+                    (codes.iter().enumerate())
+                        .map(|(k, &code)| match code {
+                            0 => (Op::Alu, 1, 4),
+                            1 => (Op::Load, (c * 64 + w * 8 + k) as u64, 0),
+                            2 => (Op::Store, k as u64, 0),
+                            3 | 4 => (Op::RedHot, 0, 0),
+                            5 | 6 => (Op::RedStrided, 0, 0),
+                            _ => (Op::Bar, 0, 0),
+                        })
+                        .collect()
+                })
+                .collect()
         })
         .collect();
-    let grid = KernelGrid::new("regression", ctas);
-    let gpu = GpuConfig::tiny();
-    let digest = |seed: u64| {
-        let model = DabModel::new(&gpu, cfg.clone());
-        GpuSim::new(gpu.clone(), Box::new(model), NdetSource::seeded(seed))
-            .run(std::slice::from_ref(&grid))
-            .digest()
+    let grid = build_grid(raw, 32, Barriers::PerWarp);
+    let machine = GpuConfig::tiny();
+    let digest = |seed| {
+        let model = |gpu: &GpuConfig| Box::new(DabModel::new(gpu, cfg.clone())) as _;
+        run(&grid, &machine, model, Event, NdetSource::seeded(seed)).digest()
     };
     assert_eq!(
         digest(seeds.0),

@@ -583,7 +583,9 @@ impl GpuSim {
                 let generation = sm.l1.generation();
                 let w = sm.warps[slot].as_mut().expect("picked warp");
                 let record = &mut w.refused_load;
-                self.l1_mshr_stalls += u64::from(record.pc != Some(w.pc));
+                if record.pc != Some(w.pc) {
+                    self.stats.bump("det.stall.l1_mshr", 1);
+                }
                 record.pc = Some(w.pc);
                 record.generation = generation;
                 record.probes.clone_from(&probes);
@@ -752,7 +754,7 @@ impl GpuSim {
             }
             AtomicRoute::StallFlush => {
                 self.park(sm_idx, slot, obs::SleepReason::Flush);
-                self.atomic_buffer_full_stalls += 1;
+                self.stats.bump("det.stall.atomic_buffer_full", 1);
                 Attempt::Retry
             }
             AtomicRoute::ToMemory => {
@@ -1044,7 +1046,7 @@ mod tests {
         (
             sim.stats.l1_accesses,
             sim.stats.l1_misses,
-            sim.l1_mshr_stalls,
+            sim.stats.counter("det.stall.l1_mshr"),
         )
     }
 

@@ -138,12 +138,13 @@ pub struct GpuConfig {
     pub trace_sample_interval: u64,
 
     /// Whether the fine-grained engine span profiler is on (not a Table I
-    /// row: a simulator-host knob, set from `DAB_PROFILE`). When on, every
+    /// row: a simulator-host setting, which the repository benchmark's
+    /// traced pass turns on; no environment knob sets it). When on, every
     /// engine phase (partition tick, interconnect, issue walk, dispatch,
     /// event-wheel advance, ...) accumulates host wall-clock
-    /// into a [`obs::PhaseProfile`] attached to the run report. A
-    /// throughput knob only: profile data lives entirely in the `wall.*`
-    /// namespace and simulation results are bit-identical either way; when
+    /// into a [`obs::PhaseProfile`] attached to the run report. Profile
+    /// data is host wall-clock time only, and simulation results are
+    /// bit-identical either way; when
     /// off (the default) no timer is read, so the cost is one branch per
     /// phase.
     pub profile: bool,
@@ -153,8 +154,8 @@ pub struct GpuConfig {
 ///
 /// Both run one engine and differ only in what they skip. The event
 /// engine skips; the dense engine is the checking reference, pinned
-/// equivalent by `crates/gpu-sim/tests/engine_equivalence.rs` and the CI
-/// byte-diff job.
+/// equivalent by the oracle table `tests/oracle.rs` and the CI byte-diff
+/// job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// Visit every SM and scheduler every cycle, skipping nothing, and

@@ -60,7 +60,7 @@ pub struct RunReport {
     /// `[engine]` section (cycle-skip spans) is engine-variant by design.
     pub trace: Option<obs::Trace>,
     /// Fine-grained engine span profile, present when the run was
-    /// configured with `cfg.profile` (`DAB_PROFILE=1`). Pure `wall.*`
+    /// configured with `cfg.profile` (the benchmark's traced pass). Pure
     /// host timing — excluded from every determinism comparison; the
     /// simulated results are bit-identical with the profiler on or off.
     pub profile: Option<obs::PhaseProfile>,
@@ -255,12 +255,6 @@ pub struct GpuSim {
     pub(crate) views: Vec<WarpView>,
     /// The L1 probes of the load being issued, reused by every load.
     pub(crate) load_probes: Vec<Probed>,
-    /// Loads refused for L1 MSHR space, once per load however often it
-    /// retries (`det.stall.l1_mshr`).
-    pub(crate) l1_mshr_stalls: u64,
-    /// Atomics stalled on a full model-side buffer
-    /// (`det.stall.atomic_buffer_full`).
-    pub(crate) atomic_buffer_full_stalls: u64,
     /// Some scheduler may sleep on an interconnect refusal: the issue walk
     /// first wakes those whose request now fits (`wake_icnt_sleepers`).
     /// Set with such a sleep, cleared by the wake pass once none is left,
@@ -378,8 +372,6 @@ impl GpuSim {
             seal_witness: 0,
             views: Vec::new(),
             load_probes: Vec::new(),
-            l1_mshr_stalls: 0,
-            atomic_buffer_full_stalls: 0,
             icnt_sleeps: false,
             burst_sleeps,
             dispatch_idle: false,
@@ -484,19 +476,11 @@ impl GpuSim {
         );
         self.stats
             .bump("det.icnt.packets_routed", self.icnt.packets_moved());
-        // The reservation-failure and issue-stall keys exist only once
-        // charged.
-        for (name, n) in [
-            ("det.l2.reservation_fails", l2_reservation_fails),
-            ("det.stall.l1_mshr", self.l1_mshr_stalls),
-            (
-                "det.stall.atomic_buffer_full",
-                self.atomic_buffer_full_stalls,
-            ),
-        ] {
-            if n > 0 {
-                self.stats.bump(name, n);
-            }
+        // The reservation-failure key exists only once charged, as the
+        // issue-stall keys the issue walk bumps.
+        if l2_reservation_fails > 0 {
+            self.stats
+                .bump("det.l2.reservation_fails", l2_reservation_fails);
         }
         // The `det.obs.*` family is engine-invariant
         // (deterministic trace sections only), but exists only when tracing

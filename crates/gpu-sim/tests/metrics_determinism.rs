@@ -24,26 +24,20 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{build_grid, decode, LANES};
+use common::{baseline, build_grid, Barriers, Op, MIXED};
 use gpu_sim::config::{EngineKind, GpuConfig};
-use gpu_sim::engine::{GpuSim, RunReport};
-use gpu_sim::exec::BaselineModel;
-use gpu_sim::isa::{Instr, MemAccess, WarpProgram};
-use gpu_sim::kernel::{CtaSpec, KernelGrid};
+use gpu_sim::engine::RunReport;
+use gpu_sim::kernel::KernelGrid;
 use gpu_sim::ndet::NdetSource;
 use gpu_sim::stats::SimStats;
+use obs::profile::Phase;
+use std::time::Duration;
 
-/// Runs `grid` under one configuration point.
+/// Runs `grid` under the baseline, with the profiler on or off.
 fn run(grid: &KernelGrid, engine: EngineKind, profile: bool, seed: u64) -> RunReport {
     let mut cfg = GpuConfig::tiny();
-    cfg.engine = engine;
     cfg.profile = profile;
-    let sim = GpuSim::new(
-        cfg,
-        Box::new(BaselineModel::new()),
-        NdetSource::seeded(seed),
-    );
-    sim.run(std::slice::from_ref(grid))
+    common::run(grid, &cfg, baseline, engine, NdetSource::seeded(seed))
 }
 
 /// Asserts the wall-exclusion and naming half of the contract on
@@ -94,17 +88,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn stats_are_repeatable_and_engine_invariant(
-        raw in proptest::collection::vec(
-            proptest::collection::vec(
-                proptest::collection::vec((0u32..8, 0u64..4, 0u32..8), 1..6),
-                1..3,
-            ),
-            1..5,
-        ),
-        seed in any::<u64>(),
-    ) {
-        let grid = build_grid(raw, decode);
+    fn stats_are_repeatable_and_engine_invariant(grid in MIXED, seed in any::<u64>()) {
         let mut per_engine: Vec<RunReport> = Vec::new();
         for engine in [EngineKind::Dense, EngineKind::Event] {
             let base = run(&grid, engine, false, seed);
@@ -138,17 +122,7 @@ proptest! {
     }
 
     #[test]
-    fn profiler_never_perturbs_the_run(
-        raw in proptest::collection::vec(
-            proptest::collection::vec(
-                proptest::collection::vec((0u32..8, 0u64..4, 0u32..8), 1..6),
-                1..3,
-            ),
-            1..5,
-        ),
-        seed in any::<u64>(),
-    ) {
-        let grid = build_grid(raw, decode);
+    fn profiler_never_perturbs_the_run(grid in MIXED, seed in any::<u64>()) {
         for engine in [EngineKind::Dense, EngineKind::Event] {
             let off = run(&grid, engine, false, seed);
             let on = run(&grid, engine, true, seed);
@@ -174,24 +148,14 @@ proptest! {
 /// otherwise `profiler_never_perturbs_the_run` is vacuous.
 #[test]
 fn profiled_run_records_spans() {
-    let program = WarpProgram::new(
-        (0..8)
-            .map(|i| Instr::Load {
-                accesses: vec![MemAccess::per_lane_f32(0x1_0000 + i * 0x400, LANES)],
-            })
-            .collect(),
-        LANES,
-    );
-    let grid = KernelGrid::new("loads", vec![CtaSpec::new(0, vec![program])]);
+    let loads = (0..8).map(|i| (Op::Load, i * 8, 0)).collect();
+    let grid = build_grid(vec![vec![loads]], 8, Barriers::PerCta);
     let report = run(&grid, EngineKind::Event, true, 0);
     let profile = report.profile.expect("profiling was enabled");
-    let folded = profile.to_collapsed("loads");
-    assert!(
-        folded.lines().count() >= 2,
-        "expected several phase stacks, got:\n{folded}"
-    );
-    assert!(
-        folded.lines().all(|l| l.starts_with("loads;")),
-        "collapsed stacks must carry the workload prefix:\n{folded}"
-    );
+    for phase in [Phase::CommitSerial, Phase::Partitions, Phase::Wheel] {
+        assert!(
+            profile.total(phase) > Duration::ZERO,
+            "no {phase:?} span recorded"
+        );
+    }
 }

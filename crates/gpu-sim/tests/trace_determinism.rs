@@ -17,40 +17,25 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{build_grid, decode, LANES};
+use common::{baseline, build_grid, run, Barriers, Op, MIXED};
 use gpu_sim::config::{EngineKind, GpuConfig};
-use gpu_sim::engine::GpuSim;
-use gpu_sim::exec::BaselineModel;
-use gpu_sim::isa::{Instr, MemAccess, WarpProgram};
-use gpu_sim::kernel::{CtaSpec, KernelGrid};
+use gpu_sim::kernel::KernelGrid;
 use gpu_sim::ndet::NdetSource;
 
 /// Runs `grid` with full tracing and returns (cycles, digest, trace).
 fn run_traced(grid: &KernelGrid, engine: EngineKind, seed: u64) -> (u64, u64, obs::Trace) {
     let mut cfg = GpuConfig::tiny();
-    cfg.engine = engine;
     cfg.trace = obs::TraceMode::Full;
     cfg.trace_sample_interval = 64;
-    let sim = GpuSim::new(
-        cfg,
-        Box::new(BaselineModel::new()),
-        NdetSource::seeded(seed),
-    );
-    let mut r = sim.run(std::slice::from_ref(grid));
+    let mut r = run(grid, &cfg, baseline, engine, NdetSource::seeded(seed));
     let trace = r.trace.take().expect("tracing was enabled");
     (r.cycles(), r.digest(), trace)
 }
 
 /// Runs `grid` untraced and returns (cycles, digest).
 fn run_untraced(grid: &KernelGrid, engine: EngineKind, seed: u64) -> (u64, u64) {
-    let mut cfg = GpuConfig::tiny();
-    cfg.engine = engine;
-    let sim = GpuSim::new(
-        cfg,
-        Box::new(BaselineModel::new()),
-        NdetSource::seeded(seed),
-    );
-    let r = sim.run(std::slice::from_ref(grid));
+    let cfg = GpuConfig::tiny();
+    let r = run(grid, &cfg, baseline, engine, NdetSource::seeded(seed));
     assert!(r.trace.is_none(), "untraced run must not record a trace");
     (r.cycles(), r.digest())
 }
@@ -59,17 +44,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn traces_are_repeatable_and_engine_invariant(
-        raw in proptest::collection::vec(
-            proptest::collection::vec(
-                proptest::collection::vec((0u32..8, 0u64..4, 0u32..8), 1..6),
-                1..3,
-            ),
-            1..5,
-        ),
-        seed in any::<u64>(),
-    ) {
-        let grid = build_grid(raw, decode);
+    fn traces_are_repeatable_and_engine_invariant(grid in MIXED, seed in any::<u64>()) {
         let mut per_engine = Vec::new();
         for engine in [EngineKind::Dense, EngineKind::Event] {
             let (c1, d1, t1) = run_traced(&grid, engine, seed);
@@ -101,15 +76,8 @@ proptest! {
 /// memory traffic — otherwise the invariance above is vacuous.
 #[test]
 fn traced_run_records_arch_events_and_samples() {
-    let program = WarpProgram::new(
-        (0..8)
-            .map(|i| Instr::Load {
-                accesses: vec![MemAccess::per_lane_f32(0x1_0000 + i * 0x400, LANES)],
-            })
-            .collect(),
-        LANES,
-    );
-    let grid = KernelGrid::new("idle", vec![CtaSpec::new(0, vec![program])]);
+    let loads = (0..8).map(|i| (Op::Load, i * 8, 0)).collect();
+    let grid = build_grid(vec![vec![loads]], 8, Barriers::PerCta);
     let (cycles, _, trace) = run_traced(&grid, EngineKind::Event, 0);
     assert!(!trace.arch.is_empty(), "no arch events recorded");
     assert!(

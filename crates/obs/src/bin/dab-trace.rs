@@ -9,8 +9,9 @@
 //! `diff` exits 0 when the deterministic sections agree, 1 with the
 //! bisector's first-divergence report when they do not, and 2 on usage or
 //! I/O errors. `export` writes Chrome trace-event JSON loadable in
-//! Perfetto; `--profile` merges a collapsed-stack `.folded` profile (from
-//! a `DAB_PROFILE=1` run) as counter tracks. `show` prints per-kind event
+//! Perfetto; `--profile` merges a collapsed-stack `.folded` profile (the
+//! repository benchmark's traced pass writes `trace.folded`) as counter
+//! tracks. `show` prints per-kind event
 //! counts and the cycle span; `--filter` restricts the statistics (and
 //! prints the matching events) to one event kind, SM, or warp — repeat
 //! the flag to conjoin dimensions.

@@ -35,9 +35,6 @@
 //!   must be a positive integer).
 //! * `DAB_TRACE_DIR` — when set and not empty, bench runners write one
 //!   `<label>.trace` file per run into this directory.
-//! * `DAB_PROFILE` — `0` (default) | `1`: enable the engine span
-//!   profiler. A throughput knob only — results are bit-identical either
-//!   way; all profile data lives in the `wall.*` namespace.
 //! * `DAB_RESULTS_DIR` — when set and not empty, every results document
 //!   is written there instead of the repository's `results/`; see
 //!   [`json::results_dir`].
