@@ -165,7 +165,7 @@ impl GpuSim {
                 }
                 let sleeper = sctx.sleeper.take();
                 if let Some(Sleeper::Burst { slot, from, .. }) = sleeper {
-                    self.credit_burst(sm_idx, slot, from);
+                    self.credit_burst(sm_idx, sched, slot, from);
                 }
                 // A visit the event engine would skip may still find a
                 // ready warp if the scheduler sleeps; the pick must then be
@@ -251,15 +251,16 @@ impl GpuSim {
         );
     }
 
-    /// Credits the issues the warp in `slot` owes for the cycles its
-    /// scheduler slept through on its ALU burst (`Sleeper::Burst`): at
-    /// every cycle after `from` and before this visit it would have been
-    /// picked and issued the burst's next instruction. Those issues write
-    /// the policy's and the model's state again unchanged
-    /// (`WarpScheduler::greedy_warp`, `ExecutionModel::counts_issues`) and
-    /// end no burst, so only the warp, the issue counters and the watchdog
-    /// move.
-    fn credit_burst(&mut self, sm_idx: usize, slot: usize, from: u64) {
+    /// Credits the issues the warp in `slot` of scheduler `sched` owes for
+    /// the cycles its scheduler slept through on its ALU burst
+    /// (`Sleeper::Burst`): at every cycle after `from` and before this
+    /// visit it would have been picked and issued the burst's next
+    /// instruction. Those issues write the policy's state again unchanged
+    /// (`WarpScheduler::greedy_warp`), lie within the model's issue budget
+    /// and end no burst, so only the warp, the issue counters, the
+    /// model's late `on_issue` calls (owed only under a bounded budget)
+    /// and the watchdog move.
+    fn credit_burst(&mut self, sm_idx: usize, sched: usize, slot: usize, from: u64) {
         let cycle = self.cycle;
         let owed = cycle - from - 1;
         if owed == 0 {
@@ -272,18 +273,36 @@ impl GpuSim {
         );
         w.alu_rem -= owed as u32;
         w.next_ready = cycle;
+        let warp_id = WarpId {
+            sched: SchedId { sm: sm_idx, sched },
+            slot,
+            unique: w.unique,
+        };
         self.stats.warp_instrs += owed;
         self.stats.thread_instrs += owed * w.program.active_lanes as u64;
         self.progress_at(cycle - 1);
+        if self.model.issue_budget(warp_id) == u32::MAX {
+            return;
+        }
+        let (model, _, mut ctx) = self.model_ctx();
+        for _ in 0..owed {
+            model.on_issue(warp_id, false, &mut ctx);
+        }
     }
 
-    /// Whether the warp in `slot` is in an ALU burst whose last issue is
-    /// at `until`: what every visit to its burst sleeper before then
-    /// issues.
-    fn burst_continues(&self, sm_idx: usize, slot: usize, until: u64) -> bool {
+    /// Whether the warp in `slot` of scheduler `sched` is in an ALU burst
+    /// whose last issue within the model's issue budget is at `until`:
+    /// what every visit to its burst sleeper before then issues.
+    fn burst_continues(&self, sm_idx: usize, sched: usize, slot: usize, until: u64) -> bool {
         let w = self.sms[sm_idx].warps[slot].as_ref().expect("burst warp");
+        let warp_id = WarpId {
+            sched: SchedId { sm: sm_idx, sched },
+            slot,
+            unique: w.unique,
+        };
+        let left = w.alu_rem.min(self.model.issue_budget(warp_id));
         matches!(w.program.instrs[w.pc], Instr::Alu { .. })
-            && (until + 1).checked_sub(self.cycle) == Some(u64::from(w.alu_rem))
+            && (until + 1).checked_sub(self.cycle) == Some(u64::from(left))
     }
 
     /// Model gating (GPUDet quanta / serial mode) applied to ready views.
@@ -336,7 +355,7 @@ impl GpuSim {
         );
         let refused = match sleeper {
             Some(Sleeper::Burst { slot: s, until, .. }) => {
-                if s != slot || !self.burst_continues(sm_idx, slot, until) {
+                if s != slot || !self.burst_continues(sm_idx, sched, slot, until) {
                     self.burst_broken(sm_idx, sched, s);
                 }
                 None
@@ -360,7 +379,9 @@ impl GpuSim {
     /// trace, stats, the `on_issue` hooks and retirement. Returns what the
     /// attempt did: an `Alu` that leaves its burst two or more issues, by
     /// the policy's greedy warp, returns a burst sleep unless
-    /// `burst_sleeps` is off.
+    /// `burst_sleeps` is off or the model's issue budget allows fewer than
+    /// two more. The sleep ends at the last issue of the burst within the
+    /// budget.
     fn issue_one(&mut self, sm_idx: usize, sched: usize, slot: usize) -> Attempt {
         let cycle = self.cycle;
         let sm = &mut self.sms[sm_idx];
@@ -427,16 +448,20 @@ impl GpuSim {
             model.on_issue(warp_id, was_atomic, &mut ctx);
             self.try_retire(sm_idx, slot);
             // Until a view changes, the policy picks this warp again for
-            // every issue left in its burst: sleep through all but the last.
+            // every issue left in its burst, and the model admits as many
+            // as its budget allows: sleep through all but the last.
             if burst_left >= 2
                 && self.burst_sleeps
                 && self.sms[sm_idx].schedulers[sched].policy.greedy_warp() == Some(unique)
             {
-                return Attempt::Sleep(Sleeper::Burst {
-                    slot,
-                    from: cycle,
-                    until: cycle + u64::from(burst_left),
-                });
+                let left = burst_left.min(self.model.issue_budget(warp_id));
+                if left >= 2 {
+                    return Attempt::Sleep(Sleeper::Burst {
+                        slot,
+                        from: cycle,
+                        until: cycle + u64::from(left),
+                    });
+                }
             }
         }
         attempt
@@ -1847,37 +1872,39 @@ mod tests {
         step(&mut sim);
     }
 
-    /// A model whose state follows every issue, as GPUDet's quantum does.
+    /// A model that admits no issue unvisited: its budget is always 0.
     #[derive(Debug)]
-    struct CountsIssues;
+    struct ZeroBudget;
 
-    impl crate::exec::ExecutionModel for CountsIssues {
+    impl crate::exec::ExecutionModel for ZeroBudget {
         fn name(&self) -> String {
-            "counts-issues".to_string()
+            "zero-budget".to_string()
         }
 
-        fn counts_issues(&self) -> bool {
-            true
+        fn issue_budget(&self, _warp: WarpId) -> u32 {
+            0
         }
     }
 
     #[test]
-    fn full_trace_and_issue_counting_models_take_no_burst_sleep() {
+    fn full_trace_and_zero_budget_models_take_no_burst_sleep() {
         // The event engine visits the burst at every issue: under full
-        // tracing, which records each issue, and under a model that
-        // counts them. The baseline without a trace sleeps.
+        // tracing, which records each issue, and under a model whose
+        // budget admits no issue unvisited. The baseline without a trace
+        // sleeps.
         for engine in [EngineKind::Dense, EngineKind::Event] {
             let mut traced = tiny(engine);
             traced.trace = obs::TraceMode::Full;
             let cases: [(GpuConfig, Box<dyn crate::exec::ExecutionModel>, bool); 3] = [
                 (traced, Box::new(BaselineModel::new()), false),
-                (tiny(engine), Box::new(CountsIssues), false),
+                (tiny(engine), Box::new(ZeroBudget), false),
                 (tiny(engine), Box::new(BaselineModel::new()), true),
             ];
             for (cfg, model, sleeps) in cases {
                 let name = model.name();
+                let untraced = cfg.trace != obs::TraceMode::Full;
                 let (mut sim, slots) = sched0_sim(cfg, model, vec![vec![burst(8)]]);
-                assert_eq!(sim.burst_sleeps, sleeps, "{engine:?} {name}");
+                assert_eq!(sim.burst_sleeps, untraced, "{engine:?} {name}");
                 step(&mut sim);
                 assert_eq!(burst_sleeper(&sim).is_some(), sleeps, "{engine:?} {name}");
                 let left = run_burst(&mut sim, &slots, 10, |_| {});
@@ -1889,5 +1916,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// GPUDet's quantum in miniature: each warp may issue `quantum`
+    /// instructions, counted in `issued` by `on_issue`, and is refused for
+    /// good after them.
+    #[derive(Debug)]
+    struct Quantum {
+        quantum: u32,
+        issued: std::sync::Arc<std::sync::Mutex<std::collections::BTreeMap<u64, u32>>>,
+    }
+
+    impl Quantum {
+        fn count(&self, unique: u64) -> u32 {
+            let issued = self.issued.lock().expect("issue counts");
+            issued.get(&unique).copied().unwrap_or(0)
+        }
+    }
+
+    impl crate::exec::ExecutionModel for Quantum {
+        fn name(&self) -> String {
+            format!("quantum-{}", self.quantum)
+        }
+
+        fn can_issue(
+            &mut self,
+            warp: WarpId,
+            _is_atomic: bool,
+            _ctx: &mut crate::exec::ModelCtx<'_>,
+        ) -> bool {
+            self.count(warp.unique) < self.quantum
+        }
+
+        fn on_issue(
+            &mut self,
+            warp: WarpId,
+            _is_atomic: bool,
+            _ctx: &mut crate::exec::ModelCtx<'_>,
+        ) {
+            let mut issued = self.issued.lock().expect("issue counts");
+            *issued.entry(warp.unique).or_default() += 1;
+        }
+
+        fn issue_budget(&self, warp: WarpId) -> u32 {
+            self.quantum - self.count(warp.unique)
+        }
+    }
+
+    #[test]
+    fn budget_sleeper_woken_by_a_sibling_response_counts_every_issue() {
+        // Quantum 12. The load warp (unique 0) issues at cycle 0, the
+        // burst warp (unique 4) from cycle 1; with 11 issues of its
+        // quantum left the event engine sleeps until its 12th, at cycle
+        // 12, not its burst's 16th. The response at cycle 5 wakes the load
+        // warp for cycle 6, and with it the scheduler: the visit credits
+        // the issues of cycles 2-5, calling `on_issue` for each, so the
+        // model's counts after it equal dense's. The burst's quantum ends
+        // at 12, with four issues left; the load warp's ALU issues at 13.
+        let mut after_wake = Vec::new();
+        let mut runs = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            let shared = std::sync::Arc::default();
+            let model = Box::new(Quantum {
+                quantum: 12,
+                issued: std::sync::Arc::clone(&shared),
+            });
+            let counts = || shared.lock().expect("issue counts").clone();
+            let programs = vec![vec![load(&[ABSENT]), alu()], vec![burst(16)]];
+            let (mut sim, slots) = sched0_sim(tiny(engine), model, programs);
+            run_burst(&mut sim, &slots, 5, |_| {});
+            if engine == EngineKind::Event {
+                assert_eq!(counts()[&4], 1, "credited at the next visit");
+            }
+            sim.handle_load_resp(ABSENT, WarpRef { sm: 0, slot: 0 });
+            step(&mut sim);
+            step(&mut sim);
+            if engine == EngineKind::Event {
+                assert_eq!(
+                    burst_sleeper(&sim),
+                    Some(Sleeper::Burst {
+                        slot: slots[1],
+                        from: 6,
+                        until: 12
+                    }),
+                    "asleep again, up to the quantum's end"
+                );
+            }
+            after_wake.push((counts(), issued(&sim)));
+            run_burst(&mut sim, &slots, 20, |_| {});
+            let w = sim.sms[0].warps[slots[1]].as_ref().expect("burst warp");
+            runs.push((counts(), issued(&sim), w.alu_rem, pc(&sim, slots[0])));
+        }
+        assert_eq!(after_wake[0].0, [(0, 1), (4, 6)].into());
+        assert_eq!(after_wake[1], after_wake[0]);
+        assert_eq!(
+            runs[0],
+            ([(0, 2), (4, 12)].into(), (14, 14 * 32), 4, usize::MAX)
+        );
+        assert_eq!(runs[1], runs[0]);
     }
 }

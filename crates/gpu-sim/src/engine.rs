@@ -262,8 +262,7 @@ pub struct GpuSim {
     pub(crate) icnt_sleeps: bool,
     /// Whether a scheduler may sleep through its greedy warp's ALU burst
     /// (`Sleeper::Burst`): off under full tracing, which records one
-    /// `Issue` event per issue, and under a model that counts issues
-    /// (`ExecutionModel::counts_issues`).
+    /// `Issue` event per issue. The model's `issue_budget` caps each sleep.
     pub(crate) burst_sleeps: bool,
     /// The last CTA placement scan placed nothing and no warp has retired
     /// since. Placement capacity (`Sm::can_accept`) changes only at a
@@ -358,7 +357,7 @@ impl GpuSim {
         let icnt_cl_ndet = (0..cfg.num_clusters)
             .map(|c| ndet.split(0x3000_0000 + c as u64))
             .collect();
-        let burst_sleeps = cfg.trace != obs::TraceMode::Full && !model.counts_issues();
+        let burst_sleeps = cfg.trace != obs::TraceMode::Full;
         Self {
             icnt: Interconnect::new(&cfg),
             locks: LockManager::new(&cfg),
@@ -1223,11 +1222,18 @@ impl GpuSim {
                         self.try_retire(sm, slot);
                     }
                 }
-                WakeCmd::ReopenIssue => {
+                WakeCmd::ReopenIssue { warp } => {
                     // Not progress: no warp has moved yet. The model ticks
                     // after the issue phase, so `cycle + 1` is the first
                     // cycle a refused warp could issue.
                     let next = self.cycle + 1;
+                    if let Some(WarpRef { sm, slot }) = warp {
+                        let sm = &mut self.sms[sm];
+                        if let Some(sched) = sm.warps[slot].as_ref().map(|w| w.sched) {
+                            sm.schedulers[sched].note_ready(next);
+                        }
+                        continue;
+                    }
                     let schedulers = self.sms.iter_mut().flat_map(|sm| &mut sm.schedulers);
                     for sched in schedulers.filter(|s| s.live > 0) {
                         sched.note_ready(next);
@@ -1823,7 +1829,7 @@ mod tests {
 
         fn tick(&mut self, ctx: &mut ModelCtx<'_>) {
             if ctx.cycle == 40 {
-                ctx.reopen_issue();
+                ctx.reopen_issue(None);
             }
         }
     }

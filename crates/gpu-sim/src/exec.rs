@@ -235,12 +235,15 @@ impl ModelCtx<'_> {
         self.wakes.push(WakeCmd::FlushWaiters { sm });
     }
 
-    /// Lifts every standing [`ExecutionModel::can_issue`] refusal: warps
-    /// the model refused may be offered again from the next cycle. Call it
-    /// from `tick` whenever a refused warp may have become issuable.
-    /// Applied by the engine at the end of the model tick.
-    pub fn reopen_issue(&mut self) {
-        self.wakes.push(WakeCmd::ReopenIssue);
+    /// Lifts standing [`ExecutionModel::can_issue`] refusals: warps the
+    /// model refused may be offered again from the next cycle. With `None`
+    /// every refusal lifts; with `Some(warp)` only the refusals of that
+    /// warp's scheduler do, which suffices when `warp` is the one refused
+    /// warp that may have become issuable. Call it from `tick` whenever a
+    /// refused warp may have become issuable. Applied by the engine at the
+    /// end of the model tick.
+    pub fn reopen_issue(&mut self, warp: Option<WarpRef>) {
+        self.wakes.push(WakeCmd::ReopenIssue { warp });
     }
 }
 
@@ -252,9 +255,13 @@ pub enum WakeCmd {
         /// Target SM.
         sm: usize,
     },
-    /// Offer every live warp to its scheduler again from the next cycle
-    /// (see [`ModelCtx::reopen_issue`]).
-    ReopenIssue,
+    /// Offer every live warp of every scheduler (`None`), or of `warp`'s
+    /// scheduler, again from the next cycle (see
+    /// [`ModelCtx::reopen_issue`]).
+    ReopenIssue {
+        /// The one warp that may have become issuable, if only one.
+        warp: Option<WarpRef>,
+    },
 }
 
 /// An architecture execution model plugged into the engine.
@@ -325,18 +332,31 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
     }
 
     /// An instruction was issued (after routing hooks).
+    ///
+    /// The event engine lets a scheduler sleep through its greedy warp's
+    /// ALU burst. Under a bounded [`issue_budget`](Self::issue_budget) it
+    /// makes the calls for the skipped issues late, one per issue, at the
+    /// scheduler's next visit. A model that keeps the unbounded default
+    /// gets no call for a skipped issue: it must not count ALU issues here.
     fn on_issue(&mut self, warp: WarpId, is_atomic: bool, ctx: &mut ModelCtx<'_>) {}
 
-    /// Whether the model's state follows every issue, so that
-    /// [`on_issue`](Self::on_issue) and [`can_issue`](Self::can_issue) must
-    /// see each ALU instruction of a burst. With `false`, the event engine
-    /// may let a scheduler sleep through its greedy warp's ALU burst and
-    /// credit the skipped issues at its next visit, calling neither hook
-    /// for them; the dense engine calls both and panics on the broken skip
-    /// rule if a skipped visit would have picked another warp. GPUDet
-    /// returns `true`: its quantum counts every issue.
-    fn counts_issues(&self) -> bool {
-        false
+    /// How many more non-atomic instructions in a row, one per cycle, the
+    /// warp may issue from the next cycle on, asked right after an issue's
+    /// [`on_issue`](Self::on_issue). For each of them
+    /// [`can_issue`](Self::can_issue) must answer `true`, and their
+    /// `on_issue` calls may change nothing that another hook reads, since
+    /// they may arrive late. The event engine sleeps through at most this
+    /// many issues of an ALU burst and visits the last one; the dense
+    /// engine issues every one and panics on the broken skip rule if a
+    /// skipped visit would not have issued the burst's next instruction.
+    ///
+    /// The default, `u32::MAX`, is unbounded: it suits a model whose gates
+    /// never close mid-burst and whose `on_issue` does not count ALU
+    /// issues, and it spares the engine one `on_issue` call per skipped
+    /// issue. GPUDet answers what is left of the warp's quantum in
+    /// parallel mode, and 0 otherwise.
+    fn issue_budget(&self, warp: WarpId) -> u32 {
+        u32::MAX
     }
 
     /// Routes an atomic instruction.
@@ -593,10 +613,15 @@ mod tests {
         assert!(!ctx.sealed(0..2));
         assert_eq!(*ctx.seal_witness, 4);
         ctx.wake_flush_waiters(1);
-        ctx.reopen_issue();
+        ctx.reopen_issue(None);
+        ctx.reopen_issue(Some(warp));
         assert_eq!(
             wakes,
-            vec![WakeCmd::FlushWaiters { sm: 1 }, WakeCmd::ReopenIssue]
+            vec![
+                WakeCmd::FlushWaiters { sm: 1 },
+                WakeCmd::ReopenIssue { warp: None },
+                WakeCmd::ReopenIssue { warp: Some(warp) }
+            ]
         );
         // Park warps 0-3 in flush-wait: scheduler 0 is then sealed on warp
         // 4's refused atomic, schedulers 1-3 on their counts alone.

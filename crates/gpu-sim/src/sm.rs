@@ -150,15 +150,16 @@ pub(crate) enum Sleeper {
     },
     /// The policy's greedy warp in the middle of an ALU burst: it issued
     /// at cycle `from` and issues again at every cycle up to `until`, the
-    /// burst's last issue, which the scheduler is visited for. A visit
-    /// before then first credits the issues the warp owes for the cycles
-    /// in between (`GpuSim::credit_burst`).
+    /// burst's last issue within the model's issue budget, which the
+    /// scheduler is visited for. A visit before then first credits the
+    /// issues the warp owes for the cycles in between
+    /// (`GpuSim::credit_burst`).
     Burst {
         /// The bursting warp's slot.
         slot: usize,
         /// The cycle of the issue the scheduler fell asleep after.
         from: u64,
-        /// The cycle of the burst's last issue.
+        /// The cycle of the burst's last issue within the budget.
         until: u64,
     },
 }

@@ -203,6 +203,21 @@ impl GpuDetModel {
             .map(|(&u, _)| u)
     }
 
+    /// Counts an issue of warp `unique` against its quantum; a serial
+    /// holder's atomic then waits for its acks.
+    fn count_issue(&mut self, unique: u64, is_atomic: bool) {
+        let Some(w) = self.warps.get_mut(&unique) else {
+            return;
+        };
+        w.issued += 1;
+        if w.issued >= self.cfg.quantum && self.mode == Mode::Parallel {
+            w.done = true;
+        }
+        if is_atomic && self.mode == Mode::Serial {
+            self.awaiting_ack = true;
+        }
+    }
+
     fn start_new_quantum(&mut self, ctx: &mut ModelCtx<'_>) {
         self.enter_mode(Mode::Parallel, ctx);
         for w in self.warps.values_mut() {
@@ -275,23 +290,20 @@ impl ExecutionModel for GpuDetModel {
     }
 
     fn on_issue(&mut self, warp: WarpId, is_atomic: bool, _ctx: &mut ModelCtx<'_>) {
-        let mode = self.mode;
-        let quantum = self.cfg.quantum;
-        let Some(w) = self.warps.get_mut(&warp.unique) else {
-            return;
-        };
-        w.issued += 1;
-        if w.issued >= quantum && mode == Mode::Parallel {
-            w.done = true;
-        }
-        if is_atomic && mode == Mode::Serial {
-            self.awaiting_ack = true;
-        }
+        self.count_issue(warp.unique, is_atomic);
     }
 
-    fn counts_issues(&self) -> bool {
-        // The quantum counts every issue, ALU ones included.
-        true
+    fn issue_budget(&self, warp: WarpId) -> u32 {
+        // The quantum counts every issue, ALU ones included; what is left
+        // of it issues unrefused, and the late `on_issue` calls for it set
+        // nothing but `issued`, which only this warp's hooks read. The
+        // last issue of the quantum, which sets `done`, is a visited one.
+        match self.warps.get(&warp.unique) {
+            Some(w) if self.mode == Mode::Parallel && !w.done && !w.pending_atomic => {
+                self.cfg.quantum.saturating_sub(w.issued)
+            }
+            _ => 0,
+        }
     }
 
     fn on_atomic(&mut self, issue: AtomicIssue<'_>, _ctx: &mut ModelCtx<'_>) -> AtomicRoute {
@@ -344,26 +356,34 @@ impl ExecutionModel for GpuDetModel {
             }
             // Every issue gate `can_issue` closes opens here, and only
             // here: a new token holder or a new quantum. Each opening
-            // reopens issue so the engine offers parked warps again.
+            // reopens issue so the engine offers parked warps again: a new
+            // holder's scheduler alone, since every other warp stays
+            // refused in serial mode, or every scheduler for a new quantum.
             Mode::Commit => {
                 if ctx.cycle >= self.commit_until {
                     if let Some(next) = self.next_serial_warp() {
                         self.serial_current = Some(next);
                         self.awaiting_ack = false;
                         self.enter_mode(Mode::Serial, ctx);
+                        ctx.reopen_issue(Some(self.warps[&next].warp));
                     } else {
                         self.start_new_quantum(ctx);
+                        ctx.reopen_issue(None);
                     }
-                    ctx.reopen_issue();
                 }
             }
             Mode::Serial => {
                 if self.serial_current.is_none() {
                     match self.next_serial_warp() {
-                        Some(next) => self.serial_current = Some(next),
-                        None => self.start_new_quantum(ctx),
+                        Some(next) => {
+                            self.serial_current = Some(next);
+                            ctx.reopen_issue(Some(self.warps[&next].warp));
+                        }
+                        None => {
+                            self.start_new_quantum(ctx);
+                            ctx.reopen_issue(None);
+                        }
                     }
-                    ctx.reopen_issue();
                 }
             }
         }
@@ -384,13 +404,17 @@ impl ExecutionModel for GpuDetModel {
 
     fn next_event_cycle(&self) -> Option<u64> {
         // In parallel mode `tick` only checks quantum completion, whose
-        // inputs (per-warp issue counts, warp arrivals/retirements, dispatch
-        // status) change only on engine-visited cycles and are re-checked
-        // the same cycle. A commit ends on its own clock, at
-        // `commit_until`. In serial mode a holder's turn ends with its
-        // last ack or its exit, both on visited cycles; without a holder
-        // the next tick picks one. The mode-accounting totals telescope
-        // across any gap.
+        // inputs (`done` and `pending_atomic`, warp states, arrivals and
+        // retirements, dispatch status) change only on engine-visited
+        // cycles and are re-checked the same cycle. A warp's issue count
+        // may lag, since the engine credits the issues a scheduler slept
+        // through on an ALU burst at its next visit, but it sets `done`
+        // only with the quantum's last issue, which is within no sleep
+        // (`issue_budget`) and so on a visited cycle. A commit ends on its
+        // own clock, at `commit_until`. In serial mode a holder's turn ends
+        // with its last ack or its exit, both on visited cycles; without a
+        // holder the next tick picks one. The mode-accounting totals
+        // telescope across any gap.
         match self.mode {
             Mode::Parallel => None,
             Mode::Commit => Some(self.commit_until),
@@ -584,9 +608,21 @@ mod tests {
                 )],
             )],
         );
+        // The event engine sleeps through at most what is left of the
+        // quantum, and not at all once it is used.
+        let mut model = GpuDetModel::new(&gpu, cfg.clone());
+        let warp = WarpId {
+            sched: gpu_sim::exec::SchedId { sm: 0, sched: 0 },
+            slot: 0,
+            unique: 0,
+        };
+        model.on_warp_spawn(warp);
+        for issued in 0..10 {
+            assert_eq!(model.issue_budget(warp), 10 - issued);
+            model.count_issue(warp.unique, false);
+        }
+        assert_eq!(model.issue_budget(warp), 0);
         let model = GpuDetModel::new(&gpu, cfg);
-        // So the event engine never sleeps through an ALU burst under it.
-        assert!(model.counts_issues());
         let report = GpuSim::new(gpu, Box::new(model), NdetSource::seeded(1)).run(&[grid]);
         // 35 instructions at quantum 10 -> at least 4 quanta.
         assert!(report.stats.counter("det.gpudet.quanta") >= 3);

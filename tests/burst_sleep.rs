@@ -5,7 +5,7 @@
 //! one of its views changes, and its next visit credits the issues in
 //! between. The oracle's `long_bursts` row (`tests/oracle.rs`) checks that
 //! these sleeps are exact under every greedy policy; this pins that they
-//! are taken, and that GPUDet, which counts every issue, takes none.
+//! are taken, GPUDet's included, whose quantum caps each sleep.
 
 #[path = "../crates/gpu-sim/tests/common/mod.rs"]
 mod common;
@@ -19,11 +19,10 @@ use gpu_sim::sched::SchedKind;
 use gpudet::{GpuDetConfig, GpuDetModel};
 
 /// On a grid of long bursts the event engine visits an SM fewer than once
-/// per ten issues under the greedy policies, and under GPUDet, whose
-/// schedulers visit every issue, more than ten times as often as under the
-/// baseline.
+/// per ten issues under the greedy policies and under GPUDet, whose
+/// default quantum holds each warp's whole program.
 #[test]
-fn long_bursts_sleep_except_under_gpudet() {
+fn long_bursts_sleep_under_every_model() {
     let warp = |w: u64| {
         vec![
             (Op::Alu, w % 4, 63),
@@ -59,8 +58,7 @@ fn long_bursts_sleep_except_under_gpudet() {
         assert_eq!(r.stats.warp_instrs, 12 * 113, "{name}");
         r.stats.counter("det.engine.sms_ticked")
     });
-    for ((name, _), &n) in models.iter().zip(&visits).take(4) {
+    for ((name, _), &n) in models.iter().zip(&visits) {
         assert!(n * 10 < 12 * 113, "{name}: {n} SM visits");
     }
-    assert!(visits[4] > 10 * visits[0], "gpudet: {visits:?} SM visits");
 }

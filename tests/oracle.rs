@@ -153,8 +153,8 @@ const ROWS: [Row; 5] = [
     },
     // ALU bursts of up to 64 issues among loads, `red`s and barriers, so
     // the greedy policies' burst sleeps overlap load responses, barrier
-    // releases, token moves and warp exits. GPUDet counts every issue, so
-    // its schedulers never sleep on a burst.
+    // releases, token moves and warp exits. GPUDet's sleeps end at its
+    // quantum's last issue at the latest.
     Row {
         name: "long_bursts",
         machine: GpuConfig::tiny,
