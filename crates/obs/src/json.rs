@@ -4,9 +4,9 @@
 //! The repo has no serde dependency. Every results document (figure
 //! results, analyzer and explorer reports, happens-before graphs) is
 //! built as a [`Json`] value and written through [`Json::pretty`], so
-//! they all share one layout; `dab-perf` reads them back with
-//! [`Json::parse`]. The Perfetto exporter streams its events by hand and
-//! shares only the string escaper ([`quote`]).
+//! they all share one layout; the tests that pin committed results read
+//! them back with [`Json::parse`]. The Perfetto exporter streams its
+//! events by hand and shares only the string escaper ([`quote`]).
 //!
 //! Objects preserve insertion order (`Vec` of pairs, not a map), so a
 //! document lists its fields in the order its producer built them.

@@ -10,9 +10,10 @@
 //! knobs ([`env`](mod@env)), and the workspace's one JSON module
 //! ([`json`]): the ordered value type, its parser, the compact and
 //! pretty renderers, and the results-document writer that every results
-//! file (figures, analyzer and explorer reports) goes through. The simulator crates (`gpu-sim`, `dab`, `gpudet`,
-//! `bench`) and the tools (`analysis`, `dab-explore`, `dab-perf`) depend
-//! on it; the `dab-trace` binary ships from here.
+//! file (figures, analyzer and explorer reports) goes through. The
+//! simulator crates (`gpu-sim`, `dab`, `gpudet`, `bench`) and the tools
+//! (`analysis`, `dab-explore`) depend on it; the `dab-trace` binary ships
+//! from here.
 //!
 //! # Determinism contract
 //!
